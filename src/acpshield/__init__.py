@@ -3,64 +3,47 @@
 Adaptive conformal prediction regions around agent-trajectory predictors,
 belief-support safety shields computed by backward induction, and a shielded
 particle-based online planner, plus a gridworld testbed and an experiment
-harness with a CLI.
+harness with a CLI. The names exported here are the ones the harness and the
+CLI are built from.
 """
 
-from .acp import (
-    AcpEstimator,
-    AcpTracker,
-    PredictionRegions,
-    nonconformity,
-    region_radius,
-    update_lambda,
-)
+from .acp import AcpEstimator, PredictionRegions
 from .errors import (
-    AcpShieldError,
     AllActionsShielded,
-    EmptyBelief,
     HistoryTooShort,
-    ImpossibleObservation,
-    InvalidModel,
     InvalidSpec,
     ParticleDeprivation,
-    UnknownSupport,
 )
-from .gridworld import GridSpec, build_gridworld, cell_positions, initial_belief
+from .gridworld import (
+    GridSpec,
+    build_gridworld,
+    cell_positions,
+    initial_belief,
+    make_goal_greedy_policy,
+)
 from .harness import (
-    AgentSetup,
-    EpisodeResult,
-    ExperimentConfig,
+    METHODS,
     acp_coverage_run,
-    aggregate,
+    bench_lists,
+    expand_grid,
+    format_table,
     load_config,
     run_benchmark,
     run_episode,
-    safety_metrics,
+    write_aggregate_csv,
+    write_raw_csv,
 )
-from .planner import Planner, PlannerConfig, PlanStats, fallback_action
-from .pomdp import (
-    BeliefState,
-    ParticleBelief,
-    PomdpModel,
-    belief_update,
-    load_pomdp_file,
-    resample_particles,
-)
+from .planner import Planner, PlannerConfig, fallback_action
 from .shield import (
     Bsts,
     Shield,
-    UnsafeSets,
-    WinningRegions,
-    build_shield,
     compute_winning_regions,
-    shield_actions,
+    keeps_winning,
     unsafe_sets,
     verify_winning_regions,
 )
 from .trajectory import (
     JointAgentState,
-    PredictionSet,
-    TrajectorySource,
     load_trajectories,
     make_predictor,
     synth_trajectories,
@@ -69,57 +52,38 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "METHODS",
     "AcpEstimator",
-    "AcpShieldError",
-    "AcpTracker",
-    "AgentSetup",
     "AllActionsShielded",
-    "BeliefState",
     "Bsts",
-    "EmptyBelief",
-    "EpisodeResult",
-    "ExperimentConfig",
     "GridSpec",
     "HistoryTooShort",
-    "ImpossibleObservation",
-    "InvalidModel",
     "InvalidSpec",
     "JointAgentState",
-    "ParticleBelief",
     "ParticleDeprivation",
     "Planner",
     "PlannerConfig",
-    "PlanStats",
-    "PomdpModel",
     "PredictionRegions",
-    "PredictionSet",
     "Shield",
-    "TrajectorySource",
-    "UnknownSupport",
-    "UnsafeSets",
-    "WinningRegions",
     "acp_coverage_run",
-    "aggregate",
-    "belief_update",
+    "bench_lists",
     "build_gridworld",
-    "build_shield",
     "cell_positions",
     "compute_winning_regions",
+    "expand_grid",
     "fallback_action",
+    "format_table",
     "initial_belief",
+    "keeps_winning",
     "load_config",
-    "load_pomdp_file",
     "load_trajectories",
+    "make_goal_greedy_policy",
     "make_predictor",
-    "nonconformity",
-    "region_radius",
-    "resample_particles",
     "run_benchmark",
     "run_episode",
-    "safety_metrics",
-    "shield_actions",
     "synth_trajectories",
     "unsafe_sets",
-    "update_lambda",
     "verify_winning_regions",
+    "write_aggregate_csv",
+    "write_raw_csv",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,7 +151,7 @@ class AcpEstimator:
     """
 
     def __init__(self, horizon, alpha=DEFAULT_ALPHA, delta=DEFAULT_DELTA,
-                 window_size=DEFAULT_WINDOW, lambda0=None, on_mismatch="raise"):
+                 window_size=DEFAULT_WINDOW, on_mismatch="raise"):
         if horizon < 1:
             raise InvalidSpec(f"horizon must be >= 1, got {horizon}")
         if on_mismatch not in ("raise", "skip"):
@@ -159,8 +159,7 @@ class AcpEstimator:
         self.horizon = horizon
         self.on_mismatch = on_mismatch
         self.trackers = {
-            tau: AcpTracker(tau, alpha=alpha, delta=delta, window_size=window_size,
-                            lam=lambda0)
+            tau: AcpTracker(tau, alpha=alpha, delta=delta, window_size=window_size)
             for tau in range(1, horizon + 1)}
         self._predictions = {}        # (target_t, tau) -> JointAgentState
         self._pending = {}            # (target_t, tau) -> issued radius

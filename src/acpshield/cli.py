@@ -15,7 +15,6 @@ from .gridworld import build_gridworld
 from .harness import (
     METHODS,
     acp_coverage_run,
-    aggregate,
     bench_lists,
     expand_grid,
     format_table,

@@ -12,8 +12,7 @@ them to realized returns instead (the model itself must stay stationary).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,11 +103,6 @@ class GridSpec:
 def block_observation(cell):
     """2x2 block containing the cell; block origins sit at even coordinates."""
     return (cell.x // 2, cell.y // 2)
-
-
-def cell_distance(cell, point):
-    """Euclidean distance from the cell center to a 2-D point."""
-    return math.dist(cell.center, (point[0], point[1]))
 
 
 def cell_positions(spec):

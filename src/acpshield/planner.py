@@ -25,23 +25,9 @@ from .errors import (
     AllActionsShielded,
     EmptyBelief,
     InvalidSpec,
-    ParticleDeprivation,
     UnknownSupport,
 )
 from .pomdp import ParticleBelief, resample_particles
-
-
-def ucb_score(value, visits, parent_visits, exploration):
-    """Upper confidence bound for one action edge.
-
-    Unvisited edges (visits <= 0) score +inf so they are tried first;
-    otherwise value + exploration * sqrt(ln(parent_visits) / visits).
-    """
-    if visits <= 0:
-        return math.inf
-    if parent_visits <= 0:
-        return value
-    return value + exploration * math.sqrt(math.log(parent_visits) / visits)
 
 
 class ActionEdge:
@@ -87,10 +73,6 @@ class SearchNode:
         if not self.allowed:
             self.dead = True
 
-    @property
-    def shielded(self):
-        return frozenset(self.pruned)
-
 
 @dataclass
 class PlannerConfig:
@@ -132,37 +114,6 @@ class PlanStats:
     root_action_values: tuple
     root_allowed: tuple
     root_pruned: tuple
-
-
-def shield_check(bsts, winning, support, action, observation, tau):
-    """Allow iff the (action, observation) child support wins at level tau.
-
-    tau beyond the horizon always allows (the prediction regions say
-    nothing there); an unknown node or unreachable observation prunes,
-    the conservative answer.
-    """
-    if tau > bsts.horizon:
-        return True
-    try:
-        child = bsts.post_by_obs(support, tau - 1, action).get(observation)
-    except UnknownSupport:
-        return False
-    if child is None:
-        return False
-    return child in winning.regions[tau]
-
-
-def particle_shield_check(particles, winning, tau):
-    """Subset membership test: the particle set fits inside a winning support.
-
-    Weaker input than the exact BSTS support (particles are a subset of
-    it), so anything the exact check allows, this check allows too. Kept
-    alongside the exact check for that conservatism comparison.
-    """
-    if tau > winning.horizon:
-        return True
-    ps = frozenset(particles)
-    return any(ps <= sup for sup in winning.regions[tau])
 
 
 def safe_margin(constraint_value, threshold):
@@ -234,36 +185,31 @@ class Planner:
         self._node_count = 1
         return node
 
+    def _certified(self, shield, support, depth):
+        """(allowed, pruned) actions of a shielded node; a support outside
+        the BSTS allows nothing, the conservative answer."""
+        try:
+            acts = shield.allowed(support, depth)
+        except UnknownSupport:
+            acts = ()
+        return acts, set(range(self.model.n_actions)) - set(acts)
+
     def _arm_root(self, root, shield):
         root.support = frozenset(root.particles.particles)
         if shield is None:
-            root.allowed = list(range(self.model.n_actions))
-            root.pruned = set()
+            acts, root.pruned = range(self.model.n_actions), set()
         else:
-            try:
-                acts = shield.allowed(root.support, 0)
-            except UnknownSupport:
-                acts = ()
-            root.allowed = list(acts)
-            root.pruned = set(range(self.model.n_actions)) - set(acts)
+            acts, root.pruned = self._certified(shield, root.support, 0)
+        root.allowed = list(acts)
         root.dead = not root.allowed
 
     def _make_child(self, parent, action, observation, shield):
         depth = parent.depth + 1
-        support = None
-        allowed = range(self.model.n_actions)
-        pruned = ()
-        if shield is not None and parent.support is not None:
+        support = None               # stays None beyond the shielded levels
+        allowed, pruned = range(self.model.n_actions), ()
+        if shield is not None and parent.support is not None and depth < shield.horizon:
             support = shield.successor(parent.support, parent.depth, action, observation)
-            if depth < shield.horizon:
-                try:
-                    acts = shield.allowed(support, depth)
-                except UnknownSupport:
-                    acts = ()
-                allowed = acts
-                pruned = set(range(self.model.n_actions)) - set(acts)
-            elif depth >= shield.horizon:
-                support = None       # beyond the shielded levels
+            allowed, pruned = self._certified(shield, support, depth)
         self._node_count += 1
         belief = ParticleBelief([], capacity=self.config.particle_count)
         return SearchNode(belief, depth, support, allowed, pruned)

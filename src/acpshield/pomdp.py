@@ -3,14 +3,12 @@
 The model stores transition and observation tables as per-(state, action)
 sparse rows (successor indices plus cumulative probabilities), which keeps
 sampling fast and memory flat for gridworlds with hundreds of cells where
-each row has at most a couple of successors. Dense matrices are built lazily
-for small models only (``dense_threshold``), mainly for exact-filter checks.
+each row has at most a couple of successors.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +62,7 @@ class PomdpModel:
     """
 
     def __init__(self, state_names, action_names, obs_names, t_rows, z_rows,
-                 rewards, discount=0.95, dense_threshold=512):
+                 rewards, discount=0.95):
         """Build from sparse rows.
 
         t_rows: dict (s, a) -> list of (s', prob)
@@ -75,7 +73,6 @@ class PomdpModel:
         self.action_names = tuple(action_names)
         self.obs_names = tuple(obs_names)
         self.discount = float(discount)
-        self.dense_threshold = int(dense_threshold)
         if not (0.0 <= self.discount <= 1.0):
             raise InvalidModel(f"discount {discount} outside [0, 1]")
         n_s, n_a, n_o = len(self.state_names), len(self.action_names), len(self.obs_names)
@@ -110,13 +107,10 @@ class PomdpModel:
             if all(self._t[s][a][0] == (s,) and self._r[s][a] == 0.0
                    for a in range(n_a))
         )
-        self._dense_t = None
-        self._dense_z = None
 
     @classmethod
     def from_tables(cls, transition, reward, observation_fn, state_names=None,
-                    action_names=None, obs_names=None, discount=0.95,
-                    dense_threshold=512):
+                    action_names=None, obs_names=None, discount=0.95):
         """Build from dense arrays T (n_s, n_a, n_s), R (n_s, n_a), Z (n_s, n_a, n_o)."""
         t = np.asarray(transition, dtype=float)
         r = np.asarray(reward, dtype=float)
@@ -142,7 +136,7 @@ class PomdpModel:
                 if r[s, a] != 0.0:
                     rewards[(s, a)] = float(r[s, a])
         return cls(state_names, action_names, obs_names, t_rows, z_rows, rewards,
-                   discount=discount, dense_threshold=dense_threshold)
+                   discount=discount)
 
     # -- sizes ------------------------------------------------------------
     @property
@@ -198,38 +192,6 @@ class PomdpModel:
     def observation_support(self, s2, a):
         """Tuple of observations with Z(s2, a, o) > 0."""
         return self._z[s2][a][0]
-
-    def transition_matrix(self):
-        """Dense T, built lazily; refuses models above dense_threshold states."""
-        if self._dense_t is None:
-            if self.n_states > self.dense_threshold:
-                raise InvalidModel(
-                    f"dense tables disabled for {self.n_states} states "
-                    f"(threshold {self.dense_threshold})")
-            t = np.zeros((self.n_states, self.n_actions, self.n_states))
-            for s in range(self.n_states):
-                for a in range(self.n_actions):
-                    idxs, probs = self.transition_row(s, a)
-                    t[s, a, idxs] = probs
-            self._dense_t = t
-        return self._dense_t
-
-    def observation_matrix(self):
-        if self._dense_z is None:
-            if self.n_states > self.dense_threshold:
-                raise InvalidModel(
-                    f"dense tables disabled for {self.n_states} states "
-                    f"(threshold {self.dense_threshold})")
-            z = np.zeros((self.n_states, self.n_actions, self.n_observations))
-            for s in range(self.n_states):
-                for a in range(self.n_actions):
-                    idxs, probs = self.observation_row(s, a)
-                    z[s, a, idxs] = probs
-            self._dense_z = z
-        return self._dense_z
-
-    def reward_matrix(self):
-        return np.asarray(self._r, dtype=float)
 
     # -- generative simulator ----------------------------------------------
     def generative_step(self, s, a, rng):
@@ -313,30 +275,6 @@ class ParticleBelief:
         return len(self.particles)
 
 
-class History:
-    """Alternating (action, observation) sequence from the episode root."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps=()):
-        self.steps = tuple(steps)
-
-    def extend(self, action, observation):
-        return History(self.steps + ((action, observation),))
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __eq__(self, other):
-        return isinstance(other, History) and self.steps == other.steps
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __repr__(self):
-        return f"History({list(self.steps)!r})"
-
-
 def belief_update(model, belief, action, observation):
     """Exact Bayes update: b'(s') ∝ Z(s',a,o) Σ_s T(s,a,s') b(s).
 
@@ -362,26 +300,6 @@ def belief_update(model, belief, action, observation):
         raise ImpossibleObservation(
             f"observation {observation} has zero probability under the belief and action {action}")
     return BeliefState({s2: w / eta for s2, w in post.items()})
-
-
-def expected_reward(model, belief, action):
-    """Belief-weighted immediate reward Σ_s R(s,a) b(s)."""
-    return sum(model._r[s][action] * p for s, p in belief.probs.items())
-
-
-def generative_step(model, s, a, rng):
-    """Module-level alias of :meth:`PomdpModel.generative_step`."""
-    return model.generative_step(s, a, rng)
-
-
-def belief_support_of(belief):
-    """Set of states with positive probability (or distinct particle states)."""
-    if isinstance(belief, ParticleBelief):
-        return belief.support()
-    support = belief.support()
-    if not support:
-        raise EmptyBelief("belief has no mass")
-    return support
 
 
 def resample_particles(model, particles, action, observation, count, rng,

@@ -10,8 +10,9 @@ planning step:
    the prediction horizon (a small transition system over supports),
 2. mark states whose distance margin to any predicted agent falls below
    the scaled conformal radius as unsafe, per lookahead,
-3. sweep backward over the horizon to find the winning supports, those
-   from which some action keeps every observation outcome winning,
+3. sweep backward over the horizon once: per support, the actions that
+   keep every observation outcome winning (the shield table), and from
+   those the winning supports, safe ones with at least one such action,
 4. answer, for any support and depth, which actions are certified safe.
 
 Supports are canonical frozensets of state indices; all structures built
@@ -20,7 +21,6 @@ here are immutable once constructed and safe to share.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -84,9 +84,6 @@ class Bsts:
                     nxt.update(by_obs.values())
             self.levels[q + 1] = nxt
 
-    def has_node(self, support, q):
-        return 0 <= q <= self.horizon and support in self.levels[q]
-
     def post_by_obs(self, support, q, a):
         """dict observation -> successor support for one (node, action)."""
         try:
@@ -101,11 +98,6 @@ class Bsts:
 
     def node_count(self):
         return sum(len(sups) for sups in self.levels.values())
-
-
-def reachable_supports(model, root, horizon):
-    """Enumerate the belief-support transition system to the given depth."""
-    return Bsts(model, root, horizon)
 
 
 def constraint_values(positions, agent_positions, epsilon, mode="center"):
@@ -157,11 +149,6 @@ class UnsafeSets:
         f = self.f_sets[q]
         return any(s in f for s in support)
 
-    def psi(self, bsts):
-        """BSTS nodes containing an unsafe state at their own depth."""
-        return {(sup, q) for q, sups in bsts.levels.items()
-                for sup in sups if self.is_unsafe(sup, q)}
-
 
 def unsafe_sets(positions, predictions, regions, epsilon, lipschitz=1.0,
                 mode="center"):
@@ -206,71 +193,72 @@ def vacuous_unsafe_sets(horizon, n_states):
 
 @dataclass
 class WinningRegions:
-    """Winning supports per lookahead 1..horizon, restricted to BSTS nodes."""
+    """Winning supports and the shield table of one BSTS.
 
-    horizon: int
+    ``regions[tau]`` holds the winning supports of level tau, 1..horizon.
+    ``allowed[(support, q)]`` holds, for every node below the horizon, the
+    actions whose every observation outcome lands in ``regions[q + 1]``.
+    """
+
     regions: dict                # tau -> frozenset of supports
-
-    def winning(self, support, tau):
-        if not (1 <= tau <= self.horizon):
-            raise InvalidSpec(f"tau {tau} outside 1..{self.horizon}")
-        return support in self.regions[tau]
+    allowed: dict                # (support, q) -> tuple of actions, q < horizon
 
 
 def compute_winning_regions(bsts, unsafe):
-    """Backward induction over the BSTS levels.
+    """One backward sweep over the BSTS levels: winning regions and table.
 
     Depth-H supports win by avoiding the depth-H unsafe states alone (no
-    lookahead exists beyond the prediction horizon). Below that, a support
-    wins when it is safe at its own depth and some action sends every
-    observation outcome into the next level's winning set.
+    lookahead exists beyond the prediction horizon). Below that, each
+    node's allowed actions are those sending every observation outcome into
+    the next level's winning set, and a support wins when it is safe at its
+    own depth and that tuple is nonempty.
     """
     if unsafe.horizon != bsts.horizon:
         raise InvalidSpec(
             f"unsafe horizon {unsafe.horizon} != bsts horizon {bsts.horizon}")
     h = bsts.horizon
+    actions = range(bsts.model.n_actions)
     regions = {h: frozenset(sup for sup in bsts.levels[h]
                             if not unsafe.is_unsafe(sup, h))}
-    for tau in range(h - 1, 0, -1):
-        above = regions[tau + 1]
+    allowed = {}
+    for q in range(h - 1, -1, -1):
+        above = regions[q + 1]
         won = set()
-        for sup in bsts.levels[tau]:
-            if unsafe.is_unsafe(sup, tau):
-                continue
-            for a in range(bsts.model.n_actions):
-                if all(child in above for child in bsts.post(sup, tau, a)):
-                    won.add(sup)
-                    break
-        regions[tau] = frozenset(won)
-    return WinningRegions(horizon=h, regions=regions)
+        for sup in bsts.levels[q]:
+            acts = tuple(
+                a for a in actions
+                if all(child in above
+                       for child in bsts.post_by_obs(sup, q, a).values()))
+            allowed[(sup, q)] = acts
+            if acts and not unsafe.is_unsafe(sup, q):
+                won.add(sup)
+        if q >= 1:
+            regions[q] = frozenset(won)
+    return WinningRegions(regions=regions, allowed=allowed)
 
 
-def shield_actions(bsts, winning, support, tau):
-    """Actions from (support, tau-1) whose every outcome lands in W^tau.
-
-    May be empty: the caller decides what a deadlock means. Raises
-    UnknownSupport when (support, tau-1) is not a BSTS node.
+def keeps_winning(bsts, winning, support, q, action):
+    """Certificate predicate: every successor of (support, q) under
+    ``action`` lies in the claimed W^{q+1}, read straight off the BSTS edges.
     """
-    if not (1 <= tau <= bsts.horizon):
-        raise InvalidSpec(f"tau {tau} outside 1..{bsts.horizon}")
-    if not bsts.has_node(support, tau - 1):
-        raise UnknownSupport(f"({sorted(support)}, {tau - 1}) is not a BSTS node")
-    target = winning.regions[tau]
-    return {a for a in range(bsts.model.n_actions)
-            if all(child in target for child in bsts.post(support, tau - 1, a))}
+    target = winning.regions[q + 1]
+    return all(child in target for child in bsts.post(support, q, action))
 
 
 def verify_winning_regions(bsts, unsafe, winning):
-    """Independent certificate check of the two winning-region conditions.
+    """Independent certificate check of the winning regions and shield table.
 
-    Walks every claimed winning support and re-derives, straight from the
-    BSTS edges and unsafe sets, that (a) it contains no unsafe state at its
-    depth and (b) below the horizon some action keeps all successors
-    winning. Returns a list of violation descriptions, empty when the
-    certificate holds.
+    Re-derives, straight from the BSTS edges and unsafe sets, that (a) every
+    claimed winning support is a level node with no unsafe state at its
+    depth, (b) below the horizon it has a nonempty table entry, (c) every
+    node below the horizon has a table entry, and (d) every tabled action
+    keeps all successors winning. (b) and (d) together give each winning
+    support an all-winning action. Returns a list of violation
+    descriptions, empty when the certificate holds.
     """
     problems = []
-    for tau in range(1, bsts.horizon + 1):
+    h = bsts.horizon
+    for tau in range(1, h + 1):
         for sup in winning.regions[tau]:
             if sup not in bsts.levels[tau]:
                 problems.append(f"tau={tau}: {sorted(sup)} is not a level node")
@@ -279,18 +267,25 @@ def verify_winning_regions(bsts, unsafe, winning):
             if bad:
                 problems.append(
                     f"tau={tau}: {sorted(sup)} contains unsafe states {sorted(bad)}")
-            if tau == bsts.horizon:
-                continue
-            if not any(all(child in winning.regions[tau + 1]
-                           for child in bsts.post(sup, tau, a))
-                       for a in range(bsts.model.n_actions)):
+            if tau < h and not winning.allowed.get((sup, tau)):
                 problems.append(
                     f"tau={tau}: {sorted(sup)} has no all-winning action")
+    for q in range(h):
+        for sup in bsts.levels[q]:
+            acts = winning.allowed.get((sup, q))
+            if acts is None:
+                problems.append(f"q={q}: {sorted(sup)} has no table entry")
+                continue
+            for a in acts:
+                if not keeps_winning(bsts, winning, sup, q, a):
+                    problems.append(
+                        f"q={q}: {sorted(sup)} allows action {a}, which can "
+                        f"leave W^{q + 1}")
     return problems
 
 
 class Shield:
-    """Per-step shield: precomputed allowed actions for every BSTS node.
+    """Per-step shield: the certified actions of every BSTS node.
 
     ``allowed(support, depth)`` answers which actions are certified from a
     support sitting ``depth`` steps into the future (depth 0 is now).
@@ -298,25 +293,16 @@ class Shield:
     regions say nothing about them.
     """
 
-    def __init__(self, bsts, unsafe, winning):
+    def __init__(self, bsts, winning):
         self.bsts = bsts
-        self.unsafe = unsafe
-        self.winning = winning
         self.horizon = bsts.horizon
-        n_actions = bsts.model.n_actions
-        self._allowed = {}
-        for q in range(bsts.horizon):
-            target = winning.regions[q + 1]
-            for sup in bsts.levels[q]:
-                acts = tuple(
-                    a for a in range(n_actions)
-                    if all(child in target for child in bsts.post(sup, q, a)))
-                self._allowed[(sup, q)] = acts
+        self._allowed = winning.allowed
+        self._unconstrained = tuple(range(bsts.model.n_actions))
 
     def allowed(self, support, depth):
         """Certified actions from (support, depth); all actions past horizon."""
         if depth >= self.horizon:
-            return tuple(range(self.bsts.model.n_actions))
+            return self._unconstrained
         try:
             return self._allowed[(support, depth)]
         except KeyError:
@@ -326,39 +312,3 @@ class Shield:
     def successor(self, support, depth, action, obs):
         """Child support after (action, obs), or None if obs impossible."""
         return self.bsts.post_by_obs(support, depth, action).get(obs)
-
-
-def build_shield(model, root_support, horizon, unsafe):
-    """Convenience pipeline: BSTS, winning regions, shield, in one call."""
-    bsts = Bsts(model, root_support, horizon)
-    winning = compute_winning_regions(bsts, unsafe)
-    return Shield(bsts, unsafe, winning)
-
-
-def shield_snapshot(bsts, unsafe, winning):
-    """JSON-ready diagnostic snapshot of one planning step's shield."""
-    return {
-        "horizon": bsts.horizon,
-        "root": sorted(bsts.root),
-        "levels": {str(q): sorted(sorted(sup) for sup in sups)
-                   for q, sups in bsts.levels.items()},
-        "unsafe": {str(tau): sorted(unsafe.f_sets[tau])
-                   for tau in range(1, bsts.horizon + 1)},
-        "thresholds": {str(tau): unsafe.thresholds[tau]
-                       for tau in range(1, bsts.horizon + 1)},
-        "winning": {str(tau): sorted(sorted(sup) for sup in winning.regions[tau])
-                    for tau in range(1, bsts.horizon + 1)},
-        "node_count": bsts.node_count(),
-    }
-
-
-def snapshot_json(bsts, unsafe, winning, indent=None):
-    def default(obj):
-        if isinstance(obj, float) and math.isinf(obj):
-            return "inf"
-        raise TypeError(f"not serializable: {obj!r}")
-    snap = shield_snapshot(bsts, unsafe, winning)
-    # json cannot carry inf literally; stringify thresholds
-    snap["thresholds"] = {k: (v if math.isfinite(v) else "inf")
-                          for k, v in snap["thresholds"].items()}
-    return json.dumps(snap, indent=indent, default=default)

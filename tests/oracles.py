@@ -15,6 +15,30 @@ import math
 import numpy as np
 
 
+def dense_tables(model, max_states=512):
+    """Dense (T, Z, R) arrays of a model, filled from its sparse rows.
+
+    T: (n_s, n_a, n_s), Z: (n_s, n_a, n_o), R: (n_s, n_a). Refuses models
+    above ``max_states`` states, whose dense T grows with the square of
+    the state count.
+    """
+    n_s, n_a, n_o = model.n_states, model.n_actions, model.n_observations
+    if n_s > max_states:
+        raise ValueError(
+            f"dense tables disabled for {n_s} states (limit {max_states})")
+    T = np.zeros((n_s, n_a, n_s))
+    Z = np.zeros((n_s, n_a, n_o))
+    R = np.zeros((n_s, n_a))
+    for s in range(n_s):
+        for a in range(n_a):
+            idxs, probs = model.transition_row(s, a)
+            T[s, a, idxs] = probs
+            idxs, probs = model.observation_row(s, a)
+            Z[s, a, idxs] = probs
+            R[s, a] = model.reward(s, a)
+    return T, Z, R
+
+
 def exact_filter(T, Z, belief_vec, action, observation):
     """Dense-matrix Bayes filter step. Returns (posterior vector, eta).
 
@@ -99,9 +123,7 @@ def belief_expectimax(model, belief_vec, depth, allowed=None):
     Returns (value, best_action). ``allowed`` optionally maps nothing; when
     given it restricts the root action set only. Small models only.
     """
-    T = model.transition_matrix()
-    Z = model.observation_matrix()
-    R = model.reward_matrix()
+    T, Z, R = dense_tables(model)
 
     def value(b, d, restrict):
         if d == 0:

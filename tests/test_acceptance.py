@@ -20,7 +20,7 @@ from acpshield.gridworld import GridSpec, cell_positions
 from acpshield.harness import acp_coverage_run, expand_grid, load_config, run_benchmark
 from acpshield.planner import Planner, PlannerConfig
 from acpshield.pomdp import PomdpModel
-from acpshield.shield import Bsts, compute_winning_regions, unsafe_sets, shield_actions
+from acpshield.shield import Bsts, compute_winning_regions, unsafe_sets
 from acpshield.trajectory import JointAgentState, PredictionSet
 
 import oracles
@@ -139,10 +139,10 @@ def test_criterion_4_winning_regions_match_enumeration():
                 expected = oracles.enumerate_winning_supports(
                     model, sup, horizon, levels, level=tau)
                 supports_checked += 1
-                mismatches += winning.winning(sup, tau) != expected
-        oracle_allowed = set(oracles.shielded_actions_oracle(
-            model, root, 0, horizon, levels))
-        mismatches += shield_actions(bsts, winning, root, 1) != oracle_allowed
+                mismatches += (sup in winning.regions[tau]) != expected
+        oracle_allowed = oracles.shielded_actions_oracle(
+            model, root, 0, horizon, levels)
+        mismatches += list(winning.allowed[(root, 0)]) != oracle_allowed
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 60.0
     report(4, ok, f"100 models, {supports_checked} supports vs policy "

@@ -13,12 +13,12 @@ from acpshield.gridworld import (
     GridSpec,
     block_observation,
     build_gridworld,
-    cell_distance,
     cell_positions,
     initial_belief,
     make_goal_greedy_policy,
 )
 from acpshield.pomdp import BeliefState, belief_update
+from acpshield.shield import constraint_values
 
 
 def spec30(**kw):
@@ -123,11 +123,18 @@ def test_block_partition_covers_grid_once():
 
 
 def test_cell_distance_values():
-    assert cell_distance(Cell(0, 0), (3.0, 4.0)) == pytest.approx(5.0)
-    assert cell_distance(Cell(18, 4), (17.334, 9.711)) == pytest.approx(5.7497, abs=1e-3)
-    assert cell_distance(Cell(7, 2), (7.0, 2.0)) == 0.0
+    # cell-center distances as the shield measures them: zero-buffer margins
+    positions = cell_positions(spec30())
+
+    def dist(cell, point):
+        state = spec30().state_index(cell.x, cell.y)
+        return constraint_values(positions[[state]], [point], epsilon=0.0)[0]
+
+    assert dist(Cell(0, 0), (3.0, 4.0)) == pytest.approx(5.0)
+    assert dist(Cell(18, 4), (17.334, 9.711)) == pytest.approx(5.7497, abs=1e-3)
+    assert dist(Cell(7, 2), (7.0, 2.0)) == 0.0
     p = (1.25, -0.5)
-    assert cell_distance(Cell(0, 0), p) == math.dist(p, (0.0, 0.0))
+    assert dist(Cell(0, 0), p) == pytest.approx(math.dist(p, (0.0, 0.0)), abs=1e-12)
 
 
 def test_cell_positions_terminal_is_nan():

@@ -16,13 +16,11 @@ from acpshield.errors import (
 )
 from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
 from acpshield.planner import (
+    ActionEdge,
     Planner,
     PlannerConfig,
     fallback_action,
-    particle_shield_check,
     safe_margin,
-    shield_check,
-    ucb_score,
 )
 from acpshield.pomdp import PomdpModel
 from acpshield.shield import (
@@ -30,7 +28,6 @@ from acpshield.shield import (
     Shield,
     UnsafeSets,
     WinningRegions,
-    build_shield,
     compute_winning_regions,
     unsafe_sets,
 )
@@ -38,6 +35,7 @@ from acpshield.trajectory import JointAgentState, PredictionSet
 
 import oracles
 from conftest import make_random_pomdp
+from test_shield import make_shield
 
 
 def fs(*states):
@@ -95,17 +93,30 @@ def shielded_corridor(horizon=2):
     rewards[3, :] = -1000.0
     model = corridor(5, rewards)
     unsafe = manual_unsafe(horizon, {tau: {3} for tau in range(1, horizon + 1)})
-    shield = build_shield(model, fs(2), horizon, unsafe)
+    shield = make_shield(model, fs(2), horizon, unsafe)
     return model, shield
 
 
 # -- scoring and config --------------------------------------------------------
 
 def test_ucb_score_arithmetic():
-    assert ucb_score(0.0, 1, math.e, 500.0) == 500.0
-    assert ucb_score(2.0, 0, 10.0, 1.0) == math.inf
-    assert ucb_score(2.0, 4, 1.0, 3.0) == 2.0
-    assert ucb_score(1.0, 4, math.e ** 4, 2.0) == pytest.approx(3.0)
+    # selection maximizes value + c * sqrt(ln(node visits) / edge visits)
+    # over the allowed actions; unvisited edges go first
+    planner = Planner(bandit(), PlannerConfig(ucb_constant=2.0))
+    node = planner.make_root([0])
+    node.edges = [ActionEdge(0, 0.0), ActionEdge(0, 0.0)]
+    node.edges[0].visits, node.edges[0].value = 4, 1.0
+    assert planner._select_ucb(node) == 1
+    node.edges[1].visits = 1
+    node.visits = math.e ** 4          # scores: 1 + 2 * 1 = 3 and 0 + 2 * 2 = 4
+    assert planner._select_ucb(node) == 1
+    node.edges[1].value = -1.5         # 2.5 < 3
+    assert planner._select_ucb(node) == 0
+    node.visits = 1                    # ln 1 = 0: values alone decide
+    node.edges[1].value = 0.5
+    assert planner._select_ucb(node) == 0
+    node.allowed = [1]
+    assert planner._select_ucb(node) == 1
 
 
 def test_config_validation():
@@ -126,7 +137,7 @@ def test_config_validation():
 def test_plan_requires_depth_covering_horizon():
     model = corridor()
     unsafe = manual_unsafe(2, {})
-    shield = build_shield(model, fs(2), 2, unsafe)
+    shield = make_shield(model, fs(2), 2, unsafe)
     planner = Planner(model, PlannerConfig(num_simulations=4, max_depth=1, seed=1))
     root = planner.make_root([2, 2])
     with pytest.raises(InvalidSpec):
@@ -280,7 +291,7 @@ def test_rollout_policy_preference_is_shield_filtered():
 def test_all_actions_shielded_raises():
     model = corridor()
     unsafe = manual_unsafe(2, {1: {1, 3}})
-    shield = build_shield(model, fs(2), 2, unsafe)
+    shield = make_shield(model, fs(2), 2, unsafe)
     planner = Planner(model, PlannerConfig(num_simulations=8, max_depth=4, seed=0))
     root = planner.make_root([2] * 4)
     with pytest.raises(AllActionsShielded):
@@ -290,7 +301,7 @@ def test_all_actions_shielded_raises():
 
 def test_unknown_root_support_is_pruned_conservatively():
     model = corridor()
-    shield = build_shield(model, fs(2), 2, manual_unsafe(2, {}))
+    shield = make_shield(model, fs(2), 2, manual_unsafe(2, {}))
     planner = Planner(model, PlannerConfig(num_simulations=8, max_depth=4, seed=0))
     root = planner.make_root([0])
     with pytest.raises(AllActionsShielded):
@@ -298,16 +309,15 @@ def test_unknown_root_support_is_pruned_conservatively():
 
 
 def test_dead_end_propagation_prunes_parent_action():
-    # hand-made inconsistent winning sets: {3} wins at level 1 but has no
-    # winning continuation, so its node dies at expansion and the planner
+    # hand-made inconsistent table: {3} wins at level 1 but has no
+    # allowed continuation, so its node dies at expansion and the planner
     # must retract the action that led there
     model = corridor()
     bsts = Bsts(model, fs(2), 2)
-    winning = WinningRegions(horizon=2, regions={
-        1: frozenset({fs(1), fs(3)}),
-        2: frozenset({fs(0)}),
-    })
-    shield = Shield(bsts, manual_unsafe(2, {}), winning)
+    winning = WinningRegions(
+        regions={1: frozenset({fs(1), fs(3)}), 2: frozenset({fs(0)})},
+        allowed={(fs(2), 0): (0, 1), (fs(1), 1): (0,), (fs(3), 1): ()})
+    shield = Shield(bsts, winning)
     planner = Planner(model, PlannerConfig(
         num_simulations=32, max_depth=4, ucb_constant=1.0, seed=4))
     root = planner.make_root([2] * 8)
@@ -333,7 +343,7 @@ def test_tree_pruning_matches_certified_sets(rng):
         unsafe = manual_unsafe(horizon, by_level)
         bsts = Bsts(model, fs(root_state), horizon)
         winning = compute_winning_regions(bsts, unsafe)
-        shield = Shield(bsts, unsafe, winning)
+        shield = Shield(bsts, winning)
         oracle_levels = {tau: frozenset(by_level.get(tau, ())) for tau in (1, 2)}
         for q in range(horizon):
             for sup in bsts.levels[q]:
@@ -365,39 +375,6 @@ def test_tree_pruning_matches_certified_sets(rng):
     assert checked >= 10
 
 
-def test_particle_check_is_implied_by_support_check(rng):
-    # the exact support-level certificate is the stronger test: wherever it
-    # allows a branch, every particle subset of that branch's support must
-    # pass the set-membership test too
-    for _ in range(100):
-        model = make_random_pomdp(rng, n_states=6, n_actions=2, n_obs=3, branch=2)
-        root_sup = fs(int(rng.integers(model.n_states)))
-        horizon = 2
-        by_level = {tau: set(rng.choice(model.n_states, size=int(rng.integers(0, 3)),
-                                        replace=False).tolist())
-                    for tau in (1, 2)}
-        unsafe = manual_unsafe(horizon, by_level)
-        bsts = Bsts(model, root_sup, horizon)
-        winning = compute_winning_regions(bsts, unsafe)
-        for q in range(horizon):
-            for sup in bsts.levels[q]:
-                for a in range(model.n_actions):
-                    children = bsts.post_by_obs(sup, q, a)
-                    branch_ok = all(child in winning.regions[q + 1]
-                                    for child in children.values())
-                    for o, child in children.items():
-                        allow = shield_check(bsts, winning, sup, a, o, q + 1)
-                        assert allow == (child in winning.regions[q + 1])
-                        if branch_ok:
-                            states = sorted(child)
-                            for _ in range(3):
-                                k = int(rng.integers(1, len(states) + 1))
-                                subset = rng.choice(states, size=k, replace=False).tolist()
-                                assert particle_shield_check(subset, winning, q + 1)
-        assert shield_check(bsts, winning, root_sup, 0, 0, horizon + 1) is True
-        assert particle_shield_check([0], winning, horizon + 1) is True
-
-
 def test_grid_two_speed_scenario_prunes_toward_agent():
     # 22x12 grid with one dynamic agent north of the robot and lookahead-2
     # prediction regions: stepping east stays certified, but from there the
@@ -412,7 +389,7 @@ def test_grid_two_speed_scenario_prunes_toward_agent():
     regions = PredictionRegions(made_at=0, radii=(0.736, 1.329))
     unsafe = unsafe_sets(positions, pred, regions, epsilon=2.0)
     here = spec.state_index(17, 5)
-    shield = build_shield(model, fs(here), 2, unsafe)
+    shield = make_shield(model, fs(here), 2, unsafe)
 
     east, south, west, north = 0, 1, 2, 3
     assert not unsafe.is_unsafe(fs(spec.state_index(18, 5)), 1)
@@ -509,8 +486,8 @@ def test_advance_root_matches_exact_filter():
         num_simulations=1, max_depth=2, particle_count=10_000, seed=31))
     root = planner.make_root(particles)
     new_root = planner.advance_root(root, 0, 1)
-    post, eta = oracles.exact_filter(
-        model.transition_matrix(), model.observation_matrix(), prior, 0, 1)
+    T, Z, _ = oracles.dense_tables(model)
+    post, eta = oracles.exact_filter(T, Z, prior, 0, 1)
     assert eta > 0
     counts = np.bincount(new_root.particles.particles, minlength=3)
     freq = counts / len(new_root.particles)

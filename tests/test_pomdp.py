@@ -16,18 +16,15 @@ from acpshield.errors import (
 )
 from acpshield.pomdp import (
     BeliefState,
-    History,
     ParticleBelief,
     PomdpModel,
-    belief_support_of,
     belief_update,
-    expected_reward,
     load_pomdp_file,
     resample_particles,
 )
 
 from conftest import make_random_pomdp
-from oracles import exact_filter
+from oracles import dense_tables, exact_filter
 
 
 #Upfront hand computation for the two_state_model fixture, action 0, obs 0,
@@ -49,7 +46,7 @@ def test_belief_update_matches_hand_computation(two_state_model):
 def test_belief_update_matches_dense_filter_on_random_models(rng):
     for trial in range(40):
         model = make_random_pomdp(rng, n_states=6, n_actions=3, n_obs=4)
-        T, Z = model.transition_matrix(), model.observation_matrix()
+        T, Z, _ = dense_tables(model)
         probs = rng.dirichlet(np.ones(model.n_states))
         b = BeliefState({s: float(p) for s, p in enumerate(probs)})
         a = int(rng.integers(model.n_actions))
@@ -152,23 +149,9 @@ def test_belief_state_validation():
 
 def test_belief_support_of_particles():
     pb = ParticleBelief([2, 2, 5], capacity=10)
-    assert belief_support_of(pb) == frozenset({2, 5})
+    assert pb.support() == frozenset({2, 5})
     with pytest.raises(EmptyBelief):
-        belief_support_of(ParticleBelief([], capacity=10))
-
-
-def test_expected_reward(two_state_model):
-    b = BeliefState({0: 0.25, 1: 0.75})
-    assert expected_reward(two_state_model, b, 0) == pytest.approx(0.25 * 1.0 + 0.75 * -1.0)
-
-
-def test_history_value_semantics():
-    h = History()
-    h1 = h.extend(2, 5)
-    h2 = History(((2, 5),))
-    assert h1 == h2 and hash(h1) == hash(h2)
-    assert len(h) == 0 and len(h1) == 1
-    assert h1.extend(0, 0) != h1
+        ParticleBelief([], capacity=10).support()
 
 
 def test_resample_particles_converges_to_posterior(rng, two_state_model):
@@ -196,9 +179,8 @@ def test_resample_particles_fallback_and_deprivation():
 
 def test_dense_matrices_gated_by_threshold(rng):
     model = make_random_pomdp(rng, n_states=4, n_actions=2, n_obs=3)
-    model.dense_threshold = 3
-    with pytest.raises(InvalidModel):
-        model.transition_matrix()
+    with pytest.raises(ValueError):
+        dense_tables(model, max_states=3)
 
 
 MODEL_TEXT = """\

@@ -1,6 +1,5 @@
 """Belief-support enumeration, unsafe sets, winning regions, shield map."""
 
-import json
 import math
 
 import numpy as np
@@ -14,13 +13,8 @@ from acpshield.shield import (
     Bsts,
     Shield,
     UnsafeSets,
-    build_shield,
     compute_winning_regions,
     constraint_values,
-    reachable_supports,
-    shield_actions,
-    shield_snapshot,
-    snapshot_json,
     unsafe_sets,
     vacuous_unsafe_sets,
     validate_support,
@@ -41,6 +35,12 @@ def manual_unsafe(horizon, by_level):
     return UnsafeSets(horizon=horizon,
                       f_sets={tau: frozenset(by_level.get(tau, ())) for tau in range(1, horizon + 1)},
                       margins={}, thresholds={}, epsilon=0.0, lipschitz=1.0)
+
+
+def make_shield(model, root, horizon, unsafe):
+    """BSTS, winning regions and shield for one root support."""
+    bsts = Bsts(model, root, horizon)
+    return Shield(bsts, compute_winning_regions(bsts, unsafe))
 
 
 def corridor(n=5, n_obs_blocks=None):
@@ -259,7 +259,10 @@ def test_corridor_winning_regions_hand_checked():
     winning = compute_winning_regions(bsts, unsafe)
     assert winning.regions[2] == frozenset({fs(0), fs(2), fs(4)})
     assert winning.regions[1] == frozenset({fs(1)})
-    assert shield_actions(bsts, winning, fs(2), 1) == {0}
+    assert winning.allowed[(fs(2), 0)] == (0,)
+    # {3} keeps both moves winning but is itself unsafe at level 1
+    assert winning.allowed[(fs(1), 1)] == (0, 1)
+    assert winning.allowed[(fs(3), 1)] == (0, 1)
     assert verify_winning_regions(bsts, unsafe, winning) == []
 
 
@@ -270,7 +273,7 @@ def test_empty_unsafe_means_everything_wins(rng):
     winning = compute_winning_regions(bsts, vacuous_unsafe_sets(3, model.n_states))
     for tau in (1, 2, 3):
         assert winning.regions[tau] == frozenset(bsts.levels[tau])
-    assert shield_actions(bsts, winning, root, 1) == set(range(model.n_actions))
+    assert winning.allowed[(root, 0)] == tuple(range(model.n_actions))
 
 
 def test_fully_unsafe_first_level_blocks_everything(rng):
@@ -280,7 +283,7 @@ def test_fully_unsafe_first_level_blocks_everything(rng):
     unsafe = manual_unsafe(2, {1: set(range(model.n_states))})
     winning = compute_winning_regions(bsts, unsafe)
     assert winning.regions[1] == frozenset()
-    assert shield_actions(bsts, winning, root, 1) == set()
+    assert winning.allowed[(root, 0)] == ()
 
 
 def test_winning_regions_match_policy_search_oracle(rng):
@@ -305,9 +308,9 @@ def test_winning_regions_match_policy_search_oracle(rng):
             for sup in bsts.levels[tau]:
                 expected = oracles.enumerate_winning_supports(
                     model, sup, h, oracle_levels, level=tau)
-                assert winning.winning(sup, tau) == expected, (trial, tau, sorted(sup))
-        assert shield_actions(bsts, winning, root, 1) == set(
-            oracles.shielded_actions_oracle(model, root, 0, h, oracle_levels))
+                assert (sup in winning.regions[tau]) == expected, (trial, tau, sorted(sup))
+        assert list(winning.allowed[(root, 0)]) == oracles.shielded_actions_oracle(
+            model, root, 0, h, oracle_levels)
         assert verify_winning_regions(bsts, unsafe, winning) == []
 
 
@@ -342,17 +345,34 @@ def test_certificate_verifier_catches_corruption():
                for p in verify_winning_regions(bsts, unsafe, winning))
 
 
-def test_shield_actions_unknown_support():
+def test_certificate_verifier_catches_table_corruption():
     model = corridor(5)
     bsts = Bsts(model, fs(2), 2)
-    winning = compute_winning_regions(bsts, vacuous_unsafe_sets(2, model.n_states))
+    unsafe = manual_unsafe(2, {1: {3}, 2: {3}})
+    winning = compute_winning_regions(bsts, unsafe)
+    # right from {2} lands on the unsafe {3}; listing it must be flagged
+    winning.allowed[(fs(2), 0)] = (0, 1)
+    problems = verify_winning_regions(bsts, unsafe, winning)
+    assert any("allows action 1" in p for p in problems)
+    # a winning support without an entry, and one with an empty entry
+    winning = compute_winning_regions(bsts, unsafe)
+    del winning.allowed[(fs(2), 0)]
+    winning.allowed[(fs(1), 1)] = ()
+    problems = verify_winning_regions(bsts, unsafe, winning)
+    assert any("no table entry" in p for p in problems)
+    assert any("[1] has no all-winning action" in p for p in problems)
+
+
+def test_shield_actions_unknown_support():
+    model = corridor(5)
+    shield = make_shield(model, fs(2), 2, vacuous_unsafe_sets(2, model.n_states))
     with pytest.raises(UnknownSupport):
-        shield_actions(bsts, winning, fs(0), 1)
-    with pytest.raises(InvalidSpec):
-        shield_actions(bsts, winning, fs(2), 3)
+        shield.allowed(fs(0), 0)
+    with pytest.raises(UnknownSupport):
+        shield.allowed(fs(2), 1)        # level 1 holds {1} and {3} only
 
 
-# -- shield wrapper and serialization -----------------------------------------
+# -- shield wrapper -------------------------------------------------------------
 
 def test_shield_wrapper_matches_shield_actions(rng):
     for _ in range(15):
@@ -361,13 +381,12 @@ def test_shield_wrapper_matches_shield_actions(rng):
         h = 3
         by_level = {tau: set(rng.choice(model.n_states, size=2, replace=False).tolist())
                     for tau in range(1, h + 1)}
-        unsafe = manual_unsafe(h, by_level)
-        shield = build_shield(model, root, h, unsafe)
-        bsts, winning = shield.bsts, shield.winning
+        shield = make_shield(model, root, h, manual_unsafe(h, by_level))
+        oracle_levels = {tau: frozenset(by_level[tau]) for tau in range(1, h + 1)}
         for q in range(h):
-            for sup in bsts.levels[q]:
-                assert set(shield.allowed(sup, q)) == shield_actions(
-                    bsts, winning, sup, q + 1)
+            for sup in shield.bsts.levels[q]:
+                assert list(shield.allowed(sup, q)) == oracles.shielded_actions_oracle(
+                    model, sup, q, h, oracle_levels)
         assert shield.allowed(root, h) == tuple(range(model.n_actions))
         assert shield.allowed(root, h + 5) == tuple(range(model.n_actions))
         with pytest.raises(UnknownSupport):
@@ -376,21 +395,6 @@ def test_shield_wrapper_matches_shield_actions(rng):
 
 def test_shield_successor_resolution():
     model = corridor(5)
-    shield = build_shield(model, fs(2), 2, manual_unsafe(2, {}))
+    shield = make_shield(model, fs(2), 2, manual_unsafe(2, {}))
     assert shield.successor(fs(2), 0, 1, 3) == fs(3)     # obs 3 after moving right
     assert shield.successor(fs(2), 0, 1, 0) is None      # obs 0 impossible there
-
-
-def test_snapshot_serialization():
-    model = corridor(5)
-    bsts = Bsts(model, fs(2), 2)
-    unsafe = manual_unsafe(2, {1: {3}, 2: {3}})
-    unsafe.thresholds = {1: 0.5, 2: math.inf}
-    winning = compute_winning_regions(bsts, unsafe)
-    snap = shield_snapshot(bsts, unsafe, winning)
-    assert snap["root"] == [2]
-    assert snap["unsafe"]["1"] == [3]
-    assert [1] in snap["winning"]["1"]
-    parsed = json.loads(snapshot_json(bsts, unsafe, winning))
-    assert parsed["thresholds"]["2"] == "inf"
-    assert parsed["node_count"] == bsts.node_count()
