@@ -151,13 +151,10 @@ class AcpEstimator:
     """
 
     def __init__(self, horizon, alpha=DEFAULT_ALPHA, delta=DEFAULT_DELTA,
-                 window_size=DEFAULT_WINDOW, on_mismatch="raise"):
+                 window_size=DEFAULT_WINDOW):
         if horizon < 1:
             raise InvalidSpec(f"horizon must be >= 1, got {horizon}")
-        if on_mismatch not in ("raise", "skip"):
-            raise InvalidSpec(f"on_mismatch must be 'raise' or 'skip', got {on_mismatch!r}")
         self.horizon = horizon
-        self.on_mismatch = on_mismatch
         self.trackers = {
             tau: AcpTracker(tau, alpha=alpha, delta=delta, window_size=window_size)
             for tau in range(1, horizon + 1)}
@@ -178,14 +175,13 @@ class AcpEstimator:
             self._predictions[(target, tau)] = prediction_set.at(tau)
 
     def _score(self, actual, predicted):
-        """Nonconformity with the mismatch policy applied; None means skip."""
-        benign = actual.n_agents == 0 or predicted.n_agents == 0
-        try:
-            return nonconformity(actual, predicted)
-        except AgentMismatch:
-            if benign or self.on_mismatch == "skip":
-                return None
-            raise
+        """Nonconformity, None when either side has no agents.
+
+        Two nonempty states that share no agent raise AgentMismatch.
+        """
+        if actual.n_agents == 0 or predicted.n_agents == 0:
+            return None
+        return nonconformity(actual, predicted)
 
     def step(self, actual):
         """Advance every tracker with the joint state at time t; emit radii.

@@ -22,7 +22,7 @@ class EmptyBelief(AcpShieldError):
 
 
 class ParseError(AcpShieldError):
-    """A data or model file failed to parse.
+    """A data file failed to parse.
 
     Carries the 1-based line number when known.
     """

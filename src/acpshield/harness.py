@@ -1,12 +1,24 @@
 """Episode runner, metrics, and benchmark grids.
 
-One episode walks the full pipeline: observe the dynamic agents, score the
-old predictions and emit new conformal radii, build the unsafe sets and the
-winning regions from the current belief support, plan a certified action,
-execute it in the simulator, and advance the particle root. Three methods
-share that loop: ``no-shield`` plans bare, ``shield-no-acp`` shields with
-zero radii (only the predicted points themselves are avoided), and
-``shield-acp`` shields with the adaptive radii.
+Every step of an episode runs the same stages, in order:
+
+1. observe: the agents' joint state, and the step's ``StepRecord``;
+2. ACP: append the state, update the conformal radii, predict and buffer
+   the prediction (``_acp_step``, also run by the warm-up and by
+   ``acp_coverage_run``);
+3. shield: unsafe sets, the BSTS of the particle support (kept per
+   episode), the winning regions with their action table, and the
+   certificate check when ``verify_certificates`` is set;
+4. plan a certified action, or take the fallback when all are shielded;
+5. soundness: the executed action must keep every successor winning;
+6. execute the action in the simulator;
+7. advance the particle root by the action and its observation.
+
+Three methods share that loop: ``no-shield`` skips stages 2, 3 and 5 and
+plans bare, ``shield-no-acp`` shields with zero radii (only the predicted
+points themselves are avoided), and ``shield-acp`` shields with the
+adaptive radii. An episode's safety, collision, deadlock and soundness
+counts are summarised from its step records.
 
 Episodes are deterministic functions of (config, run index): the agent
 trajectories, the environment draws, and the planner each consume an
@@ -196,27 +208,6 @@ def constraint_value(position, agent_positions, epsilon):
     return min_d - epsilon, min_d
 
 
-def safety_metrics(trace, epsilon):
-    """(safety_rate, min_distance, collisions) over a realized trace.
-
-    ``trace`` is a sequence of (robot position, agent positions) pairs, one
-    per occupied timestep.
-    """
-    if not trace:
-        raise InvalidSpec("cannot compute safety metrics of an empty trace")
-    safe = 0
-    collisions = 0
-    min_distance = math.inf
-    for position, agents in trace:
-        c, d = constraint_value(position, agents, epsilon)
-        if c >= 0.0:
-            safe += 1
-        else:
-            collisions += 1
-        min_distance = min(min_distance, d)
-    return safe / len(trace), min_distance, collisions
-
-
 # -- seed streams and sources -----------------------------------------------------
 
 
@@ -254,8 +245,29 @@ def _source_step(source, t):
 # -- episode loop ------------------------------------------------------------------
 
 
+def _acp_step(estimator, predictor, history, actual, horizon):
+    """The ACP stage: append the state, update the radii, predict, buffer.
+
+    Without an estimator (``shield-no-acp``) the radii are zero. Returns
+    (regions, prediction); the prediction is None while the history is too
+    short for the predictor.
+    """
+    history.append(actual)
+    if estimator is None:
+        regions = PredictionRegions(made_at=actual.timestep, radii=(0.0,) * horizon)
+    else:
+        regions = estimator.step(actual)
+    try:
+        prediction = predictor(list(history), horizon)
+    except HistoryTooShort:
+        return regions, None
+    if estimator is not None:
+        estimator.record_prediction(prediction)
+    return regions, prediction
+
+
 def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
-    """Execute one episode; deterministic given (cfg, run).
+    """Execute one episode, stage by stage; deterministic given (cfg, run).
 
     ``step_hook(info)``, when given, receives a per-planning-step dict with
     the belief support, predictions, radii, and unsafe cells (the overlay
@@ -291,64 +303,51 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
     # grace period: agents move alone while the conformal windows fill, so
     # the robot starts with finite radii on every lookahead
     t0 = cfg.window + cfg.horizon
-    for t in range(t0):
-        actual = _source_step(source, t)
-        history.append(actual)
-        if estimator is not None:
-            estimator.step(actual)
-            try:
-                estimator.record_prediction(predictor(list(history), cfg.horizon))
-            except HistoryTooShort:
-                pass
+    if shielded:
+        for t in range(t0):
+            _acp_step(estimator, predictor, history, _source_step(source, t), cfg.horizon)
 
     records = []
-    trace = []
     bsts_cache = {}
     plan_secs = []
     realized = 0.0
-    deadlocks = cert_failures = sound_checked = sound_violations = 0
-    success = deprived = False
+    cert_failures = 0
+    deprived = False
 
     t = t0
     while True:
+        # observe
         actual = _source_step(source, t)
         pos = positions[state]
         c_val, min_d = constraint_value(pos, actual.positions, cfg.epsilon)
-        trace.append((pos, actual.positions))
+        rec = StepRecord(t=t, state=state, x=float(pos[0]), y=float(pos[1]),
+                         action=-1, c_value=c_val, min_distance=min_d,
+                         safe=c_val >= 0.0, deadlock=False, sound=None, done="")
+        records.append(rec)
         if c_val < 0.0:
             realized += cfg.grid.collision_reward
         if state == goal_state or deprived or t - t0 >= cfg.max_steps:
-            success = state == goal_state and not deprived
-            if success:
+            rec.done = ("deprived" if deprived else
+                        "goal" if state == goal_state else "cap")
+            if rec.done == "goal":
                 realized += cfg.grid.goal_reward
-            done = "goal" if success else ("deprived" if deprived else "cap")
-            records.append(StepRecord(
-                t=t, state=state, x=float(pos[0]), y=float(pos[1]), action=-1,
-                c_value=c_val, min_distance=min_d, safe=c_val >= 0.0,
-                deadlock=False, sound=None, done=done))
             break
 
-        history.append(actual)
         started = time.perf_counter()
-        beta_log = lam_log = radius_log = viol_log = None
-        deadlock = False
-        sound = None
+        support = frozenset(root.particles.particles)
         if shielded:
+            # ACP
+            regions, prediction = _acp_step(estimator, predictor, history, actual,
+                                            cfg.horizon)
             if estimator is not None:
-                regions = estimator.step(actual)
                 last = estimator.records[-cfg.horizon:]
-                beta_log = tuple(r.beta for r in last)
-                lam_log = tuple(r.lam for r in last)
-                viol_log = tuple(r.violated for r in last)
-            else:
-                regions = PredictionRegions(made_at=t, radii=(0.0,) * cfg.horizon)
-            radius_log = regions.radii
-            prediction = predictor(list(history), cfg.horizon)
-            if estimator is not None:
-                estimator.record_prediction(prediction)
-            unsafe = unsafe_sets(positions, prediction, regions,
-                                 cfg.epsilon, cfg.lipschitz)
-            support = frozenset(root.particles.particles)
+                rec.beta = tuple(r.beta for r in last)
+                rec.lam = tuple(r.lam for r in last)
+                rec.violated = tuple(r.violated for r in last)
+            rec.radius = regions.radii
+            # shield
+            unsafe = unsafe_sets(positions, prediction, regions, cfg.epsilon,
+                                 cfg.lipschitz)
             bsts = bsts_cache.get(support)
             if bsts is None:
                 bsts = bsts_cache[support] = Bsts(model, support, cfg.horizon)
@@ -356,60 +355,53 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
             shield = Shield(bsts, winning)
             if cfg.verify_certificates:
                 cert_failures += len(verify_winning_regions(bsts, unsafe, winning))
+            # plan, or fall back
             try:
-                action = planner.plan(root, shield)
+                rec.action = planner.plan(root, shield)
             except AllActionsShielded:
-                action = fallback_action(model, support, unsafe)
-                deadlock = True
-                deadlocks += 1
-            if not deadlock and all(math.isfinite(r) for r in regions.radii):
-                sound = keeps_winning(bsts, winning, support, 0, action)
-                sound_checked += 1
-                sound_violations += 0 if sound else 1
-            if step_hook is not None:
-                step_hook({
-                    "t": t, "state": state, "action": action, "deadlock": deadlock,
-                    "support": sorted(support), "radii": list(regions.radii),
-                    "predicted": [p.positions.tolist() for p in prediction.predicted],
-                    "unsafe": {tau: sorted(unsafe.f_sets[tau])
-                               for tau in range(1, cfg.horizon + 1)},
-                })
+                rec.action = fallback_action(model, support, unsafe)
+                rec.deadlock = True
+            # soundness
+            if not rec.deadlock and all(math.isfinite(r) for r in regions.radii):
+                rec.sound = keeps_winning(bsts, winning, support, 0, rec.action)
         else:
-            action = planner.plan(root)
-            if step_hook is not None:
-                step_hook({"t": t, "state": state, "action": action,
-                           "deadlock": False,
-                           "support": sorted(set(root.particles.particles))})
+            rec.action = planner.plan(root)
+        if step_hook is not None:
+            info = {"t": t, "state": state, "action": rec.action,
+                    "deadlock": rec.deadlock, "support": sorted(support)}
+            if shielded:
+                info["radii"] = list(regions.radii)
+                info["predicted"] = [p.positions.tolist() for p in prediction.predicted]
+                info["unsafe"] = {tau: sorted(unsafe.f_sets[tau])
+                                  for tau in range(1, cfg.horizon + 1)}
+            step_hook(info)
 
-        records.append(StepRecord(
-            t=t, state=state, x=float(pos[0]), y=float(pos[1]), action=action,
-            c_value=c_val, min_distance=min_d, safe=c_val >= 0.0,
-            deadlock=deadlock, sound=sound, done="",
-            beta=beta_log, lam=lam_log, radius=radius_log, violated=viol_log))
-        realized += model.reward(state, action)
-        s2, obs, _ = model.generative_step(state, action, env_rng)
+        # execute
+        realized += model.reward(state, rec.action)
+        state, obs, _ = model.generative_step(state, rec.action, env_rng)
+        # advance; the particle advance is part of every step's planning cost
         try:
-            root = planner.advance_root(root, action, obs)
+            root = planner.advance_root(root, rec.action, obs)
         except ParticleDeprivation:
             deprived = True
-        # the particle advance is part of every step's planning cost
         plan_secs.append(time.perf_counter() - started)
-        state = s2
         t += 1
 
-    safety_rate, min_distance, collisions = safety_metrics(trace, cfg.epsilon)
+    safe = sum(rec.safe for rec in records)
     coverage = ({tau: (estimator.coverage(tau), estimator.tested_count(tau))
                  for tau in range(1, cfg.horizon + 1)}
                 if estimator is not None else {})
-    tested = estimator.tested_count() if estimator is not None else 0
     return EpisodeResult(
         label=cfg.label, method=cfg.method, n_agents=cfg.agents.count, run=run,
-        steps=len(records) - 1, success=success, deprived=deprived,
-        safety_rate=safety_rate, min_distance=min_distance, collisions=collisions,
-        realized_return=realized, deadlocks=deadlocks,
-        soundness_checked=sound_checked, soundness_violations=sound_violations,
+        steps=len(records) - 1, success=records[-1].done == "goal", deprived=deprived,
+        safety_rate=safe / len(records),
+        min_distance=min(rec.min_distance for rec in records),
+        collisions=len(records) - safe, realized_return=realized,
+        deadlocks=sum(rec.deadlock for rec in records),
+        soundness_checked=sum(rec.sound is not None for rec in records),
+        soundness_violations=sum(rec.sound is False for rec in records),
         certificate_failures=cert_failures, coverage=coverage,
-        coverage_tested=tested,
+        coverage_tested=estimator.tested_count() if estimator is not None else 0,
         mean_plan_seconds=sum(plan_secs) / len(plan_secs) if plan_secs else 0.0,
         records=records)
 
@@ -597,13 +589,7 @@ def acp_coverage_run(steps=10_000, horizon=3, n_agents=3, kind="random-walk",
     estimator = AcpEstimator(horizon, alpha, delta, window)
     history = deque(maxlen=history_window)
     for t in range(steps):
-        actual = source.agents_at(t)
-        history.append(actual)
-        estimator.step(actual)
-        try:
-            estimator.record_prediction(predict(list(history), horizon))
-        except HistoryTooShort:
-            continue
+        _acp_step(estimator, predict, history, source.agents_at(t), horizon)
     return {tau: (estimator.coverage(tau), estimator.tested_count(tau))
             for tau in range(1, horizon + 1)}
 

@@ -16,7 +16,6 @@ from .errors import (
     EmptyBelief,
     ImpossibleObservation,
     InvalidModel,
-    ParseError,
     ParticleDeprivation,
 )
 
@@ -240,16 +239,6 @@ class BeliefState:
     def support(self):
         return frozenset(self.probs)
 
-    def as_vector(self, n_states):
-        v = np.zeros(n_states)
-        for s, p in self.probs.items():
-            v[s] = p
-        return v
-
-    @classmethod
-    def point(cls, s):
-        return cls({s: 1.0})
-
 
 @dataclass
 class ParticleBelief:
@@ -339,100 +328,3 @@ def resample_particles(model, particles, action, observation, count, rng,
             accepted.extend(accepted[int(rng.random() * len(accepted))] for _ in range(missing))
     return accepted
 
-
-def load_pomdp_file(path):
-    """Load a POMDP from the line-oriented model file format.
-
-    Format (whitespace-separated tokens, ``#`` starts a comment)::
-
-        discount 0.95
-        states s0 s1
-        actions a0 a1
-        observations o0 o1
-        start s0 1.0              # optional initial belief
-        T s0 a0  s0 0.5  s1 0.5   # transition row for (state, action)
-        Z s1 a0  o1 1.0           # observation row for (landed state, action)
-        R s0 a0  -1               # reward, defaults to 0
-
-    Declarations (states/actions/observations) must precede the rows using
-    them. Every (s, a) needs one T row and one Z row. Returns
-    ``(model, initial_belief_or_None)``.
-    """
-    states = {}
-    actions = {}
-    observations = {}
-    t_rows = {}
-    z_rows = {}
-    rewards = {}
-    start = None
-    discount = 0.95
-
-    def lookup(table, name, kind, lineno):
-        if name not in table:
-            raise ParseError(f"unknown {kind} {name!r}", line=lineno)
-        return table[name]
-
-    def parse_pairs(tokens, table, kind, lineno):
-        if len(tokens) % 2 != 0 or not tokens:
-            raise ParseError(f"expected name/probability pairs, got {tokens!r}", line=lineno)
-        pairs = []
-        for name, prob in zip(tokens[::2], tokens[1::2]):
-            try:
-                p = float(prob)
-            except ValueError:
-                raise ParseError(f"bad probability {prob!r}", line=lineno) from None
-            pairs.append((lookup(table, name, kind, lineno), p))
-        return pairs
-
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            key = tokens[0]
-            if key in ("states", "actions", "observations"):
-                table = {"states": states, "actions": actions, "observations": observations}[key]
-                if table:
-                    raise ParseError(f"duplicate {key} declaration", line=lineno)
-                for name in tokens[1:]:
-                    if name in table:
-                        raise ParseError(f"duplicate name {name!r}", line=lineno)
-                    table[name] = len(table)
-            elif key == "discount":
-                if len(tokens) != 2:
-                    raise ParseError("discount takes one value", line=lineno)
-                discount = float(tokens[1])
-            elif key == "T":
-                if len(tokens) < 5:
-                    raise ParseError("T row needs state, action, and pairs", line=lineno)
-                s = lookup(states, tokens[1], "state", lineno)
-                a = lookup(actions, tokens[2], "action", lineno)
-                if (s, a) in t_rows:
-                    raise ParseError(f"duplicate T row for ({tokens[1]}, {tokens[2]})", line=lineno)
-                t_rows[(s, a)] = parse_pairs(tokens[3:], states, "state", lineno)
-            elif key == "Z":
-                if len(tokens) < 5:
-                    raise ParseError("Z row needs state, action, and pairs", line=lineno)
-                s = lookup(states, tokens[1], "state", lineno)
-                a = lookup(actions, tokens[2], "action", lineno)
-                if (s, a) in z_rows:
-                    raise ParseError(f"duplicate Z row for ({tokens[1]}, {tokens[2]})", line=lineno)
-                z_rows[(s, a)] = parse_pairs(tokens[3:], observations, "observation", lineno)
-            elif key == "R":
-                if len(tokens) != 4:
-                    raise ParseError("R row is: R state action value", line=lineno)
-                s = lookup(states, tokens[1], "state", lineno)
-                a = lookup(actions, tokens[2], "action", lineno)
-                rewards[(s, a)] = float(tokens[3])
-            elif key == "start":
-                start = parse_pairs(tokens[1:], states, "state", lineno)
-            else:
-                raise ParseError(f"unknown directive {key!r}", line=lineno)
-
-    if not states or not actions or not observations:
-        raise ParseError("model file must declare states, actions, and observations")
-    model = PomdpModel(list(states), list(actions), list(observations),
-                       t_rows, z_rows, rewards, discount=discount)
-    belief = BeliefState(dict(start)) if start else None
-    return model, belief

@@ -100,26 +100,20 @@ class Bsts:
         return sum(len(sups) for sups in self.levels.values())
 
 
-def constraint_values(positions, agent_positions, epsilon, mode="center"):
-    """Distance margin of every state to the closest predicted agent.
+def constraint_values(positions, agent_positions, epsilon):
+    """Distance margin of every state's center to the closest predicted agent.
 
     positions: (n_states, 2), NaN rows for states without a location (those
     get +inf: nothing spatial can collide with them). agent_positions:
     (N, 2). Returns min_i dist(state, agent_i) - epsilon, with the min over
-    zero agents +inf. mode 'center' measures to the state's center point;
-    'cell' to the nearest point of its unit square (a conservative variant
-    that only enlarges the unsafe sets).
+    zero agents +inf.
     """
     pos = np.asarray(positions, dtype=float)
     agents = np.asarray(agent_positions, dtype=float).reshape(-1, 2)
     out = np.full(pos.shape[0], math.inf)
     if agents.shape[0] == 0:
         return out
-    gap = np.abs(pos[:, None, :] - agents[None, :, :])
-    if mode == "cell":
-        gap = np.maximum(gap - 0.5, 0.0)
-    elif mode != "center":
-        raise InvalidSpec(f"unknown geometry mode {mode!r}")
+    gap = pos[:, None, :] - agents[None, :, :]
     dists = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
     finite = np.isfinite(dists)
     out[finite] = dists[finite] - epsilon
@@ -140,8 +134,6 @@ class UnsafeSets:
     f_sets: dict
     margins: dict
     thresholds: dict
-    epsilon: float
-    lipschitz: float
 
     def is_unsafe(self, support, q):
         if q < 1 or q > self.horizon:
@@ -150,8 +142,7 @@ class UnsafeSets:
         return any(s in f for s in support)
 
 
-def unsafe_sets(positions, predictions, regions, epsilon, lipschitz=1.0,
-                mode="center"):
+def unsafe_sets(positions, predictions, regions, epsilon, lipschitz=1.0):
     """Build per-lookahead unsafe sets from predictions and their radii.
 
     For each lookahead tau, a state is unsafe when its distance margin to
@@ -171,24 +162,13 @@ def unsafe_sets(positions, predictions, regions, epsilon, lipschitz=1.0,
     horizon = predictions.horizon
     f_sets, margins, thresholds = {}, {}, {}
     for tau in range(1, horizon + 1):
-        vals = constraint_values(positions, predictions.at(tau).positions,
-                                 epsilon, mode=mode)
+        vals = constraint_values(positions, predictions.at(tau).positions, epsilon)
         threshold = lipschitz * regions.radius(tau)
         f_sets[tau] = frozenset(np.flatnonzero(vals < threshold).tolist())
         margins[tau] = vals
         thresholds[tau] = threshold
     return UnsafeSets(horizon=horizon, f_sets=f_sets, margins=margins,
-                      thresholds=thresholds, epsilon=epsilon, lipschitz=lipschitz)
-
-
-def vacuous_unsafe_sets(horizon, n_states):
-    """Unsafe sets with nothing unsafe (no agents or shielding disabled)."""
-    inf_margin = np.full(n_states, math.inf)
-    return UnsafeSets(horizon=horizon,
-                      f_sets={tau: frozenset() for tau in range(1, horizon + 1)},
-                      margins={tau: inf_margin for tau in range(1, horizon + 1)},
-                      thresholds={tau: 0.0 for tau in range(1, horizon + 1)},
-                      epsilon=0.0, lipschitz=1.0)
+                      thresholds=thresholds)
 
 
 @dataclass

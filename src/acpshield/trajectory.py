@@ -87,7 +87,7 @@ class PredictionSet:
 class TrajectorySource:
     """Immutable per-agent position sequences over integer timesteps."""
 
-    def __init__(self, tracks, frame_rate=None, scale=1.0):
+    def __init__(self, tracks):
         """tracks: dict agent_id -> list of (timestep, (x, y)), increasing t."""
         self._tracks = {}
         for aid, seq in tracks.items():
@@ -97,8 +97,6 @@ class TrajectorySource:
                     raise NonMonotoneFrames(
                         f"agent {aid!r} has repeated timestep {t1}")
             self._tracks[aid] = {t: np.asarray(p, dtype=float) for t, p in seq}
-        self.frame_rate = frame_rate
-        self.scale = scale
         times = [t for track in self._tracks.values() for t in track]
         self._span = (min(times), max(times)) if times else None
 
@@ -373,7 +371,7 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
             raise NonMonotoneFrames(f"agent {aid!r} appears twice in frame {frame}")
         seen.add((frame, aid))
         tracks.setdefault(aid, []).append((kept[frame], (x * scale, y * scale)))
-    return TrajectorySource(tracks, scale=scale)
+    return TrajectorySource(tracks)
 
 
 def save_trajectories(source, path):

@@ -247,16 +247,11 @@ def test_estimator_empty_agents_are_vacuous():
 
 
 def test_estimator_mismatch_policy():
-    def drive(policy):
-        est = AcpEstimator(1, on_mismatch=policy)
-        est.step(joint([1], [[0, 0]], 0))
-        est.record_prediction(PredictionSet(0, 1, (joint([1], [[0, 0]], 1),)))
-        return est.step(joint([2], [[5, 5]], 1))
-
+    est = AcpEstimator(1)
+    est.step(joint([1], [[0, 0]], 0))
+    est.record_prediction(PredictionSet(0, 1, (joint([1], [[0, 0]], 1),)))
     with pytest.raises(AgentMismatch):
-        drive("raise")
-    regions = drive("skip")
-    assert regions.radius(1) == math.inf     # score skipped, window still empty
+        est.step(joint([2], [[5, 5]], 1))
 
 
 def test_type_validation():
@@ -266,8 +261,6 @@ def test_type_validation():
         AcpTracker(1, delta=1.0)
     with pytest.raises(InvalidSpec):
         AcpTracker(0)
-    with pytest.raises(InvalidSpec):
-        AcpEstimator(1, on_mismatch="ignore")
     with pytest.raises(InvalidSpec):
         PredictionRegions(0, (1.0, -0.5))
     with pytest.raises(OutOfRange):

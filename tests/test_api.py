@@ -2,13 +2,19 @@
 
 ``stepbench/spans.py`` wraps harness and layer calls by attribute name when
 it installs its spans, so deleting or renaming one of them breaks the traced
-benchmark run without failing any other test.
+benchmark run without failing any other test. An episode loop that reached
+a stage without looking its call up there would leave that stage's spans
+empty, which the episode tests below catch.
 """
 
 import types
 from pathlib import Path
 
 import acpshield
+from acpshield.harness import AgentSetup, run_episode
+from acpshield.trajectory import TrajectorySource
+
+from test_harness import small_config
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "stepbench" / "spans.py"
 
@@ -40,6 +46,29 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.remove()
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in originals.items())
+
+
+def traced_span_names(cfg, source=None):
+    """Names of the spans one episode records under an installed tracer."""
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        run_episode(cfg, source=source)
+    finally:
+        tracer.remove()
+    return {span[0] for span in tracer.spans}
+
+
+def test_traced_episode_records_every_stage():
+    spans = load_spans()
+    names = traced_span_names(small_config(max_steps=4, verify_certificates=True))
+    expected = set(spans.SPANS) - {"planner.fallback"}
+    expected |= {"trajectory.load_predictor", "trajectory.predict"}
+    assert sorted(expected - names) == []
+    # every root action shielded: one parked agent and a wide buffer
+    parked = TrajectorySource({0: [(t, (1.0, 1.0)) for t in range(200)]})
+    deadlocked = small_config(epsilon=8.0, max_steps=6, agents=AgentSetup(count=1))
+    assert "planner.fallback" in traced_span_names(deadlocked, parked)
 
 
 def test_public_names_import():

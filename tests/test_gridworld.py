@@ -150,7 +150,7 @@ def test_belief_supports_stay_inside_one_block():
     model = build_gridworld(spec)
     rng = random.Random(5)
     for _ in range(30):
-        b = BeliefState.point(spec.state_index(rng.randrange(8), rng.randrange(8)))
+        b = BeliefState({spec.state_index(rng.randrange(8), rng.randrange(8)): 1.0})
         s = next(iter(b.support()))
         for _ in range(12):
             a = rng.randrange(model.n_actions)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from acpshield.errors import InvalidSpec
-from acpshield.gridworld import GridSpec, build_gridworld
+from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
 from acpshield.harness import (
     AgentSetup,
     ExperimentConfig,
@@ -25,7 +25,6 @@ from acpshield.harness import (
     run_benchmark,
     run_episode,
     run_many,
-    safety_metrics,
     write_aggregate_csv,
     write_raw_csv,
 )
@@ -95,30 +94,28 @@ def test_constraint_value_takes_nearest_agent():
     assert d == pytest.approx(1.0) and c == pytest.approx(0.5)
 
 
-def test_safety_metrics_counts_each_step():
-    trace = [((0.0, 0.0), np.array([[5.0, 0.0]])),     # d=5, safe
-             ((0.0, 0.0), np.array([[1.0, 0.0]])),     # d=1, collision
-             ((0.0, 0.0), np.zeros((0, 2)))]           # vacuous, safe
-    rate, min_d, collisions = safety_metrics(trace, 2.0)
-    assert rate == pytest.approx(2 / 3)
-    assert min_d == pytest.approx(1.0)
-    assert collisions == 1
-
-
-def test_safety_metrics_empty_trace_raises():
-    with pytest.raises(InvalidSpec):
-        safety_metrics([], 1.0)
-
-
-def test_safety_metrics_matches_naive_recount():
-    rng = np.random.default_rng(5)
-    trace = [((rng.uniform(0, 9), rng.uniform(0, 9)),
-              rng.uniform(0, 9, size=(3, 2))) for _ in range(40)]
-    rate, min_d, collisions = safety_metrics(trace, 1.5)
-    cs = [constraint_value(p, a, 1.5) for p, a in trace]
-    assert rate == pytest.approx(np.mean([c >= 0 for c, _ in cs]))
-    assert min_d == pytest.approx(min(d for _, d in cs))
-    assert collisions == sum(c < 0 for c, _ in cs)
+def test_episode_safety_summary_matches_records_and_positions():
+    # a wide buffer among four agents makes some occupied steps collisions;
+    # across these episodes the terminal row is sometimes safe, sometimes
+    # not, and sometimes the closest approach
+    base = small_config(epsilon=2.0,
+                        agents=AgentSetup(kind="waypoint", count=4, speed=0.8, noise=0.3))
+    cells = cell_positions(base.grid)
+    for method in ("no-shield", "shield-acp"):
+        cfg = replace(base, method=method)
+        for run in range(3):
+            r = run_episode(cfg, run)
+            n = len(r.records)
+            assert r.collisions == sum(not rec.safe for rec in r.records)
+            assert r.safety_rate == (n - r.collisions) / n
+            assert r.min_distance == min(rec.min_distance for rec in r.records)
+            # the same summary, recounted from the source's positions
+            source = build_source(cfg, run)
+            recount = [constraint_value(cells[rec.state],
+                                        source.agents_at(rec.t).positions, cfg.epsilon)
+                       for rec in r.records]
+            assert 0 < r.collisions == sum(c < 0.0 for c, _ in recount) < n
+            assert r.min_distance == min(d for _, d in recount)
 
 
 # -- seed streams and sources -------------------------------------------------

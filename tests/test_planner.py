@@ -46,7 +46,7 @@ def manual_unsafe(horizon, by_level):
     return UnsafeSets(
         horizon=horizon,
         f_sets={tau: frozenset(by_level.get(tau, ())) for tau in range(1, horizon + 1)},
-        margins={}, thresholds={}, epsilon=0.0, lipschitz=1.0)
+        margins={}, thresholds={})
 
 
 def corridor(n=5, rewards=None, discount=0.9):
@@ -509,8 +509,7 @@ def test_fallback_action_maximizes_worst_margin():
     model = corridor()
     margins = np.array([0.2, 3.0, 0.5, 0.1, 4.0])
     unsafe = UnsafeSets(horizon=2, f_sets={1: fs(), 2: fs()},
-                        margins={1: margins}, thresholds={1: 1.0},
-                        epsilon=0.0, lipschitz=1.0)
+                        margins={1: margins}, thresholds={1: 1.0})
     assert fallback_action(model, fs(2), unsafe) == 0
     assert fallback_action(model, fs(1, 3), unsafe) == 1
     for support in (fs(2), fs(1, 3), fs(0, 4), fs(0, 2, 4)):
@@ -525,8 +524,7 @@ def test_fallback_tie_breaks_lowest_and_handles_infinities():
     model = corridor(3)
     margins = np.array([1.0, 1.0, 1.0])
     unsafe = UnsafeSets(horizon=1, f_sets={1: fs()},
-                        margins={1: margins}, thresholds={1: math.inf},
-                        epsilon=0.0, lipschitz=1.0)
+                        margins={1: margins}, thresholds={1: math.inf})
     assert fallback_action(model, fs(1), unsafe) == 0
     assert safe_margin(math.inf, math.inf) == math.inf
     assert safe_margin(1.0, math.inf) == -math.inf

@@ -11,7 +11,6 @@ from acpshield.errors import (
     EmptyBelief,
     ImpossibleObservation,
     InvalidModel,
-    ParseError,
     ParticleDeprivation,
 )
 from acpshield.pomdp import (
@@ -19,7 +18,6 @@ from acpshield.pomdp import (
     ParticleBelief,
     PomdpModel,
     belief_update,
-    load_pomdp_file,
     resample_particles,
 )
 
@@ -51,12 +49,14 @@ def test_belief_update_matches_dense_filter_on_random_models(rng):
         b = BeliefState({s: float(p) for s, p in enumerate(probs)})
         a = int(rng.integers(model.n_actions))
         for o in range(model.n_observations):
-            expected, eta = exact_filter(T, Z, b.as_vector(model.n_states), a, o)
+            prior = np.array([b.prob(s) for s in range(model.n_states)])
+            expected, eta = exact_filter(T, Z, prior, a, o)
             if expected is None:
                 with pytest.raises(ImpossibleObservation):
                     belief_update(model, b, a, o)
             else:
-                got = belief_update(model, b, a, o).as_vector(model.n_states)
+                post = belief_update(model, b, a, o)
+                got = [post.prob(s) for s in range(model.n_states)]
                 np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -67,7 +67,7 @@ def test_impossible_observation_raises(two_state_model):
     z = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
     model = PomdpModel.from_tables(t, np.zeros((2, 1)), z)
     with pytest.raises(ImpossibleObservation):
-        belief_update(model, BeliefState.point(0), 0, 1)
+        belief_update(model, BeliefState({0: 1.0}), 0, 1)
 
 
 def test_row_validation_tolerance():
@@ -181,64 +181,3 @@ def test_dense_matrices_gated_by_threshold(rng):
     model = make_random_pomdp(rng, n_states=4, n_actions=2, n_obs=3)
     with pytest.raises(ValueError):
         dense_tables(model, max_states=3)
-
-
-MODEL_TEXT = """\
-# tiny corridor
-discount 0.9
-states left right
-actions go stay
-observations lo hi
-
-start left 0.5 right 0.5
-T left go    right 1.0
-T left stay  left 1.0
-T right go   left 0.25 right 0.75
-T right stay right 1.0
-Z left go   lo 1.0
-Z left stay lo 0.8 hi 0.2
-Z right go  hi 1.0
-Z right stay hi 1.0
-R left go -1
-R right stay 2.5
-"""
-
-
-def test_load_pomdp_file_round_trip(tmp_path):
-    path = tmp_path / "corridor.pomdp"
-    path.write_text(MODEL_TEXT)
-    model, belief = load_pomdp_file(path)
-    assert model.state_names == ("left", "right")
-    assert model.action_names == ("go", "stay")
-    assert model.obs_names == ("lo", "hi")
-    assert model.discount == pytest.approx(0.9)
-    assert belief.prob(0) == pytest.approx(0.5)
-    assert model.transition_prob(1, 0, 0) == pytest.approx(0.25)
-    assert model.observation_prob(0, 1, 1) == pytest.approx(0.2)
-    assert model.reward(0, 0) == -1.0
-    assert model.reward(1, 1) == 2.5
-    assert model.reward(0, 1) == 0.0
-
-
-@pytest.mark.parametrize("mutation, hint", [
-    ("T left go right 0.9", "sums"),                 # bad row sum
-    ("T left go middle 1.0", "unknown state"),       # undeclared name
-    ("Q left go right 1.0", "unknown directive"),    # bad keyword
-    ("T left go right", "pairs"),                    # odd token count
-])
-def test_load_pomdp_file_errors(tmp_path, mutation, hint):
-    text = MODEL_TEXT.replace("T left go    right 1.0", mutation)
-    path = tmp_path / "broken.pomdp"
-    path.write_text(text)
-    with pytest.raises((ParseError, InvalidModel)) as exc:
-        load_pomdp_file(path)
-    assert hint.split()[0] in str(exc.value)
-
-
-def test_parse_error_carries_line_number(tmp_path):
-    path = tmp_path / "bad.pomdp"
-    path.write_text("states s0\nactions a0\nobservations o0\nT s0 a0 sX 1.0\n")
-    with pytest.raises(ParseError) as exc:
-        load_pomdp_file(path)
-    assert exc.value.line == 4
-    assert "line 4" in str(exc.value)

@@ -1,6 +1,7 @@
 """Property tests on random models: BSTS edges, the shield table, ACP radii."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from acpshield.shield import Bsts, compute_winning_regions
 
 import oracles
 from conftest import make_random_pomdp
+from test_acp import run_estimator_stream
 from test_shield import manual_unsafe, random_support
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -68,3 +70,19 @@ def test_shield_table_is_sound_and_matches_oracle(seed, horizon, deterministic):
 def test_acp_radius_monotone_in_lambda(window, lams):
     low, high = sorted(lams)
     assert region_radius(window, low, 30) >= region_radius(window, high, 30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, length=st.integers(2, 150), step=st.floats(0.01, 2.0),
+       alpha=st.floats(0.0001, 0.2), delta=st.floats(0.01, 0.5),
+       window=st.integers(1, 40))
+def test_acp_estimator_matches_scalar_replay(seed, length, step, alpha, delta, window):
+    walk = np.cumsum(np.random.default_rng(seed).normal(0.0, step, size=(length, 2)), axis=0)
+    points = [tuple(p) for p in walk]
+    est, regions = run_estimator_stream(points, alpha=alpha, delta=delta,
+                                        window_size=window)
+    radii, lam = oracles.acp_replay([], points[:-1], points[1:], alpha=alpha,
+                                    delta=delta, window_size=window, lam0=delta)
+    # math.dist against numpy's norm: last-ulp drift; infinities match exactly
+    assert [r.radius(1) for r in regions[1:]] == pytest.approx(radii, rel=1e-12)
+    assert est.trackers[1].lam == pytest.approx(lam, abs=1e-12)

@@ -16,7 +16,6 @@ from acpshield.shield import (
     compute_winning_regions,
     constraint_values,
     unsafe_sets,
-    vacuous_unsafe_sets,
     validate_support,
     verify_winning_regions,
 )
@@ -34,7 +33,7 @@ def manual_unsafe(horizon, by_level):
     """UnsafeSets straight from state sets, skipping the geometric builder."""
     return UnsafeSets(horizon=horizon,
                       f_sets={tau: frozenset(by_level.get(tau, ())) for tau in range(1, horizon + 1)},
-                      margins={}, thresholds={}, epsilon=0.0, lipschitz=1.0)
+                      margins={}, thresholds={})
 
 
 def make_shield(model, root, horizon, unsafe):
@@ -215,30 +214,6 @@ def test_unsafe_sets_infinite_radius_marks_all_located_states():
     assert spec.terminal_state not in unsafe.f_sets[1]
 
 
-def test_unsafe_sets_cell_mode_is_conservative(rng):
-    _, pos = grid_inputs(12, 12)
-    for _ in range(10):
-        pts = rng.uniform(0, 12, size=(3, 2))
-        pred = agents_pred(0, {1: [tuple(p) for p in pts]})
-        regions = PredictionRegions(0, (float(rng.uniform(0.2, 2.0)),))
-        center = unsafe_sets(pos, pred, regions, epsilon=0.5, mode="center")
-        cell = unsafe_sets(pos, pred, regions, epsilon=0.5, mode="cell")
-        assert center.f_sets[1] <= cell.f_sets[1]
-
-
-def test_constraint_values_cell_mode_geometry():
-    pos = np.array([[0.0, 0.0]])
-    # agent 1.5 right of the center: center distance 1.5, square distance 1.0
-    center = constraint_values(pos, [(1.5, 0.0)], epsilon=0.0, mode="center")
-    cell = constraint_values(pos, [(1.5, 0.0)], epsilon=0.0, mode="cell")
-    assert center[0] == pytest.approx(1.5)
-    assert cell[0] == pytest.approx(1.0)
-    inside = constraint_values(pos, [(0.3, -0.2)], epsilon=0.0, mode="cell")
-    assert inside[0] == 0.0
-    with pytest.raises(InvalidSpec):
-        constraint_values(pos, [(0, 0)], 0.0, mode="sphere")
-
-
 def test_unsafe_sets_input_validation():
     _, pos = grid_inputs(4, 4)
     pred = agents_pred(0, {1: [(1.0, 1.0)]})
@@ -270,7 +245,7 @@ def test_empty_unsafe_means_everything_wins(rng):
     model = make_random_pomdp(rng, n_states=6, n_actions=2, n_obs=3)
     root = random_support(model, rng)
     bsts = Bsts(model, root, 3)
-    winning = compute_winning_regions(bsts, vacuous_unsafe_sets(3, model.n_states))
+    winning = compute_winning_regions(bsts, manual_unsafe(3, {}))
     for tau in (1, 2, 3):
         assert winning.regions[tau] == frozenset(bsts.levels[tau])
     assert winning.allowed[(root, 0)] == tuple(range(model.n_actions))
@@ -365,7 +340,7 @@ def test_certificate_verifier_catches_table_corruption():
 
 def test_shield_actions_unknown_support():
     model = corridor(5)
-    shield = make_shield(model, fs(2), 2, vacuous_unsafe_sets(2, model.n_states))
+    shield = make_shield(model, fs(2), 2, manual_unsafe(2, {}))
     with pytest.raises(UnknownSupport):
         shield.allowed(fs(0), 0)
     with pytest.raises(UnknownSupport):

@@ -204,6 +204,7 @@ def test_load_trajectories_whitespace_and_errors(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_trajectories(nonnum)
     assert exc.value.line == 2
+    assert "line 2" in str(exc.value)
 
     dup = tmp_path / "dup.csv"
     dup.write_text("0,1,2.0,4.0\n0,1,2.5,4.0\n")
