@@ -86,13 +86,12 @@ def nonconformity(actual, predicted):
     norm (agents enter and leave real recordings). Raises AgentMismatch
     when the two states share no agents at all.
     """
-    common = [aid for aid in actual.ids if predicted.position_of(aid) is not None]
-    if not common:
+    mine, theirs = actual.shared_rows(predicted)
+    if not mine:
         raise AgentMismatch(
             f"no common agents between actual {actual.ids} and predicted {predicted.ids}")
-    diffs = np.concatenate([
-        actual.position_of(aid) - predicted.position_of(aid) for aid in common])
-    return float(np.linalg.norm(diffs))
+    diffs = actual.positions[mine] - predicted.positions[theirs]
+    return float(np.linalg.norm(diffs.ravel()))
 
 
 def update_lambda(tracker, violated):

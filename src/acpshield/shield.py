@@ -107,14 +107,22 @@ def constraint_values(positions, agent_positions, epsilon):
     get +inf: nothing spatial can collide with them). agent_positions:
     (N, 2). Returns min_i dist(state, agent_i) - epsilon, with the min over
     zero agents +inf.
+
+    Allocates only two (n_states, N) temporaries. The square root is taken
+    after the min over agents: sqrt is monotone and correctly rounded, so
+    this equals the min of the per-agent distances bit for bit.
     """
     pos = np.asarray(positions, dtype=float)
     agents = np.asarray(agent_positions, dtype=float).reshape(-1, 2)
     out = np.full(pos.shape[0], math.inf)
     if agents.shape[0] == 0:
         return out
-    gap = pos[:, None, :] - agents[None, :, :]
-    dists = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
+    dx = pos[:, 0, None] - agents[:, 0]
+    dy = pos[:, 1, None] - agents[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dists = np.sqrt(dx.min(axis=1))
     finite = np.isfinite(dists)
     out[finite] = dists[finite] - epsilon
     return out

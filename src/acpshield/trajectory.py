@@ -32,7 +32,7 @@ def _id_key(agent_id):
 
 @dataclass(frozen=True)
 class JointAgentState:
-    """Positions of all agents present at one timestep, ordered by id."""
+    """Positions of all agents present at one timestep, ordered by distinct id."""
 
     ids: tuple
     positions: np.ndarray        # shape (N, 2), grid units
@@ -50,6 +50,13 @@ class JointAgentState:
     @property
     def n_agents(self):
         return len(self.ids)
+
+    def shared_rows(self, other):
+        """Rows, here and in ``other``, of the agents present in both states,
+        as two index lists in this state's id order."""
+        theirs = dict(zip(other.ids, range(len(other.ids))))
+        mine = [i for i, aid in enumerate(self.ids) if aid in theirs]
+        return mine, [theirs[self.ids[i]] for i in mine]
 
     def position_of(self, agent_id):
         """Position of one agent, or None when absent."""
@@ -97,12 +104,13 @@ class TrajectorySource:
                     raise NonMonotoneFrames(
                         f"agent {aid!r} has repeated timestep {t1}")
             self._tracks[aid] = {t: np.asarray(p, dtype=float) for t, p in seq}
+        self._ids = tuple(sorted(self._tracks, key=_id_key))
         times = [t for track in self._tracks.values() for t in track]
         self._span = (min(times), max(times)) if times else None
 
     @property
     def agent_ids(self):
-        return sorted(self._tracks, key=_id_key)
+        return list(self._ids)
 
     def span(self):
         """(first, last) timestep with any agent present; None when empty."""
@@ -112,7 +120,7 @@ class TrajectorySource:
         """Joint state of the agents present at timestep t."""
         if self._span is not None and not (self._span[0] <= t <= self._span[1]):
             raise OutOfRange(f"timestep {t} outside span {self._span}")
-        ids = [aid for aid in self.agent_ids if t in self._tracks[aid]]
+        ids = [aid for aid in self._ids if t in self._tracks[aid]]
         if not ids:
             return JointAgentState.empty(t)
         pos = np.stack([self._tracks[aid][t] for aid in ids])
@@ -131,14 +139,13 @@ class TrajectorySource:
 def _velocities(history):
     """Per-agent velocity from the last two joint states, id-matched.
 
-    Agents present only in the final state get zero velocity (they just
-    entered; there is nothing to extrapolate from).
+    Rows follow the last state. Agents present only in the final state get
+    zero velocity (they just entered; there is nothing to extrapolate from).
     """
     last, prev = history[-1], history[-2]
-    vel = {}
-    for i, aid in enumerate(last.ids):
-        p_prev = prev.position_of(aid)
-        vel[aid] = (last.positions[i] - p_prev) if p_prev is not None else np.zeros(2)
+    mine, theirs = last.shared_rows(prev)
+    vel = np.zeros_like(last.positions)
+    vel[mine] = last.positions[mine] - prev.positions[theirs]
     return vel
 
 
@@ -159,12 +166,9 @@ def predict_constant_velocity(history, horizon):
         raise HistoryTooShort("constant-velocity predictor needs two states")
     last = history[-1]
     vel = _velocities(history)
-    preds = []
-    for tau in range(1, horizon + 1):
-        pos = np.stack([last.positions[i] + tau * vel[aid]
-                        for i, aid in enumerate(last.ids)]) \
-            if last.ids else np.zeros((0, 2))
-        preds.append(JointAgentState(last.ids, pos, last.timestep + tau))
+    preds = tuple(
+        JointAgentState(last.ids, last.positions + tau * vel, last.timestep + tau)
+        for tau in range(1, horizon + 1))
     return PredictionSet(last.timestep, horizon, preds)
 
 
@@ -180,13 +184,12 @@ def predict_linear_fit(history, horizon):
     preds_pos = []
     for tau in range(1, horizon + 1):
         preds_pos.append(np.zeros((last.n_agents, 2)))
-    for i, aid in enumerate(last.ids):
-        ts, pts = [], []
-        for js in history:
-            p = js.position_of(aid)
-            if p is not None:
-                ts.append(js.timestep)
-                pts.append(p)
+    seen = [([], []) for _ in last.ids]       # per agent: timesteps, positions
+    for js in history:
+        for i, j in zip(*last.shared_rows(js)):
+            seen[i][0].append(js.timestep)
+            seen[i][1].append(js.positions[j])
+    for i, (ts, pts) in enumerate(seen):
         if len(ts) < 2:
             for tau in range(1, horizon + 1):
                 preds_pos[tau - 1][i] = last.positions[i]

@@ -179,3 +179,37 @@ def acp_replay(scores, predictions, actuals, alpha, delta, window_size, lam0):
         pending = c
         scores.append(beta)
     return radii, lam
+
+
+def constraint_values_oracle(positions, agent_positions, epsilon):
+    """Margins of ``shield.constraint_values`` by the broadcast formula.
+
+    Builds the full (states, agents, 2) gap array and takes the per-agent
+    distances before the min, so the package's in-place form has a direct
+    mirror to be compared with bit for bit.
+    """
+    pos = np.asarray(positions, dtype=float)
+    agents = np.asarray(agent_positions, dtype=float).reshape(-1, 2)
+    out = np.full(pos.shape[0], math.inf)
+    if agents.shape[0] == 0:
+        return out
+    gap = pos[:, None, :] - agents[None, :, :]
+    dists = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
+    finite = np.isfinite(dists)
+    out[finite] = dists[finite] - epsilon
+    return out
+
+
+def nonconformity_oracle(actual, predicted):
+    """Stacked-norm score of ``acp.nonconformity``, one id lookup at a time.
+
+    Walks the actual ids in order, finds each one on both sides through
+    ``position_of`` and concatenates the per-agent differences. Returns None
+    when the two states share no agent.
+    """
+    common = [aid for aid in actual.ids if predicted.position_of(aid) is not None]
+    if not common:
+        return None
+    diffs = np.concatenate([
+        actual.position_of(aid) - predicted.position_of(aid) for aid in common])
+    return float(np.linalg.norm(diffs))

@@ -1,14 +1,16 @@
-"""Property tests on random models: BSTS edges, the shield table, ACP radii."""
+"""Property tests on random inputs: BSTS edges, the shield table, ACP radii,
+constraint margins and nonconformity scores."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acpshield.acp import region_radius
-from acpshield.errors import ImpossibleObservation
+from acpshield.acp import nonconformity, region_radius
+from acpshield.errors import AgentMismatch, ImpossibleObservation
 from acpshield.pomdp import BeliefState, belief_update
-from acpshield.shield import Bsts, compute_winning_regions
+from acpshield.shield import Bsts, compute_winning_regions, constraint_values
+from acpshield.trajectory import JointAgentState
 
 import oracles
 from conftest import make_random_pomdp
@@ -86,3 +88,48 @@ def test_acp_estimator_matches_scalar_replay(seed, length, step, alpha, delta, w
     # math.dist against numpy's norm: last-ulp drift; infinities match exactly
     assert [r.radius(1) for r in regions[1:]] == pytest.approx(radii, rel=1e-12)
     assert est.trackers[1].lam == pytest.approx(lam, abs=1e-12)
+
+
+@PROPERTY
+@given(seed=seeds, n_states=st.integers(0, 120), n_agents=st.integers(0, 300),
+       n_nan=st.integers(0, 5), n_dup=st.integers(0, 5),
+       epsilon=st.floats(0.0, 3.0), scale=st.sampled_from([1.0, 40.0, 1e6]))
+def test_constraint_values_equal_broadcast_oracle(seed, n_states, n_agents, n_nan,
+                                                  n_dup, epsilon, scale):
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-scale, scale, size=(n_states, 2))
+    agents = rng.uniform(-scale, scale, size=(n_agents, 2))
+    if n_agents:
+        agents = np.concatenate([agents, agents[rng.integers(0, n_agents, size=n_dup)]])
+        if n_states:                                  # an agent exactly on a state
+            agents[0] = positions[rng.integers(0, n_states)]
+    if n_states:
+        positions[rng.integers(0, n_states, size=n_nan)] = np.nan
+        positions[rng.integers(0, n_states), rng.integers(0, 2)] = np.nan
+    got = constraint_values(positions, agents, epsilon)
+    assert np.array_equal(got, oracles.constraint_values_oracle(positions, agents, epsilon))
+
+
+def random_joint(rng, ids, timestep=0):
+    ids = list(ids)
+    rng.shuffle(ids)
+    return JointAgentState(tuple(ids), rng.normal(0.0, 5.0, size=(len(ids), 2)), timestep)
+
+
+@PROPERTY
+@given(seed=seeds, pool=st.integers(1, 60), mixed=st.booleans(),
+       overlap=st.floats(0.0, 1.0))
+def test_nonconformity_equals_position_of_oracle(seed, pool, mixed, overlap):
+    rng = np.random.default_rng(seed)
+    ids = list(range(pool)) + ([str(i) for i in range(pool)] if mixed else [])
+    actual_ids = [aid for aid in ids if rng.random() < 0.7]
+    shared = [aid for aid in actual_ids if rng.random() < overlap]
+    only_pred = [aid for aid in ids if aid not in actual_ids and rng.random() < 0.5]
+    actual = random_joint(rng, actual_ids, 3)
+    predicted = random_joint(rng, shared + only_pred, 3)
+    expected = oracles.nonconformity_oracle(actual, predicted)
+    if expected is None:
+        with pytest.raises(AgentMismatch):
+            nonconformity(actual, predicted)
+    else:
+        assert nonconformity(actual, predicted) == expected

@@ -1,6 +1,7 @@
 """Belief-support enumeration, unsafe sets, winning regions, shield map."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,22 @@ def test_unsafe_sets_input_validation():
         unsafe_sets(pos, pred, PredictionRegions(0, (0.5,)), epsilon=-1.0)
     with pytest.raises(InvalidSpec):
         unsafe_sets(pos, pred, PredictionRegions(0, (0.5,)), epsilon=0.5, lipschitz=0.0)
+
+
+def test_constraint_values_allocates_only_states_by_agents_temporaries():
+    # numpy reports its buffers to tracemalloc; a (states, agents, 2) gap
+    # array and its square would peak near 5 * states * agents * 8 bytes
+    rng = np.random.default_rng(0)
+    n_states, n_agents = 2001, 300
+    positions = rng.uniform(0.0, 30.0, size=(n_states, 2))
+    agents = rng.uniform(0.0, 30.0, size=(n_agents, 2))
+    tracemalloc.start()
+    try:
+        constraint_values(positions, agents, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n_states * n_agents * 8
 
 
 # -- winning regions -----------------------------------------------------------
