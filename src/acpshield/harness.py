@@ -64,6 +64,7 @@ from .shield import (
     Bsts,
     Shield,
     compute_winning_regions,
+    constraint_values,
     keeps_winning,
     unsafe_sets,
     verify_winning_regions,
@@ -191,23 +192,6 @@ class EpisodeResult:
     records: list
 
 
-# -- metrics --------------------------------------------------------------------
-
-
-def constraint_value(position, agent_positions, epsilon):
-    """(c, min distance) of one robot position against the joint agent state.
-
-    No agents, or a position without a spatial embedding, means the
-    constraint is vacuously satisfied.
-    """
-    pos = np.asarray(position, dtype=float)
-    if len(agent_positions) == 0 or not np.all(np.isfinite(pos)):
-        return math.inf, math.inf
-    dists = np.linalg.norm(np.asarray(agent_positions, dtype=float) - pos, axis=1)
-    min_d = float(dists.min())
-    return min_d - epsilon, min_d
-
-
 # -- seed streams and sources -----------------------------------------------------
 
 
@@ -319,7 +303,8 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
         # observe
         actual = _source_step(source, t)
         pos = positions[state]
-        c_val, min_d = constraint_value(pos, actual.positions, cfg.epsilon)
+        min_d = float(constraint_values(pos[None], actual.positions, 0.0)[0])
+        c_val = min_d - cfg.epsilon
         rec = StepRecord(t=t, state=state, x=float(pos[0]), y=float(pos[1]),
                          action=-1, c_value=c_val, min_distance=min_d,
                          safe=c_val >= 0.0, deadlock=False, sound=None, done="")
@@ -334,7 +319,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
             break
 
         started = time.perf_counter()
-        support = frozenset(root.particles.particles)
+        support = root.support
         if shielded:
             # ACP
             regions, prediction = _acp_step(estimator, predictor, history, actual,

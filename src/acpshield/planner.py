@@ -27,7 +27,7 @@ from .errors import (
     InvalidSpec,
     UnknownSupport,
 )
-from .pomdp import ParticleBelief, resample_particles
+from .pomdp import resample_particles
 
 
 class ActionEdge:
@@ -42,20 +42,23 @@ class ActionEdge:
 
 
 class SearchNode:
-    """One history node: visit statistics, particles, shield bookkeeping.
+    """One history node: visit statistics and the actions search may take.
 
-    ``support`` is the node's exact belief support resolved by following
-    the (action, observation) path through the BSTS; it is None once the
-    node sits at or beyond the shield horizon (or when unshielded).
-    ``allowed`` lists the currently searchable actions; ``pruned`` the
-    actions removed by the shield or by dead-end propagation. ``edges`` is
-    None until the node is expanded.
+    ``support`` is the node's exact belief support: at the root the support
+    of its particles, below it the BSTS node reached along the (action,
+    observation) path. It is None once the node sits at or beyond the shield
+    horizon, and below the root when unshielded. ``allowed`` lists the
+    actions search may still take: the certified ones, minus those whose
+    child turned out to be a dead end. A node with none left is itself a
+    dead end. ``edges`` is None until the node is expanded. Only the root
+    holds ``particles``: the tree is rebuilt every step, so nothing reads
+    particles below it.
     """
 
     __slots__ = ("visits", "value", "particles", "support", "depth",
-                 "edges", "allowed", "pruned", "dead")
+                 "edges", "allowed")
 
-    def __init__(self, particles, depth, support, allowed, pruned):
+    def __init__(self, depth, support, allowed, particles=None):
         self.visits = 0
         self.value = 0.0
         self.particles = particles
@@ -63,15 +66,10 @@ class SearchNode:
         self.support = support
         self.edges = None
         self.allowed = list(allowed)
-        self.pruned = set(pruned)
-        self.dead = not self.allowed
 
     def prune(self, action):
         if action in self.allowed:
             self.allowed.remove(action)
-            self.pruned.add(action)
-        if not self.allowed:
-            self.dead = True
 
 
 @dataclass
@@ -176,43 +174,31 @@ class Planner:
     # -- tree construction ---------------------------------------------------
 
     def make_root(self, particles):
-        """Bare root node from a particle list; armed by the next plan call."""
+        """Root node over a particle list; the next plan call certifies its actions."""
         if not particles:
             raise EmptyBelief("root needs at least one particle")
-        belief = ParticleBelief(list(particles), capacity=self.config.particle_count)
-        node = SearchNode(belief, depth=0, support=None,
-                          allowed=range(self.model.n_actions), pruned=())
+        particles = list(particles)
         self._node_count = 1
-        return node
+        return SearchNode(0, frozenset(particles), range(self.model.n_actions),
+                          particles)
 
     def _certified(self, shield, support, depth):
-        """(allowed, pruned) actions of a shielded node; a support outside
-        the BSTS allows nothing, the conservative answer."""
+        """Actions certified at a shielded node; a support outside the BSTS
+        allows nothing, the conservative answer."""
         try:
-            acts = shield.allowed(support, depth)
+            return shield.allowed(support, depth)
         except UnknownSupport:
-            acts = ()
-        return acts, set(range(self.model.n_actions)) - set(acts)
-
-    def _arm_root(self, root, shield):
-        root.support = frozenset(root.particles.particles)
-        if shield is None:
-            acts, root.pruned = range(self.model.n_actions), set()
-        else:
-            acts, root.pruned = self._certified(shield, root.support, 0)
-        root.allowed = list(acts)
-        root.dead = not root.allowed
+            return ()
 
     def _make_child(self, parent, action, observation, shield):
         depth = parent.depth + 1
         support = None               # stays None beyond the shielded levels
-        allowed, pruned = range(self.model.n_actions), ()
+        allowed = range(self.model.n_actions)
         if shield is not None and parent.support is not None and depth < shield.horizon:
             support = shield.successor(parent.support, parent.depth, action, observation)
-            allowed, pruned = self._certified(shield, support, depth)
+            allowed = self._certified(shield, support, depth)
         self._node_count += 1
-        belief = ParticleBelief([], capacity=self.config.particle_count)
-        return SearchNode(belief, depth, support, allowed, pruned)
+        return SearchNode(depth, support, allowed)
 
     # -- search ---------------------------------------------------------------
 
@@ -222,19 +208,15 @@ class Planner:
         if shield is not None and cfg.max_depth < shield.horizon:
             raise InvalidSpec(
                 f"max_depth {cfg.max_depth} below shield horizon {shield.horizon}")
-        if len(root.particles) == 0:
-            raise EmptyBelief("cannot plan from an empty particle set")
-        self._arm_root(root, shield)
+        n = self.model.n_actions
+        root.allowed = list(range(n) if shield is None
+                            else self._certified(shield, root.support, 0))
+        states = root.particles
         sims = 0
-        if not root.dead:
-            states = root.particles.particles
-            n = len(states)
-            for _ in range(cfg.num_simulations):
-                if root.dead:
-                    break
-                state = states[int(self.rng.random() * n)]
-                self.simulate(root, state, 0, shield)
-                sims += 1
+        while sims < cfg.num_simulations and root.allowed:
+            state = states[int(self.rng.random() * len(states))]
+            self.simulate(root, state, 0, shield)
+            sims += 1
         chosen = None
         best = -math.inf
         if root.edges is not None:
@@ -246,11 +228,12 @@ class Planner:
             chosen = root.allowed[0]      # no simulation managed to expand
             best = 0.0
         values = tuple(root.edges[a].value if root.edges is not None else 0.0
-                       for a in range(self.model.n_actions))
+                       for a in range(n))
         self.last_stats = PlanStats(
             simulations=sims, nodes=self._node_count, chosen=chosen,
             root_value=root.value, root_action_values=values,
-            root_allowed=tuple(root.allowed), root_pruned=tuple(sorted(root.pruned)))
+            root_allowed=tuple(root.allowed),
+            root_pruned=tuple(a for a in range(n) if a not in root.allowed))
         if chosen is None:
             raise AllActionsShielded(
                 f"no action is certified from support {sorted(root.support or ())}")
@@ -261,7 +244,7 @@ class Planner:
         cfg = self.config
         if depth >= cfg.max_depth or state in self.model.absorbing_zero:
             return 0.0
-        if node.dead:
+        if not node.allowed:
             return 0.0
         if node.edges is None:
             node.edges = [ActionEdge(cfg.n_init, cfg.v_init)
@@ -278,14 +261,13 @@ class Planner:
         if child is None:
             child = self._make_child(node, action, obs, shield)
             edge.children[obs] = child
-        if child.dead:
+        if not child.allowed:
             # dead end below: truncate this branch and stop selecting it
             node.prune(action)
             total = reward
         else:
-            child.particles.add(s2)
             total = reward + self.discount * self.simulate(child, s2, depth + 1, shield)
-            if child.dead:
+            if not child.allowed:
                 node.prune(action)
         edge.visits += 1
         edge.value += (total - edge.value) / edge.visits
@@ -344,21 +326,14 @@ class Planner:
     # -- root advancement ------------------------------------------------------
 
     def advance_root(self, root, action, observation):
-        """Refresh the root for the executed (action, observation).
+        """Fresh root for the executed (action, observation).
 
-        Particles are rejection-filtered through the simulator from the old
-        root's particles; when acceptance is too low the remainder is drawn
-        uniformly from the observation-consistent successor states. Returns
-        a fresh root: the subtree is discarded because the next step's
-        shield invalidates all stored pruning decisions.
+        Its particles are the refresh of the old root's through the
+        simulator (:func:`.pomdp.resample_particles`). The subtree is
+        discarded because the next step's shield invalidates every stored
+        pruning decision. Raises ParticleDeprivation when no successor of
+        the old particles is consistent with the observation.
         """
-        old = root.particles.particles
-        if not old:
-            raise EmptyBelief("cannot advance an empty particle set")
-        model = self.model
-        pool = sorted({s2 for s in set(old) for s2 in model.successors(s, action)
-                       if model.observation_prob(s2, action, observation) > 0.0})
-        particles = resample_particles(
-            model, old, action, observation, self.config.particle_count,
-            self.rng, fallback_states=pool)
-        return self.make_root(particles)
+        return self.make_root(resample_particles(
+            self.model, root.particles, action, observation,
+            self.config.particle_count, self.rng))

@@ -1,4 +1,4 @@
-"""Discrete POMDP model, belief representations, and the generative simulator.
+"""Discrete POMDP model, exact belief update, particle refresh, and the simulator.
 
 The model stores transition and observation tables as per-(state, action)
 sparse rows (successor indices plus cumulative probabilities), which keeps
@@ -20,6 +20,7 @@ from .errors import (
 )
 
 PROB_TOL = 1e-9
+OVERSAMPLE = 10      # rejection attempts per requested particle before the fill
 
 
 def _normalize_row(pairs, what):
@@ -163,15 +164,6 @@ class PomdpModel:
         probs = np.diff(np.asarray(cum), prepend=0.0)
         return np.asarray(idxs), probs
 
-    def transition_prob(self, s, a, s2):
-        idxs, cum = self._t[s][a]
-        prev = 0.0
-        for i, c in zip(idxs, cum):
-            if i == s2:
-                return c - prev
-            prev = c
-        return 0.0
-
     def observation_prob(self, s2, a, o):
         idxs, cum = self._z[s2][a]
         prev = 0.0
@@ -240,30 +232,6 @@ class BeliefState:
         return frozenset(self.probs)
 
 
-@dataclass
-class ParticleBelief:
-    """Sampled belief: a multiset of states with a capacity bound."""
-
-    particles: list
-    capacity: int
-
-    def __post_init__(self):
-        if self.capacity <= 0:
-            raise InvalidModel(f"particle capacity must be positive, got {self.capacity}")
-
-    def add(self, s):
-        if len(self.particles) < self.capacity:
-            self.particles.append(s)
-
-    def support(self):
-        if not self.particles:
-            raise EmptyBelief("particle set is empty")
-        return frozenset(self.particles)
-
-    def __len__(self):
-        return len(self.particles)
-
-
 def belief_update(model, belief, action, observation):
     """Exact Bayes update: b'(s') ∝ Z(s',a,o) Σ_s T(s,a,s') b(s).
 
@@ -291,40 +259,36 @@ def belief_update(model, belief, action, observation):
     return BeliefState({s2: w / eta for s2, w in post.items()})
 
 
-def resample_particles(model, particles, action, observation, count, rng,
-                       oversample=10, fallback_states=None):
+def resample_particles(model, particles, action, observation, count, rng):
     """Rejection-refresh a particle set after executing (action, observation).
 
-    Samples states from ``particles``, steps them through the simulator, and
-    keeps successors whose simulated observation matches. After
-    ``oversample * count`` attempts, remaining slots are filled uniformly
-    from ``fallback_states`` (the observation-consistent successor set) when
-    given. Raises ParticleDeprivation if nothing is consistent.
+    Draws states from ``particles``, steps them through the simulator, and
+    keeps the successors whose simulated observation matches. After
+    ``OVERSAMPLE * count`` attempts, the remaining slots are filled
+    uniformly from the observation-consistent successors of ``particles``:
+    the states s' with T(s, a, s') > 0 for some particle s and
+    Z(s', a, o) > 0, in ascending order. Every accepted state is one of
+    them, so when there are none nothing was accepted, and
+    ParticleDeprivation is raised.
     """
     if not particles:
         raise ParticleDeprivation("source particle set is empty")
-    src = list(particles)
-    n_src = len(src)
+    n_src = len(particles)
     accepted = []
     attempts = 0
-    max_attempts = oversample * count
+    max_attempts = OVERSAMPLE * count
     while len(accepted) < count and attempts < max_attempts:
         attempts += 1
-        s = src[int(rng.random() * n_src)]
+        s = particles[int(rng.random() * n_src)]
         s2, o, _ = model.generative_step(s, action, rng)
         if o == observation:
             accepted.append(s2)
-    if len(accepted) < count:
-        pool = list(fallback_states) if fallback_states else []
-        if not pool and not accepted:
+    missing = count - len(accepted)
+    if missing:
+        pool = sorted({s2 for s in set(particles) for s2 in model.successors(s, action)
+                       if model.observation_prob(s2, action, observation) > 0.0})
+        if not pool:
             raise ParticleDeprivation(
                 f"no particles consistent with observation {observation}")
-        if pool:
-            missing = count - len(accepted)
-            accepted.extend(pool[int(rng.random() * len(pool))] for _ in range(missing))
-        else:
-            # stretch the accepted set to capacity by resampling it
-            missing = count - len(accepted)
-            accepted.extend(accepted[int(rng.random() * len(accepted))] for _ in range(missing))
+        accepted.extend(pool[int(rng.random() * len(pool))] for _ in range(missing))
     return accepted
-

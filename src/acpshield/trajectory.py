@@ -58,13 +58,6 @@ class JointAgentState:
         mine = [i for i, aid in enumerate(self.ids) if aid in theirs]
         return mine, [theirs[self.ids[i]] for i in mine]
 
-    def position_of(self, agent_id):
-        """Position of one agent, or None when absent."""
-        try:
-            return self.positions[self.ids.index(agent_id)]
-        except ValueError:
-            return None
-
     @classmethod
     def empty(cls, timestep):
         return cls((), np.zeros((0, 2)), timestep)

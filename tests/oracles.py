@@ -203,13 +203,19 @@ def constraint_values_oracle(positions, agent_positions, epsilon):
 def nonconformity_oracle(actual, predicted):
     """Stacked-norm score of ``acp.nonconformity``, one id lookup at a time.
 
-    Walks the actual ids in order, finds each one on both sides through
-    ``position_of`` and concatenates the per-agent differences. Returns None
-    when the two states share no agent.
+    Walks the actual ids in order, finds each one on both sides with a
+    linear id search and concatenates the per-agent differences. Returns
+    None when the two states share no agent.
     """
-    common = [aid for aid in actual.ids if predicted.position_of(aid) is not None]
+    def position_of(state, aid):
+        try:
+            return state.positions[state.ids.index(aid)]
+        except ValueError:
+            return None
+
+    common = [aid for aid in actual.ids if position_of(predicted, aid) is not None]
     if not common:
         return None
     diffs = np.concatenate([
-        actual.position_of(aid) - predicted.position_of(aid) for aid in common])
+        position_of(actual, aid) - position_of(predicted, aid) for aid in common])
     return float(np.linalg.norm(diffs))

@@ -16,7 +16,6 @@ from acpshield.harness import (
     aggregate,
     bench_lists,
     build_source,
-    constraint_value,
     episode_horizon,
     expand_grid,
     format_table,
@@ -29,7 +28,10 @@ from acpshield.harness import (
     write_raw_csv,
 )
 from acpshield.planner import PlannerConfig
+from acpshield.shield import constraint_values
 from acpshield.trajectory import TrajectorySource
+
+import oracles
 
 
 def small_grid(width=6, height=6, start=(1, 1), goal=(4, 4)):
@@ -72,26 +74,32 @@ def test_config_rejects_planner_shallower_than_horizon():
 
 
 # -- metrics ------------------------------------------------------------------
+# The observe stage measures the robot with the shield's margin rule: the
+# distance to the nearest agent is the margin at epsilon 0, and c is that
+# distance minus epsilon.
+
+def margin(position, agents, epsilon):
+    return float(constraint_values(np.asarray([position], dtype=float), agents, epsilon)[0])
+
 
 def test_constraint_value_basics():
-    c, d = constraint_value((0.0, 0.0), np.array([[3.0, 4.0]]), 2.0)
-    assert c == pytest.approx(3.0) and d == pytest.approx(5.0)
-    c, d = constraint_value((0.0, 0.0), np.array([[0.0, 2.0]]), 2.0)
-    assert c == pytest.approx(0.0)
+    assert margin((0.0, 0.0), np.array([[3.0, 4.0]]), 0.0) == pytest.approx(5.0)
+    assert margin((0.0, 0.0), np.array([[3.0, 4.0]]), 2.0) == pytest.approx(3.0)
+    assert margin((0.0, 0.0), np.array([[0.0, 2.0]]), 2.0) == pytest.approx(0.0)
 
 
 def test_constraint_value_no_agents_is_safe():
-    assert constraint_value((1.0, 1.0), np.zeros((0, 2)), 5.0) == (math.inf, math.inf)
+    assert margin((1.0, 1.0), np.zeros((0, 2)), 5.0) == math.inf
 
 
 def test_constraint_value_nan_position_is_safe():
-    c, d = constraint_value((math.nan, math.nan), np.array([[0.0, 0.0]]), 5.0)
-    assert c == math.inf and d == math.inf
+    assert margin((math.nan, math.nan), np.array([[0.0, 0.0]]), 5.0) == math.inf
 
 
 def test_constraint_value_takes_nearest_agent():
-    c, d = constraint_value((0.0, 0.0), np.array([[10.0, 0.0], [1.0, 0.0]]), 0.5)
-    assert d == pytest.approx(1.0) and c == pytest.approx(0.5)
+    agents = np.array([[10.0, 0.0], [1.0, 0.0]])
+    assert margin((0.0, 0.0), agents, 0.0) == pytest.approx(1.0)
+    assert margin((0.0, 0.0), agents, 0.5) == pytest.approx(0.5)
 
 
 def test_episode_safety_summary_matches_records_and_positions():
@@ -111,11 +119,13 @@ def test_episode_safety_summary_matches_records_and_positions():
             assert r.min_distance == min(rec.min_distance for rec in r.records)
             # the same summary, recounted from the source's positions
             source = build_source(cfg, run)
-            recount = [constraint_value(cells[rec.state],
-                                        source.agents_at(rec.t).positions, cfg.epsilon)
-                       for rec in r.records]
-            assert 0 < r.collisions == sum(c < 0.0 for c, _ in recount) < n
-            assert r.min_distance == min(d for _, d in recount)
+            dists = [oracles.constraint_values_oracle(
+                cells[[rec.state]], source.agents_at(rec.t).positions, 0.0)[0]
+                for rec in r.records]
+            assert [rec.min_distance for rec in r.records] == dists
+            assert [rec.c_value for rec in r.records] == [d - cfg.epsilon for d in dists]
+            assert 0 < r.collisions == sum(d - cfg.epsilon < 0.0 for d in dists) < n
+            assert r.min_distance == min(dists)
 
 
 # -- seed streams and sources -------------------------------------------------

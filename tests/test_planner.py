@@ -323,10 +323,10 @@ def test_dead_end_propagation_prunes_parent_action():
     root = planner.make_root([2] * 8)
     action = planner.plan(root, shield)
     assert action == 0
-    assert root.pruned == {1}
+    assert root.allowed == [0]
     assert planner.last_stats.root_pruned == (1,)
     dead_child = root.edges[1].children[3]
-    assert dead_child.dead and dead_child.allowed == []
+    assert dead_child.allowed == []
 
 
 def test_tree_pruning_matches_certified_sets(rng):
@@ -357,16 +357,18 @@ def test_tree_pruning_matches_certified_sets(rng):
         except AllActionsShielded:
             continue
         checked += 1
+        certified = set(shield.allowed(fs(root_state), 0))
+        assert planner.last_stats.root_pruned == tuple(
+            a for a in range(model.n_actions) if a not in certified)
 
         def walk(node):
             if node.support is not None and node.depth < horizon:
                 expected = set(shield.allowed(node.support, node.depth))
                 assert set(node.allowed) == expected
-                assert node.pruned == set(range(model.n_actions)) - expected
             if node.edges is None:
                 return
             for a in range(model.n_actions):
-                if a in node.pruned:
+                if a not in node.allowed:
                     assert node.edges[a].visits == 0
                 for child in node.edges[a].children.values():
                     walk(child)
@@ -412,7 +414,7 @@ def test_grid_two_speed_scenario_prunes_toward_agent():
     assert action in root_allowed
     child = root.edges[east].children[model.obs_names.index("b9_2")]
     assert child.support == step_east
-    assert north in child.pruned and north not in child.allowed
+    assert north not in child.allowed
 
 
 # -- value consistency ---------------------------------------------------------------
@@ -465,7 +467,8 @@ def test_advance_root_deterministic_chain():
         num_simulations=4, max_depth=6, particle_count=32, seed=8))
     root = planner.make_root([0] * 32)
     new_root = planner.advance_root(root, 0, 1)
-    assert set(new_root.particles.particles) == {1}
+    assert set(new_root.particles) == {1}
+    assert new_root.support == frozenset({1})
     assert len(new_root.particles) == 32
     assert new_root.edges is None and new_root.visits == 0 and new_root.depth == 0
 
@@ -489,7 +492,7 @@ def test_advance_root_matches_exact_filter():
     T, Z, _ = oracles.dense_tables(model)
     post, eta = oracles.exact_filter(T, Z, prior, 0, 1)
     assert eta > 0
-    counts = np.bincount(new_root.particles.particles, minlength=3)
+    counts = np.bincount(new_root.particles, minlength=3)
     freq = counts / len(new_root.particles)
     assert 0.5 * np.abs(freq - post).sum() <= 0.02
 

@@ -1,4 +1,4 @@
-"""Model construction, exact filtering, simulator statistics, particle ops."""
+"""Model construction, exact filtering, simulator statistics, particle refresh."""
 
 import math
 import random
@@ -15,7 +15,6 @@ from acpshield.errors import (
 )
 from acpshield.pomdp import (
     BeliefState,
-    ParticleBelief,
     PomdpModel,
     belief_update,
     resample_particles,
@@ -147,13 +146,6 @@ def test_belief_state_validation():
     assert b.support() == frozenset({0, 1})
 
 
-def test_belief_support_of_particles():
-    pb = ParticleBelief([2, 2, 5], capacity=10)
-    assert pb.support() == frozenset({2, 5})
-    with pytest.raises(EmptyBelief):
-        ParticleBelief([], capacity=10).support()
-
-
 def test_resample_particles_converges_to_posterior(rng, two_state_model):
     # Prior particles drawn from the uniform belief; after (a0, o0) the
     # surviving successors are distributed as the exact Bayes posterior.
@@ -165,14 +157,26 @@ def test_resample_particles_converges_to_posterior(rng, two_state_model):
 
 
 def test_resample_particles_fallback_and_deprivation():
+    # from state 0: successors 1 and 2 emit o1 once in a thousand, 3 never;
+    # 4 always emits o1 but is no successor. Rejection accepts about one
+    # particle in its budget, so the fill supplies the rest, from {1, 2} only.
+    t = np.zeros((5, 1, 5))
+    t[0, 0, [1, 2, 3]] = 1.0 / 3.0
+    t[1:, 0, 0] = 1.0
+    z = np.zeros((5, 1, 2))
+    z[[0, 3], 0, 0] = 1.0
+    z[[1, 2], 0] = [0.999, 0.001]
+    z[4, 0, 1] = 1.0
+    model = PomdpModel.from_tables(t, np.zeros((5, 1)), z)
+    out = resample_particles(model, [0] * 5, 0, 1, 100, random.Random(1))
+    assert len(out) == 100 and set(out) == {1, 2}
+    # no successor of the particles can emit the observation
     t = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
-    z = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
+    z = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
     model = PomdpModel.from_tables(t, np.zeros((2, 1)), z)
     prng = random.Random(1)
     with pytest.raises(ParticleDeprivation):
         resample_particles(model, [0, 0, 0], 0, 1, 100, prng)
-    out = resample_particles(model, [0, 0, 0], 0, 1, 100, prng, fallback_states=[1])
-    assert out == [1] * 100
     with pytest.raises(ParticleDeprivation):
         resample_particles(model, [], 0, 0, 100, prng)
 

@@ -1,5 +1,5 @@
 """Property tests on random inputs: BSTS edges, the shield table, ACP radii,
-constraint margins and nonconformity scores."""
+constraint margins, nonconformity scores and the particle refresh."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acpshield.acp import nonconformity, region_radius
-from acpshield.errors import AgentMismatch, ImpossibleObservation
+from acpshield.errors import AgentMismatch, ImpossibleObservation, ParticleDeprivation
+from acpshield.planner import Planner, PlannerConfig
 from acpshield.pomdp import BeliefState, belief_update
 from acpshield.shield import Bsts, compute_winning_regions, constraint_values
 from acpshield.trajectory import JointAgentState
@@ -133,3 +134,25 @@ def test_nonconformity_equals_position_of_oracle(seed, pool, mixed, overlap):
             nonconformity(actual, predicted)
     else:
         assert nonconformity(actual, predicted) == expected
+
+
+@PROPERTY
+@given(seed=seeds, count=st.integers(1, 40))
+def test_advance_root_keeps_count_of_consistent_successors(seed, count):
+    rng = np.random.default_rng(seed)
+    model = make_random_pomdp(rng, n_states=int(rng.integers(3, 7)),
+                              n_actions=int(rng.integers(1, 3)), n_obs=3)
+    particles = rng.integers(0, model.n_states, size=int(rng.integers(1, 12))).tolist()
+    action, obs = int(rng.integers(model.n_actions)), int(rng.integers(3))
+    T, Z, _ = oracles.dense_tables(model)
+    consistent = {s2 for s in particles for s2 in range(model.n_states)
+                  if T[s, action, s2] > 0.0 and Z[s2, action, obs] > 0.0}
+    planner = Planner(model, PlannerConfig(particle_count=count, seed=seed))
+    root = planner.make_root(particles)
+    if not consistent:
+        with pytest.raises(ParticleDeprivation):
+            planner.advance_root(root, action, obs)
+        return
+    new = planner.advance_root(root, action, obs).particles
+    assert len(new) == count
+    assert set(new) <= consistent

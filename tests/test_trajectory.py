@@ -31,6 +31,11 @@ def joint(ids, coords, t):
     return JointAgentState(tuple(ids), np.asarray(coords, dtype=float), t)
 
 
+def rows(state):
+    """{agent id: position} of one joint state."""
+    return dict(zip(state.ids, state.positions))
+
+
 def test_joint_state_validation():
     with pytest.raises(InvalidSpec):
         joint([1], [[0, 0], [1, 1]], 0)
@@ -38,8 +43,8 @@ def test_joint_state_validation():
         joint([1], [[np.nan, 0]], 0)
     js = joint([3, 1], [[0, 0], [5, 5]], 2)
     assert js.n_agents == 2
-    assert tuple(js.position_of(1)) == (5.0, 5.0)
-    assert js.position_of(99) is None
+    assert tuple(rows(js)[1]) == (5.0, 5.0)
+    assert 99 not in rows(js)
 
 
 def test_prediction_set_shape():
@@ -73,8 +78,8 @@ def test_constant_position_predictor():
 def test_newly_entered_agent_gets_zero_velocity():
     hist = [joint([1], [[0, 0]], 0), joint([1, 2], [[1, 0], [9, 9]], 1)]
     ps = predict_constant_velocity(hist, 1)
-    assert tuple(ps.at(1).position_of(1)) == (2.0, 0.0)
-    assert tuple(ps.at(1).position_of(2)) == (9.0, 9.0)
+    assert tuple(rows(ps.at(1))[1]) == (2.0, 0.0)
+    assert tuple(rows(ps.at(1))[2]) == (9.0, 9.0)
 
 
 def test_linear_fit_matches_constant_velocity_on_lines():
@@ -104,8 +109,8 @@ def test_replay_predictor(tmp_path):
     pred = ReplayPredictor(load_predictions(path))
     hist = [joint([9], [[1, 2]], 3)]
     ps = pred(hist, 2)
-    assert tuple(ps.at(1).position_of(9)) == (1.5, 2.5)
-    assert tuple(ps.at(2).position_of(9)) == (2.5, 3.5)
+    assert tuple(rows(ps.at(1))[9]) == (1.5, 2.5)
+    assert tuple(rows(ps.at(2))[9]) == (2.5, 3.5)
     with pytest.raises(MissingExternalPrediction):
         pred([joint([9], [[0, 0]], 4)], 2)
 
@@ -182,8 +187,8 @@ def test_load_trajectories_scale_and_stride(tmp_path):
     assert src.span() == (0, 1)
     js = src.agents_at(1)
     assert js.ids == (1, 2)
-    np.testing.assert_allclose(js.position_of(1), (1.5, 2.0))
-    np.testing.assert_allclose(js.position_of(2), (0.0, 0.5))
+    np.testing.assert_allclose(rows(js)[1], (1.5, 2.0))
+    np.testing.assert_allclose(rows(js)[2], (0.0, 0.5))
     assert src.agents_at(0).ids == (1,)
 
 
@@ -191,7 +196,7 @@ def test_load_trajectories_whitespace_and_errors(tmp_path):
     ws = tmp_path / "ws.txt"
     ws.write_text("0 1 2.0 4.0\n1 1 2.5 4.5\n")
     src = load_trajectories(ws)
-    np.testing.assert_allclose(src.agents_at(1).position_of(1), (2.5, 4.5))
+    np.testing.assert_allclose(rows(src.agents_at(1))[1], (2.5, 4.5))
 
     bad = tmp_path / "bad.csv"
     bad.write_text("0,1,2.0\n")
