@@ -18,8 +18,8 @@ from .gridworld import (
     GridSpec,
     build_gridworld,
     cell_positions,
+    goal_greedy_actions,
     initial_belief,
-    make_goal_greedy_policy,
 )
 from .harness import (
     METHODS,
@@ -73,11 +73,11 @@ __all__ = [
     "expand_grid",
     "fallback_action",
     "format_table",
+    "goal_greedy_actions",
     "initial_belief",
     "keeps_winning",
     "load_config",
     "load_trajectories",
-    "make_goal_greedy_policy",
     "make_predictor",
     "run_benchmark",
     "run_episode",

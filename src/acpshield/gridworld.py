@@ -201,25 +201,23 @@ def initial_belief(spec):
                         for (x, y), w in spec.start_cells.items()})
 
 
-def make_goal_greedy_policy(spec):
-    """Rollout policy steering toward the goal cell.
+def goal_greedy_actions(spec):
+    """Rollout action table steering toward the goal cell, one entry per state.
 
-    Picks the action pointing along the axis with the larger remaining
-    offset to the goal; ties and the terminal state fall back to action 0.
-    Used by the planner's rollout stage as a cheap domain heuristic.
+    A cell takes the action along the axis with the larger remaining offset
+    to the goal, the x axis on ties; the goal cell and the terminal state
+    take action 0. The planner's rollouts read it as a cheap domain
+    heuristic.
     """
     gx, gy = spec.goal_cell
-    n_cells = spec.n_cells
-
-    def policy(state, rng):
-        if state >= n_cells:
-            return 0
-        x, y = state % spec.width, state // spec.width
-        dx, dy = gx - x, gy - y
-        if dx == 0 and dy == 0:
-            return 0
-        if abs(dx) >= abs(dy) and dx != 0:
-            return 0 if dx > 0 else 2     # east / west
-        return 3 if dy > 0 else 1         # north / south
-
-    return policy
+    table = []
+    for s in range(spec.n_cells):
+        dx, dy = gx - s % spec.width, gy - s // spec.width
+        if dx != 0 and abs(dx) >= abs(dy):
+            table.append(0 if dx > 0 else 2)      # east / west
+        elif dy != 0:
+            table.append(3 if dy > 0 else 1)      # north / south
+        else:
+            table.append(0)                       # the goal cell
+    table.append(0)                               # the terminal state
+    return tuple(table)

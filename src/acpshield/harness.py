@@ -56,8 +56,8 @@ from .gridworld import (
     GridSpec,
     build_gridworld,
     cell_positions,
+    goal_greedy_actions,
     initial_belief,
-    make_goal_greedy_policy,
 )
 from .planner import Planner, PlannerConfig, fallback_action
 from .shield import (
@@ -267,9 +267,9 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
 
     env_rng = random.Random(_stream_seed(cfg, run, 1))
     planner_cfg = replace(cfg.planner, seed=_stream_seed(cfg, run, 2))
-    rollout_fn = (make_goal_greedy_policy(cfg.grid)
-                  if planner_cfg.rollout_policy == "goal-greedy" else None)
-    planner = Planner(model, planner_cfg, rollout_policy_fn=rollout_fn)
+    rollout_actions = (goal_greedy_actions(cfg.grid)
+                       if planner_cfg.rollout_policy == "goal-greedy" else None)
+    planner = Planner(model, planner_cfg, rollout_actions)
 
     belief = initial_belief(cfg.grid)
     start_states = sorted(belief.probs)

@@ -42,7 +42,7 @@ class ActionEdge:
 
 
 class SearchNode:
-    """One history node: visit statistics and the actions search may take.
+    """One history node: its visit count and the actions search may take.
 
     ``support`` is the node's exact belief support: at the root the support
     of its particles, below it the BSTS node reached along the (action,
@@ -55,12 +55,10 @@ class SearchNode:
     particles below it.
     """
 
-    __slots__ = ("visits", "value", "particles", "support", "depth",
-                 "edges", "allowed")
+    __slots__ = ("visits", "particles", "support", "depth", "edges", "allowed")
 
     def __init__(self, depth, support, allowed, particles=None):
         self.visits = 0
-        self.value = 0.0
         self.particles = particles
         self.depth = depth
         self.support = support
@@ -108,7 +106,6 @@ class PlanStats:
     simulations: int
     nodes: int
     chosen: int
-    root_value: float
     root_action_values: tuple
     root_allowed: tuple
     root_pruned: tuple
@@ -155,19 +152,23 @@ def fallback_action(model, support, unsafe):
 
 
 class Planner:
-    """Per-episode planner: owns the rng, the config, and the rollout policy.
+    """Per-episode planner: owns the rng, the config, and the rollout actions.
 
-    ``rollout_policy_fn`` optionally maps (state, rng) to a preferred
-    action; the shield still filters it. None means uniform random.
+    ``rollout_actions`` optionally holds one preferred rollout action per
+    model state (for example :func:`.gridworld.goal_greedy_actions`); the
+    shield still filters it. None means uniform random rollouts.
     """
 
-    def __init__(self, model, config=None, rollout_policy_fn=None):
+    def __init__(self, model, config=None, rollout_actions=None):
         self.model = model
         self.config = config or PlannerConfig()
         self.rng = random.Random(self.config.seed)
         self.discount = (self.config.discount if self.config.discount is not None
                          else model.discount)
-        self.rollout_policy_fn = rollout_policy_fn
+        if rollout_actions is not None and len(rollout_actions) != model.n_states:
+            raise InvalidSpec(f"rollout table has {len(rollout_actions)} entries "
+                              f"for {model.n_states} states")
+        self.rollout_actions = rollout_actions
         self.last_stats = None
         self._node_count = 0
 
@@ -212,10 +213,11 @@ class Planner:
         root.allowed = list(range(n) if shield is None
                             else self._certified(shield, root.support, 0))
         states = root.particles
+        n_states = len(states)
+        draw = self.rng.random
         sims = 0
         while sims < cfg.num_simulations and root.allowed:
-            state = states[int(self.rng.random() * len(states))]
-            self.simulate(root, state, 0, shield)
+            self.simulate(root, states[int(draw() * n_states)], 0, shield)
             sims += 1
         chosen = None
         best = -math.inf
@@ -231,7 +233,7 @@ class Planner:
                        for a in range(n))
         self.last_stats = PlanStats(
             simulations=sims, nodes=self._node_count, chosen=chosen,
-            root_value=root.value, root_action_values=values,
+            root_action_values=values,
             root_allowed=tuple(root.allowed),
             root_pruned=tuple(a for a in range(n) if a not in root.allowed))
         if chosen is None:
@@ -242,25 +244,24 @@ class Planner:
     def simulate(self, node, state, depth, shield):
         """One search pass from ``node`` at ``state``; returns the sampled return."""
         cfg = self.config
-        if depth >= cfg.max_depth or state in self.model.absorbing_zero:
+        model = self.model
+        if depth >= cfg.max_depth or state in model.absorbing_zero:
             return 0.0
         if not node.allowed:
             return 0.0
         if node.edges is None:
             node.edges = [ActionEdge(cfg.n_init, cfg.v_init)
-                          for _ in range(self.model.n_actions)]
-            ret = self.rollout(state, depth, node.support, shield)
+                          for _ in range(model.n_actions)]
             node.visits += 1
-            node.value += (ret - node.value) / node.visits
-            return ret
+            return self.rollout(state, depth, node.support, shield)
 
         action = self._select_ucb(node)
-        s2, obs, reward = self.model.generative_step(state, action, self.rng)
+        s2, obs, reward = model.generative_step(state, action, self.rng)
         edge = node.edges[action]
-        child = edge.children.get(obs)
+        children = edge.children
+        child = children.get(obs)
         if child is None:
-            child = self._make_child(node, action, obs, shield)
-            edge.children[obs] = child
+            child = children[obs] = self._make_child(node, action, obs, shield)
         if not child.allowed:
             # dead end below: truncate this branch and stop selecting it
             node.prune(action)
@@ -272,55 +273,73 @@ class Planner:
         edge.visits += 1
         edge.value += (total - edge.value) / edge.visits
         node.visits += 1
-        node.value += (total - node.value) / node.visits
         return total
 
     def _select_ucb(self, node):
-        for a in node.allowed:            # unvisited first, lowest index
-            if node.edges[a].visits <= 0:
-                return a
+        """Lowest-index unvisited allowed action, else the highest UCB score."""
+        edges = node.edges
+        allowed = node.allowed
         log_n = math.log(node.visits) if node.visits > 0 else 0.0
         c = self.config.ucb_constant
-        best_a = node.allowed[0]
+        sqrt = math.sqrt
+        best_a = allowed[0]
         best = -math.inf
-        for a in node.allowed:
-            edge = node.edges[a]
-            score = edge.value + c * math.sqrt(log_n / edge.visits)
+        for a in allowed:
+            edge = edges[a]
+            visits = edge.visits
+            if visits <= 0:
+                return a
+            score = edge.value + c * sqrt(log_n / visits)
             if score > best:
                 best, best_a = score, a
         return best_a
 
     def rollout(self, state, depth, support, shield):
-        """Play out with the rollout policy; shield-restricted while in horizon."""
-        cfg = self.config
-        model = self.model
+        """Play out from ``state`` at ``depth``; returns the discounted return.
+
+        Each step takes the state's entry of ``rollout_actions``, or a
+        uniform random action without a table. While the shield has a
+        support for the step (below its horizon), only certified actions
+        are taken: an uncertified table entry is replaced by a uniform
+        draw among the certified ones, and a support with none ends the
+        rollout. Past the horizon the rollout is unconstrained.
+        """
+        max_depth = self.config.max_depth
+        absorbing = self.model.absorbing_zero
+        step = self.model.generative_step
         rng = self.rng
-        policy = self.rollout_policy_fn
+        draw = rng.random
+        table = self.rollout_actions
+        discount = self.discount
         ret = 0.0
         disc = 1.0
-        for d in range(depth, cfg.max_depth):
-            if state in model.absorbing_zero:
-                break
-            acts = None
-            if shield is not None and support is not None and d < shield.horizon:
-                acts = shield.allowed(support, d)
+        d = depth
+        if shield is not None and support is not None:
+            horizon = shield.horizon
+            allowed, successor = shield.allowed, shield.successor
+            while d < max_depth and d < horizon and support is not None:
+                if state in absorbing:
+                    return ret
+                acts = allowed(support, d)
                 if not acts:
-                    break                 # dead end: truncate the rollout
-            if policy is not None:
-                action = policy(state, rng)
-                if acts is not None and action not in acts:
-                    action = acts[int(rng.random() * len(acts))]
-            elif acts is not None:
-                action = acts[int(rng.random() * len(acts))]
-            else:
-                action = int(rng.random() * model.n_actions)
-            s2, obs, reward = model.generative_step(state, action, rng)
+                    return ret            # dead end: truncate the rollout
+                if table is None or table[state] not in acts:
+                    action = acts[int(draw() * len(acts))]
+                else:
+                    action = table[state]
+                state, obs, reward = step(state, action, rng)
+                ret += disc * reward
+                disc *= discount
+                support = successor(support, d, action, obs) if d + 1 < horizon else None
+                d += 1
+        n_actions = self.model.n_actions
+        for _ in range(d, max_depth):
+            if state in absorbing:
+                break
+            action = table[state] if table is not None else int(draw() * n_actions)
+            state, _, reward = step(state, action, rng)
             ret += disc * reward
-            disc *= self.discount
-            if shield is not None and support is not None:
-                support = (shield.successor(support, d, action, obs)
-                           if d + 1 < shield.horizon else None)
-            state = s2
+            disc *= discount
         return ret
 
     # -- root advancement ------------------------------------------------------

@@ -8,6 +8,7 @@ each row has at most a couple of successors.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,23 +190,14 @@ class PomdpModel:
         """Black-box simulator draw: sample s' ~ T(s,a,.), o ~ Z(s',a,.), r = R(s,a).
 
         ``rng`` is a seeded ``random.Random``; the draw is deterministic
-        given the stream state.
+        given the stream state. Each sample is the first outcome whose
+        cumulative probability reaches one ``rng.random()`` draw; the last
+        cumulative value is pinned to 1.0, so one always does.
         """
         idxs, cum = self._t[s][a]
-        u = rng.random()
-        s2 = idxs[-1]
-        for i, c in zip(idxs, cum):
-            if u <= c:
-                s2 = i
-                break
+        s2 = idxs[bisect_left(cum, rng.random())]
         oidxs, ocum = self._z[s2][a]
-        u = rng.random()
-        o = oidxs[-1]
-        for i, c in zip(oidxs, ocum):
-            if u <= c:
-                o = i
-                break
-        return s2, o, self._r[s][a]
+        return s2, oidxs[bisect_left(ocum, rng.random())], self._r[s][a]
 
 
 @dataclass
@@ -275,14 +267,15 @@ def resample_particles(model, particles, action, observation, count, rng):
         raise ParticleDeprivation("source particle set is empty")
     n_src = len(particles)
     accepted = []
-    attempts = 0
-    max_attempts = OVERSAMPLE * count
-    while len(accepted) < count and attempts < max_attempts:
-        attempts += 1
-        s = particles[int(rng.random() * n_src)]
-        s2, o, _ = model.generative_step(s, action, rng)
+    keep = accepted.append
+    draw = rng.random
+    step = model.generative_step
+    for _ in range(OVERSAMPLE * count):
+        if len(accepted) == count:
+            break
+        s2, o, _ = step(particles[int(draw() * n_src)], action, rng)
         if o == observation:
-            accepted.append(s2)
+            keep(s2)
     missing = count - len(accepted)
     if missing:
         pool = sorted({s2 for s in set(particles) for s2 in model.successors(s, action)

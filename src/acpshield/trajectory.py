@@ -98,8 +98,16 @@ class TrajectorySource:
                         f"agent {aid!r} has repeated timestep {t1}")
             self._tracks[aid] = {t: np.asarray(p, dtype=float) for t, p in seq}
         self._ids = tuple(sorted(self._tracks, key=_id_key))
-        times = [t for track in self._tracks.values() for t in track]
-        self._span = (min(times), max(times)) if times else None
+        present = {}                  # timestep -> ids present, in id order
+        for aid in self._ids:
+            for t in self._tracks[aid]:
+                present.setdefault(t, []).append(aid)
+        shared = {}                   # timesteps with equal id sets share one tuple
+        self._present = {}
+        for t, ids in present.items():
+            ids = tuple(ids)
+            self._present[t] = shared.setdefault(ids, ids)
+        self._span = (min(present), max(present)) if present else None
 
     @property
     def agent_ids(self):
@@ -113,11 +121,11 @@ class TrajectorySource:
         """Joint state of the agents present at timestep t."""
         if self._span is not None and not (self._span[0] <= t <= self._span[1]):
             raise OutOfRange(f"timestep {t} outside span {self._span}")
-        ids = [aid for aid in self._ids if t in self._tracks[aid]]
-        if not ids:
+        ids = self._present.get(t)
+        if ids is None:
             return JointAgentState.empty(t)
         pos = np.stack([self._tracks[aid][t] for aid in ids])
-        return JointAgentState(tuple(ids), pos, t)
+        return JointAgentState(ids, pos, t)
 
     def track(self, agent_id):
         """Time-sorted (timestep, position) pairs for one agent."""

@@ -219,3 +219,77 @@ def nonconformity_oracle(actual, predicted):
     diffs = np.concatenate([
         position_of(actual, aid) - position_of(predicted, aid) for aid in common])
     return float(np.linalg.norm(diffs))
+
+
+def generative_step_oracle(model, s, a, rng):
+    """``PomdpModel.generative_step`` by a linear scan of the cumulative rows.
+
+    Reads the model's stored (indices, cumulative) rows and takes the first
+    outcome whose cumulative value is at least the draw, one
+    ``rng.random()`` draw for the successor and one for the observation.
+    """
+    idxs, cum = model._t[s][a]
+    u = rng.random()
+    s2 = idxs[-1]
+    for i, c in zip(idxs, cum):
+        if u <= c:
+            s2 = i
+            break
+    oidxs, ocum = model._z[s2][a]
+    u = rng.random()
+    o = oidxs[-1]
+    for i, c in zip(oidxs, ocum):
+        if u <= c:
+            o = i
+            break
+    return s2, o, model.reward(s, a)
+
+
+def rollout_oracle(model, state, depth, support, shield, rng, max_depth, discount,
+                   policy=None):
+    """``Planner.rollout`` as one loop with a callable rollout policy.
+
+    ``policy(state, rng)`` names a preferred action, or None for uniform
+    random. While ``support`` is set and below the shield's horizon, an
+    action outside the shield's certified set is replaced by a uniform
+    draw among them, and an empty set ends the rollout. Draws go through
+    ``model.generative_step``, which ``generative_step_oracle`` pins.
+    """
+    ret = 0.0
+    disc = 1.0
+    for d in range(depth, max_depth):
+        if state in model.absorbing_zero:
+            break
+        acts = None
+        if shield is not None and support is not None and d < shield.horizon:
+            acts = shield.allowed(support, d)
+            if not acts:
+                break
+        if policy is not None:
+            action = policy(state, rng)
+            if acts is not None and action not in acts:
+                action = acts[int(rng.random() * len(acts))]
+        elif acts is not None:
+            action = acts[int(rng.random() * len(acts))]
+        else:
+            action = int(rng.random() * model.n_actions)
+        s2, obs, reward = model.generative_step(state, action, rng)
+        ret += disc * reward
+        disc *= discount
+        if shield is not None and support is not None:
+            support = (shield.successor(support, d, action, obs)
+                       if d + 1 < shield.horizon else None)
+        state = s2
+    return ret
+
+
+def agents_at_oracle(tracks, t):
+    """Ids and positions of the agents present at ``t``, by scanning every track.
+
+    ``tracks`` maps agent id -> list of (timestep, (x, y)). Ids come in
+    ascending order, ints before strings. Returns (ids tuple, (N, 2) array).
+    """
+    ids = sorted((aid for aid, seq in tracks.items() if any(ts == t for ts, _ in seq)),
+                 key=lambda aid: (isinstance(aid, str), aid))
+    pos = [next(p for ts, p in tracks[aid] if ts == t) for aid in ids]
+    return tuple(ids), np.asarray(pos, dtype=float).reshape(-1, 2)

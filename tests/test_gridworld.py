@@ -14,8 +14,8 @@ from acpshield.gridworld import (
     block_observation,
     build_gridworld,
     cell_positions,
+    goal_greedy_actions,
     initial_belief,
-    make_goal_greedy_policy,
 )
 from acpshield.pomdp import BeliefState, belief_update
 from acpshield.shield import constraint_values
@@ -192,13 +192,16 @@ def test_initial_belief_weights():
 
 def test_goal_greedy_policy_heads_toward_goal():
     spec = GridSpec(width=10, height=10, start_cells={(0, 0): 1.0}, goal_cell=(7, 2))
-    policy = make_goal_greedy_policy(spec)
-    rng = random.Random(0)
-    assert ACTION_NAMES[policy(spec.state_index(0, 2), rng)] == "east"
-    assert ACTION_NAMES[policy(spec.state_index(9, 2), rng)] == "west"
-    assert ACTION_NAMES[policy(spec.state_index(7, 9), rng)] == "south"
-    assert ACTION_NAMES[policy(spec.state_index(7, 0), rng)] == "north"
-    assert policy(spec.terminal_state, rng) == 0
+    table = goal_greedy_actions(spec)
+    assert len(table) == build_gridworld(spec).n_states == spec.n_cells + 1
+    assert ACTION_NAMES[table[spec.state_index(0, 2)]] == "east"
+    assert ACTION_NAMES[table[spec.state_index(9, 2)]] == "west"
+    assert ACTION_NAMES[table[spec.state_index(7, 9)]] == "south"
+    assert ACTION_NAMES[table[spec.state_index(7, 0)]] == "north"
+    assert ACTION_NAMES[table[spec.state_index(4, 5)]] == "east"     # tie: x axis
+    assert ACTION_NAMES[table[spec.state_index(6, 9)]] == "south"    # larger y offset
+    assert table[spec.state_index(7, 2)] == 0                        # the goal cell
+    assert table[spec.terminal_state] == 0
 
 
 @pytest.mark.parametrize("kw", [

