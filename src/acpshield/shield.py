@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import InvalidSpec, UnknownSupport
 
+MARGIN_BLOCK = 16_384     # state-agent pairs per block of constraint_values
+
 
 def validate_support(model, states):
     """Canonicalize a support and check members share a possible observation."""
@@ -108,21 +110,33 @@ def constraint_values(positions, agent_positions, epsilon):
     (N, 2). Returns min_i dist(state, agent_i) - epsilon, with the min over
     zero agents +inf.
 
-    Allocates only two (n_states, N) temporaries. The square root is taken
-    after the min over agents: sqrt is monotone and correctly rounded, so
-    this equals the min of the per-agent distances bit for bit.
+    Works through the states in row blocks of about ``MARGIN_BLOCK``
+    state-agent pairs, reusing two block buffers, so its temporaries stay in
+    cache whatever the grid size. The square root is taken after the min
+    over agents: sqrt is monotone and correctly rounded, so this equals the
+    min of the per-agent distances bit for bit.
     """
     pos = np.asarray(positions, dtype=float)
     agents = np.asarray(agent_positions, dtype=float).reshape(-1, 2)
-    out = np.full(pos.shape[0], math.inf)
-    if agents.shape[0] == 0:
+    n_states, n_agents = pos.shape[0], agents.shape[0]
+    out = np.full(n_states, math.inf)
+    if n_agents == 0:
         return out
-    dx = pos[:, 0, None] - agents[:, 0]
-    dy = pos[:, 1, None] - agents[:, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    dists = np.sqrt(dx.min(axis=1))
+    rows = max(1, MARGIN_BLOCK // n_agents)
+    dx = np.empty((min(rows, n_states), n_agents))
+    dy = np.empty_like(dx)
+    ax, ay = agents[:, 0], agents[:, 1]
+    dists = np.empty(n_states)
+    for lo in range(0, n_states, rows):
+        hi = min(lo + rows, n_states)
+        bx, by = dx[:hi - lo], dy[:hi - lo]
+        np.subtract(pos[lo:hi, 0, None], ax, out=bx)
+        np.subtract(pos[lo:hi, 1, None], ay, out=by)
+        bx *= bx
+        by *= by
+        bx += by
+        bx.min(axis=1, out=dists[lo:hi])
+    np.sqrt(dists, out=dists)
     finite = np.isfinite(dists)
     out[finite] = dists[finite] - epsilon
     return out

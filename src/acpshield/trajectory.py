@@ -10,6 +10,7 @@ agents by id rather than by index.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -214,7 +215,8 @@ class ReplayPredictor:
     """
 
     def __init__(self, table):
-        """table: dict (made_at, tau) -> dict agent_id -> (x, y)."""
+        """table: dict (made_at, tau) -> (ids, (n, 2) positions), as
+        ``load_predictions`` returns it."""
         self.table = table
 
     def __call__(self, history, horizon):
@@ -227,10 +229,7 @@ class ReplayPredictor:
             if entry is None:
                 raise MissingExternalPrediction(
                     f"no stored prediction for time {t}, lookahead {tau}")
-            ids = tuple(sorted(entry, key=_id_key))
-            pos = np.stack([np.asarray(entry[a], dtype=float) for a in ids]) \
-                if ids else np.zeros((0, 2))
-            preds.append(JointAgentState(ids, pos, t + tau))
+            preds.append(JointAgentState(*entry, t + tau))
         return PredictionSet(t, horizon, preds)
 
 
@@ -324,6 +323,9 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
 # file io
 
 
+_CHUNK_LINES = 4096       # lines per chunk of _read_table
+
+
 def _parse_id(token):
     try:
         return int(token)
@@ -337,6 +339,84 @@ def _split_row(line):
     return line.split()
 
 
+def _numbers_parse(toks, n_frames):
+    """Whether a row's frame fields read as int(float(.)) within int64 and
+    its x and y as floats."""
+    try:
+        float(toks[-2]), float(toks[-1])
+        return all(abs(float(tok)) < 2.0 ** 63 for tok in toks[:n_frames])
+    except ValueError:
+        return False
+
+
+def _to_columns(cols, n_frames):
+    """Frame columns (int64, truncated like int(float(.))), ids, x and y of
+    token columns; raises ValueError when a numeric field does not parse."""
+    n = len(cols[0])
+    frames = [np.fromiter(map(float, col), float, n) for col in cols[:n_frames]]
+    if not all((np.abs(f) < 2.0 ** 63).all() for f in frames):   # NaN, inf, past int64
+        raise ValueError("frame outside int64")
+    x = np.fromiter(map(float, cols[-2]), float, n)
+    y = np.fromiter(map(float, cols[-1]), float, n)
+    try:
+        ids = list(map(int, cols[n_frames]))
+    except ValueError:
+        ids = list(map(_parse_id, map(str.strip, cols[n_frames])))
+    return [f.astype(np.int64) for f in frames], ids, x, y
+
+
+def _parse_chunk(lines, start, n_frames):
+    """Columns of the stripped ``lines``, the first of which is line ``start``."""
+    n_cols = n_frames + 3
+    if start == 1 and lines and lines[0] and not lines[0].startswith("#"):
+        toks = _split_row(lines[0])
+        if len(toks) == n_cols and not _numbers_parse(toks, n_frames):
+            lines, start = lines[1:], 2                 # header row
+    # Fast path: every line is a data row with n_cols comma-separated fields.
+    commas = list(map(str.count, lines, itertools.repeat(",", len(lines))))
+    text = ",".join(lines)
+    if commas.count(n_cols - 1) == len(lines) and "#" not in text:
+        toks = text.split(",")
+        try:
+            return _to_columns([toks[k::n_cols] for k in range(n_cols)], n_frames)
+        except ValueError:
+            pass                                # the row pass below names the line
+    rows = []
+    for lineno, line in enumerate(lines, start):
+        if not line or line.startswith("#"):
+            continue
+        toks = _split_row(line)
+        if len(toks) != n_cols:
+            raise ParseError(f"expected {n_cols} columns, got {len(toks)}", line=lineno)
+        if not _numbers_parse(toks, n_frames):
+            raise ParseError(f"bad numeric field in {toks!r}", line=lineno)
+        rows.append(toks)
+    return _to_columns(list(zip(*rows)) or [()] * n_cols, n_frames)
+
+
+def _read_table(path, n_frames):
+    """Read rows of ``n_frames`` frame columns, an agent id, x and y.
+
+    Comma- or whitespace-separated (chosen per line); blank lines and lines
+    starting with '#' are skipped, and line 1 is skipped as a header when
+    its numeric fields do not parse. The file is read ``_CHUNK_LINES`` lines
+    at a time and each chunk converted column by column. Returns (frames,
+    ids, x, y): one int64 array per frame column, a list of ids, and two
+    float arrays, in file order.
+    """
+    parts = [_to_columns([()] * (n_frames + 3), n_frames)]
+    with open(path, encoding="utf-8") as fh:
+        start = 1
+        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+            parts.append(_parse_chunk(list(map(str.strip, lines)), start, n_frames))
+            start += len(lines)
+    frames = [np.concatenate(col) for col in zip(*(p[0] for p in parts))]
+    ids = list(itertools.chain.from_iterable(p[1] for p in parts))
+    x = np.concatenate([p[2] for p in parts])
+    y = np.concatenate([p[3] for p in parts])
+    return frames, ids, x, y
+
+
 def load_trajectories(path, scale=1.0, frame_stride=1):
     """Read (frame_id, agent_id, x, y) rows into a TrajectorySource.
 
@@ -347,34 +427,18 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     """
     if frame_stride < 1:
         raise InvalidSpec(f"frame_stride must be >= 1, got {frame_stride}")
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = _split_row(line)
-            if len(toks) != 4:
-                raise ParseError(f"expected 4 columns, got {len(toks)}", line=lineno)
-            try:
-                frame = int(float(toks[0]))
-                x, y = float(toks[2]), float(toks[3])
-            except ValueError:
-                if lineno == 1:
-                    continue                      # header row
-                raise ParseError(f"bad numeric field in {toks!r}", line=lineno) from None
-            rows.append((frame, _parse_id(toks[1]), x, y))
-    frames = sorted({r[0] for r in rows})
-    kept = {f: i for i, f in enumerate(frames[::frame_stride])}
+    (frames,), ids, x, y = _read_table(path, 1)
+    frames = frames.tolist()
+    kept = {f: i for i, f in enumerate(sorted(set(frames))[::frame_stride])}
     tracks = {}
     seen = set()
-    for frame, aid, x, y in rows:
+    for frame, aid, px, py in zip(frames, ids, (x * scale).tolist(), (y * scale).tolist()):
         if frame not in kept:
             continue
         if (frame, aid) in seen:
             raise NonMonotoneFrames(f"agent {aid!r} appears twice in frame {frame}")
         seen.add((frame, aid))
-        tracks.setdefault(aid, []).append((kept[frame], (x * scale, y * scale)))
+        tracks.setdefault(aid, []).append((kept[frame], (px, py)))
     return TrajectorySource(tracks)
 
 
@@ -389,22 +453,29 @@ def save_trajectories(source, path):
 
 
 def load_predictions(path, scale=1.0):
-    """Read (t, tau, agent_id, x, y) rows into a replay-predictor table."""
-    table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = _split_row(line)
-            if len(toks) != 5:
-                raise ParseError(f"expected 5 columns, got {len(toks)}", line=lineno)
-            try:
-                t, tau = int(float(toks[0])), int(float(toks[1]))
-                x, y = float(toks[3]), float(toks[4])
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise ParseError(f"bad numeric field in {toks!r}", line=lineno) from None
-            table.setdefault((t, tau), {})[_parse_id(toks[2])] = (x * scale, y * scale)
-    return table
+    """Read (t, tau, agent_id, x, y) rows into a replay-predictor table.
+
+    Returns {(t, tau): (ids, positions)}: the ids in ``_id_key`` order and
+    one read-only (n, 2) array of their positions, times ``scale``. When a
+    (t, tau, agent_id) repeats, its last row wins.
+    """
+    (t, tau), ids, x, y = _read_table(path, 2)
+    ordered = sorted(set(ids), key=_id_key)
+    rank = dict(zip(ordered, range(len(ordered))))
+    ranks = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    # row number as the last key makes the sort total: repeats stay in file order
+    order = np.lexsort((np.arange(len(ranks)), ranks, tau, t))
+    t, tau, ranks = t[order], tau[order], ranks[order]
+    last = np.ones(len(order), dtype=bool)          # the last row of its (t, tau, id)
+    last[:-1] = (t[1:] != t[:-1]) | (tau[1:] != tau[:-1]) | (ranks[1:] != ranks[:-1])
+    order, t, tau, ranks = order[last], t[last], tau[last], ranks[last]
+    first = np.ones(len(order), dtype=bool)         # the first row of its (t, tau)
+    first[1:] = (t[1:] != t[:-1]) | (tau[1:] != tau[:-1])
+    starts = np.flatnonzero(first).tolist()
+    positions = np.stack((x[order], y[order]), axis=1)
+    positions *= scale
+    positions.flags.writeable = False
+    keys = zip(t[starts].tolist(), tau[starts].tolist())
+    ids = list(map(ordered.__getitem__, ranks.tolist()))
+    return {key: (tuple(ids[lo:hi]), positions[lo:hi])
+            for key, lo, hi in zip(keys, starts, starts[1:] + [len(ids)])}

@@ -293,3 +293,45 @@ def agents_at_oracle(tracks, t):
                  key=lambda aid: (isinstance(aid, str), aid))
     pos = [next(p for ts, p in tracks[aid] if ts == t) for aid in ids]
     return tuple(ids), np.asarray(pos, dtype=float).reshape(-1, 2)
+
+
+class BadLine(Exception):
+    """A row ``replay_oracle`` cannot read; args are (1-based line, message)."""
+
+
+def replay_oracle(path, scale=1.0):
+    """What a replay predictor serves for every (t, tau) of a predictions file.
+
+    Reads (t, tau, agent_id, x, y) rows one at a time into a dict of dicts:
+    comma-separated when the line holds a comma, else whitespace; blank and
+    '#' lines skipped; line 1 skipped when its numbers do not parse; the
+    last row of a repeated (t, tau, id) wins. Each entry is then served as
+    (ids, (n, 2) positions), ints before strings, each in ascending order.
+    Raises BadLine for a row with the wrong column count or a bad number.
+    """
+    table = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            toks = [tok.strip() for tok in line.split(",")] if "," in line else line.split()
+            if len(toks) != 5:
+                raise BadLine(lineno, f"expected 5 columns, got {len(toks)}")
+            try:
+                t, tau = int(float(toks[0])), int(float(toks[1]))
+                x, y = float(toks[3]), float(toks[4])
+            except (ValueError, OverflowError):                 # OverflowError: inf frames
+                if lineno == 1:
+                    continue                                    # header row
+                raise BadLine(lineno, f"bad numeric field in {toks!r}") from None
+            try:
+                aid = int(toks[2])
+            except ValueError:
+                aid = toks[2]
+            table.setdefault((t, tau), {})[aid] = (x * scale, y * scale)
+    served = {}
+    for key, entry in table.items():
+        ids = tuple(sorted(entry, key=lambda aid: (isinstance(aid, str), aid)))
+        served[key] = ids, np.asarray([entry[aid] for aid in ids], dtype=float)
+    return served

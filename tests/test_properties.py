@@ -4,17 +4,21 @@ draws, rollouts and the per-timestep agent index."""
 
 import math
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acpshield import trajectory
 from acpshield.acp import nonconformity, region_radius
-from acpshield.errors import AgentMismatch, ImpossibleObservation, ParticleDeprivation
+from acpshield.errors import AgentMismatch, ImpossibleObservation, ParseError, ParticleDeprivation
 from acpshield.planner import Planner, PlannerConfig
 from acpshield.pomdp import BeliefState, PomdpModel, belief_update
-from acpshield.shield import Bsts, compute_winning_regions, constraint_values
+from acpshield.shield import MARGIN_BLOCK, Bsts, compute_winning_regions, constraint_values
 from acpshield.trajectory import JointAgentState, TrajectorySource
 
 import oracles
@@ -99,6 +103,12 @@ def test_acp_estimator_matches_scalar_replay(seed, length, step, alpha, delta, w
 @given(seed=seeds, n_states=st.integers(0, 120), n_agents=st.integers(0, 300),
        n_nan=st.integers(0, 5), n_dup=st.integers(0, 5),
        epsilon=st.floats(0.0, 3.0), scale=st.sampled_from([1.0, 40.0, 1e6]))
+# more agents than one block holds: one state per block
+@example(seed=1, n_states=7, n_agents=MARGIN_BLOCK + 5, n_nan=1, n_dup=3, epsilon=0.5,
+         scale=40.0)
+# 1,000 states in blocks of MARGIN_BLOCK // 200 rows, the last one short
+@example(seed=2, n_states=1000, n_agents=200, n_nan=5, n_dup=0, epsilon=1.0, scale=1.0)
+@example(seed=3, n_states=0, n_agents=50, n_nan=0, n_dup=0, epsilon=0.5, scale=1.0)
 def test_constraint_values_equal_broadcast_oracle(seed, n_states, n_agents, n_nan,
                                                   n_dup, epsilon, scale):
     rng = np.random.default_rng(seed)
@@ -286,3 +296,43 @@ def test_agents_at_matches_full_scan_oracle(seed, n_agents, mixed):
         state = source.agents_at(t)
         assert state.ids == ids and state.timestep == t
         assert np.array_equal(state.positions, pos)
+
+
+frame_tok = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["1.0", "2.9", "-0.4"]))
+id_tok = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["a", "b", "07", " 3", "1.0"]))
+xy_tok = st.one_of(st.floats(-1e6, 1e6).map(repr), st.sampled_from(["nan", "-inf", "1_0"]))
+bad_tok = st.sampled_from(["x", "", "nan", "t", "1e", "2.5.1"])
+data_row = st.tuples(frame_tok, frame_tok, id_tok, xy_tok, xy_tok).map(list)
+bad_row = st.one_of(
+    st.tuples(st.integers(0, 4), bad_tok, data_row).map(lambda b: b[2][:b[0]] + [b[1]]
+                                                         + b[2][b[0] + 1:]),
+    st.lists(xy_tok, max_size=7))                           # any column count
+separator = st.sampled_from([",", ", ", " ,", " ", "\t"])
+row_line = st.tuples(st.one_of(*[data_row] * 14, bad_row), separator).map(
+    lambda r: r[1].join(r[0]))
+other_line = st.sampled_from(["", "   ", "# a comment, with, four, commas, here",
+                              "t,tau,agent_id,x,y"])
+file_lines = st.lists(st.one_of(*[row_line] * 6, other_line), max_size=30)
+
+
+@PROPERTY
+@given(lines=file_lines, chunk=st.integers(1, 6), scale=st.sampled_from([1.0, 0.5, 3.0]))
+def test_load_predictions_equals_dict_oracle(lines, chunk, scale):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "preds.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            want = oracles.replay_oracle(path, scale)
+        except oracles.BadLine as bad:
+            line, message = bad.args
+            with mock.patch.object(trajectory, "_CHUNK_LINES", chunk), \
+                    pytest.raises(ParseError) as exc:
+                trajectory.load_predictions(path, scale)
+            assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
+            return
+        with mock.patch.object(trajectory, "_CHUNK_LINES", chunk):
+            got = trajectory.load_predictions(path, scale)
+    assert got.keys() == want.keys()
+    for key, (ids, positions) in want.items():
+        assert got[key][0] == ids
+        assert np.array_equal(got[key][1], positions.reshape(-1, 2), equal_nan=True)

@@ -226,9 +226,10 @@ def test_unsafe_sets_input_validation():
         unsafe_sets(pos, pred, PredictionRegions(0, (0.5,)), epsilon=0.5, lipschitz=0.0)
 
 
-def test_constraint_values_allocates_only_states_by_agents_temporaries():
+def test_constraint_values_allocates_only_block_temporaries():
     # numpy reports its buffers to tracemalloc; a (states, agents, 2) gap
-    # array and its square would peak near 5 * states * agents * 8 bytes
+    # array and its square would peak near 5 * states * agents * 8 bytes,
+    # and two whole (states, agents) buffers near 2 * states * agents * 8
     rng = np.random.default_rng(0)
     n_states, n_agents = 2001, 300
     positions = rng.uniform(0.0, 30.0, size=(n_states, 2))
@@ -239,7 +240,7 @@ def test_constraint_values_allocates_only_states_by_agents_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n_states * n_agents * 8
+    assert peak < 0.5 * n_states * n_agents * 8
 
 
 # -- winning regions -----------------------------------------------------------

@@ -115,6 +115,109 @@ def test_replay_predictor(tmp_path):
         pred([joint([9], [[0, 0]], 4)], 2)
 
 
+def test_replay_positions_are_read_only(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_text("3,1,9,1.5,2.5\n3,1,4,0.5,0.5\n3,2,9,2.5,3.5\n")
+    pred = ReplayPredictor(load_predictions(path))
+    hist = [joint([9], [[1, 2]], 3)]
+    with pytest.raises(ValueError):
+        pred(hist, 2).at(1).positions[0, 0] = 99.0
+    np.testing.assert_array_equal(pred(hist, 2).at(1).positions, [[0.5, 0.5], [1.5, 2.5]])
+
+
+def served(path, t, horizon, scale=1.0):
+    """(ids, {id: (x, y)}) per lookahead that a replay predictor serves at t."""
+    pred = ReplayPredictor(load_predictions(path, scale=scale))
+    ps = pred([joint([], [], t)], horizon)
+    return [(ps.at(tau).ids, {a: tuple(p) for a, p in rows(ps.at(tau)).items()})
+            for tau in range(1, horizon + 1)]
+
+
+def test_load_predictions_header_comments_and_whitespace(tmp_path):
+    path = tmp_path / "preds.txt"
+    path.write_text("t,tau,agent_id,x,y\n"
+                    "# written by a tracker\n"
+                    "\n"
+                    "0 1 4 1.0 2.0\n"
+                    "   \n"
+                    "0,\t1 , 2,3.0 , 4.0\n"
+                    "  # indented comment\n"
+                    "0\t2\t4\t5.0\t6.0\n")
+    assert served(path, 0, 2) == [((2, 4), {2: (3.0, 4.0), 4: (1.0, 2.0)}),
+                                  ((4,), {4: (5.0, 6.0)})]
+
+
+@pytest.mark.parametrize("bad, line", [
+    ("0,1,4,1.0\n", 3),                        # 4 columns
+    ("0,1,4,1.0,2.0,3.0\n", 3),                # 6 columns
+    ("0,1,4,x,2.0\n", 3),                      # non-numeric position
+    ("0,one,4,1.0,2.0\n", 3),                  # non-numeric lookahead
+    ("t,tau,agent_id,x,y\n", 3),               # a header is only read on line 1
+])
+def test_load_predictions_errors_name_their_line(tmp_path, bad, line):
+    path = tmp_path / "preds.csv"
+    path.write_text("t,tau,agent_id,x,y\n0,1,1,0.0,0.0\n" + bad + "0,1,2,0.0,0.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_predictions(path)
+    assert exc.value.line == line
+    assert f"line {line}" in str(exc.value)
+
+
+def test_load_predictions_first_bad_line_wins(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_text("0,1,1,0.0,0.0\n0,1,2,x,0.0\n0,1,3,0.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_predictions(path)
+    assert exc.value.line == 2
+
+
+def test_load_predictions_last_row_wins_and_id_order(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_text("5,1,b,1.0,1.0\n"
+                    "5,1,10,2.0,2.0\n"
+                    "5,1,a,3.0,3.0\n"
+                    "5,1,9,4.0,4.0\n"
+                    "5,1,b,5.0,5.0\n"          # repeats (5, 1, 'b'): this row wins
+                    "5.0,1,10,6.0,6.0\n"       # frames read as int(float(.))
+                    "5,1,9,7.0,7.0\n")         # the first id served repeats too
+    [(ids, pos)] = served(path, 5, 1)
+    assert ids == (9, 10, "a", "b")
+    assert pos == {9: (7.0, 7.0), 10: (6.0, 6.0), "a": (3.0, 3.0), "b": (5.0, 5.0)}
+
+
+def test_load_predictions_scale_and_empty_file(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_text("2,1,7,1.5,-3.0\n")
+    assert served(path, 2, 1, scale=0.5) == [((7,), {7: (0.75, -1.5)})]
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert len(load_predictions(empty)) == 0
+    with pytest.raises(MissingExternalPrediction):
+        ReplayPredictor(load_predictions(empty))([joint([], [], 0)], 1)
+
+
+def test_load_predictions_past_the_first_chunk(tmp_path):
+    # longer than the reader's chunks, so every case below sits past the first
+    lines = ["t,tau,agent_id,x,y"]
+    lines += [f"{i // 100},1,{i % 100},{i}.0,{-i}.0" for i in range(12_000)]
+    path = tmp_path / "preds.csv"
+    path.write_text("\n".join(lines) + "\n")
+    [(ids, pos)] = served(path, 119, 1)
+    assert ids == tuple(range(100))
+    assert pos[42] == (11_942.0, -11_942.0)
+
+    dup = lines + ["119,1,42,1.0,2.0"]
+    path.write_text("\n".join(dup) + "\n")
+    [(_, pos)] = served(path, 119, 1)
+    assert pos[42] == (1.0, 2.0)
+
+    for bad, line in (("119,1,42,nan-ish,2.0", 9_001), ("119,1,42", 9_001)):
+        path.write_text("\n".join(lines[:9_000] + [bad] + lines[9_000:]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_predictions(path)
+        assert exc.value.line == line
+
+
 def test_make_predictor_registry(tmp_path):
     assert make_predictor("constant") is predict_constant
     assert make_predictor("constant-velocity") is predict_constant_velocity
