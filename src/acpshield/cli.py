@@ -21,6 +21,7 @@ from .harness import (
     load_config,
     run_benchmark,
     run_episode,
+    run_many,
     write_aggregate_csv,
     write_raw_csv,
 )
@@ -129,8 +130,7 @@ def cmd_validate(args):
     cfg = replace(cfg, verify_certificates=True)
     model = build_gridworld(cfg.grid)
     cert_failures = violations = checked = deadlocks = 0
-    for run in range(cfg.runs):
-        r = run_episode(cfg, run=run, model=model)
+    for run, r in enumerate(run_many(cfg, model)):
         cert_failures += r.certificate_failures
         violations += r.soundness_violations
         checked += r.soundness_checked

@@ -132,20 +132,22 @@ def fallback_action(model, support, unsafe):
     Maximizes the worst-case one-step margin over all successor states of
     the support; ties go to the lowest action index. Used only after
     AllActionsShielded, so "safe" options no longer exist and the margin
-    ranking is a best effort.
+    ranking is a best effort. Only the successors' margins are computed.
     """
-    margins = unsafe.margins.get(1)
     threshold = unsafe.thresholds.get(1)
-    if margins is None or threshold is None:
-        raise InvalidSpec("unsafe sets carry no lookahead-1 margins")
+    if threshold is None or 1 not in unsafe.agents:
+        raise InvalidSpec("unsafe sets carry no lookahead-1 agent positions")
+    successors = [[s2 for s in support for s2 in model.successors(s, a)]
+                  for a in range(model.n_actions)]
+    states = sorted(set().union(*successors))
+    margins = dict(zip(states, unsafe.margins(1, states).tolist()))
     best_action, best = 0, -math.inf
-    for a in range(model.n_actions):
+    for a, succ in enumerate(successors):
         worst = math.inf
-        for s in support:
-            for s2 in model.successors(s, a):
-                m = safe_margin(margins[s2], threshold)
-                if m < worst:
-                    worst = m
+        for s2 in succ:
+            m = safe_margin(margins[s2], threshold)
+            if m < worst:
+                worst = m
         if worst > best:
             best, best_action = worst, a
     return best_action

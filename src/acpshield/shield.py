@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidSpec, UnknownSupport
 
-MARGIN_BLOCK = 16_384     # state-agent pairs per block of constraint_values
+MARGIN_BLOCK = 16_384     # state-agent pairs per block of margins
 
 
 def validate_support(model, states):
@@ -102,6 +102,33 @@ class Bsts:
         return sum(len(sups) for sups in self.levels.values())
 
 
+def _nearest_sq(ax, ay, sx, sy, bx, by):
+    """Min over the agents (ax, ay) of the squared distance to each state
+    (sx, sy), computed in (agents, states) blocks at the front of the flat
+    buffers bx and by."""
+    shape = (ax.size, sx.size)
+    bx = bx[:ax.size * sx.size].reshape(shape)
+    by = by[:ax.size * sx.size].reshape(shape)
+    np.subtract(sx, ax[:, None], out=bx)
+    np.subtract(sy, ay[:, None], out=by)
+    bx *= bx
+    by *= by
+    bx += by
+    return bx.min(axis=0)
+
+
+def _agents_per_block(n_states):
+    """About ``MARGIN_BLOCK`` state-agent pairs a block, at least 16 agents."""
+    return max(16, MARGIN_BLOCK // max(n_states, 1))
+
+
+def _block_buffers(n_agents, n_states):
+    """Two flat buffers, each big enough for any block of at most
+    ``n_agents`` agents against ``n_states`` or fewer states."""
+    size = min(n_agents * n_states, max(16 * n_states, MARGIN_BLOCK))
+    return np.empty(size), np.empty(size)
+
+
 def constraint_values(positions, agent_positions, epsilon):
     """Distance margin of every state's center to the closest predicted agent.
 
@@ -110,11 +137,11 @@ def constraint_values(positions, agent_positions, epsilon):
     (N, 2). Returns min_i dist(state, agent_i) - epsilon, with the min over
     zero agents +inf.
 
-    Works through the states in row blocks of about ``MARGIN_BLOCK``
-    state-agent pairs, reusing two block buffers, so its temporaries stay in
-    cache whatever the grid size. The square root is taken after the min
-    over agents: sqrt is monotone and correctly rounded, so this equals the
-    min of the per-agent distances bit for bit.
+    Works through the agents in (agents, states) blocks of about
+    ``MARGIN_BLOCK`` pairs, keeping the running min of the squared
+    distances. The square root is taken after the min over agents: sqrt is
+    monotone and correctly rounded, so this equals the min of the per-agent
+    distances bit for bit.
     """
     pos = np.asarray(positions, dtype=float)
     agents = np.asarray(agent_positions, dtype=float).reshape(-1, 2)
@@ -122,20 +149,13 @@ def constraint_values(positions, agent_positions, epsilon):
     out = np.full(n_states, math.inf)
     if n_agents == 0:
         return out
-    rows = max(1, MARGIN_BLOCK // n_agents)
-    dx = np.empty((min(rows, n_states), n_agents))
-    dy = np.empty_like(dx)
-    ax, ay = agents[:, 0], agents[:, 1]
-    dists = np.empty(n_states)
-    for lo in range(0, n_states, rows):
-        hi = min(lo + rows, n_states)
-        bx, by = dx[:hi - lo], dy[:hi - lo]
-        np.subtract(pos[lo:hi, 0, None], ax, out=bx)
-        np.subtract(pos[lo:hi, 1, None], ay, out=by)
-        bx *= bx
-        by *= by
-        bx += by
-        bx.min(axis=1, out=dists[lo:hi])
+    k = _agents_per_block(n_states)
+    bx, by = _block_buffers(n_agents, n_states)
+    sx, sy = pos[:, 0], pos[:, 1]
+    dists = None
+    for lo in range(0, n_agents, k):
+        block = _nearest_sq(agents[lo:lo + k, 0], agents[lo:lo + k, 1], sx, sy, bx, by)
+        dists = block if dists is None else np.minimum(dists, block, out=dists)
     np.sqrt(dists, out=dists)
     finite = np.isfinite(dists)
     out[finite] = dists[finite] - epsilon
@@ -144,24 +164,60 @@ def constraint_values(positions, agent_positions, epsilon):
 
 @dataclass
 class UnsafeSets:
-    """Per-lookahead unsafe state sets and their constraint margins.
+    """Per-lookahead unsafe state sets, with what their margins need.
 
     f_sets[tau] holds the states whose margin to the lookahead-tau
-    prediction is below lipschitz * radius(tau). Lookahead 0 is the already
-    realized present and is always safe. margins[tau] keeps the raw
-    constraint values for every state (used by the fallback action choice).
+    prediction is below thresholds[tau] = lipschitz * radius(tau).
+    Lookahead 0 is the already realized present and is always safe.
+    ``margins(tau, states)`` computes the constraint values of a few states
+    on demand (used by the fallback action choice) from the state
+    positions, the lookahead-tau agent positions ``agents[tau]`` and
+    ``epsilon``.
     """
 
     horizon: int
     f_sets: dict
-    margins: dict
     thresholds: dict
+    positions: np.ndarray
+    agents: dict
+    epsilon: float
 
     def is_unsafe(self, support, q):
         if q < 1 or q > self.horizon:
             return False
         f = self.f_sets[q]
         return any(s in f for s in support)
+
+    def margins(self, tau, states):
+        """Constraint values of ``states`` against the lookahead-tau agents."""
+        return constraint_values(self.positions[states], self.agents[tau], self.epsilon)
+
+
+def _first_witness(pos, located, agents, epsilon, threshold):
+    """Sorted states of ``located`` whose margin to ``agents`` is below
+    ``threshold``.
+
+    The undecided states meet the agents block by block, (k agents,
+    undecided states) with k = max(16, MARGIN_BLOCK // undecided), and a
+    state leaves at the first block whose nearest agent puts its margin
+    below the threshold. sqrt and the subtraction of epsilon are monotone,
+    so a block's minimum passes exactly when the minimum over all agents
+    does.
+    """
+    n_agents = agents.shape[0]
+    bx, by = _block_buffers(n_agents, located.size)
+    hits = []
+    undecided, lo = located, 0
+    while undecided.size and lo < n_agents:
+        hi = lo + _agents_per_block(undecided.size)
+        near = _nearest_sq(agents[lo:hi, 0], agents[lo:hi, 1], pos[undecided, 0],
+                           pos[undecided, 1], bx, by)
+        np.sqrt(near, out=near)
+        near -= epsilon
+        hit = near < threshold
+        hits.append(undecided[hit])
+        undecided, lo = undecided[~hit], hi
+    return np.sort(np.concatenate(hits)) if hits else located[:0]
 
 
 def unsafe_sets(positions, predictions, regions, epsilon, lipschitz=1.0):
@@ -171,7 +227,7 @@ def unsafe_sets(positions, predictions, regions, epsilon, lipschitz=1.0):
     the predicted joint agent state (minimum over agents, minus epsilon)
     falls below lipschitz * radius(tau). An infinite radius during ACP
     warm-up therefore marks every located state unsafe, the conservative
-    answer; states without a location (margin +inf) are never unsafe.
+    answer; states without a location are never unsafe.
     """
     if predictions.horizon != regions.horizon:
         raise InvalidSpec(
@@ -181,16 +237,17 @@ def unsafe_sets(positions, predictions, regions, epsilon, lipschitz=1.0):
         raise InvalidSpec(f"epsilon must be >= 0, got {epsilon}")
     if lipschitz <= 0.0:
         raise InvalidSpec(f"lipschitz constant must be > 0, got {lipschitz}")
+    pos = np.asarray(positions, dtype=float)
+    located = np.flatnonzero(np.isfinite(pos).all(axis=1))
     horizon = predictions.horizon
-    f_sets, margins, thresholds = {}, {}, {}
+    f_sets, agents, thresholds = {}, {}, {}
     for tau in range(1, horizon + 1):
-        vals = constraint_values(positions, predictions.at(tau).positions, epsilon)
-        threshold = lipschitz * regions.radius(tau)
-        f_sets[tau] = frozenset(np.flatnonzero(vals < threshold).tolist())
-        margins[tau] = vals
-        thresholds[tau] = threshold
-    return UnsafeSets(horizon=horizon, f_sets=f_sets, margins=margins,
-                      thresholds=thresholds)
+        agents[tau] = predictions.at(tau).positions
+        thresholds[tau] = lipschitz * regions.radius(tau)
+        unsafe = _first_witness(pos, located, agents[tau], epsilon, thresholds[tau])
+        f_sets[tau] = frozenset(unsafe.tolist())
+    return UnsafeSets(horizon=horizon, f_sets=f_sets, thresholds=thresholds,
+                      positions=pos, agents=agents, epsilon=epsilon)
 
 
 @dataclass

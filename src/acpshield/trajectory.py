@@ -86,29 +86,50 @@ class PredictionSet:
 
 
 class TrajectorySource:
-    """Immutable per-agent position sequences over integer timesteps."""
+    """Immutable agent positions over integer timesteps.
+
+    Kept as one frame per timestep: the ids present, in id order (timesteps
+    with equal id sets share one tuple), and a read-only (n, 2) array of
+    their positions.
+    """
 
     def __init__(self, tracks):
         """tracks: dict agent_id -> list of (timestep, (x, y)), increasing t."""
-        self._tracks = {}
+        seqs = {}
         for aid, seq in tracks.items():
             seq = sorted(seq, key=lambda p: p[0])
             for (t0, _), (t1, _) in zip(seq, seq[1:]):
                 if t1 <= t0:
                     raise NonMonotoneFrames(
                         f"agent {aid!r} has repeated timestep {t1}")
-            self._tracks[aid] = {t: np.asarray(p, dtype=float) for t, p in seq}
-        self._ids = tuple(sorted(self._tracks, key=_id_key))
-        present = {}                  # timestep -> ids present, in id order
-        for aid in self._ids:
-            for t in self._tracks[aid]:
-                present.setdefault(t, []).append(aid)
-        shared = {}                   # timesteps with equal id sets share one tuple
-        self._present = {}
-        for t, ids in present.items():
-            ids = tuple(ids)
-            self._present[t] = shared.setdefault(ids, ids)
-        self._span = (min(present), max(present)) if present else None
+            seqs[aid] = seq
+        ids = sorted(seqs, key=_id_key)
+        present = {}                  # timestep -> (ids, points) present, in id order
+        for aid in ids:
+            for t, p in seqs[aid]:
+                at_ids, at_points = present.setdefault(t, ([], []))
+                at_ids.append(aid)
+                at_points.append(p)
+        self._set_frames(ids, {
+            t: (tuple(at_ids), np.array(at_points, dtype=float).reshape(-1, 2))
+            for t, (at_ids, at_points) in sorted(present.items())})
+
+    @classmethod
+    def _from_frames(cls, ids, frames):
+        """A source from all agent ids in id order and time-sorted frames
+        {t: (ids present, (n, 2) positions)}."""
+        source = cls.__new__(cls)
+        source._set_frames(ids, frames)
+        return source
+
+    def _set_frames(self, ids, frames):
+        self._ids = tuple(ids)
+        shared = {}
+        self._frames = {}
+        for t, (present, positions) in frames.items():
+            positions.flags.writeable = False
+            self._frames[t] = (shared.setdefault(present, present), positions)
+        self._span = (min(frames), max(frames)) if frames else None
 
     @property
     def agent_ids(self):
@@ -122,16 +143,17 @@ class TrajectorySource:
         """Joint state of the agents present at timestep t."""
         if self._span is not None and not (self._span[0] <= t <= self._span[1]):
             raise OutOfRange(f"timestep {t} outside span {self._span}")
-        ids = self._present.get(t)
-        if ids is None:
+        frame = self._frames.get(t)
+        if frame is None:
             return JointAgentState.empty(t)
-        pos = np.stack([self._tracks[aid][t] for aid in ids])
-        return JointAgentState(ids, pos, t)
+        return JointAgentState(*frame, t)
 
     def track(self, agent_id):
         """Time-sorted (timestep, position) pairs for one agent."""
-        tr = self._tracks[agent_id]
-        return [(t, tr[t]) for t in sorted(tr)]
+        if agent_id not in self._ids:
+            raise KeyError(agent_id)
+        return [(t, positions[present.index(agent_id)])
+                for t, (present, positions) in self._frames.items() if agent_id in present]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +305,7 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
                 v[d] = -v[d]
         return p, v
 
-    tracks = {}
+    points = np.empty((length, n_agents, 2))
     for aid in range(n_agents):
         pos = rng.uniform(lo, hi)
         if kind == "random-walk":
@@ -292,9 +314,8 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
             heading = rng.uniform(0.0, 2.0 * math.pi)
             vel = speed * np.array([math.cos(heading), math.sin(heading)])
         waypoint = rng.uniform(lo, hi) if kind == "waypoint" else None
-        seq = []
         for t in range(length):
-            seq.append((t, pos.copy()))
+            points[t, aid] = pos
             if kind == "random-walk":
                 step = rng.normal(0.0, speed, size=2)
             elif kind == "constant-velocity-with-noise":
@@ -315,8 +336,9 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
                 pos, vel = reflect(pos, vel)      # keep exact lines exact inside
             else:
                 pos = np.clip(pos, lo, hi)
-        tracks[aid] = seq
-    return TrajectorySource(tracks)
+    ids = tuple(range(n_agents))
+    frames = {t: (ids, points[t]) for t in range(length)} if n_agents else {}
+    return TrajectorySource._from_frames(ids, frames)
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +450,29 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     if frame_stride < 1:
         raise InvalidSpec(f"frame_stride must be >= 1, got {frame_stride}")
     (frames,), ids, x, y = _read_table(path, 1)
-    frames = frames.tolist()
-    kept = {f: i for i, f in enumerate(sorted(set(frames))[::frame_stride])}
-    tracks = {}
-    seen = set()
-    for frame, aid, px, py in zip(frames, ids, (x * scale).tolist(), (y * scale).tolist()):
-        if frame not in kept:
-            continue
-        if (frame, aid) in seen:
-            raise NonMonotoneFrames(f"agent {aid!r} appears twice in frame {frame}")
-        seen.add((frame, aid))
-        tracks.setdefault(aid, []).append((kept[frame], (px, py)))
-    return TrajectorySource(tracks)
+    kept = np.unique(frames)[::frame_stride]
+    rows = np.flatnonzero(np.isin(frames, kept))
+    ids = list(map(ids.__getitem__, rows.tolist()))
+    if not ids:
+        return TrajectorySource({})
+    ordered = sorted(set(ids), key=_id_key)
+    rank = dict(zip(ordered, range(len(ordered))))
+    ranks = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    steps = np.searchsorted(kept, frames[rows])
+    order = np.lexsort((ranks, steps))      # stable: repeats stay in file order
+    steps, ranks = steps[order], ranks[order]
+    repeat = (steps[1:] == steps[:-1]) & (ranks[1:] == ranks[:-1])
+    if repeat.any():
+        first = int(order[1:][repeat].min())       # the first repeated row in the file
+        raise NonMonotoneFrames(
+            f"agent {ids[first]!r} appears twice in frame {int(frames[rows[first]])}")
+    positions = np.stack((x, y), axis=1)[rows[order]]
+    positions *= scale
+    starts = [0] + (np.flatnonzero(steps[1:] != steps[:-1]) + 1).tolist()
+    ids = list(map(ordered.__getitem__, ranks.tolist()))
+    return TrajectorySource._from_frames(ordered, {
+        t: (tuple(ids[lo:hi]), positions[lo:hi])
+        for t, lo, hi in zip(steps[starts].tolist(), starts, starts[1:] + [len(ids)])})
 
 
 def save_trajectories(source, path):

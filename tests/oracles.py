@@ -200,6 +200,26 @@ def constraint_values_oracle(positions, agent_positions, epsilon):
     return out
 
 
+def fallback_oracle(model, support, margins, threshold):
+    """``planner.fallback_action`` from a full-grid margin array.
+
+    Scores each action by its worst successor margin minus ``threshold``
+    (unlocated states, margin +inf, always safe; an infinite threshold
+    makes every located state maximally unsafe) and returns the best,
+    ties to the lowest action.
+    """
+    def margin(c):
+        if math.isinf(c):
+            return math.inf
+        if math.isinf(threshold):
+            return -math.inf
+        return c - threshold
+
+    worst = [min(margin(margins[s2]) for s in support for s2 in model.successors(s, a))
+             for a in range(model.n_actions)]
+    return max(range(model.n_actions), key=lambda a: (worst[a], -a))
+
+
 def nonconformity_oracle(actual, predicted):
     """Stacked-norm score of ``acp.nonconformity``, one id lookup at a time.
 
@@ -293,6 +313,49 @@ def agents_at_oracle(tracks, t):
                  key=lambda aid: (isinstance(aid, str), aid))
     pos = [next(p for ts, p in tracks[aid] if ts == t) for aid in ids]
     return tuple(ids), np.asarray(pos, dtype=float).reshape(-1, 2)
+
+
+class RepeatedRow(Exception):
+    """An agent appears twice in one kept frame; args are (agent id, frame)."""
+
+
+def trajectories_oracle(path, scale=1.0, frame_stride=1):
+    """What ``load_trajectories`` serves for a plain ``frame_id,agent_id,x,y``
+    file (commas, no header, no comments), one row at a time.
+
+    Keeps every ``frame_stride``-th distinct frame, in ascending order, as
+    timesteps 0, 1, ...; raises RepeatedRow for the first row, in file
+    order, whose (frame, agent) was seen before in a kept frame. Returns
+    (agent ids, {timestep: (ids, (n, 2) positions)}), ids ints before
+    strings, each ascending.
+    """
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    frames = sorted({int(row[0]) for row in rows})[::frame_stride]
+    timestep = {f: i for i, f in enumerate(frames)}
+    table, seen = {}, set()
+    for frame, aid, x, y in rows:
+        frame = int(frame)
+        try:
+            aid = int(aid)
+        except ValueError:
+            pass
+        if frame not in timestep:
+            continue
+        if (frame, aid) in seen:
+            raise RepeatedRow(aid, frame)
+        seen.add((frame, aid))
+        table.setdefault(timestep[frame], {})[aid] = (float(x) * scale, float(y) * scale)
+
+    def key(aid):
+        return isinstance(aid, str), aid
+
+    ids = sorted({aid for entry in table.values() for aid in entry}, key=key)
+    served = {}
+    for t, entry in table.items():
+        present = tuple(sorted(entry, key=key))
+        served[t] = present, np.asarray([entry[aid] for aid in present], dtype=float)
+    return ids, served
 
 
 class BadLine(Exception):

@@ -90,7 +90,7 @@ def test_criterion_2_constraint_golden_value():
     prediction = PredictionSet(0, 1, (JointAgentState((0,), [[17.334, 9.711]], 1),))
     unsafe = unsafe_sets(positions, prediction,
                          PredictionRegions(0, (0.736,)), epsilon=2.0)
-    margin = unsafe.margins[1][state]
+    margin = unsafe.margins(1, [state])[0]
     ok = abs(margin - 3.7497) <= 1e-3 and state not in unsafe.f_sets[1]
     report(2, ok, f"c((18,4), agent)={margin:.4f} vs radius 0.736 -> "
                   f"{'safe' if state not in unsafe.f_sets[1] else 'unsafe'}")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from acpshield import harness
 from acpshield.cli import build_parser, main
 
 
@@ -60,6 +61,22 @@ def test_run_dump_writes_step_json(tiny_config, tmp_path, capsys):
     step = payload["steps"][0]
     assert {"t", "support", "radii", "predicted", "unsafe"} <= set(step)
     assert set(step["unsafe"]) == {"1", "2"}
+
+
+def test_validate_loads_a_csv_log_once(tiny_config, tmp_path, capsys, monkeypatch):
+    log = tmp_path / "agents.csv"
+    log.write_text("frame_id,agent_id,x,y\n" + "".join(
+        f"{t},{a},{1.0 + 0.05 * t},{1.0 + 3 * a}\n" for t in range(80) for a in range(2)))
+    config = tmp_path / "csv.yaml"
+    config.write_text(tiny_config.read_text().replace(
+        "{kind: random-walk, count: 2, speed: 0.25}", f"{{csv: {log}}}"))
+    loads = []
+    load = harness.load_trajectories
+    monkeypatch.setattr(harness, "load_trajectories",
+                        lambda *args, **kwargs: loads.append(args) or load(*args, **kwargs))
+    assert main(["validate", "--config", str(config), "--runs", "3"]) == 0
+    assert capsys.readouterr().out.count("run=") == 3
+    assert len(loads) == 1
 
 
 def test_run_method_override(tiny_config, capsys):

@@ -47,7 +47,18 @@ def manual_unsafe(horizon, by_level):
     return UnsafeSets(
         horizon=horizon,
         f_sets={tau: frozenset(by_level.get(tau, ())) for tau in range(1, horizon + 1)},
-        margins={}, thresholds={})
+        thresholds={}, positions=None, agents={}, epsilon=0.0)
+
+
+def margin_unsafe(horizon, margins, threshold):
+    """UnsafeSets whose lookahead-1 margins are ``margins``: state s sits
+    margins[s] from one agent at the origin, with a zero buffer."""
+    positions = np.stack([margins, np.zeros_like(margins)], axis=1)
+    unsafe = UnsafeSets(horizon=horizon, f_sets={tau: frozenset() for tau in range(1, horizon + 1)},
+                        thresholds={1: threshold}, positions=positions,
+                        agents={1: np.zeros((1, 2))}, epsilon=0.0)
+    assert np.array_equal(unsafe.margins(1, np.arange(len(margins))), margins)
+    return unsafe
 
 
 def corridor(n=5, rewards=None, discount=0.9):
@@ -536,8 +547,7 @@ def test_advance_root_impossible_observation():
 def test_fallback_action_maximizes_worst_margin():
     model = corridor()
     margins = np.array([0.2, 3.0, 0.5, 0.1, 4.0])
-    unsafe = UnsafeSets(horizon=2, f_sets={1: fs(), 2: fs()},
-                        margins={1: margins}, thresholds={1: 1.0})
+    unsafe = margin_unsafe(2, margins, 1.0)
     assert fallback_action(model, fs(2), unsafe) == 0
     assert fallback_action(model, fs(1, 3), unsafe) == 1
     for support in (fs(2), fs(1, 3), fs(0, 4), fs(0, 2, 4)):
@@ -551,8 +561,7 @@ def test_fallback_action_maximizes_worst_margin():
 def test_fallback_tie_breaks_lowest_and_handles_infinities():
     model = corridor(3)
     margins = np.array([1.0, 1.0, 1.0])
-    unsafe = UnsafeSets(horizon=1, f_sets={1: fs()},
-                        margins={1: margins}, thresholds={1: math.inf})
+    unsafe = margin_unsafe(1, margins, math.inf)
     assert fallback_action(model, fs(1), unsafe) == 0
     assert safe_margin(math.inf, math.inf) == math.inf
     assert safe_margin(1.0, math.inf) == -math.inf

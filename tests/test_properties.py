@@ -14,12 +14,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acpshield import trajectory
-from acpshield.acp import nonconformity, region_radius
-from acpshield.errors import AgentMismatch, ImpossibleObservation, ParseError, ParticleDeprivation
-from acpshield.planner import Planner, PlannerConfig
+from acpshield.acp import PredictionRegions, nonconformity, region_radius
+from acpshield.errors import (
+    AgentMismatch,
+    ImpossibleObservation,
+    NonMonotoneFrames,
+    ParseError,
+    ParticleDeprivation,
+)
+from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
+from acpshield.planner import Planner, PlannerConfig, fallback_action
 from acpshield.pomdp import BeliefState, PomdpModel, belief_update
-from acpshield.shield import MARGIN_BLOCK, Bsts, compute_winning_regions, constraint_values
-from acpshield.trajectory import JointAgentState, TrajectorySource
+from acpshield.shield import (
+    MARGIN_BLOCK,
+    Bsts,
+    compute_winning_regions,
+    constraint_values,
+    unsafe_sets,
+)
+from acpshield.trajectory import JointAgentState, PredictionSet, TrajectorySource
 
 import oracles
 from conftest import make_random_pomdp
@@ -123,6 +136,83 @@ def test_constraint_values_equal_broadcast_oracle(seed, n_states, n_agents, n_na
         positions[rng.integers(0, n_states), rng.integers(0, 2)] = np.nan
     got = constraint_values(positions, agents, epsilon)
     assert np.array_equal(got, oracles.constraint_values_oracle(positions, agents, epsilon))
+
+
+def agents_with_edge_cases(rng, n_agents, n_dup, scale):
+    """Integer agent positions up to ``scale``, ``n_dup`` of them repeated."""
+    agents = np.round(rng.uniform(-scale, scale, size=(n_agents, 2)))
+    if n_agents:
+        agents = np.concatenate([agents, agents[rng.integers(0, n_agents, size=n_dup)]])
+    return agents
+
+
+@PROPERTY
+@given(seed=seeds, n_states=st.integers(0, 80), counts=st.lists(st.integers(0, 40),
+       min_size=1, max_size=3), n_nan=st.integers(0, 5), n_dup=st.integers(0, 5),
+       epsilon=st.sampled_from([0.0, 2.0, 0.3]),
+       radius_pool=st.lists(st.sampled_from([0.0, 3.0, 5.0, 6.0, 8.0, 0.7, math.inf]),
+                            min_size=3, max_size=3),
+       lipschitz=st.sampled_from([1.0, 0.5, 2.0]), scale=st.sampled_from([1.0, 40.0, 1e6]),
+       block=st.sampled_from([1, 7, 64, MARGIN_BLOCK]))
+# the undecided states shrink between blocks, so later blocks take more agents
+@example(seed=4, n_states=400, counts=[200, 300], n_nan=2, n_dup=3, epsilon=0.3,
+         radius_pool=[3.0, 0.7, 8.0], lipschitz=1.0, scale=40.0, block=MARGIN_BLOCK)
+def test_unsafe_sets_equal_margin_oracle(seed, n_states, counts, n_nan, n_dup, epsilon,
+                                         radius_pool, lipschitz, scale, block):
+    # a state is unsafe at tau exactly when its broadcast margin to the
+    # lookahead-tau agents is below lipschitz * radius(tau); a small block
+    # size makes the blocks ragged
+    rng = np.random.default_rng(seed)
+    horizon = len(counts)
+    positions = rng.uniform(-scale, scale, size=(n_states, 2))
+    preds = []
+    for tau, n_agents in enumerate(counts, 1):
+        agents = agents_with_edge_cases(rng, n_agents, n_dup, scale)
+        if n_agents and n_states:
+            # states at 3-4-5 offsets: distance 5k, on the boundary when
+            # epsilon + lipschitz * radius equals it
+            rows = rng.integers(0, n_states, size=min(n_states, 6))
+            picks = agents[rng.integers(0, len(agents), size=len(rows))]
+            positions[rows] = picks + np.array([3.0, 4.0]) * rng.integers(1, 3, size=(len(rows), 1))
+        preds.append(JointAgentState(tuple(range(len(agents))), agents, tau))
+    if n_states:
+        positions[rng.integers(0, n_states, size=n_nan)] = np.nan
+    regions = PredictionRegions(0, tuple(radius_pool[:horizon]))
+    with mock.patch("acpshield.shield.MARGIN_BLOCK", block):
+        unsafe = unsafe_sets(positions, PredictionSet(0, horizon, tuple(preds)), regions,
+                             epsilon, lipschitz)
+    for tau in range(1, horizon + 1):
+        threshold = lipschitz * regions.radius(tau)
+        margins = oracles.constraint_values_oracle(positions, preds[tau - 1].positions,
+                                                   epsilon)
+        assert unsafe.f_sets[tau] == frozenset(np.flatnonzero(margins < threshold).tolist())
+        assert unsafe.thresholds[tau] == threshold
+
+
+GRIDS = [GridSpec(width=w, height=h, start_cells={(0, 0): 1.0}, goal_cell=(w - 1, h - 1))
+         for w, h in ((4, 3), (6, 6))]
+
+
+@PROPERTY
+@given(seed=seeds, grid=st.sampled_from(GRIDS), n_agents=st.integers(0, 6),
+       n_support=st.integers(1, 4), radius=st.sampled_from([0.0, 0.5, 1.5, 3.0, math.inf]),
+       epsilon=st.sampled_from([0.0, 0.5, 1.0]), lipschitz=st.sampled_from([1.0, 2.0]))
+def test_fallback_action_equals_full_grid_oracle(seed, grid, n_agents, n_support, radius,
+                                                 epsilon, lipschitz):
+    rng = np.random.default_rng(seed)
+    model = build_gridworld(grid)
+    positions = cell_positions(grid)
+    bounds = np.array([grid.width, grid.height], dtype=float)
+    preds = tuple(JointAgentState(tuple(range(n_agents)),
+                                  rng.uniform(0.0, bounds, size=(n_agents, 2)), tau)
+                  for tau in (1, 2))
+    prediction = PredictionSet(0, 2, preds)
+    unsafe = unsafe_sets(positions, prediction, PredictionRegions(0, (radius, radius)),
+                         epsilon, lipschitz)
+    support = frozenset(rng.choice(model.n_states, size=n_support, replace=False).tolist())
+    margins = oracles.constraint_values_oracle(positions, preds[0].positions, epsilon)
+    assert fallback_action(model, support, unsafe) == oracles.fallback_oracle(
+        model, support, margins, lipschitz * radius)
 
 
 def random_joint(rng, ids, timestep=0):
@@ -296,6 +386,36 @@ def test_agents_at_matches_full_scan_oracle(seed, n_agents, mixed):
         state = source.agents_at(t)
         assert state.ids == ids and state.timestep == t
         assert np.array_equal(state.positions, pos)
+    for aid, seq in tracks.items():
+        got = source.track(aid)
+        assert [t for t, _ in got] == [t for t, _ in seq]
+        assert all(np.array_equal(p, want) for (_, p), (_, want) in zip(got, seq))
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(st.integers(0, 12), st.one_of(st.integers(0, 9),
+                                                              st.sampled_from(["a", "b"])),
+                               st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), max_size=60),
+       stride=st.integers(1, 3), scale=st.sampled_from([1.0, 0.5, 3.0]))
+def test_load_trajectories_equals_row_oracle(rows, stride, scale):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        path.write_text("".join(f"{f},{aid},{x!r},{y!r}\n" for f, aid, x, y in rows))
+        try:
+            ids, served = oracles.trajectories_oracle(path, scale, stride)
+        except oracles.RepeatedRow as repeat:
+            aid, frame = repeat.args
+            with pytest.raises(NonMonotoneFrames) as exc:
+                trajectory.load_trajectories(path, scale=scale, frame_stride=stride)
+            assert str(exc.value) == f"agent {aid!r} appears twice in frame {frame}"
+            return
+        source = trajectory.load_trajectories(path, scale=scale, frame_stride=stride)
+    assert source.agent_ids == ids
+    assert source.span() == ((min(served), max(served)) if served else None)
+    for t, (present, positions) in served.items():
+        state = source.agents_at(t)
+        assert state.ids == present
+        assert np.array_equal(state.positions, positions)
 
 
 frame_tok = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["1.0", "2.9", "-0.4"]))

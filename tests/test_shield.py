@@ -34,7 +34,7 @@ def manual_unsafe(horizon, by_level):
     """UnsafeSets straight from state sets, skipping the geometric builder."""
     return UnsafeSets(horizon=horizon,
                       f_sets={tau: frozenset(by_level.get(tau, ())) for tau in range(1, horizon + 1)},
-                      margins={}, thresholds={})
+                      thresholds={}, positions=None, agents={}, epsilon=0.0)
 
 
 def make_shield(model, root, horizon, unsafe):
@@ -186,7 +186,7 @@ def test_unsafe_sets_paper_worked_example():
     regions = PredictionRegions(0, (0.736, 1.329))
     unsafe = unsafe_sets(pos, pred, regions, epsilon=2.0, lipschitz=1.0)
     s_18_4 = spec.state_index(18, 4)
-    assert unsafe.margins[1][s_18_4] == pytest.approx(3.7497, abs=1e-3)
+    assert unsafe.margins(1, [s_18_4])[0] == pytest.approx(3.7497, abs=1e-3)
     assert s_18_4 not in unsafe.f_sets[1]
     # a cell well inside the inflated region is excluded
     s_17_9 = spec.state_index(17, 9)
@@ -194,7 +194,7 @@ def test_unsafe_sets_paper_worked_example():
     # two-step lookahead: (18,7) sits 2.7435 from the prediction, margin
     # 0.7435 below the 1.329 radius, hence unsafe
     s_18_7 = spec.state_index(18, 7)
-    assert unsafe.margins[2][s_18_7] == pytest.approx(0.7435, abs=1e-3)
+    assert unsafe.margins(2, [s_18_7])[0] == pytest.approx(0.7435, abs=1e-3)
     assert s_18_7 in unsafe.f_sets[2]
     assert unsafe.thresholds == {1: 0.736, 2: 1.329}
 
@@ -204,7 +204,7 @@ def test_unsafe_sets_no_agents_vacuous():
     pred = PredictionSet(0, 2, (JointAgentState.empty(1), JointAgentState.empty(2)))
     unsafe = unsafe_sets(pos, pred, PredictionRegions(0, (0.5, 0.5)), epsilon=0.5)
     assert unsafe.f_sets == {1: frozenset(), 2: frozenset()}
-    assert np.all(np.isinf(unsafe.margins[1]))
+    assert np.all(np.isinf(unsafe.margins(1, np.arange(len(pos)))))
 
 
 def test_unsafe_sets_infinite_radius_marks_all_located_states():

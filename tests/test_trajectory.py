@@ -275,6 +275,13 @@ def test_agents_at_presence_and_span():
         TrajectorySource({"a": [(0, (0, 0)), (0, (1, 1))]})
 
 
+def test_agents_at_positions_are_read_only():
+    src = TrajectorySource({"a": [(0, (1.0, 2.0))], "b": [(0, (3.0, 4.0))]})
+    with pytest.raises(ValueError):
+        src.agents_at(0).positions[0, 0] = 9.0
+    np.testing.assert_array_equal(src.agents_at(0).positions, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_load_trajectories_scale_and_stride(tmp_path):
     path = tmp_path / "walk.csv"
     path.write_text(
