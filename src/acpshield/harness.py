@@ -293,6 +293,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
 
     records = []
     bsts_cache = {}
+    expansions = {}               # support -> successor groups, shared by every BSTS
     plan_secs = []
     realized = 0.0
     cert_failures = 0
@@ -335,7 +336,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
                                  cfg.lipschitz)
             bsts = bsts_cache.get(support)
             if bsts is None:
-                bsts = bsts_cache[support] = Bsts(model, support, cfg.horizon)
+                bsts = bsts_cache[support] = Bsts(model, support, cfg.horizon, expansions)
             winning = compute_winning_regions(bsts, unsafe)
             shield = Shield(bsts, winning)
             if cfg.verify_certificates:

@@ -349,8 +349,8 @@ class Planner:
     def advance_root(self, root, action, observation):
         """Fresh root for the executed (action, observation).
 
-        Its particles are the refresh of the old root's through the
-        simulator (:func:`.pomdp.resample_particles`). The subtree is
+        Its particles are drawn from the exact posterior of the old root's
+        (:func:`.pomdp.resample_particles`). The subtree is
         discarded because the next step's shield invalidates every stored
         pruning decision. Raises ParticleDeprivation when no successor of
         the old particles is consistent with the observation.

@@ -1,5 +1,8 @@
 """Discrete POMDP model, exact belief update, particle refresh, and the simulator.
 
+The particle refresh draws from the exact posterior of the particles'
+empirical belief, so it never calls the simulator.
+
 The model stores transition and observation tables as per-(state, action)
 sparse rows (successor indices plus cumulative probabilities), which keeps
 sampling fast and memory flat for gridworlds with hundreds of cells where
@@ -9,6 +12,7 @@ each row has at most a couple of successors.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +25,6 @@ from .errors import (
 )
 
 PROB_TOL = 1e-9
-OVERSAMPLE = 10      # rejection attempts per requested particle before the fill
 
 
 def _normalize_row(pairs, what):
@@ -252,36 +255,23 @@ def belief_update(model, belief, action, observation):
 
 
 def resample_particles(model, particles, action, observation, count, rng):
-    """Rejection-refresh a particle set after executing (action, observation).
+    """Refresh a particle set after executing (action, observation).
 
-    Draws states from ``particles``, steps them through the simulator, and
-    keeps the successors whose simulated observation matches. After
-    ``OVERSAMPLE * count`` attempts, the remaining slots are filled
-    uniformly from the observation-consistent successors of ``particles``:
-    the states s' with T(s, a, s') > 0 for some particle s and
-    Z(s', a, o) > 0, in ascending order. Every accepted state is one of
-    them, so when there are none nothing was accepted, and
-    ParticleDeprivation is raised.
+    Draws ``count`` states from the exact posterior of the particles'
+    empirical belief {s: n_s / n}, P(s') ∝ Σ_s n_s T(s,a,s') Z(s',a,o): the
+    law that rejection through the simulator samples from. The draw is
+    ``rng.choices`` over the posterior's states in ascending order, one
+    ``rng.random()`` per particle. Raises ParticleDeprivation when the
+    particle set is empty or no successor of it can emit the observation.
     """
     if not particles:
         raise ParticleDeprivation("source particle set is empty")
-    n_src = len(particles)
-    accepted = []
-    keep = accepted.append
-    draw = rng.random
-    step = model.generative_step
-    for _ in range(OVERSAMPLE * count):
-        if len(accepted) == count:
-            break
-        s2, o, _ = step(particles[int(draw() * n_src)], action, rng)
-        if o == observation:
-            keep(s2)
-    missing = count - len(accepted)
-    if missing:
-        pool = sorted({s2 for s in set(particles) for s2 in model.successors(s, action)
-                       if model.observation_prob(s2, action, observation) > 0.0})
-        if not pool:
-            raise ParticleDeprivation(
-                f"no particles consistent with observation {observation}")
-        accepted.extend(pool[int(rng.random() * len(pool))] for _ in range(missing))
-    return accepted
+    n = len(particles)
+    belief = BeliefState({s: k / n for s, k in Counter(particles).items()})
+    try:
+        post = belief_update(model, belief, action, observation).probs
+    except ImpossibleObservation:
+        raise ParticleDeprivation(
+            f"no particles consistent with observation {observation}") from None
+    states = sorted(post)
+    return rng.choices(states, [post[s] for s in states], k=count)

@@ -48,6 +48,24 @@ def validate_support(model, states):
     return sup
 
 
+def _successor_groups(model, sup):
+    """Per action, the observation-grouped successor supports of ``sup``:
+    a tuple of {observation: support} dicts, one per action."""
+    groups = []
+    for a in range(model.n_actions):
+        grouped = {}
+        union = set()
+        for s in sup:
+            union.update(model.successors(s, a))
+        for s2 in union:
+            # group by the observations possible under THIS action; Z may
+            # be action-dependent
+            for o in model.observation_support(s2, a):
+                grouped.setdefault(o, set()).add(s2)
+        groups.append({o: frozenset(ss) for o, ss in grouped.items()})
+    return tuple(groups)
+
+
 class Bsts:
     """Reachable belief supports within the horizon, layered by depth.
 
@@ -58,9 +76,14 @@ class Bsts:
     appear under every observation it may emit, so the groups form a cover.
     Either way each group is exactly the support the belief update would
     produce under that observation.
+
+    A support's successor groups do not depend on its depth, so ``expansions``
+    (support -> per-action groups) may be shared by every BSTS of one model:
+    a support expanded once is read from it, and new ones are added to it.
+    ``_post[(sup, q)]`` holds the groups of each node below the horizon.
     """
 
-    def __init__(self, model, root, horizon):
+    def __init__(self, model, root, horizon, expansions=None):
         if horizon < 1:
             raise InvalidSpec(f"horizon must be >= 1, got {horizon}")
         self.model = model
@@ -68,28 +91,23 @@ class Bsts:
         self.root = validate_support(model, root)
         self.levels = {0: {self.root}}
         self._post = {}
+        if expansions is None:
+            expansions = {}
         for q in range(horizon):
             nxt = set()
             for sup in self.levels[q]:
-                for a in range(model.n_actions):
-                    grouped = {}
-                    union = set()
-                    for s in sup:
-                        union.update(model.successors(s, a))
-                    for s2 in union:
-                        # group by the observations possible under THIS
-                        # action; Z may be action-dependent
-                        for o in model.observation_support(s2, a):
-                            grouped.setdefault(o, set()).add(s2)
-                    by_obs = {o: frozenset(ss) for o, ss in grouped.items()}
-                    self._post[(sup, q, a)] = by_obs
+                groups = expansions.get(sup)
+                if groups is None:
+                    groups = expansions[sup] = _successor_groups(model, sup)
+                self._post[(sup, q)] = groups
+                for by_obs in groups:
                     nxt.update(by_obs.values())
             self.levels[q + 1] = nxt
 
     def post_by_obs(self, support, q, a):
         """dict observation -> successor support for one (node, action)."""
         try:
-            return self._post[(support, q, a)]
+            return self._post[(support, q)][a]
         except KeyError:
             raise UnknownSupport(
                 f"({sorted(support)}, {q}) is not an expanded node") from None
@@ -182,12 +200,6 @@ class UnsafeSets:
     agents: dict
     epsilon: float
 
-    def is_unsafe(self, support, q):
-        if q < 1 or q > self.horizon:
-            return False
-        f = self.f_sets[q]
-        return any(s in f for s in support)
-
     def margins(self, tau, states):
         """Constraint values of ``states`` against the lookahead-tau agents."""
         return constraint_values(self.positions[states], self.agents[tau], self.epsilon)
@@ -276,20 +288,19 @@ def compute_winning_regions(bsts, unsafe):
         raise InvalidSpec(
             f"unsafe horizon {unsafe.horizon} != bsts horizon {bsts.horizon}")
     h = bsts.horizon
-    actions = range(bsts.model.n_actions)
+    f_sets = unsafe.f_sets
+    post = bsts._post
     regions = {h: frozenset(sup for sup in bsts.levels[h]
-                            if not unsafe.is_unsafe(sup, h))}
+                            if f_sets[h].isdisjoint(sup))}
     allowed = {}
     for q in range(h - 1, -1, -1):
         above = regions[q + 1]
         won = set()
         for sup in bsts.levels[q]:
-            acts = tuple(
-                a for a in actions
-                if all(child in above
-                       for child in bsts.post_by_obs(sup, q, a).values()))
+            acts = tuple(a for a, by_obs in enumerate(post[(sup, q)])
+                         if above.issuperset(by_obs.values()))
             allowed[(sup, q)] = acts
-            if acts and not unsafe.is_unsafe(sup, q):
+            if acts and (q == 0 or f_sets[q].isdisjoint(sup)):
                 won.add(sup)
         if q >= 1:
             regions[q] = frozenset(won)

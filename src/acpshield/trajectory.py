@@ -476,13 +476,14 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
 
 
 def save_trajectories(source, path):
-    """Write a TrajectorySource back out as frame_id,agent_id,x,y rows."""
+    """Write a TrajectorySource back out as frame_id,agent_id,x,y rows,
+    frame by frame in time order, each frame's agents in id order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame_id", "agent_id", "x", "y"])
-        for aid in source.agent_ids:
-            for t, pos in source.track(aid):
-                writer.writerow([t, aid, repr(float(pos[0])), repr(float(pos[1]))])
+        for t, (present, positions) in source._frames.items():
+            writer.writerows([t, aid, repr(x), repr(y)]
+                             for aid, (x, y) in zip(present, positions.tolist()))
 
 
 def load_predictions(path, scale=1.0):

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from acpshield.errors import ParticleDeprivation
+
 
 def dense_tables(model, max_states=512):
     """Dense (T, Z, R) arrays of a model, filled from its sparse rows.
@@ -263,6 +265,38 @@ def generative_step_oracle(model, s, a, rng):
             o = i
             break
     return s2, o, model.reward(s, a)
+
+
+def resample_rejection_oracle(model, particles, action, observation, count, rng,
+                              oversample=10):
+    """The particle refresh by rejection through the simulator.
+
+    Draws a particle uniformly, steps it with :func:`generative_step_oracle`
+    and keeps the successor when the simulated observation matches, for at
+    most ``oversample * count`` attempts. Slots still empty are filled
+    uniformly from the observation-consistent successors of the particles,
+    in ascending order; when there are none, ``ParticleDeprivation`` is
+    raised, as it is for an empty particle set.
+    """
+    if not particles:
+        raise ParticleDeprivation("source particle set is empty")
+    accepted = []
+    for _ in range(oversample * count):
+        if len(accepted) == count:
+            break
+        s = particles[int(rng.random() * len(particles))]
+        s2, o, _ = generative_step_oracle(model, s, action, rng)
+        if o == observation:
+            accepted.append(s2)
+    missing = count - len(accepted)
+    if missing:
+        pool = sorted({s2 for s in set(particles) for s2 in model.successors(s, action)
+                       if model.observation_prob(s2, action, observation) > 0.0})
+        if not pool:
+            raise ParticleDeprivation(
+                f"no particles consistent with observation {observation}")
+        accepted.extend(pool[int(rng.random() * len(pool))] for _ in range(missing))
+    return accepted
 
 
 def rollout_oracle(model, state, depth, support, shield, rng, max_depth, discount,

@@ -430,9 +430,9 @@ def test_grid_two_speed_scenario_prunes_toward_agent():
     shield = make_shield(model, fs(here), 2, unsafe)
 
     east, south, west, north = 0, 1, 2, 3
-    assert not unsafe.is_unsafe(fs(spec.state_index(18, 5)), 1)
-    assert unsafe.is_unsafe(fs(spec.state_index(17, 7)), 1)
-    assert unsafe.is_unsafe(fs(spec.state_index(18, 7)), 2)
+    assert spec.state_index(18, 5) not in unsafe.f_sets[1]
+    assert spec.state_index(17, 7) in unsafe.f_sets[1]
+    assert spec.state_index(18, 7) in unsafe.f_sets[2]
 
     root_allowed = shield.allowed(fs(here), 0)
     assert east in root_allowed

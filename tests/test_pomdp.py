@@ -21,6 +21,7 @@ from acpshield.pomdp import (
 )
 
 from conftest import make_random_pomdp
+import oracles
 from oracles import dense_tables, exact_filter
 
 
@@ -156,10 +157,10 @@ def test_resample_particles_converges_to_posterior(rng, two_state_model):
     assert freq0 == pytest.approx(HAND_POSTERIOR_S0, abs=0.02)
 
 
-def test_resample_particles_fallback_and_deprivation():
+def test_resample_particles_rare_observation_and_deprivation():
     # from state 0: successors 1 and 2 emit o1 once in a thousand, 3 never;
-    # 4 always emits o1 but is no successor. Rejection accepts about one
-    # particle in its budget, so the fill supplies the rest, from {1, 2} only.
+    # 4 always emits o1 but is no successor. The posterior is 1/2 on each of
+    # 1 and 2, however rare the observation.
     t = np.zeros((5, 1, 5))
     t[0, 0, [1, 2, 3]] = 1.0 / 3.0
     t[1:, 0, 0] = 1.0
@@ -168,8 +169,9 @@ def test_resample_particles_fallback_and_deprivation():
     z[[1, 2], 0] = [0.999, 0.001]
     z[4, 0, 1] = 1.0
     model = PomdpModel.from_tables(t, np.zeros((5, 1)), z)
-    out = resample_particles(model, [0] * 5, 0, 1, 100, random.Random(1))
-    assert len(out) == 100 and set(out) == {1, 2}
+    out = resample_particles(model, [0] * 5, 0, 1, 4000, random.Random(1))
+    assert len(out) == 4000 and set(out) == {1, 2}
+    assert out.count(1) / len(out) == pytest.approx(0.5, abs=0.03)
     # no successor of the particles can emit the observation
     t = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
     z = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
@@ -179,6 +181,36 @@ def test_resample_particles_fallback_and_deprivation():
         resample_particles(model, [0, 0, 0], 0, 1, 100, prng)
     with pytest.raises(ParticleDeprivation):
         resample_particles(model, [], 0, 0, 100, prng)
+
+
+def test_resample_particles_chi_square_against_posterior_and_rejection():
+    # five states, one action; the observation o1 is likely enough that the
+    # rejection oracle fills every slot by acceptance, never by its fill
+    t = np.zeros((5, 1, 5))
+    t[0, 0, [1, 2, 3]] = [0.5, 0.3, 0.2]
+    t[1, 0, [2, 3, 4]] = [0.6, 0.3, 0.1]
+    t[2, 0, [0, 4]] = [0.5, 0.5]
+    t[3, 0, 3] = t[4, 0, 4] = 1.0
+    z = np.zeros((5, 1, 2))
+    z[:, 0, 1] = [0.9, 0.4, 0.7, 0.25, 0.55]
+    z[:, 0, 0] = 1.0 - z[:, 0, 1]
+    model = PomdpModel.from_tables(t, np.zeros((5, 1)), z)
+    particles = [0] * 500 + [1] * 300 + [2] * 200
+    n = 20_000
+    T, Z, _ = dense_tables(model)
+    prior = np.bincount(particles, minlength=5) / len(particles)
+    post, _ = exact_filter(T, Z, prior, 0, 1)
+    states = np.flatnonzero(post)
+
+    out = resample_particles(model, particles, 0, 1, n, random.Random(7))
+    counts = np.bincount(out, minlength=5)
+    assert counts[post == 0.0].sum() == 0
+    assert stats.chisquare(counts[states], n * post[states]).pvalue > 1e-3
+
+    ref = oracles.resample_rejection_oracle(model, particles, 0, 1, n, random.Random(8))
+    ref_counts = np.bincount(ref, minlength=5)
+    table = np.stack([counts[states], ref_counts[states]])
+    assert stats.chi2_contingency(table).pvalue > 1e-3
 
 
 def test_dense_matrices_gated_by_threshold(rng):

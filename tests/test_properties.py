@@ -24,7 +24,7 @@ from acpshield.errors import (
 )
 from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
 from acpshield.planner import Planner, PlannerConfig, fallback_action
-from acpshield.pomdp import BeliefState, PomdpModel, belief_update
+from acpshield.pomdp import BeliefState, PomdpModel, belief_update, resample_particles
 from acpshield.shield import (
     MARGIN_BLOCK,
     Bsts,
@@ -260,6 +260,64 @@ def test_advance_root_keeps_count_of_consistent_successors(seed, count):
     new = planner.advance_root(root, action, obs).particles
     assert len(new) == count
     assert set(new) <= consistent
+
+
+@PROPERTY
+@given(seed=seeds, count=st.integers(1, 40), deterministic=st.booleans())
+def test_resample_particles_posterior_support_and_draw_count(seed, count, deterministic):
+    rng = np.random.default_rng(seed)
+    model = make_random_pomdp(rng, n_states=int(rng.integers(3, 7)),
+                              n_actions=int(rng.integers(1, 3)), n_obs=3,
+                              deterministic_obs=deterministic)
+    particles = rng.integers(0, model.n_states, size=int(rng.integers(0, 12))).tolist()
+    action, obs = int(rng.integers(model.n_actions)), int(rng.integers(3))
+    try:
+        oracles.resample_rejection_oracle(model, particles, action, obs, count,
+                                          random.Random(seed))
+        deprived = False
+    except ParticleDeprivation:
+        deprived = True
+    prng = random.Random(seed)
+    if deprived:
+        with pytest.raises(ParticleDeprivation):
+            resample_particles(model, particles, action, obs, count, prng)
+        return
+    out = resample_particles(model, particles, action, obs, count, prng)
+    belief = BeliefState({s: particles.count(s) / len(particles) for s in set(particles)})
+    assert len(out) == count
+    assert set(out) <= belief_update(model, belief, action, obs).support()
+    expected = random.Random(seed)
+    for _ in range(count):
+        expected.random()
+    assert prng.getstate() == expected.getstate()
+
+
+@PROPERTY
+@given(seed=seeds, deterministic=st.booleans(), horizon=st.integers(1, 3))
+def test_bsts_with_shared_expansions_equals_fresh(seed, deterministic, horizon):
+    rng = np.random.default_rng(seed)
+    model = make_random_pomdp(rng, n_states=int(rng.integers(3, 8)),
+                              n_actions=int(rng.integers(1, 4)), n_obs=3,
+                              deterministic_obs=deterministic)
+    expansions = {}
+    roots = [random_support(model, rng)]
+    for _ in range(5):
+        # as in an episode: the next root is often a child of an earlier one
+        if rng.random() < 0.3:
+            roots.append(random_support(model, rng))
+        else:
+            children = sorted(Bsts(model, roots[int(rng.integers(len(roots)))], 1).levels[1],
+                              key=sorted)
+            roots.append(children[int(rng.integers(len(children)))])
+    for root in roots:
+        shared = Bsts(model, root, horizon, expansions)
+        fresh = Bsts(model, root, horizon)
+        assert shared.levels == fresh.levels
+        assert shared.node_count() == fresh.node_count()
+        for q in range(horizon):
+            for sup in fresh.levels[q]:
+                for a in range(model.n_actions):
+                    assert shared.post_by_obs(sup, q, a) == fresh.post_by_obs(sup, q, a)
 
 
 TINY = (5e-324, 1e-300, 1e-17, 1e-16)

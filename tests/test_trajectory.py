@@ -331,13 +331,23 @@ def test_load_trajectories_whitespace_and_errors(tmp_path):
 
 
 def test_round_trip(tmp_path):
-    src = synth_trajectories("waypoint", 4, 25, np.random.default_rng(8))
-    path = tmp_path / "rt.csv"
-    save_trajectories(src, path)
-    back = load_trajectories(path)
-    assert back.agent_ids == src.agent_ids
-    for aid in src.agent_ids:
-        orig, rt = src.track(aid), back.track(aid)
-        assert [t for t, _ in orig] == [t for t, _ in rt]
-        np.testing.assert_array_equal(np.stack([p for _, p in orig]),
-                                      np.stack([p for _, p in rt]))
+    synth = synth_trajectories("waypoint", 4, 25, np.random.default_rng(8))
+    # agents that enter late, leave early and leave gaps, with int and str
+    # ids; every timestep keeps an agent, since the loader numbers frames
+    ragged = TrajectorySource({
+        3: [(0, (1.5, 2.0)), (1, (1.75, 2.0)), (2, (2.0, 2.125))],
+        "b": [(2, (0.1, 0.2)), (5, (0.3, 0.4)), (6, (1e-17, 7.0))],
+        1: [(3, (9.0, 8.5)), (4, (9.0, 9.0))],
+        "a": [(0, (5.0, 5.0)), (1, (5.5, 5.0)), (4, (6.0, 5.0)), (6, (6.5, 5.0))],
+    })
+    for i, src in enumerate((synth, ragged)):
+        path = tmp_path / f"rt{i}.csv"
+        save_trajectories(src, path)
+        back = load_trajectories(path)
+        assert back.agent_ids == src.agent_ids
+        assert back.span() == src.span()
+        for aid in src.agent_ids:
+            orig, rt = src.track(aid), back.track(aid)
+            assert [t for t, _ in orig] == [t for t, _ in rt]
+            np.testing.assert_array_equal(np.stack([p for _, p in orig]),
+                                          np.stack([p for _, p in rt]))
