@@ -67,5 +67,5 @@ class AllActionsShielded(AcpShieldError):
 
 
 class ParticleDeprivation(AcpShieldError):
-    """No particles consistent with the received observation, even after
-    reinvigoration."""
+    """No successor of the particles is consistent with the received
+    observation."""

@@ -582,6 +582,34 @@ def acp_coverage_run(steps=10_000, horizon=3, n_agents=3, kind="random-walk",
 
 # -- config files ------------------------------------------------------------------------
 
+# the YAML schema: section -> the keys it may hold
+_CONFIG_SECTIONS = {
+    "grid": ("width", "height", "start", "goal", "step_reward", "goal_reward",
+             "collision_reward", "near_prob", "far_prob", "obs_noise"),
+    "agents": ("kind", "count", "speed", "noise", "bounds", "csv", "scale", "stride"),
+    "acp": ("predictor", "predictions", "horizon", "delta", "epsilon", "alpha",
+            "window", "lipschitz"),
+    "planner": ("simulations", "depth", "ucb", "particles", "rollout"),
+    "run": ("max_steps", "verify_certificates", "history_window"),
+    "bench": ("methods", "agent_counts"),
+}
+_CONFIG_TOP_LEVEL = ("label", "seed", "runs", "method", *_CONFIG_SECTIONS)
+
+
+def _unknown_keys(mapping, known, where):
+    unknown = sorted(str(k) for k in mapping if k not in known)
+    if unknown:
+        raise InvalidSpec(f"unknown config key(s) in {where}: {', '.join(unknown)}")
+
+
+def _section(data, name):
+    """``data[name]`` ({} when absent), checked against the schema."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise InvalidSpec(f"config section {name!r} must be a mapping")
+    _unknown_keys(section, _CONFIG_SECTIONS[name], f"section {name!r}")
+    return section
+
 
 def _grid_from_dict(data):
     start = data.get("start", [1, 1])
@@ -602,9 +630,11 @@ def _grid_from_dict(data):
 
 
 def parse_config(data):
-    """ExperimentConfig from a plain dict (the YAML schema)."""
-    grid = _grid_from_dict(data.get("grid", {}))
-    a = data.get("agents", {})
+    """ExperimentConfig from a plain dict (the YAML schema); unknown keys raise."""
+    _unknown_keys(data, _CONFIG_TOP_LEVEL, "the top level")
+    _section(data, "bench")
+    grid = _grid_from_dict(_section(data, "grid"))
+    a = _section(data, "agents")
     agents = AgentSetup(
         kind=a.get("kind", "constant-velocity-with-noise"),
         count=int(a.get("count", 5)), speed=float(a.get("speed", 0.8)),
@@ -612,17 +642,15 @@ def parse_config(data):
         bounds=tuple(a["bounds"]) if "bounds" in a else None,
         csv_path=a.get("csv"), scale=float(a.get("scale", 1.0)),
         stride=int(a.get("stride", 1)))
-    p = data.get("planner", {})
+    p = _section(data, "planner")
     planner = PlannerConfig(
         num_simulations=int(p.get("simulations", 4096)),
         max_depth=int(p.get("depth", 200)),
         ucb_constant=float(p.get("ucb", 500.0)),
         particle_count=int(p.get("particles", 10_000)),
-        rollout_policy=p.get("rollout", "random"),
-        discount=p.get("discount"),
-        n_init=int(p.get("n_init", 0)), v_init=float(p.get("v_init", 0.0)))
-    acp = data.get("acp", {})
-    run = data.get("run", {})
+        rollout_policy=p.get("rollout", "random"))
+    acp = _section(data, "acp")
+    run = _section(data, "run")
     return ExperimentConfig(
         grid=grid, agents=agents, planner=planner,
         label=str(data.get("label", "desk")),

@@ -5,10 +5,12 @@ selection at visited nodes, expansion plus a rollout at the frontier, and
 incremental-mean backpropagation of discounted returns. The shield from
 :mod:`.shield` restricts both selection and rollouts for the first H tree
 levels: an action is searchable only when every observation outcome keeps
-the belief support winning. Because each tree node's belief support is
-resolved exactly from the BSTS (the root support is the particle support),
-the per-node check subsumes the particle-set test and can prune whole
-action branches at expansion time.
+the belief support winning. Each tree node's belief support is resolved
+exactly from the BSTS (the root support is the particle support), and its
+searchable actions are read straight off the shield table. That table
+never leaves a reachable node below the horizon without an action, so the
+search has no dead ends to handle; a broken table is the certificate
+verifier's to catch.
 
 A planning step owns the tree exclusively. Trees are rebuilt from a fresh
 root each environment step: the shield changes with every new prediction,
@@ -21,12 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    AllActionsShielded,
-    EmptyBelief,
-    InvalidSpec,
-    UnknownSupport,
-)
+from .errors import AllActionsShielded, EmptyBelief, InvalidSpec
 from .pomdp import resample_particles
 
 
@@ -35,9 +32,9 @@ class ActionEdge:
 
     __slots__ = ("visits", "value", "children")
 
-    def __init__(self, n_init, v_init):
-        self.visits = n_init
-        self.value = v_init
+    def __init__(self):
+        self.visits = 0
+        self.value = 0.0
         self.children = {}        # observation -> SearchNode
 
 
@@ -47,12 +44,11 @@ class SearchNode:
     ``support`` is the node's exact belief support: at the root the support
     of its particles, below it the BSTS node reached along the (action,
     observation) path. It is None once the node sits at or beyond the shield
-    horizon, and below the root when unshielded. ``allowed`` lists the
-    actions search may still take: the certified ones, minus those whose
-    child turned out to be a dead end. A node with none left is itself a
-    dead end. ``edges`` is None until the node is expanded. Only the root
-    holds ``particles``: the tree is rebuilt every step, so nothing reads
-    particles below it.
+    horizon, and below the root when unshielded. ``allowed`` is the tuple of
+    actions search may take: the shield table's entry for the node below
+    the horizon, every action otherwise. ``edges`` is None until the node
+    is expanded. Only the root holds ``particles``: the tree is rebuilt
+    every step, so nothing reads particles below it.
     """
 
     __slots__ = ("visits", "particles", "support", "depth", "edges", "allowed")
@@ -63,11 +59,7 @@ class SearchNode:
         self.depth = depth
         self.support = support
         self.edges = None
-        self.allowed = list(allowed)
-
-    def prune(self, action):
-        if action in self.allowed:
-            self.allowed.remove(action)
+        self.allowed = allowed
 
 
 @dataclass
@@ -79,9 +71,6 @@ class PlannerConfig:
     ucb_constant: float = 500.0
     particle_count: int = 10000
     rollout_policy: str = "random"
-    discount: float = None       # None: use the model's
-    n_init: int = 0
-    v_init: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -93,10 +82,9 @@ class PlannerConfig:
             raise InvalidSpec(f"particle_count must be >= 1, got {self.particle_count}")
         if self.ucb_constant < 0.0:
             raise InvalidSpec(f"ucb_constant must be >= 0, got {self.ucb_constant}")
-        if self.n_init < 0:
-            raise InvalidSpec(f"n_init must be >= 0, got {self.n_init}")
-        if self.discount is not None and not (0.0 < self.discount <= 1.0):
-            raise InvalidSpec(f"discount {self.discount} outside (0, 1]")
+        if self.rollout_policy not in ("random", "goal-greedy"):
+            raise InvalidSpec(f"rollout_policy {self.rollout_policy!r} is not "
+                              "'random' or 'goal-greedy'")
 
 
 @dataclass
@@ -106,7 +94,6 @@ class PlanStats:
     simulations: int
     nodes: int
     chosen: int
-    root_action_values: tuple
     root_allowed: tuple
     root_pruned: tuple
 
@@ -165,8 +152,8 @@ class Planner:
         self.model = model
         self.config = config or PlannerConfig()
         self.rng = random.Random(self.config.seed)
-        self.discount = (self.config.discount if self.config.discount is not None
-                         else model.discount)
+        self.discount = model.discount
+        self._all_actions = tuple(range(model.n_actions))
         if rollout_actions is not None and len(rollout_actions) != model.n_states:
             raise InvalidSpec(f"rollout table has {len(rollout_actions)} entries "
                               f"for {model.n_states} states")
@@ -182,38 +169,30 @@ class Planner:
             raise EmptyBelief("root needs at least one particle")
         particles = list(particles)
         self._node_count = 1
-        return SearchNode(0, frozenset(particles), range(self.model.n_actions),
-                          particles)
-
-    def _certified(self, shield, support, depth):
-        """Actions certified at a shielded node; a support outside the BSTS
-        allows nothing, the conservative answer."""
-        try:
-            return shield.allowed(support, depth)
-        except UnknownSupport:
-            return ()
+        return SearchNode(0, frozenset(particles), self._all_actions, particles)
 
     def _make_child(self, parent, action, observation, shield):
         depth = parent.depth + 1
-        support = None               # stays None beyond the shielded levels
-        allowed = range(self.model.n_actions)
-        if shield is not None and parent.support is not None and depth < shield.horizon:
-            support = shield.successor(parent.support, parent.depth, action, observation)
-            allowed = self._certified(shield, support, depth)
         self._node_count += 1
-        return SearchNode(depth, support, allowed)
+        if shield is None or parent.support is None or depth >= shield.horizon:
+            return SearchNode(depth, None, self._all_actions)
+        support = shield.successor(parent.support, parent.depth, action, observation)
+        return SearchNode(depth, support, shield.allowed(support, depth))
 
     # -- search ---------------------------------------------------------------
 
     def plan(self, root, shield=None):
-        """Run the simulation budget and return the best certified action."""
+        """Run the simulation budget and return the best certified action.
+
+        Raises UnknownSupport when the root support is not the shield's
+        BSTS root, and AllActionsShielded when the shield certifies nothing.
+        """
         cfg = self.config
         if shield is not None and cfg.max_depth < shield.horizon:
             raise InvalidSpec(
                 f"max_depth {cfg.max_depth} below shield horizon {shield.horizon}")
-        n = self.model.n_actions
-        root.allowed = list(range(n) if shield is None
-                            else self._certified(shield, root.support, 0))
+        root.allowed = (self._all_actions if shield is None
+                        else shield.allowed(root.support, 0))
         states = root.particles
         n_states = len(states)
         draw = self.rng.random
@@ -230,17 +209,13 @@ class Planner:
                     best, chosen = v, a
         elif root.allowed:
             chosen = root.allowed[0]      # no simulation managed to expand
-            best = 0.0
-        values = tuple(root.edges[a].value if root.edges is not None else 0.0
-                       for a in range(n))
         self.last_stats = PlanStats(
             simulations=sims, nodes=self._node_count, chosen=chosen,
-            root_action_values=values,
-            root_allowed=tuple(root.allowed),
-            root_pruned=tuple(a for a in range(n) if a not in root.allowed))
+            root_allowed=root.allowed,
+            root_pruned=tuple(a for a in self._all_actions if a not in root.allowed))
         if chosen is None:
             raise AllActionsShielded(
-                f"no action is certified from support {sorted(root.support or ())}")
+                f"no action is certified from support {sorted(root.support)}")
         return chosen
 
     def simulate(self, node, state, depth, shield):
@@ -249,11 +224,8 @@ class Planner:
         model = self.model
         if depth >= cfg.max_depth or state in model.absorbing_zero:
             return 0.0
-        if not node.allowed:
-            return 0.0
         if node.edges is None:
-            node.edges = [ActionEdge(cfg.n_init, cfg.v_init)
-                          for _ in range(model.n_actions)]
+            node.edges = [ActionEdge() for _ in range(model.n_actions)]
             node.visits += 1
             return self.rollout(state, depth, node.support, shield)
 
@@ -264,14 +236,7 @@ class Planner:
         child = children.get(obs)
         if child is None:
             child = children[obs] = self._make_child(node, action, obs, shield)
-        if not child.allowed:
-            # dead end below: truncate this branch and stop selecting it
-            node.prune(action)
-            total = reward
-        else:
-            total = reward + self.discount * self.simulate(child, s2, depth + 1, shield)
-            if not child.allowed:
-                node.prune(action)
+        total = reward + self.discount * self.simulate(child, s2, depth + 1, shield)
         edge.visits += 1
         edge.value += (total - edge.value) / edge.visits
         node.visits += 1

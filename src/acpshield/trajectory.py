@@ -148,13 +148,6 @@ class TrajectorySource:
             return JointAgentState.empty(t)
         return JointAgentState(*frame, t)
 
-    def track(self, agent_id):
-        """Time-sorted (timestep, position) pairs for one agent."""
-        if agent_id not in self._ids:
-            raise KeyError(agent_id)
-        return [(t, positions[present.index(agent_id)])
-                for t, (present, positions) in self._frames.items() if agent_id in present]
-
 
 # ---------------------------------------------------------------------------
 # predictors

@@ -349,6 +349,20 @@ def agents_at_oracle(tracks, t):
     return tuple(ids), np.asarray(pos, dtype=float).reshape(-1, 2)
 
 
+def track_of(source, agent_id):
+    """Time-sorted (timestep, position) pairs of one agent of a
+    ``TrajectorySource``, rebuilt by scanning ``agents_at`` over its span."""
+    span = source.span()
+    if span is None:
+        return []
+    track = []
+    for t in range(span[0], span[1] + 1):
+        state = source.agents_at(t)
+        if agent_id in state.ids:
+            track.append((t, state.positions[state.ids.index(agent_id)]))
+    return track
+
+
 class RepeatedRow(Exception):
     """An agent appears twice in one kept frame; args are (agent id, frame)."""
 

@@ -448,3 +448,20 @@ def test_load_config_rejects_non_mapping(tmp_path):
 def test_parse_config_validates_through_dataclass():
     with pytest.raises(InvalidSpec):
         parse_config({"acp": {"delta": 2.0}})
+
+
+@pytest.mark.parametrize("section, key", [
+    ("grid", "widht"), ("agents", "cnt"), ("acp", "predicter"),
+    ("planner", "simulation"), ("planner", "n_init"), ("planner", "v_init"),
+    ("planner", "discount"), ("run", "max_step"), ("bench", "method"), (None, "seeds"),
+])
+def test_parse_config_rejects_unknown_keys(section, key):
+    data = {key: 1} if section is None else {section: {key: 1}}
+    with pytest.raises(InvalidSpec, match=key):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("section", ["grid", "agents", "acp", "planner", "run", "bench"])
+def test_parse_config_rejects_non_mapping_section(section):
+    with pytest.raises(InvalidSpec, match=section):
+        parse_config({section: [1, 2]})

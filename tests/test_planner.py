@@ -14,6 +14,7 @@ from acpshield.errors import (
     EmptyBelief,
     InvalidSpec,
     ParticleDeprivation,
+    UnknownSupport,
 )
 from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
 from acpshield.planner import (
@@ -28,7 +29,6 @@ from acpshield.shield import (
     Bsts,
     Shield,
     UnsafeSets,
-    WinningRegions,
     compute_winning_regions,
     unsafe_sets,
 )
@@ -116,7 +116,7 @@ def test_ucb_score_arithmetic():
     # over the allowed actions; unvisited edges go first
     planner = Planner(bandit(), PlannerConfig(ucb_constant=2.0))
     node = planner.make_root([0])
-    node.edges = [ActionEdge(0, 0.0), ActionEdge(0, 0.0)]
+    node.edges = [ActionEdge(), ActionEdge()]
     node.edges[0].visits, node.edges[0].value = 4, 1.0
     assert planner._select_ucb(node) == 1
     node.edges[1].visits = 1
@@ -127,7 +127,7 @@ def test_ucb_score_arithmetic():
     node.visits = 1                    # ln 1 = 0: values alone decide
     node.edges[1].value = 0.5
     assert planner._select_ucb(node) == 0
-    node.allowed = [1]
+    node.allowed = (1,)
     assert planner._select_ucb(node) == 1
 
 
@@ -141,9 +141,7 @@ def test_config_validation():
     with pytest.raises(InvalidSpec):
         PlannerConfig(ucb_constant=-1.0)
     with pytest.raises(InvalidSpec):
-        PlannerConfig(n_init=-1)
-    with pytest.raises(InvalidSpec):
-        PlannerConfig(discount=1.5)
+        PlannerConfig(rollout_policy="goal_greedy")
 
 
 def test_plan_requires_depth_covering_horizon():
@@ -212,26 +210,22 @@ def test_visit_count_invariant():
     rng = np.random.default_rng(11)
     model = make_random_pomdp(rng, n_states=6, n_actions=3, n_obs=3, branch=2)
 
-    def check(n_init):
-        planner = Planner(model, PlannerConfig(
-            num_simulations=500, max_depth=6, ucb_constant=2.0, seed=9, n_init=n_init))
-        root = planner.make_root([0] * 32)
-        planner.plan(root)
-        assert root.visits == 500
+    planner = Planner(model, PlannerConfig(
+        num_simulations=500, max_depth=6, ucb_constant=2.0, seed=9))
+    root = planner.make_root([0] * 32)
+    planner.plan(root)
+    assert root.visits == 500
 
-        def walk(node):
-            if node.edges is None:
-                return
-            edge_total = sum(e.visits for e in node.edges)
-            assert node.visits == edge_total - model.n_actions * n_init + 1
-            for e in node.edges:
-                for child in e.children.values():
-                    walk(child)
+    def walk(node):
+        # one visit expands the node, every later one goes down an edge
+        if node.edges is None:
+            return
+        assert node.visits == sum(e.visits for e in node.edges) + 1
+        for e in node.edges:
+            for child in e.children.values():
+                walk(child)
 
-        walk(root)
-
-    check(0)
-    check(1)
+    walk(root)
 
 
 def test_empty_root_raises():
@@ -335,34 +329,15 @@ def test_all_actions_shielded_raises():
     assert planner.last_stats.root_allowed == ()
 
 
-def test_unknown_root_support_is_pruned_conservatively():
+def test_unknown_root_support_raises():
+    # the shield certifies only the supports of its own BSTS; a root
+    # support outside it is a caller error, not a deadlock
     model = corridor()
     shield = make_shield(model, fs(2), 2, manual_unsafe(2, {}))
     planner = Planner(model, PlannerConfig(num_simulations=8, max_depth=4, seed=0))
     root = planner.make_root([0])
-    with pytest.raises(AllActionsShielded):
+    with pytest.raises(UnknownSupport):
         planner.plan(root, shield)
-
-
-def test_dead_end_propagation_prunes_parent_action():
-    # hand-made inconsistent table: {3} wins at level 1 but has no
-    # allowed continuation, so its node dies at expansion and the planner
-    # must retract the action that led there
-    model = corridor()
-    bsts = Bsts(model, fs(2), 2)
-    winning = WinningRegions(
-        regions={1: frozenset({fs(1), fs(3)}), 2: frozenset({fs(0)})},
-        allowed={(fs(2), 0): (0, 1), (fs(1), 1): (0,), (fs(3), 1): ()})
-    shield = Shield(bsts, winning)
-    planner = Planner(model, PlannerConfig(
-        num_simulations=32, max_depth=4, ucb_constant=1.0, seed=4))
-    root = planner.make_root([2] * 8)
-    action = planner.plan(root, shield)
-    assert action == 0
-    assert root.allowed == [0]
-    assert planner.last_stats.root_pruned == (1,)
-    dead_child = root.edges[1].children[3]
-    assert dead_child.allowed == []
 
 
 def test_tree_pruning_matches_certified_sets(rng):
@@ -584,4 +559,4 @@ def test_plan_stats_populated():
     assert st.nodes >= 3
     assert st.root_allowed == (0, 1)
     assert st.root_pruned == ()
-    assert st.root_action_values[1] == pytest.approx(1.0)
+    assert root.edges[1].value == pytest.approx(1.0)

@@ -17,6 +17,7 @@ from acpshield import trajectory
 from acpshield.acp import PredictionRegions, nonconformity, region_radius
 from acpshield.errors import (
     AgentMismatch,
+    AllActionsShielded,
     ImpossibleObservation,
     NonMonotoneFrames,
     ParseError,
@@ -423,6 +424,46 @@ def test_rollout_matches_oracle_on_random_models(seed, horizon, shielded, table,
 
 
 @PROPERTY
+@given(seed=seeds, horizon=st.integers(1, 3), deterministic=st.booleans(),
+       extra_depth=st.integers(0, 3))
+def test_planner_tree_reads_shield_table_without_dead_ends(seed, horizon, deterministic,
+                                                           extra_depth):
+    # every node plan creates below the horizon keeps the table's entry for
+    # its support, and that entry is nonempty: the planner needs no
+    # dead-end handling
+    rng = np.random.default_rng(seed)
+    model = make_random_pomdp(rng, n_states=int(rng.integers(3, 8)),
+                              n_actions=int(rng.integers(1, 4)), n_obs=3,
+                              deterministic_obs=deterministic)
+    support = random_support(model, rng)
+    by_level = {tau: frozenset(rng.choice(model.n_states, size=int(rng.integers(0, 3)),
+                                          replace=False).tolist())
+                for tau in range(1, horizon + 1)}
+    shield = make_shield(model, support, horizon, manual_unsafe(horizon, by_level))
+    planner = Planner(model, PlannerConfig(
+        num_simulations=100, max_depth=horizon + extra_depth, ucb_constant=2.0, seed=seed))
+    root = planner.make_root(sorted(support) * 4)
+    try:
+        planner.plan(root, shield)
+    except AllActionsShielded:
+        assert shield.allowed(support, 0) == () and root.edges is None
+        return
+    every_action = tuple(range(model.n_actions))
+
+    def walk(node):
+        if node.depth < horizon:
+            assert node.support is not None
+            assert node.allowed == shield.allowed(node.support, node.depth) != ()
+        else:
+            assert node.support is None and node.allowed == every_action
+        for edge in node.edges or ():
+            for child in edge.children.values():
+                walk(child)
+
+    walk(root)
+
+
+@PROPERTY
 @given(seed=seeds, n_agents=st.integers(0, 25), mixed=st.booleans())
 def test_agents_at_matches_full_scan_oracle(seed, n_agents, mixed):
     rng = np.random.default_rng(seed)
@@ -445,7 +486,7 @@ def test_agents_at_matches_full_scan_oracle(seed, n_agents, mixed):
         assert state.ids == ids and state.timestep == t
         assert np.array_equal(state.positions, pos)
     for aid, seq in tracks.items():
-        got = source.track(aid)
+        got = oracles.track_of(source, aid)
         assert [t for t, _ in got] == [t for t, _ in seq]
         assert all(np.array_equal(p, want) for (_, p), (_, want) in zip(got, seq))
 

@@ -26,6 +26,8 @@ from acpshield.trajectory import (
     synth_trajectories,
 )
 
+from oracles import track_of
+
 
 def joint(ids, coords, t):
     return JointAgentState(tuple(ids), np.asarray(coords, dtype=float), t)
@@ -235,7 +237,7 @@ def test_synth_determinism_and_kinds():
         a = synth_trajectories(kind, 3, 20, np.random.default_rng(11))
         b = synth_trajectories(kind, 3, 20, np.random.default_rng(11))
         for aid in a.agent_ids:
-            for (ta, pa), (tb, pb) in zip(a.track(aid), b.track(aid)):
+            for (ta, pa), (tb, pb) in zip(track_of(a, aid), track_of(b, aid)):
                 assert ta == tb
                 np.testing.assert_array_equal(pa, pb)
     with pytest.raises(InvalidSpec):
@@ -247,7 +249,7 @@ def test_synth_zero_noise_is_linear():
                              np.random.default_rng(3), bounds=(0, 1000, 0, 1000),
                              speed=0.5, noise=0.0)
     for aid in src.agent_ids:
-        pts = np.stack([p for _, p in src.track(aid)])
+        pts = np.stack([p for _, p in track_of(src, aid)])
         steps = np.diff(pts, axis=0)
         assert np.allclose(steps, steps[0], atol=1e-12)
 
@@ -347,7 +349,7 @@ def test_round_trip(tmp_path):
         assert back.agent_ids == src.agent_ids
         assert back.span() == src.span()
         for aid in src.agent_ids:
-            orig, rt = src.track(aid), back.track(aid)
+            orig, rt = track_of(src, aid), track_of(back, aid)
             assert [t for t, _ in orig] == [t for t, _ in rt]
             np.testing.assert_array_equal(np.stack([p for _, p in orig]),
                                           np.stack([p for _, p in rt]))
