@@ -250,17 +250,28 @@ def _acp_step(estimator, predictor, history, actual, horizon):
     return regions, prediction
 
 
-def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
+def _make_predictor(cfg):
+    """The config's predictor; None without a shield, which predicts nothing."""
+    if cfg.method == "no-shield":
+        return None
+    return make_predictor(cfg.predictor, cfg.predictions_path, cfg.agents.scale)
+
+
+def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=None):
     """Execute one episode, stage by stage; deterministic given (cfg, run).
 
-    ``step_hook(info)``, when given, receives a per-planning-step dict with
-    the belief support, predictions, radii, and unsafe cells (the overlay
-    data for plots); it must not mutate its argument.
+    ``model``, ``source`` and ``predictor`` are built from the config when
+    not given. ``step_hook(info)``, when given, receives a
+    per-planning-step dict with the belief support, predictions, radii,
+    and unsafe cells (the overlay data for plots); it must not mutate its
+    argument.
     """
     if model is None:
         model = build_gridworld(cfg.grid)
     if source is None:
         source = build_source(cfg, run)
+    if predictor is None:
+        predictor = _make_predictor(cfg)
     positions = cell_positions(cfg.grid)
     goal_state = cfg.grid.state_index(*cfg.grid.goal_cell)
     shielded = cfg.method != "no-shield"
@@ -278,8 +289,6 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None):
     particles = planner.rng.choices(start_states, weights, k=planner_cfg.particle_count)
     root = planner.make_root(particles)
 
-    predictor = make_predictor(cfg.predictor, cfg.predictions_path, cfg.agents.scale) \
-        if shielded else None
     estimator = AcpEstimator(cfg.horizon, cfg.alpha, cfg.delta, cfg.window) \
         if cfg.method == "shield-acp" else None
     history = deque(maxlen=cfg.history_window)
@@ -452,12 +461,15 @@ def aggregate(results):
 
 
 def run_many(cfg, model=None, source=None):
-    """All runs of one config. CSV sources are loaded once and shared."""
+    """All runs of one config. CSV sources and the predictor are built once
+    and shared."""
     if model is None:
         model = build_gridworld(cfg.grid)
     if source is None and cfg.agents.csv_path is not None:
         source = build_source(cfg, 0)
-    return [run_episode(cfg, run, model, source) for run in range(cfg.runs)]
+    predictor = _make_predictor(cfg)
+    return [run_episode(cfg, run, model, source, predictor=predictor)
+            for run in range(cfg.runs)]
 
 
 def run_benchmark(configs):

@@ -1,16 +1,26 @@
 """Shielded Monte Carlo tree search over histories (POMCP-style).
 
-The planner runs simulations through the generative model: UCB action
-selection at visited nodes, expansion plus a rollout at the frontier, and
-incremental-mean backpropagation of discounted returns. The shield from
-:mod:`.shield` restricts both selection and rollouts for the first H tree
-levels: an action is searchable only when every observation outcome keeps
-the belief support winning. Each tree node's belief support is resolved
-exactly from the BSTS (the root support is the particle support), and its
-searchable actions are read straight off the shield table. That table
-never leaves a reachable node below the horizon without an action, so the
-search has no dead ends to handle; a broken table is the certificate
-verifier's to catch.
+One simulation is one flat loop: it walks down the tree by UCB action
+selection while the nodes are expanded, expands the first unexpanded node
+with a rollout, and backs the discounted return up the walked path in
+reverse as incremental means. An action's edge is created the first time
+the action is selected; an action without one counts as unvisited. Every
+step draws its successor and observation straight from the model's sparse
+rows (:attr:`.PomdpModel.draw_rows`), with the same two ``rng.random()``
+draws as :meth:`.PomdpModel.generative_step`, which only the environment
+calls. Past the shield horizon a rollout reads one precomputed row per
+state and still makes the observation draw, so the random-number stream
+does not depend on how a step is sampled.
+
+The shield from :mod:`.shield` restricts both selection and rollouts for
+the first H tree levels: an action is searchable only when every
+observation outcome keeps the belief support winning. Each tree node's
+belief support is resolved exactly from the BSTS (the root support is the
+particle support), and its searchable actions are read straight off the
+shield table (``Shield.table`` and ``Shield.groups``, without a method
+call per child). That table never leaves a reachable node below the
+horizon without an action, so the search has no dead ends to handle; a
+broken table is the certificate verifier's to catch.
 
 A planning step owns the tree exclusively. Trees are rebuilt from a fresh
 root each environment step: the shield changes with every new prediction,
@@ -21,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import AllActionsShielded, EmptyBelief, InvalidSpec
@@ -47,7 +58,8 @@ class SearchNode:
     horizon, and below the root when unshielded. ``allowed`` is the tuple of
     actions search may take: the shield table's entry for the node below
     the horizon, every action otherwise. ``edges`` is None until the node
-    is expanded. Only the root holds ``particles``: the tree is rebuilt
+    is expanded, then one slot per action, None until search first selects
+    that action. Only the root holds ``particles``: the tree is rebuilt
     every step, so nothing reads particles below it.
     """
 
@@ -160,6 +172,14 @@ class Planner:
         self.rollout_actions = rollout_actions
         self.last_stats = None
         self._node_count = 0
+        rows = self._rows = model.draw_rows
+        # the unshielded rollout tail's row per state: the table action's
+        # draw row, or every action's without a table; None where it stops
+        absorbing = model.absorbing_zero
+        self._tail = tuple(
+            None if s in absorbing else
+            rows[s] if rollout_actions is None else rows[s][rollout_actions[s]]
+            for s in range(model.n_states))
 
     # -- tree construction ---------------------------------------------------
 
@@ -176,8 +196,8 @@ class Planner:
         self._node_count += 1
         if shield is None or parent.support is None or depth >= shield.horizon:
             return SearchNode(depth, None, self._all_actions)
-        support = shield.successor(parent.support, parent.depth, action, observation)
-        return SearchNode(depth, support, shield.allowed(support, depth))
+        support = shield.groups[(parent.support, parent.depth)][action].get(observation)
+        return SearchNode(depth, support, shield.table[(support, depth)])
 
     # -- search ---------------------------------------------------------------
 
@@ -196,15 +216,17 @@ class Planner:
         states = root.particles
         n_states = len(states)
         draw = self.rng.random
+        simulate = self.simulate
         sims = 0
         while sims < cfg.num_simulations and root.allowed:
-            self.simulate(root, states[int(draw() * n_states)], 0, shield)
+            simulate(root, states[int(draw() * n_states)], 0, shield)
             sims += 1
         chosen = None
         best = -math.inf
         if root.edges is not None:
             for a in root.allowed:
-                v = root.edges[a].value
+                edge = root.edges[a]
+                v = edge.value if edge is not None else 0.0
                 if v > best:
                     best, chosen = v, a
         elif root.allowed:
@@ -219,31 +241,51 @@ class Planner:
         return chosen
 
     def simulate(self, node, state, depth, shield):
-        """One search pass from ``node`` at ``state``; returns the sampled return."""
-        cfg = self.config
-        model = self.model
-        if depth >= cfg.max_depth or state in model.absorbing_zero:
-            return 0.0
-        if node.edges is None:
-            node.edges = [ActionEdge() for _ in range(model.n_actions)]
-            node.visits += 1
-            return self.rollout(state, depth, node.support, shield)
+        """One search pass from ``node`` at ``state``; returns the sampled return.
 
-        action = self._select_ucb(node)
-        s2, obs, reward = model.generative_step(state, action, self.rng)
-        edge = node.edges[action]
-        children = edge.children
-        child = children.get(obs)
-        if child is None:
-            child = children[obs] = self._make_child(node, action, obs, shield)
-        total = reward + self.discount * self.simulate(child, s2, depth + 1, shield)
-        edge.visits += 1
-        edge.value += (total - edge.value) / edge.visits
-        node.visits += 1
-        return total
+        Walks down by UCB while the nodes are expanded, drawing each step
+        straight from the model's rows, expands the first unexpanded node
+        with a rollout, then backs the discounted return up the walked
+        path in reverse, as incremental means.
+        """
+        max_depth = self.config.max_depth
+        absorbing = self.model.absorbing_zero
+        rows = self._rows
+        draw = self.rng.random
+        select = self._select_ucb
+        path = []
+        ret = 0.0
+        while depth < max_depth and state not in absorbing:
+            edges = node.edges
+            if edges is None:
+                node.edges = [None] * len(self._all_actions)
+                node.visits += 1
+                ret = self.rollout(state, depth, node.support, shield)
+                break
+            action = select(node)
+            succ, cum, reward, obs_rows = rows[state][action]
+            i = bisect_left(cum, draw())
+            obs, ocum = obs_rows[i]
+            obs = obs[bisect_left(ocum, draw())]
+            edge = edges[action]
+            if edge is None:
+                edge = edges[action] = ActionEdge()
+            child = edge.children.get(obs)
+            if child is None:
+                child = edge.children[obs] = self._make_child(node, action, obs, shield)
+            path.append((node, edge, reward))
+            node, state = child, succ[i]
+            depth += 1
+        discount = self.discount
+        for node, edge, reward in reversed(path):
+            ret = reward + discount * ret
+            edge.visits += 1
+            edge.value += (ret - edge.value) / edge.visits
+            node.visits += 1
+        return ret
 
     def _select_ucb(self, node):
-        """Lowest-index unvisited allowed action, else the highest UCB score."""
+        """Lowest-index allowed action without an edge, else the highest UCB score."""
         edges = node.edges
         allowed = node.allowed
         log_n = math.log(node.visits) if node.visits > 0 else 0.0
@@ -253,10 +295,9 @@ class Planner:
         best = -math.inf
         for a in allowed:
             edge = edges[a]
-            visits = edge.visits
-            if visits <= 0:
+            if edge is None:
                 return a
-            score = edge.value + c * sqrt(log_n / visits)
+            score = edge.value + c * sqrt(log_n / edge.visits)
             if score > best:
                 best, best_a = score, a
         return best_a
@@ -269,44 +310,63 @@ class Planner:
         support for the step (below its horizon), only certified actions
         are taken: an uncertified table entry is replaced by a uniform
         draw among the certified ones, and a support with none ends the
-        rollout. Past the horizon the rollout is unconstrained.
+        rollout. Past the horizon the rollout is unconstrained and reads
+        one precomputed row per state; it still draws the observation it
+        does not need, so every step takes the same draws as
+        :meth:`.PomdpModel.generative_step`.
         """
         max_depth = self.config.max_depth
-        absorbing = self.model.absorbing_zero
-        step = self.model.generative_step
-        rng = self.rng
-        draw = rng.random
+        draw = self.rng.random
         table = self.rollout_actions
         discount = self.discount
         ret = 0.0
         disc = 1.0
         d = depth
         if shield is not None and support is not None:
-            horizon = shield.horizon
-            allowed, successor = shield.allowed, shield.successor
+            absorbing = self.model.absorbing_zero
+            rows = self._rows
+            horizon, certified, groups = shield.horizon, shield.table, shield.groups
             while d < max_depth and d < horizon and support is not None:
                 if state in absorbing:
                     return ret
-                acts = allowed(support, d)
+                acts = certified[(support, d)]
                 if not acts:
                     return ret            # dead end: truncate the rollout
                 if table is None or table[state] not in acts:
                     action = acts[int(draw() * len(acts))]
                 else:
                     action = table[state]
-                state, obs, reward = step(state, action, rng)
+                succ, cum, reward, obs_rows = rows[state][action]
+                i = bisect_left(cum, draw())
+                obs, ocum = obs_rows[i]
+                obs = obs[bisect_left(ocum, draw())]
+                state = succ[i]
                 ret += disc * reward
                 disc *= discount
-                support = successor(support, d, action, obs) if d + 1 < horizon else None
+                support = groups[(support, d)][action].get(obs) if d + 1 < horizon else None
                 d += 1
-        n_actions = self.model.n_actions
-        for _ in range(d, max_depth):
-            if state in absorbing:
-                break
-            action = table[state] if table is not None else int(draw() * n_actions)
-            state, _, reward = step(state, action, rng)
-            ret += disc * reward
-            disc *= discount
+        tail = self._tail
+        if table is None:
+            n_actions = self.model.n_actions
+            for _ in range(d, max_depth):
+                row = tail[state]
+                if row is None:
+                    break
+                succ, cum, reward, _ = row[int(draw() * n_actions)]
+                state = succ[bisect_left(cum, draw())]
+                draw()                    # the observation, unused
+                ret += disc * reward
+                disc *= discount
+        else:
+            for _ in range(d, max_depth):
+                row = tail[state]
+                if row is None:
+                    break
+                succ, cum, reward, _ = row
+                state = succ[bisect_left(cum, draw())]
+                draw()                    # the observation, unused
+                ret += disc * reward
+                disc *= discount
         return ret
 
     # -- root advancement ------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,6 +188,22 @@ class PomdpModel:
     def observation_support(self, s2, a):
         """Tuple of observations with Z(s2, a, o) > 0."""
         return self._z[s2][a][0]
+
+    @cached_property
+    def draw_rows(self):
+        """The rows :meth:`generative_step` draws from, one per (s, a).
+
+        ``draw_rows[s][a]`` is (successors, cumulative, reward, observation
+        rows), where the i-th observation row is the (observations,
+        cumulative) of Z(successors[i], a, .). A sampler that reads them
+        inline makes the same draws as :meth:`generative_step` without the
+        call. Built on first use and kept with the model.
+        """
+        return tuple(
+            tuple((*self._t[s][a], self._r[s][a],
+                   tuple(self._z[s2][a] for s2 in self._t[s][a][0]))
+                  for a in range(self.n_actions))
+            for s in range(self.n_states))
 
     # -- generative simulator ----------------------------------------------
     def generative_step(self, s, a, rng):

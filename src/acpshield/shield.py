@@ -70,12 +70,12 @@ class Bsts:
     """Reachable belief supports within the horizon, layered by depth.
 
     ``levels[q]`` holds the supports reachable in exactly q steps from the
-    root; ``post(sup, q, a)`` the observation-grouped successor supports.
-    With deterministic observations the successor supports partition the
-    one-step successor union; with noisy observations a successor state can
-    appear under every observation it may emit, so the groups form a cover.
-    Either way each group is exactly the support the belief update would
-    produce under that observation.
+    root; ``post_by_obs(sup, q, a)`` the observation-grouped successor
+    supports. With deterministic observations the successor supports
+    partition the one-step successor union; with noisy observations a
+    successor state can appear under every observation it may emit, so the
+    groups form a cover. Either way each group is exactly the support the
+    belief update would produce under that observation.
 
     A support's successor groups do not depend on its depth, so ``expansions``
     (support -> per-action groups) may be shared by every BSTS of one model:
@@ -111,10 +111,6 @@ class Bsts:
         except KeyError:
             raise UnknownSupport(
                 f"({sorted(support)}, {q}) is not an expanded node") from None
-
-    def post(self, support, q, a):
-        """Set of successor supports of (support, q) under action a."""
-        return frozenset(self.post_by_obs(support, q, a).values())
 
     def node_count(self):
         return sum(len(sups) for sups in self.levels.values())
@@ -311,8 +307,7 @@ def keeps_winning(bsts, winning, support, q, action):
     """Certificate predicate: every successor of (support, q) under
     ``action`` lies in the claimed W^{q+1}, read straight off the BSTS edges.
     """
-    target = winning.regions[q + 1]
-    return all(child in target for child in bsts.post(support, q, action))
+    return winning.regions[q + 1].issuperset(bsts.post_by_obs(support, q, action).values())
 
 
 def verify_winning_regions(bsts, unsafe, winning):
@@ -361,12 +356,18 @@ class Shield:
     support sitting ``depth`` steps into the future (depth 0 is now).
     Depths at or beyond the horizon are unconstrained: the prediction
     regions say nothing about them.
+
+    The planner's inner loop reads the tables directly:
+    ``table[(support, depth)]`` is the certified action tuple and
+    ``groups[(support, depth)][action]`` the {observation: child support}
+    dict of every node below the horizon.
     """
 
     def __init__(self, bsts, winning):
         self.bsts = bsts
         self.horizon = bsts.horizon
-        self._allowed = winning.allowed
+        self.table = winning.allowed
+        self.groups = bsts._post
         self._unconstrained = tuple(range(bsts.model.n_actions))
 
     def allowed(self, support, depth):
@@ -374,11 +375,8 @@ class Shield:
         if depth >= self.horizon:
             return self._unconstrained
         try:
-            return self._allowed[(support, depth)]
+            return self.table[(support, depth)]
         except KeyError:
             raise UnknownSupport(
                 f"({sorted(support)}, {depth}) is not a BSTS node") from None
 
-    def successor(self, support, depth, action, obs):
-        """Child support after (action, obs), or None if obs impossible."""
-        return self.bsts.post_by_obs(support, depth, action).get(obs)

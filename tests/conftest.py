@@ -20,11 +20,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def make_random_pomdp(rng, n_states=5, n_actions=3, n_obs=4, branch=3,
-                      deterministic_obs=False, discount=0.95):
+                      deterministic_obs=False, discount=0.95, absorbing=0):
     """Random sparse POMDP with at most ``branch`` successors per (s, a).
 
     Observation rows are either random over a small support or deterministic
-    (one observation per state, shared across actions).
+    (one observation per state, shared across actions). The first
+    ``absorbing`` states self-loop with zero reward under every action.
     """
     t = np.zeros((n_states, n_actions, n_states))
     z = np.zeros((n_states, n_actions, n_obs))
@@ -42,6 +43,10 @@ def make_random_pomdp(rng, n_states=5, n_actions=3, n_obs=4, branch=3,
                 m = int(rng.integers(1, min(3, n_obs) + 1))
                 oo = rng.choice(n_obs, size=m, replace=False)
                 z[s, a, oo] = rng.dirichlet(np.ones(m))
+    t[:absorbing] = 0.0
+    r[:absorbing] = 0.0
+    for s in range(absorbing):
+        t[s, :, s] = 1.0
     return PomdpModel.from_tables(t, r, z, discount=discount)
 
 

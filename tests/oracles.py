@@ -331,10 +331,115 @@ def rollout_oracle(model, state, depth, support, shield, rng, max_depth, discoun
         ret += disc * reward
         disc *= discount
         if shield is not None and support is not None:
-            support = (shield.successor(support, d, action, obs)
+            support = (shield.bsts.post_by_obs(support, d, action).get(obs)
                        if d + 1 < shield.horizon else None)
         state = s2
     return ret
+
+
+class OracleEdge:
+    """One action's statistics at one node of :class:`PlannerOracle`."""
+
+    def __init__(self):
+        self.visits = 0
+        self.value = 0.0
+        self.children = {}        # observation -> OracleNode
+
+
+class OracleNode:
+    """One history node of :class:`PlannerOracle`; ``edges`` is None until expanded."""
+
+    def __init__(self, depth, support, allowed):
+        self.visits = 0
+        self.depth = depth
+        self.support = support
+        self.allowed = allowed
+        self.edges = None
+
+
+class PlannerOracle:
+    """``Planner.plan`` as a recursive search, one frame per tree level.
+
+    Expanding a node gives every action an edge at once; selection takes
+    the lowest-index unvisited allowed action, else the highest UCB score;
+    each tree step draws through ``model.generative_step``, children read
+    the BSTS through ``post_by_obs`` and the shield through ``allowed``, and
+    rollouts are :func:`rollout_oracle` with the table as its policy.
+    ``plan`` returns (root, chosen action or None, simulations run) and
+    leaves the node count in ``nodes``.
+    """
+
+    def __init__(self, model, rng, num_simulations, max_depth, ucb_constant,
+                 rollout_actions=None):
+        self.model = model
+        self.rng = rng
+        self.num_simulations = num_simulations
+        self.max_depth = max_depth
+        self.c = ucb_constant
+        self.policy = (None if rollout_actions is None
+                       else (lambda state, _rng: rollout_actions[state]))
+        self.every = tuple(range(model.n_actions))
+        self.nodes = 0
+
+    def plan(self, particles, shield=None):
+        support = frozenset(particles)
+        root = OracleNode(0, support, self.every if shield is None
+                          else shield.allowed(support, 0))
+        self.nodes = 1
+        sims = 0
+        while sims < self.num_simulations and root.allowed:
+            state = particles[int(self.rng.random() * len(particles))]
+            self.simulate(root, state, 0, shield)
+            sims += 1
+        chosen, best = None, -math.inf
+        if root.edges is not None:
+            for a in root.allowed:
+                if root.edges[a].value > best:
+                    best, chosen = root.edges[a].value, a
+        elif root.allowed:
+            chosen = root.allowed[0]
+        return root, chosen, sims
+
+    def child(self, parent, action, observation, shield):
+        depth = parent.depth + 1
+        self.nodes += 1
+        if shield is None or parent.support is None or depth >= shield.horizon:
+            return OracleNode(depth, None, self.every)
+        support = shield.bsts.post_by_obs(parent.support, parent.depth, action).get(observation)
+        return OracleNode(depth, support, shield.allowed(support, depth))
+
+    def simulate(self, node, state, depth, shield):
+        if depth >= self.max_depth or state in self.model.absorbing_zero:
+            return 0.0
+        if node.edges is None:
+            node.edges = [OracleEdge() for _ in self.every]
+            node.visits += 1
+            return rollout_oracle(self.model, state, depth, node.support, shield,
+                                  self.rng, self.max_depth, self.model.discount,
+                                  self.policy)
+        action = self.select(node)
+        s2, obs, reward = self.model.generative_step(state, action, self.rng)
+        edge = node.edges[action]
+        if obs not in edge.children:
+            edge.children[obs] = self.child(node, action, obs, shield)
+        total = reward + self.model.discount * self.simulate(
+            edge.children[obs], s2, depth + 1, shield)
+        edge.visits += 1
+        edge.value += (total - edge.value) / edge.visits
+        node.visits += 1
+        return total
+
+    def select(self, node):
+        log_n = math.log(node.visits) if node.visits > 0 else 0.0
+        best_a, best = node.allowed[0], -math.inf
+        for a in node.allowed:
+            edge = node.edges[a]
+            if edge.visits <= 0:
+                return a
+            score = edge.value + self.c * math.sqrt(log_n / edge.visits)
+            if score > best:
+                best, best_a = score, a
+        return best_a
 
 
 def agents_at_oracle(tracks, t):

@@ -1,6 +1,8 @@
 """CLI subcommands: run, bench, validate, coverage."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +135,18 @@ def test_coverage_reports_each_lookahead(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "tau=1" in out and "tau=2" in out and "target=0.9500" in out
+
+
+# SHA-256 of the raw CSV of `bench --config configs/desk20.yaml --runs 2`.
+# A change that alters random-number use on purpose updates this pin and
+# says so in CHANGES.md; a speed-up must leave it alone.
+DESK20_RAW_SHA256 = "220479110a806fd324b92d9cdd16b2c57a35bfb74a3473ccf666ea64aebaac53"
+
+
+def test_bench_desk20_raw_csv_is_pinned(tmp_path, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "desk20.yaml"
+    code = main(["bench", "--config", str(config), "--runs", "2", "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    raw = (tmp_path / "desk20_raw.csv").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == DESK20_RAW_SHA256

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from acpshield import trajectory
 from acpshield.errors import InvalidSpec
 from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
 from acpshield.harness import (
@@ -29,7 +30,7 @@ from acpshield.harness import (
 )
 from acpshield.planner import PlannerConfig
 from acpshield.shield import constraint_values
-from acpshield.trajectory import TrajectorySource
+from acpshield.trajectory import TrajectorySource, save_trajectories
 
 import oracles
 
@@ -316,6 +317,39 @@ def test_expand_grid_crosses_methods_and_counts():
     assert {(c.method, c.agents.count) for c in grid} == {
         ("no-shield", 2), ("shield-acp", 2), ("no-shield", 5), ("shield-acp", 5)}
     assert base.method == "shield-acp" and base.agents.count == 2
+
+
+def test_run_many_loads_replay_predictions_once(tmp_path, monkeypatch):
+    # run_many builds the replay predictor once per config and shares it;
+    # the episodes equal those that each load their own
+    cfg = small_config(runs=3, max_steps=6)
+    source = build_source(cfg, 0)
+    lines = ["t,tau,agent_id,x,y"]
+    for t in range(episode_horizon(cfg)):
+        now = source.agents_at(t)
+        for tau in range(1, cfg.horizon + 1):
+            for aid, (x, y) in zip(now.ids, now.positions.tolist()):
+                lines.append(f"{t},{tau},{aid},{x + 0.1 * tau!r},{y!r}")
+    preds, log = tmp_path / "preds.csv", tmp_path / "agents.csv"
+    preds.write_text("\n".join(lines) + "\n")
+    save_trajectories(source, log)
+    cfg = replace(cfg, predictor="replay", predictions_path=str(preds),
+                  agents=replace(cfg.agents, csv_path=str(log)))
+    loads = []
+    load = trajectory.load_predictions
+    monkeypatch.setattr(trajectory, "load_predictions",
+                        lambda *args, **kw: loads.append(args) or load(*args, **kw))
+
+    shared = run_many(cfg)
+    assert len(loads) == 1
+    model, source = build_gridworld(cfg.grid), build_source(cfg, 0)
+    own = [run_episode(cfg, run, model, source) for run in range(cfg.runs)]
+    assert len(loads) == 1 + cfg.runs
+    assert ([replace(r, mean_plan_seconds=0.0) for r in shared]
+            == [replace(r, mean_plan_seconds=0.0) for r in own])
+    assert any(r.soundness_checked for r in shared)
+    run_many(replace(cfg, method="no-shield"))
+    assert len(loads) == 1 + cfg.runs
 
 
 def test_run_benchmark_rows_align_with_configs():

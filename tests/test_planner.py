@@ -113,12 +113,16 @@ def shielded_corridor(horizon=2):
 
 def test_ucb_score_arithmetic():
     # selection maximizes value + c * sqrt(ln(node visits) / edge visits)
-    # over the allowed actions; unvisited edges go first
+    # over the allowed actions; actions without an edge (never selected)
+    # go first, the lowest index first
     planner = Planner(bandit(), PlannerConfig(ucb_constant=2.0))
     node = planner.make_root([0])
-    node.edges = [ActionEdge(), ActionEdge()]
+    node.edges = [None, None]
+    assert planner._select_ucb(node) == 0
+    node.edges[0] = ActionEdge()
     node.edges[0].visits, node.edges[0].value = 4, 1.0
     assert planner._select_ucb(node) == 1
+    node.edges[1] = ActionEdge()
     node.edges[1].visits = 1
     node.visits = math.e ** 4          # scores: 1 + 2 * 1 = 3 and 0 + 2 * 2 = 4
     assert planner._select_ucb(node) == 1
@@ -217,11 +221,14 @@ def test_visit_count_invariant():
     assert root.visits == 500
 
     def walk(node):
-        # one visit expands the node, every later one goes down an edge
+        # one visit expands the node, every later one goes down an edge; an
+        # edge exists only once its action was selected, so it has visits
         if node.edges is None:
             return
-        assert node.visits == sum(e.visits for e in node.edges) + 1
-        for e in node.edges:
+        edges = [e for e in node.edges if e is not None]
+        assert all(e.visits >= 1 for e in edges)
+        assert node.visits == sum(e.visits for e in edges) + 1
+        for e in edges:
             for child in e.children.values():
                 walk(child)
 
@@ -379,9 +386,11 @@ def test_tree_pruning_matches_certified_sets(rng):
             if node.edges is None:
                 return
             for a in range(model.n_actions):
-                if a not in node.allowed:
-                    assert node.edges[a].visits == 0
-                for child in node.edges[a].children.values():
+                edge = node.edges[a]
+                if edge is None:
+                    continue
+                assert a in node.allowed        # a pruned action has no edge
+                for child in edge.children.values():
                     walk(child)
 
         walk(root)

@@ -1,6 +1,6 @@
 """Property tests on random inputs: BSTS edges, the shield table, ACP radii,
 constraint margins, nonconformity scores, the particle refresh, simulator
-draws, rollouts and the per-timestep agent index."""
+draws, rollouts, the planner's search and the per-timestep agent index."""
 
 import math
 import random
@@ -24,7 +24,7 @@ from acpshield.errors import (
     ParticleDeprivation,
 )
 from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
-from acpshield.planner import Planner, PlannerConfig, fallback_action
+from acpshield.planner import Planner, PlannerConfig, PlanStats, fallback_action
 from acpshield.pomdp import BeliefState, PomdpModel, belief_update, resample_particles
 from acpshield.shield import (
     MARGIN_BLOCK,
@@ -457,10 +457,70 @@ def test_planner_tree_reads_shield_table_without_dead_ends(seed, horizon, determ
         else:
             assert node.support is None and node.allowed == every_action
         for edge in node.edges or ():
-            for child in edge.children.values():
-                walk(child)
+            if edge is not None:
+                for child in edge.children.values():
+                    walk(child)
 
     walk(root)
+
+
+def same_tree(node, theirs, n_actions):
+    """Equal visits, supports and actions everywhere; our missing edges are
+    the oracle's unvisited ones."""
+    assert (node.depth, node.visits, node.support, node.allowed) == (
+        theirs.depth, theirs.visits, theirs.support, theirs.allowed)
+    assert (node.edges is None) == (theirs.edges is None)
+    for a in range(n_actions) if node.edges is not None else ():
+        edge, want = node.edges[a], theirs.edges[a]
+        if edge is None:
+            assert want.visits == 0 and not want.children
+            continue
+        assert (edge.visits, edge.value) == (want.visits, want.value)
+        assert edge.children.keys() == want.children.keys()
+        for obs, child in edge.children.items():
+            same_tree(child, want.children[obs], n_actions)
+
+
+@PROPERTY
+@given(seed=seeds, horizon=st.integers(1, 3), extra_depth=st.integers(0, 3),
+       deterministic=st.booleans(), absorbing=st.integers(0, 2), shielded=st.booleans(),
+       table=st.booleans(), ucb=st.sampled_from((0.0, 2.0, 500.0)))
+def test_planner_matches_recursive_oracle(seed, horizon, extra_depth, deterministic,
+                                          absorbing, shielded, table, ucb):
+    # the flat search loop with lazy edges plans exactly like the recursive
+    # search: same action, stats, tree and random-number stream
+    rng = np.random.default_rng(seed)
+    n_states = int(rng.integers(3, 8))
+    model = make_random_pomdp(rng, n_states=n_states, n_actions=int(rng.integers(1, 4)),
+                              n_obs=3, deterministic_obs=deterministic,
+                              absorbing=min(absorbing, n_states - 1))
+    support = random_support(model, rng)
+    particles = [s for s in sorted(support) for _ in range(int(rng.integers(1, 4)))]
+    shield = None
+    if shielded:
+        by_level = {tau: frozenset(rng.choice(model.n_states, size=int(rng.integers(0, 3)),
+                                              replace=False).tolist())
+                    for tau in range(1, horizon + 1)}
+        shield = make_shield(model, support, horizon, manual_unsafe(horizon, by_level))
+    actions = (tuple(rng.integers(model.n_actions, size=model.n_states).tolist())
+               if table else None)
+    cfg = PlannerConfig(num_simulations=int(rng.integers(1, 80)),
+                        max_depth=horizon + extra_depth, ucb_constant=ucb, seed=seed)
+    planner = Planner(model, cfg, actions)
+    root = planner.make_root(particles)
+    try:
+        chosen = planner.plan(root, shield)
+    except AllActionsShielded:
+        chosen = None
+    oracle = oracles.PlannerOracle(model, random.Random(seed), cfg.num_simulations,
+                                   cfg.max_depth, ucb, actions)
+    want_root, want, sims = oracle.plan(particles, shield)
+    assert chosen == want
+    assert planner.last_stats == PlanStats(
+        simulations=sims, nodes=oracle.nodes, chosen=want, root_allowed=want_root.allowed,
+        root_pruned=tuple(a for a in range(model.n_actions) if a not in want_root.allowed))
+    same_tree(root, want_root, model.n_actions)
+    assert planner.rng.getstate() == oracle.rng.getstate()
 
 
 @PROPERTY

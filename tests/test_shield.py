@@ -43,6 +43,11 @@ def make_shield(model, root, horizon, unsafe):
     return Shield(bsts, compute_winning_regions(bsts, unsafe))
 
 
+def post(bsts, support, q, a):
+    """Set of successor supports of (support, q) under action a."""
+    return frozenset(bsts.post_by_obs(support, q, a).values())
+
+
 def corridor(n=5, n_obs_blocks=None):
     """Deterministic 1-D corridor, fully observable, actions left/right."""
     t = np.zeros((n, 2, n))
@@ -90,11 +95,11 @@ def test_bsts_deterministic_chain():
     bsts = Bsts(model, fs(0), 2)
     # moving right from s0: levels are singleton supports marching along
     assert bsts.levels[0] == {fs(0)}
-    assert bsts.post(fs(0), 0, 1) == frozenset({fs(1)})
-    assert bsts.post(fs(1), 1, 1) == frozenset({fs(2)})
+    assert post(bsts, fs(0), 0, 1) == frozenset({fs(1)})
+    assert post(bsts, fs(1), 1, 1) == frozenset({fs(2)})
     assert fs(2) in bsts.levels[2]
     # left from s0 clamps in place
-    assert bsts.post(fs(0), 0, 0) == frozenset({fs(0)})
+    assert post(bsts, fs(0), 0, 0) == frozenset({fs(0)})
 
 
 def test_bsts_gridworld_one_step_hand_enumeration():
@@ -107,12 +112,12 @@ def test_bsts_gridworld_one_step_hand_enumeration():
         fs(idx(1, 0), idx(1, 1)),
         fs(idx(2, 0), idx(3, 0), idx(2, 1), idx(3, 1)),
     })
-    assert bsts.post(root, 0, 0) == east
+    assert post(bsts, root, 0, 0) == east
     north = frozenset({
         fs(idx(0, 1), idx(1, 1)),
         fs(idx(0, 2), idx(0, 3), idx(1, 2), idx(1, 3)),
     })
-    assert bsts.post(root, 0, 3) == north
+    assert post(bsts, root, 0, 3) == north
     for sup in bsts.levels[1]:
         cells = [spec.state_cell(s) for s in sup]
         assert len(sup) <= 4
@@ -157,7 +162,7 @@ def test_bsts_rejects_bad_horizon(two_state_model):
         Bsts(two_state_model, fs(0), 0)
     bsts = Bsts(two_state_model, fs(0), 1)
     with pytest.raises(UnknownSupport):
-        bsts.post(fs(1), 0, 0)
+        bsts.post_by_obs(fs(1), 0, 0)
 
 
 # -- unsafe sets --------------------------------------------------------------
@@ -389,5 +394,6 @@ def test_shield_wrapper_matches_shield_actions(rng):
 def test_shield_successor_resolution():
     model = corridor(5)
     shield = make_shield(model, fs(2), 2, manual_unsafe(2, {}))
-    assert shield.successor(fs(2), 0, 1, 3) == fs(3)     # obs 3 after moving right
-    assert shield.successor(fs(2), 0, 1, 0) is None      # obs 0 impossible there
+    assert shield.groups[(fs(2), 0)][1].get(3) == fs(3)   # obs 3 after moving right
+    assert shield.groups[(fs(2), 0)][1].get(0) is None    # obs 0 impossible there
+    assert shield.table[(fs(2), 0)] == shield.allowed(fs(2), 0)
