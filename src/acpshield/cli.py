@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import yaml
@@ -127,7 +126,6 @@ def cmd_validate(args):
         print("validate needs a shielded method; use --method to pick one",
               file=sys.stderr)
         return 2
-    cfg = replace(cfg, verify_certificates=True)
     model = build_gridworld(cfg.grid)
     cert_failures = violations = checked = deadlocks = 0
     for run, r in enumerate(run_many(cfg, model)):

@@ -6,9 +6,9 @@ Every step of an episode runs the same stages, in order:
 2. ACP: append the state, update the conformal radii, predict and buffer
    the prediction (``_acp_step``, also run by the warm-up and by
    ``acp_coverage_run``);
-3. shield: unsafe sets, the BSTS of the particle support (kept per
-   episode), the winning regions with their action table, and the
-   certificate check when ``verify_certificates`` is set;
+3. shield: unsafe sets, the BSTS of the particle support (built every
+   step on the episode's one map of support edges), the winning regions
+   with their action table, and the independent certificate check;
 4. plan a certified action, or take the fallback when all are shielded;
 5. soundness: the executed action must keep every successor winning;
 6. execute the action in the simulator;
@@ -77,6 +77,7 @@ from .trajectory import (
 )
 
 METHODS = ("no-shield", "shield-no-acp", "shield-acp")
+HISTORY_WINDOW = 8                # past joint agent states the predictors see
 
 
 # -- configuration -----------------------------------------------------------
@@ -90,7 +91,6 @@ class AgentSetup:
     count: int = 5
     speed: float = 0.8
     noise: float = 0.3
-    bounds: tuple = None          # None: the grid's extent
     csv_path: str = None          # replaces synthesis when given
     scale: float = 1.0
     stride: int = 1
@@ -112,12 +112,9 @@ class ExperimentConfig:
     epsilon: float = 0.5
     alpha: float = DEFAULT_ALPHA
     window: int = DEFAULT_WINDOW
-    lipschitz: float = 1.0
     runs: int = 1
     max_steps: int = 300
     seed: int = 0
-    verify_certificates: bool = False
-    history_window: int = 8
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -130,8 +127,6 @@ class ExperimentConfig:
             raise InvalidSpec(f"alpha {self.alpha} outside (0, 1)")
         if self.epsilon <= 0.0:
             raise InvalidSpec(f"epsilon must be > 0, got {self.epsilon}")
-        if self.lipschitz <= 0.0:
-            raise InvalidSpec(f"lipschitz must be > 0, got {self.lipschitz}")
         if self.window < 1:
             raise InvalidSpec(f"window must be >= 1, got {self.window}")
         if self.runs < 1:
@@ -141,8 +136,6 @@ class ExperimentConfig:
         if self.planner.max_depth < self.horizon:
             raise InvalidSpec(
                 f"planner depth {self.planner.max_depth} below horizon {self.horizon}")
-        if self.history_window < 2:
-            raise InvalidSpec(f"history_window must be >= 2, got {self.history_window}")
 
 
 # -- per-step and per-episode records ------------------------------------------
@@ -211,7 +204,7 @@ def build_source(cfg, run):
     if cfg.agents.csv_path is not None:
         return load_trajectories(cfg.agents.csv_path, scale=cfg.agents.scale,
                                  frame_stride=cfg.agents.stride)
-    bounds = cfg.agents.bounds or (0.0, float(cfg.grid.width), 0.0, float(cfg.grid.height))
+    bounds = (0.0, float(cfg.grid.width), 0.0, float(cfg.grid.height))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, run, 0]))
     return synth_trajectories(cfg.agents.kind, cfg.agents.count, episode_horizon(cfg),
                               rng, bounds=bounds, speed=cfg.agents.speed,
@@ -291,7 +284,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
 
     estimator = AcpEstimator(cfg.horizon, cfg.alpha, cfg.delta, cfg.window) \
         if cfg.method == "shield-acp" else None
-    history = deque(maxlen=cfg.history_window)
+    history = deque(maxlen=HISTORY_WINDOW)
 
     # grace period: agents move alone while the conformal windows fill, so
     # the robot starts with finite radii on every lookahead
@@ -301,7 +294,6 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
             _acp_step(estimator, predictor, history, _source_step(source, t), cfg.horizon)
 
     records = []
-    bsts_cache = {}
     expansions = {}               # support -> successor groups, shared by every BSTS
     plan_secs = []
     realized = 0.0
@@ -341,15 +333,11 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
                 rec.violated = tuple(r.violated for r in last)
             rec.radius = regions.radii
             # shield
-            unsafe = unsafe_sets(positions, prediction, regions, cfg.epsilon,
-                                 cfg.lipschitz)
-            bsts = bsts_cache.get(support)
-            if bsts is None:
-                bsts = bsts_cache[support] = Bsts(model, support, cfg.horizon, expansions)
+            unsafe = unsafe_sets(positions, prediction, regions, cfg.epsilon)
+            bsts = Bsts(model, support, cfg.horizon, expansions)
             winning = compute_winning_regions(bsts, unsafe)
             shield = Shield(bsts, winning)
-            if cfg.verify_certificates:
-                cert_failures += len(verify_winning_regions(bsts, unsafe, winning))
+            cert_failures += len(verify_winning_regions(bsts, unsafe, winning))
             # plan, or fall back
             try:
                 rec.action = planner.plan(root, shield)
@@ -574,7 +562,7 @@ def acp_coverage_run(steps=10_000, horizon=3, n_agents=3, kind="random-walk",
                      speed=0.1, noise=0.0, predictor="constant-velocity",
                      delta=DEFAULT_DELTA, alpha=DEFAULT_ALPHA,
                      window=DEFAULT_WINDOW, seed=0,
-                     bounds=(0.0, 200.0, 0.0, 200.0), history_window=8):
+                     bounds=(0.0, 200.0, 0.0, 200.0)):
     """Run the conformal estimator alone over a synthetic agent stream.
 
     Returns {tau: (empirical coverage, tested count)}. The planner plays no
@@ -585,7 +573,7 @@ def acp_coverage_run(steps=10_000, horizon=3, n_agents=3, kind="random-walk",
                                 speed=speed, noise=noise)
     predict = make_predictor(predictor)
     estimator = AcpEstimator(horizon, alpha, delta, window)
-    history = deque(maxlen=history_window)
+    history = deque(maxlen=HISTORY_WINDOW)
     for t in range(steps):
         _acp_step(estimator, predict, history, source.agents_at(t), horizon)
     return {tau: (estimator.coverage(tau), estimator.tested_count(tau))
@@ -598,11 +586,11 @@ def acp_coverage_run(steps=10_000, horizon=3, n_agents=3, kind="random-walk",
 _CONFIG_SECTIONS = {
     "grid": ("width", "height", "start", "goal", "step_reward", "goal_reward",
              "collision_reward", "near_prob", "far_prob", "obs_noise"),
-    "agents": ("kind", "count", "speed", "noise", "bounds", "csv", "scale", "stride"),
+    "agents": ("kind", "count", "speed", "noise", "csv", "scale", "stride"),
     "acp": ("predictor", "predictions", "horizon", "delta", "epsilon", "alpha",
-            "window", "lipschitz"),
+            "window"),
     "planner": ("simulations", "depth", "ucb", "particles", "rollout"),
-    "run": ("max_steps", "verify_certificates", "history_window"),
+    "run": ("max_steps",),
     "bench": ("methods", "agent_counts"),
 }
 _CONFIG_TOP_LEVEL = ("label", "seed", "runs", "method", *_CONFIG_SECTIONS)
@@ -651,7 +639,6 @@ def parse_config(data):
         kind=a.get("kind", "constant-velocity-with-noise"),
         count=int(a.get("count", 5)), speed=float(a.get("speed", 0.8)),
         noise=float(a.get("noise", 0.3)),
-        bounds=tuple(a["bounds"]) if "bounds" in a else None,
         csv_path=a.get("csv"), scale=float(a.get("scale", 1.0)),
         stride=int(a.get("stride", 1)))
     p = _section(data, "planner")
@@ -672,12 +659,9 @@ def parse_config(data):
         horizon=int(acp.get("horizon", 3)), delta=float(acp.get("delta", DEFAULT_DELTA)),
         epsilon=float(acp.get("epsilon", 0.5)), alpha=float(acp.get("alpha", DEFAULT_ALPHA)),
         window=int(acp.get("window", DEFAULT_WINDOW)),
-        lipschitz=float(acp.get("lipschitz", 1.0)),
         runs=int(data.get("runs", 1)),
         max_steps=int(run.get("max_steps", 300)),
-        seed=int(data.get("seed", 0)),
-        verify_certificates=bool(run.get("verify_certificates", False)),
-        history_window=int(run.get("history_window", 8)))
+        seed=int(data.get("seed", 0)))
 
 
 def load_config(path, overrides=None):

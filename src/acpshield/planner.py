@@ -196,7 +196,7 @@ class Planner:
         self._node_count += 1
         if shield is None or parent.support is None or depth >= shield.horizon:
             return SearchNode(depth, None, self._all_actions)
-        support = shield.groups[(parent.support, parent.depth)][action].get(observation)
+        support = shield.groups[parent.support][action].get(observation)
         return SearchNode(depth, support, shield.table[(support, depth)])
 
     # -- search ---------------------------------------------------------------
@@ -343,7 +343,7 @@ class Planner:
                 state = succ[i]
                 ret += disc * reward
                 disc *= discount
-                support = groups[(support, d)][action].get(obs) if d + 1 < horizon else None
+                support = groups[support][action].get(obs) if d + 1 < horizon else None
                 d += 1
         tail = self._tail
         if table is None:

@@ -77,10 +77,11 @@ class Bsts:
     groups form a cover. Either way each group is exactly the support the
     belief update would produce under that observation.
 
-    A support's successor groups do not depend on its depth, so ``expansions``
-    (support -> per-action groups) may be shared by every BSTS of one model:
-    a support expanded once is read from it, and new ones are added to it.
-    ``_post[(sup, q)]`` holds the groups of each node below the horizon.
+    A support's successor groups do not depend on its depth, so the edges
+    live in one map, ``expansions`` (support -> per-action groups), which
+    every BSTS of one model may share: a support expanded once is read from
+    it, and new ones are added to it. The map may hold supports that are
+    not nodes of this BSTS, so lookups go through ``levels`` first.
     """
 
     def __init__(self, model, root, horizon, expansions=None):
@@ -90,27 +91,22 @@ class Bsts:
         self.horizon = horizon
         self.root = validate_support(model, root)
         self.levels = {0: {self.root}}
-        self._post = {}
-        if expansions is None:
-            expansions = {}
+        self.expansions = expansions = {} if expansions is None else expansions
         for q in range(horizon):
             nxt = set()
             for sup in self.levels[q]:
                 groups = expansions.get(sup)
                 if groups is None:
                     groups = expansions[sup] = _successor_groups(model, sup)
-                self._post[(sup, q)] = groups
                 for by_obs in groups:
                     nxt.update(by_obs.values())
             self.levels[q + 1] = nxt
 
     def post_by_obs(self, support, q, a):
         """dict observation -> successor support for one (node, action)."""
-        try:
-            return self._post[(support, q)][a]
-        except KeyError:
-            raise UnknownSupport(
-                f"({sorted(support)}, {q}) is not an expanded node") from None
+        if not (0 <= q < self.horizon and support in self.levels[q]):
+            raise UnknownSupport(f"({sorted(support)}, {q}) is not an expanded node")
+        return self.expansions[support][a]
 
     def node_count(self):
         return sum(len(sups) for sups in self.levels.values())
@@ -181,7 +177,7 @@ class UnsafeSets:
     """Per-lookahead unsafe state sets, with what their margins need.
 
     f_sets[tau] holds the states whose margin to the lookahead-tau
-    prediction is below thresholds[tau] = lipschitz * radius(tau).
+    prediction is below thresholds[tau] = radius(tau).
     Lookahead 0 is the already realized present and is always safe.
     ``margins(tau, states)`` computes the constraint values of a few states
     on demand (used by the fallback action choice) from the state
@@ -228,14 +224,19 @@ def _first_witness(pos, located, agents, epsilon, threshold):
     return np.sort(np.concatenate(hits)) if hits else located[:0]
 
 
-def unsafe_sets(positions, predictions, regions, epsilon, lipschitz=1.0):
+def unsafe_sets(positions, predictions, regions, epsilon):
     """Build per-lookahead unsafe sets from predictions and their radii.
 
     For each lookahead tau, a state is unsafe when its distance margin to
     the predicted joint agent state (minimum over agents, minus epsilon)
-    falls below lipschitz * radius(tau). An infinite radius during ACP
-    warm-up therefore marks every located state unsafe, the conservative
-    answer; states without a location are never unsafe.
+    falls below radius(tau). The radius itself is the threshold because the
+    margin c(x, Y) = min_i ||x - y_i|| - epsilon is 1-Lipschitz in the agent
+    positions Y under the nonconformity score's norm: agents within
+    radius(tau) of their prediction move no margin by more than radius(tau).
+    A larger factor would only shrink the safe set, a smaller one would be
+    unsound. An infinite radius during ACP warm-up therefore marks every
+    located state unsafe, the conservative answer; states without a
+    location are never unsafe.
     """
     if predictions.horizon != regions.horizon:
         raise InvalidSpec(
@@ -243,15 +244,13 @@ def unsafe_sets(positions, predictions, regions, epsilon, lipschitz=1.0):
             f"{regions.horizon}")
     if epsilon < 0.0:
         raise InvalidSpec(f"epsilon must be >= 0, got {epsilon}")
-    if lipschitz <= 0.0:
-        raise InvalidSpec(f"lipschitz constant must be > 0, got {lipschitz}")
     pos = np.asarray(positions, dtype=float)
     located = np.flatnonzero(np.isfinite(pos).all(axis=1))
     horizon = predictions.horizon
     f_sets, agents, thresholds = {}, {}, {}
     for tau in range(1, horizon + 1):
         agents[tau] = predictions.at(tau).positions
-        thresholds[tau] = lipschitz * regions.radius(tau)
+        thresholds[tau] = regions.radius(tau)
         unsafe = _first_witness(pos, located, agents[tau], epsilon, thresholds[tau])
         f_sets[tau] = frozenset(unsafe.tolist())
     return UnsafeSets(horizon=horizon, f_sets=f_sets, thresholds=thresholds,
@@ -285,7 +284,7 @@ def compute_winning_regions(bsts, unsafe):
             f"unsafe horizon {unsafe.horizon} != bsts horizon {bsts.horizon}")
     h = bsts.horizon
     f_sets = unsafe.f_sets
-    post = bsts._post
+    post = bsts.expansions
     regions = {h: frozenset(sup for sup in bsts.levels[h]
                             if f_sets[h].isdisjoint(sup))}
     allowed = {}
@@ -293,7 +292,7 @@ def compute_winning_regions(bsts, unsafe):
         above = regions[q + 1]
         won = set()
         for sup in bsts.levels[q]:
-            acts = tuple(a for a, by_obs in enumerate(post[(sup, q)])
+            acts = tuple(a for a, by_obs in enumerate(post[sup])
                          if above.issuperset(by_obs.values()))
             allowed[(sup, q)] = acts
             if acts and (q == 0 or f_sets[q].isdisjoint(sup)):
@@ -358,16 +357,18 @@ class Shield:
     regions say nothing about them.
 
     The planner's inner loop reads the tables directly:
-    ``table[(support, depth)]`` is the certified action tuple and
-    ``groups[(support, depth)][action]`` the {observation: child support}
-    dict of every node below the horizon.
+    ``table[(support, depth)]`` is the certified action tuple of every node
+    below the horizon, and ``groups[support][action]`` the {observation:
+    child support} dict of every expanded support. ``groups`` is the BSTS's
+    shared edge map, so it may hold supports of other BSTSs; a node of
+    this one is a ``table`` key.
     """
 
     def __init__(self, bsts, winning):
         self.bsts = bsts
         self.horizon = bsts.horizon
         self.table = winning.allowed
-        self.groups = bsts._post
+        self.groups = bsts.expansions
         self._unconstrained = tuple(range(bsts.model.n_actions))
 
     def allowed(self, support, depth):

@@ -4,13 +4,17 @@ Everything here is deliberately brute-force: dense matrix filtering,
 explicit policy enumeration, small expectimax. These are the oracles the
 package code is checked against, so they must stay straightforward enough
 to audit by eye and must not import the package's own algorithms beyond
-plain model table access.
+plain model table access. ``episode_digest`` is the one non-oracle here:
+the canonical form that pins whole episodes, shield internals included.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -551,3 +555,18 @@ def replay_oracle(path, scale=1.0):
         ids = tuple(sorted(entry, key=lambda aid: (isinstance(aid, str), aid)))
         served[key] = ids, np.asarray([entry[aid] for aid in ids], dtype=float)
     return served
+
+
+def episode_digest(episodes):
+    """SHA-256 of episodes in canonical form.
+
+    ``episodes`` holds (EpisodeResult, step-hook dicts) pairs. Each result
+    counts with ``mean_plan_seconds`` zeroed, the one wall-clock field, and
+    each step dict with its support, radii, predictions and unsafe cells,
+    which the raw CSV leaves out. The pairs are serialised as sorted-key
+    JSON, whose floats are their shortest round-trip repr.
+    """
+    payload = [(asdict(replace(result, mean_plan_seconds=0.0)), steps)
+               for result, steps in episodes]
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -1,35 +1,47 @@
-"""The names the step benchmark's tracer and the package exports rely on.
+"""The names and configs the step benchmark and the package exports rely on.
 
 ``stepbench/spans.py`` wraps harness and layer calls by attribute name when
 it installs its spans, so deleting or renaming one of them breaks the traced
 benchmark run without failing any other test. An episode loop that reached
 a stage without looking its call up there would leave that stage's spans
-empty, which the episode tests below catch.
+empty, which the episode tests below catch. Likewise a config key the
+program drops but a config the benchmark reads still sets would fail every
+benchmark run.
 """
 
 import types
 from pathlib import Path
 
 import acpshield
-from acpshield.harness import AgentSetup, run_episode
+from acpshield.harness import AgentSetup, load_config, parse_config, run_episode
 from acpshield.trajectory import TrajectorySource
 
 from test_harness import small_config
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "stepbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_spans():
-    """Execute spans.py from its source, writing no bytecode cache beside it."""
-    module = types.ModuleType("stepbench_spans")
-    module.__file__ = str(SPANS_PATH)
-    exec(compile(SPANS_PATH.read_text(encoding="utf-8"), str(SPANS_PATH), "exec"),
-         module.__dict__)
+def load_stepbench(name):
+    """Execute stepbench/<name>.py from its source, writing no bytecode cache
+    beside it."""
+    path = ROOT / "stepbench" / f"{name}.py"
+    module = types.ModuleType(f"stepbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
 
+def test_benchmark_configs_parse():
+    paths = sorted((ROOT / "configs").glob("*.yaml"))
+    assert len(paths) >= 2
+    for path in paths:
+        load_config(path)
+    for make_config, _ in load_stepbench("inputs").WORKLOADS.values():
+        parse_config(make_config())
+
+
 def test_span_targets_resolve():
-    spans = load_spans()
+    spans = load_stepbench("spans")
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr in spans.SPANS.values() if not hasattr(owner, attr)]
     assert missing == []
@@ -37,7 +49,7 @@ def test_span_targets_resolve():
 
 
 def test_tracer_installs_and_restores():
-    spans = load_spans()
+    spans = load_stepbench("spans")
     originals = {(owner, attr): getattr(owner, attr)
                  for owner, attr in spans.SPANS.values()}
     tracer = spans.Tracer()
@@ -50,7 +62,7 @@ def test_tracer_installs_and_restores():
 
 def traced_span_names(cfg, source=None):
     """Names of the spans one episode records under an installed tracer."""
-    tracer = load_spans().Tracer()
+    tracer = load_stepbench("spans").Tracer()
     tracer.install()
     try:
         run_episode(cfg, source=source)
@@ -60,8 +72,8 @@ def traced_span_names(cfg, source=None):
 
 
 def test_traced_episode_records_every_stage():
-    spans = load_spans()
-    names = traced_span_names(small_config(max_steps=4, verify_certificates=True))
+    spans = load_stepbench("spans")
+    names = traced_span_names(small_config(max_steps=4))
     expected = set(spans.SPANS) - {"planner.fallback"}
     expected |= {"trajectory.load_predictor", "trajectory.predict"}
     assert sorted(expected - names) == []

@@ -22,7 +22,7 @@ grid: {width: 6, height: 6, start: [1, 1], goal: [4, 4]}
 agents: {kind: random-walk, count: 2, speed: 0.25}
 acp: {horizon: 2, epsilon: 0.5, predictor: constant}
 planner: {simulations: 32, depth: 8, particles: 150, rollout: goal-greedy}
-run: {max_steps: 15, verify_certificates: true}
+run: {max_steps: 15}
 bench:
   methods: [no-shield, shield-acp]
   agent_counts: [2]

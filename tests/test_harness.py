@@ -3,14 +3,16 @@
 import csv
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acpshield import trajectory
+from acpshield import harness, trajectory
 from acpshield.errors import InvalidSpec
 from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
 from acpshield.harness import (
+    METHODS,
     AgentSetup,
     ExperimentConfig,
     acp_coverage_run,
@@ -61,8 +63,7 @@ def test_config_rejects_unknown_method():
 
 @pytest.mark.parametrize("field,value", [
     ("horizon", 0), ("delta", 0.0), ("delta", 1.0), ("alpha", 0.0),
-    ("epsilon", 0.0), ("epsilon", -1.0), ("lipschitz", 0.0), ("window", 0),
-    ("runs", 0), ("max_steps", 0), ("history_window", 1),
+    ("epsilon", 0.0), ("epsilon", -1.0), ("window", 0), ("runs", 0), ("max_steps", 0),
 ])
 def test_config_rejects_bad_scalars(field, value):
     with pytest.raises(InvalidSpec):
@@ -248,10 +249,36 @@ def test_episode_soundness_checked_when_radii_finite():
     assert all(rec.sound for rec in r.records if rec.sound is not None)
 
 
-def test_episode_certificates_verified_when_asked():
-    cfg = small_config(verify_certificates=True)
-    r = run_episode(cfg)
+@pytest.mark.parametrize("method", METHODS)
+def test_episode_certificates_verified_every_shielded_step(method, monkeypatch):
+    calls = []
+    verify = harness.verify_winning_regions
+    monkeypatch.setattr(harness, "verify_winning_regions",
+                        lambda *args: calls.append(args) or verify(*args))
+    r = run_episode(small_config(method=method))
+    assert len(calls) == (0 if method == "no-shield" else r.steps)
     assert r.certificate_failures == 0
+
+
+# SHA-256 of whole episodes (oracles.episode_digest): results, supports,
+# radii, predictions and unsafe cells. Like the raw-CSV pin in test_cli, a
+# change that alters random-number use on purpose updates these and says so
+# in CHANGES.md; a refactor or speed-up must leave them alone.
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+EPISODE_DIGESTS = [
+    ("desk20.yaml", (0, 1), "bc42be07474af2d4aa6af4a78bd7f86b6889bb5031a694e22a165220dbb1a1b5"),
+    ("corridor.yaml", (0,), "c6fcc0c1afa2d43fbca5cc2065dc1234719d9ed3e5941ab3df3a8ab6b14ce941"),
+]
+
+
+@pytest.mark.parametrize("name, runs, digest", EPISODE_DIGESTS)
+def test_episode_digest_is_pinned(name, runs, digest):
+    cfg = load_config(CONFIGS / name)
+    episodes = []
+    for run in runs:
+        steps = []
+        episodes.append((run_episode(cfg, run, step_hook=steps.append), steps))
+    assert oracles.episode_digest(episodes) == digest
 
 
 def test_episode_coverage_populated_only_with_adaptation():

@@ -32,6 +32,7 @@ from acpshield.shield import (
     compute_winning_regions,
     constraint_values,
     unsafe_sets,
+    verify_winning_regions,
 )
 from acpshield.trajectory import JointAgentState, PredictionSet, TrajectorySource
 
@@ -153,16 +154,16 @@ def agents_with_edge_cases(rng, n_agents, n_dup, scale):
        epsilon=st.sampled_from([0.0, 2.0, 0.3]),
        radius_pool=st.lists(st.sampled_from([0.0, 3.0, 5.0, 6.0, 8.0, 0.7, math.inf]),
                             min_size=3, max_size=3),
-       lipschitz=st.sampled_from([1.0, 0.5, 2.0]), scale=st.sampled_from([1.0, 40.0, 1e6]),
+       scale=st.sampled_from([1.0, 40.0, 1e6]),
        block=st.sampled_from([1, 7, 64, MARGIN_BLOCK]))
 # the undecided states shrink between blocks, so later blocks take more agents
 @example(seed=4, n_states=400, counts=[200, 300], n_nan=2, n_dup=3, epsilon=0.3,
-         radius_pool=[3.0, 0.7, 8.0], lipschitz=1.0, scale=40.0, block=MARGIN_BLOCK)
+         radius_pool=[3.0, 0.7, 8.0], scale=40.0, block=MARGIN_BLOCK)
 def test_unsafe_sets_equal_margin_oracle(seed, n_states, counts, n_nan, n_dup, epsilon,
-                                         radius_pool, lipschitz, scale, block):
+                                         radius_pool, scale, block):
     # a state is unsafe at tau exactly when its broadcast margin to the
-    # lookahead-tau agents is below lipschitz * radius(tau); a small block
-    # size makes the blocks ragged
+    # lookahead-tau agents is below radius(tau); a small block size makes
+    # the blocks ragged
     rng = np.random.default_rng(seed)
     horizon = len(counts)
     positions = rng.uniform(-scale, scale, size=(n_states, 2))
@@ -171,7 +172,7 @@ def test_unsafe_sets_equal_margin_oracle(seed, n_states, counts, n_nan, n_dup, e
         agents = agents_with_edge_cases(rng, n_agents, n_dup, scale)
         if n_agents and n_states:
             # states at 3-4-5 offsets: distance 5k, on the boundary when
-            # epsilon + lipschitz * radius equals it
+            # epsilon + radius equals it
             rows = rng.integers(0, n_states, size=min(n_states, 6))
             picks = agents[rng.integers(0, len(agents), size=len(rows))]
             positions[rows] = picks + np.array([3.0, 4.0]) * rng.integers(1, 3, size=(len(rows), 1))
@@ -181,9 +182,9 @@ def test_unsafe_sets_equal_margin_oracle(seed, n_states, counts, n_nan, n_dup, e
     regions = PredictionRegions(0, tuple(radius_pool[:horizon]))
     with mock.patch("acpshield.shield.MARGIN_BLOCK", block):
         unsafe = unsafe_sets(positions, PredictionSet(0, horizon, tuple(preds)), regions,
-                             epsilon, lipschitz)
+                             epsilon)
     for tau in range(1, horizon + 1):
-        threshold = lipschitz * regions.radius(tau)
+        threshold = regions.radius(tau)
         margins = oracles.constraint_values_oracle(positions, preds[tau - 1].positions,
                                                    epsilon)
         assert unsafe.f_sets[tau] == frozenset(np.flatnonzero(margins < threshold).tolist())
@@ -197,9 +198,9 @@ GRIDS = [GridSpec(width=w, height=h, start_cells={(0, 0): 1.0}, goal_cell=(w - 1
 @PROPERTY
 @given(seed=seeds, grid=st.sampled_from(GRIDS), n_agents=st.integers(0, 6),
        n_support=st.integers(1, 4), radius=st.sampled_from([0.0, 0.5, 1.5, 3.0, math.inf]),
-       epsilon=st.sampled_from([0.0, 0.5, 1.0]), lipschitz=st.sampled_from([1.0, 2.0]))
+       epsilon=st.sampled_from([0.0, 0.5, 1.0]))
 def test_fallback_action_equals_full_grid_oracle(seed, grid, n_agents, n_support, radius,
-                                                 epsilon, lipschitz):
+                                                 epsilon):
     rng = np.random.default_rng(seed)
     model = build_gridworld(grid)
     positions = cell_positions(grid)
@@ -209,11 +210,11 @@ def test_fallback_action_equals_full_grid_oracle(seed, grid, n_agents, n_support
                   for tau in (1, 2))
     prediction = PredictionSet(0, 2, preds)
     unsafe = unsafe_sets(positions, prediction, PredictionRegions(0, (radius, radius)),
-                         epsilon, lipschitz)
+                         epsilon)
     support = frozenset(rng.choice(model.n_states, size=n_support, replace=False).tolist())
     margins = oracles.constraint_values_oracle(positions, preds[0].positions, epsilon)
     assert fallback_action(model, support, unsafe) == oracles.fallback_oracle(
-        model, support, margins, lipschitz * radius)
+        model, support, margins, radius)
 
 
 def random_joint(rng, ids, timestep=0):
@@ -319,6 +320,16 @@ def test_bsts_with_shared_expansions_equals_fresh(seed, deterministic, horizon):
             for sup in fresh.levels[q]:
                 for a in range(model.n_actions):
                     assert shared.post_by_obs(sup, q, a) == fresh.post_by_obs(sup, q, a)
+        # the shield built on the shared map equals the fresh one's, and the
+        # verifier, reading the shared map through post_by_obs, accepts it
+        unsafe = manual_unsafe(horizon, {
+            tau: rng.choice(model.n_states, size=int(rng.integers(0, 3)),
+                            replace=False).tolist() for tau in range(1, horizon + 1)})
+        winning = compute_winning_regions(shared, unsafe)
+        expected = compute_winning_regions(fresh, unsafe)
+        assert winning.regions == expected.regions
+        assert winning.allowed == expected.allowed
+        assert verify_winning_regions(shared, unsafe, winning) == []
 
 
 TINY = (5e-324, 1e-300, 1e-17, 1e-16)

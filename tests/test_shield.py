@@ -189,7 +189,7 @@ def test_unsafe_sets_paper_worked_example():
     spec, pos = grid_inputs()
     pred = agents_pred(0, {1: [(17.334, 9.711)], 2: [(17.947, 9.743)]})
     regions = PredictionRegions(0, (0.736, 1.329))
-    unsafe = unsafe_sets(pos, pred, regions, epsilon=2.0, lipschitz=1.0)
+    unsafe = unsafe_sets(pos, pred, regions, epsilon=2.0)
     s_18_4 = spec.state_index(18, 4)
     assert unsafe.margins(1, [s_18_4])[0] == pytest.approx(3.7497, abs=1e-3)
     assert s_18_4 not in unsafe.f_sets[1]
@@ -227,8 +227,6 @@ def test_unsafe_sets_input_validation():
         unsafe_sets(pos, pred, PredictionRegions(0, (0.5, 0.5)), epsilon=0.5)
     with pytest.raises(InvalidSpec):
         unsafe_sets(pos, pred, PredictionRegions(0, (0.5,)), epsilon=-1.0)
-    with pytest.raises(InvalidSpec):
-        unsafe_sets(pos, pred, PredictionRegions(0, (0.5,)), epsilon=0.5, lipschitz=0.0)
 
 
 def test_constraint_values_allocates_only_block_temporaries():
@@ -370,6 +368,25 @@ def test_shield_actions_unknown_support():
         shield.allowed(fs(2), 1)        # level 1 holds {1} and {3} only
 
 
+def test_shared_map_support_off_this_level_is_unknown():
+    # the shared edge map holds supports of other BSTSs and of other depths
+    # of this one; only level-q nodes below the horizon are nodes at q
+    model = corridor(6)
+    expansions = {}
+    Bsts(model, fs(0), 2, expansions)           # expands {0} and {1}
+    bsts = Bsts(model, fs(4), 2, expansions)    # levels {4}; {3}, {5}; {2}, {4}, {5}
+    shield = Shield(bsts, compute_winning_regions(bsts, manual_unsafe(2, {})))
+    for sup, q in ((fs(0), 0), (fs(1), 1), (fs(3), 0), (fs(4), 1), (fs(5), 0)):
+        assert sup in expansions
+        with pytest.raises(UnknownSupport):
+            bsts.post_by_obs(sup, q, 0)
+        with pytest.raises(UnknownSupport):
+            shield.allowed(sup, q)
+    with pytest.raises(UnknownSupport):
+        bsts.post_by_obs(fs(4), 2, 0)           # a depth-H node is not expanded
+    assert bsts.post_by_obs(fs(4), 0, 1) == {5: fs(5)}
+
+
 # -- shield wrapper -------------------------------------------------------------
 
 def test_shield_wrapper_matches_shield_actions(rng):
@@ -394,6 +411,6 @@ def test_shield_wrapper_matches_shield_actions(rng):
 def test_shield_successor_resolution():
     model = corridor(5)
     shield = make_shield(model, fs(2), 2, manual_unsafe(2, {}))
-    assert shield.groups[(fs(2), 0)][1].get(3) == fs(3)   # obs 3 after moving right
-    assert shield.groups[(fs(2), 0)][1].get(0) is None    # obs 0 impossible there
+    assert shield.groups[fs(2)][1].get(3) == fs(3)   # obs 3 after moving right
+    assert shield.groups[fs(2)][1].get(0) is None    # obs 0 impossible there
     assert shield.table[(fs(2), 0)] == shield.allowed(fs(2), 0)
