@@ -160,8 +160,6 @@ class AcpEstimator:
         self._predictions = {}        # (target_t, tau) -> JointAgentState
         self._pending = {}            # (target_t, tau) -> issued radius
         self.records = []
-        self._tested = {tau: 0 for tau in range(1, horizon + 1)}
-        self._violations = {tau: 0 for tau in range(1, horizon + 1)}
 
     def record_prediction(self, prediction_set):
         """Buffer a PredictionSet so each lookahead can be scored later."""
@@ -201,8 +199,6 @@ class AcpEstimator:
                 if issued is not None:
                     violated = issued < beta
                     update_lambda(tracker, violated)
-                    self._tested[tau] += 1
-                    self._violations[tau] += int(violated)
                 tracker.append_score(beta)
             if tracker.window:
                 radius = region_radius(tracker.window, tracker.lam, tracker.window_size)
@@ -222,13 +218,13 @@ class AcpEstimator:
         None when nothing has been tested yet. ``tau=None`` pools all
         lookaheads.
         """
-        taus = [tau] if tau is not None else list(self._tested)
-        tested = sum(self._tested[x] for x in taus)
-        if tested == 0:
-            return None
-        violations = sum(self._violations[x] for x in taus)
-        return 1.0 - violations / tested
+        outcomes = self._outcomes(tau)
+        return 1.0 - sum(outcomes) / len(outcomes) if outcomes else None
 
     def tested_count(self, tau=None):
-        taus = [tau] if tau is not None else list(self._tested)
-        return sum(self._tested[x] for x in taus)
+        return len(self._outcomes(tau))
+
+    def _outcomes(self, tau):
+        """The records' tested outcomes (True for a miss), for one tau or all."""
+        return [rec.violated for rec in self.records
+                if rec.violated is not None and (tau is None or rec.tau == tau)]

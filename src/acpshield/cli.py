@@ -10,6 +10,7 @@ from pathlib import Path
 
 import yaml
 
+from .acp import DEFAULT_ALPHA, DEFAULT_DELTA, DEFAULT_WINDOW
 from .gridworld import build_gridworld
 from .harness import (
     METHODS,
@@ -190,9 +191,9 @@ def build_parser():
     coverage.add_argument("--speed", type=float, default=0.1)
     coverage.add_argument("--noise", type=float, default=0.0)
     coverage.add_argument("--predictor", default="constant-velocity")
-    coverage.add_argument("--delta", type=float, default=0.05)
-    coverage.add_argument("--alpha", type=float, default=0.0008)
-    coverage.add_argument("--window", type=int, default=30)
+    coverage.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    coverage.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    coverage.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     coverage.add_argument("--seed", type=int, default=0)
     coverage.set_defaults(func=cmd_coverage)
     return parser

@@ -34,7 +34,7 @@ import math
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -70,6 +70,8 @@ from .shield import (
     verify_winning_regions,
 )
 from .trajectory import (
+    PREDICTORS,
+    SYNTH_KINDS,
     JointAgentState,
     load_trajectories,
     make_predictor,
@@ -95,6 +97,10 @@ class AgentSetup:
     scale: float = 1.0
     stride: int = 1
 
+    def __post_init__(self):
+        if self.kind not in SYNTH_KINDS:
+            raise InvalidSpec(f"agent kind {self.kind!r} not one of {SYNTH_KINDS}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -119,6 +125,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidSpec(f"method {self.method!r} not one of {METHODS}")
+        if self.predictor not in (*PREDICTORS, "replay"):
+            raise InvalidSpec(f"predictor {self.predictor!r} not one of {(*PREDICTORS, 'replay')}")
         if self.horizon < 1:
             raise InvalidSpec(f"horizon must be >= 1, got {self.horizon}")
         if not (0.0 < self.delta < 1.0):
@@ -488,9 +496,7 @@ def expand_grid(base, methods=None, agent_counts=None):
 # -- CSV and table output ----------------------------------------------------------------
 
 
-RAW_COLUMNS = ("label", "method", "n_agents", "run", "t", "state", "x", "y",
-               "action", "c_value", "min_distance", "safe", "deadlock", "sound",
-               "done", "beta", "lam", "radius", "violated")
+RAW_COLUMNS = ("label", "method", "n_agents", "run", *(f.name for f in fields(StepRecord)))
 
 
 def _fmt(value):
@@ -509,21 +515,11 @@ def write_raw_csv(results, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RAW_COLUMNS)
         for r in results:
-            for rec in r.records:
-                writer.writerow((
-                    r.label, r.method, r.n_agents, r.run, rec.t, rec.state,
-                    _fmt(rec.x), _fmt(rec.y), rec.action, _fmt(rec.c_value),
-                    _fmt(rec.min_distance), rec.safe, rec.deadlock,
-                    _fmt(rec.sound), rec.done, _fmt(rec.beta), _fmt(rec.lam),
-                    _fmt(rec.radius), _fmt(rec.violated)))
+            writer.writerows([_fmt(v) for v in (r.label, r.method, r.n_agents, r.run,
+                                                *astuple(rec))] for rec in r.records)
 
 
-AGGREGATE_COLUMNS = ("label", "method", "n_agents", "runs", "success_rate",
-                     "mean_steps", "mean_safety_rate", "std_safety_rate",
-                     "mean_min_distance", "std_min_distance", "mean_collisions",
-                     "deadlock_episodes", "soundness_checked",
-                     "soundness_violations", "certificate_failures", "coverage",
-                     "mean_plan_seconds")
+AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateRow))
 
 
 def write_aggregate_csv(rows, path):
@@ -603,65 +599,88 @@ def _unknown_keys(mapping, known, where):
 
 
 def _section(data, name):
-    """``data[name]`` ({} when absent), checked against the schema."""
+    """A getter ``get(key, default, kind)`` of ``data[name]`` ({} when absent),
+    checked against the schema; ``kind`` None returns the value unconverted."""
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise InvalidSpec(f"config section {name!r} must be a mapping")
     _unknown_keys(section, _CONFIG_SECTIONS[name], f"section {name!r}")
-    return section
+
+    def get(key, default=None, kind=None):
+        value = section.get(key, default)
+        return value if kind is None else _typed(value, kind, f"{name}.{key}")
+    return get
 
 
-def _grid_from_dict(data):
-    start = data.get("start", [1, 1])
-    if start and isinstance(start[0], (list, tuple)):
-        start_cells = {(int(x), int(y)): float(w) for x, y, w in start}
+def _typed(value, kind, key):
+    """``value`` as ``kind``, or InvalidSpec naming ``key``.
+
+    A tuple of kinds reads a list of that length, entry by entry. Numbers
+    reject booleans; ints reject the non-integral floats that ``int()``
+    would truncate.
+    """
+    if isinstance(kind, tuple):
+        if isinstance(value, (list, tuple)) and len(value) == len(kind):
+            return tuple(_typed(v, k, key) for v, k in zip(value, kind))
+        wanted = f"a list of {len(kind)} numbers"
     else:
-        start_cells = {(int(start[0]), int(start[1])): 1.0}
-    goal = data.get("goal", [data.get("width", 20) - 2, data.get("height", 20) - 2])
+        boolean = kind is not str and isinstance(value, bool)
+        fraction = kind is int and isinstance(value, float) and not value.is_integer()
+        if not (boolean or fraction):
+            try:
+                return kind(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        wanted = f"of type {kind.__name__}"
+    raise InvalidSpec(f"config key {key} must be {wanted}, got {value!r}")
+
+
+def _grid_from_dict(get):
+    width, height = get("width", 20, int), get("height", 20, int)
+    start = get("start", [1, 1])
+    if isinstance(start, (list, tuple)) and start and isinstance(start[0], (list, tuple)):
+        weighted = [_typed(entry, (int, int, float), "grid.start") for entry in start]
+        start_cells = {(x, y): w for x, y, w in weighted}
+    else:
+        start_cells = {_typed(start, (int, int), "grid.start"): 1.0}
     return GridSpec(
-        width=int(data.get("width", 20)), height=int(data.get("height", 20)),
-        start_cells=start_cells, goal_cell=(int(goal[0]), int(goal[1])),
-        step_reward=float(data.get("step_reward", -1.0)),
-        goal_reward=float(data.get("goal_reward", 1000.0)),
-        collision_reward=float(data.get("collision_reward", -10.0)),
-        near_prob=float(data.get("near_prob", 0.1)),
-        far_prob=float(data.get("far_prob", 0.9)),
-        obs_noise=float(data.get("obs_noise", 0.0)))
+        width=width, height=height, start_cells=start_cells,
+        goal_cell=get("goal", [width - 2, height - 2], (int, int)),
+        step_reward=get("step_reward", -1.0, float),
+        goal_reward=get("goal_reward", 1000.0, float),
+        collision_reward=get("collision_reward", -10.0, float),
+        near_prob=get("near_prob", 0.1, float), far_prob=get("far_prob", 0.9, float),
+        obs_noise=get("obs_noise", 0.0, float))
 
 
 def parse_config(data):
-    """ExperimentConfig from a plain dict (the YAML schema); unknown keys raise."""
+    """ExperimentConfig from a YAML-schema dict; unknown keys and bad values raise InvalidSpec."""
     _unknown_keys(data, _CONFIG_TOP_LEVEL, "the top level")
     _section(data, "bench")
     grid = _grid_from_dict(_section(data, "grid"))
     a = _section(data, "agents")
     agents = AgentSetup(
-        kind=a.get("kind", "constant-velocity-with-noise"),
-        count=int(a.get("count", 5)), speed=float(a.get("speed", 0.8)),
-        noise=float(a.get("noise", 0.3)),
-        csv_path=a.get("csv"), scale=float(a.get("scale", 1.0)),
-        stride=int(a.get("stride", 1)))
+        kind=a("kind", "constant-velocity-with-noise"),
+        count=a("count", 5, int), speed=a("speed", 0.8, float),
+        noise=a("noise", 0.3, float), csv_path=a("csv"),
+        scale=a("scale", 1.0, float), stride=a("stride", 1, int))
     p = _section(data, "planner")
     planner = PlannerConfig(
-        num_simulations=int(p.get("simulations", 4096)),
-        max_depth=int(p.get("depth", 200)),
-        ucb_constant=float(p.get("ucb", 500.0)),
-        particle_count=int(p.get("particles", 10_000)),
-        rollout_policy=p.get("rollout", "random"))
+        num_simulations=p("simulations", 4096, int), max_depth=p("depth", 200, int),
+        ucb_constant=p("ucb", 500.0, float), particle_count=p("particles", 10_000, int),
+        rollout_policy=p("rollout", "random"))
     acp = _section(data, "acp")
-    run = _section(data, "run")
     return ExperimentConfig(
         grid=grid, agents=agents, planner=planner,
-        label=str(data.get("label", "desk")),
+        label=_typed(data.get("label", "desk"), str, "label"),
         method=data.get("method", "shield-acp"),
-        predictor=acp.get("predictor", "constant-velocity"),
-        predictions_path=acp.get("predictions"),
-        horizon=int(acp.get("horizon", 3)), delta=float(acp.get("delta", DEFAULT_DELTA)),
-        epsilon=float(acp.get("epsilon", 0.5)), alpha=float(acp.get("alpha", DEFAULT_ALPHA)),
-        window=int(acp.get("window", DEFAULT_WINDOW)),
-        runs=int(data.get("runs", 1)),
-        max_steps=int(run.get("max_steps", 300)),
-        seed=int(data.get("seed", 0)))
+        predictor=acp("predictor", "constant-velocity"), predictions_path=acp("predictions"),
+        horizon=acp("horizon", 3, int), delta=acp("delta", DEFAULT_DELTA, float),
+        epsilon=acp("epsilon", 0.5, float), alpha=acp("alpha", DEFAULT_ALPHA, float),
+        window=acp("window", DEFAULT_WINDOW, int),
+        runs=_typed(data.get("runs", 1), int, "runs"),
+        max_steps=_section(data, "run")("max_steps", 300, int),
+        seed=_typed(data.get("seed", 0), int, "seed"))
 
 
 def load_config(path, overrides=None):

@@ -6,7 +6,7 @@ with a rollout, and backs the discounted return up the walked path in
 reverse as incremental means. An action's edge is created the first time
 the action is selected; an action without one counts as unvisited. Every
 step draws its successor and observation straight from the model's sparse
-rows (:attr:`.PomdpModel.draw_rows`), with the same two ``rng.random()``
+rows (:attr:`.PomdpModel.rows`), with the same two ``rng.random()``
 draws as :meth:`.PomdpModel.generative_step`, which only the environment
 calls. Past the shield horizon a rollout reads one precomputed row per
 state and still makes the observation draw, so the random-number stream
@@ -172,9 +172,9 @@ class Planner:
         self.rollout_actions = rollout_actions
         self.last_stats = None
         self._node_count = 0
-        rows = self._rows = model.draw_rows
+        rows = self._rows = model.rows
         # the unshielded rollout tail's row per state: the table action's
-        # draw row, or every action's without a table; None where it stops
+        # row, or every action's without a table; None where it stops
         absorbing = model.absorbing_zero
         self._tail = tuple(
             None if s in absorbing else

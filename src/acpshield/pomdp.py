@@ -14,7 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,42 +27,46 @@ from .errors import (
 PROB_TOL = 1e-9
 
 
-def _normalize_row(pairs, what):
-    """Validate and exactly renormalize one probability row.
+def _cumulative(pairs, table, s, a):
+    """One validated probability row as (indices, cumulative probabilities).
 
-    ``pairs`` is a list of (index, prob). Rejects negative entries and row
-    sums off by more than PROB_TOL; renormalizes the tiny float drift away.
+    ``pairs`` is a list of (index, prob), the row ``table``(s, a, .). Rejects
+    negative entries and row sums off by more than PROB_TOL; renormalizes
+    the tiny float drift away, drops zero entries and pins the last
+    cumulative value to 1.0. The row's name is formatted only on error: the
+    model checks thousands of rows.
     """
     total = 0.0
     for idx, p in pairs:
         if p < 0.0:
-            raise InvalidModel(f"{what}: negative probability {p} at index {idx}")
+            raise InvalidModel(f"{table}({s},{a},.): negative probability {p} at index {idx}")
         total += p
     if abs(total - 1.0) > PROB_TOL:
-        raise InvalidModel(f"{what}: row sums to {total!r}, expected 1.0")
-    out = [(idx, p / total) for idx, p in pairs if p > 0.0]
-    if not out:
-        raise InvalidModel(f"{what}: row has no positive mass")
-    return out
-
-
-def _cumulative(pairs):
-    idxs = tuple(i for i, _ in pairs)
-    cum = []
-    acc = 0.0
-    for _, p in pairs:
-        acc += p
-        cum.append(acc)
+        raise InvalidModel(f"{table}({s},{a},.): row sums to {total!r}, expected 1.0")
+    idxs, cum, acc = [], [], 0.0
+    for idx, p in pairs:
+        if p > 0.0:
+            idxs.append(idx)
+            acc += p / total
+            cum.append(acc)
+    if not cum:
+        raise InvalidModel(f"{table}({s},{a},.): row has no positive mass")
     cum[-1] = 1.0
-    return idxs, tuple(cum)
+    return tuple(idxs), tuple(cum)
 
 
 class PomdpModel:
     """Immutable discrete POMDP (states, actions, observations, T, R, Z, discount).
 
-    Construct either from dense numpy tables (:meth:`from_tables`) or from
-    sparse rows (:meth:`from_rows`). Validation is eager: every T(s,a,.) and
-    Z(s',a,.) row must sum to 1 within 1e-9 and is then renormalized exactly.
+    Construct from sparse rows (the constructor) or from dense numpy tables
+    (:meth:`from_tables`). Validation is eager: every T(s,a,.) and Z(s',a,.)
+    row must sum to 1 within 1e-9 and is then renormalized exactly.
+
+    ``rows[s][a]`` is the one store of T and R that every sampler and the
+    belief update read: (successors, cumulative, reward, observation rows),
+    where the i-th observation row is the (observations, cumulative) of
+    Z(successors[i], a, .). A sampler that reads it inline makes the same
+    draws as :meth:`generative_step` without the call.
     """
 
     def __init__(self, state_names, action_names, obs_names, t_rows, z_rows,
@@ -84,21 +87,26 @@ class PomdpModel:
         if n_s == 0 or n_a == 0 or n_o == 0:
             raise InvalidModel("states, actions, and observations must be nonempty")
 
-        self._t = [[None] * n_a for _ in range(n_s)]
+        t = [[None] * n_a for _ in range(n_s)]
         self._z = [[None] * n_a for _ in range(n_s)]
-        self._r = [[0.0] * n_a for _ in range(n_s)]
+        r = [[0.0] * n_a for _ in range(n_s)]
         for s in range(n_s):
             for a in range(n_a):
                 row = t_rows.get((s, a))
                 if row is None:
                     raise InvalidModel(f"missing transition row for (s={s}, a={a})")
-                self._t[s][a] = _cumulative(_normalize_row(row, f"T({s},{a},.)"))
+                t[s][a] = _cumulative(row, "T", s, a)
                 zrow = z_rows.get((s, a))
                 if zrow is None:
                     raise InvalidModel(f"missing observation row for (s'={s}, a={a})")
-                self._z[s][a] = _cumulative(_normalize_row(zrow, f"Z({s},{a},.)"))
-        for (s, a), r in rewards.items():
-            self._r[s][a] = float(r)
+                self._z[s][a] = _cumulative(zrow, "Z", s, a)
+        for (s, a), reward in rewards.items():
+            r[s][a] = float(reward)
+        # the observation rows are the per-(s', a) store _z's own tuples
+        self.rows = tuple(
+            tuple([(*t[s][a], r[s][a], tuple([self._z[s2][a] for s2 in t[s][a][0]]))
+                   for a in range(n_a)])
+            for s in range(n_s))
 
         # obs_support(s) = { o | exists a with Z(s, a, o) > 0 }
         self.obs_support = tuple(
@@ -108,9 +116,8 @@ class PomdpModel:
         # States that self-loop with zero reward under every action contribute
         # exactly 0 to any return; simulations may stop there early.
         self.absorbing_zero = frozenset(
-            s for s in range(n_s)
-            if all(self._t[s][a][0] == (s,) and self._r[s][a] == 0.0
-                   for a in range(n_a))
+            s for s, per_a in enumerate(self.rows)
+            if all(succ == (s,) and reward == 0.0 for succ, _, reward, _ in per_a)
         )
 
     @classmethod
@@ -152,23 +159,7 @@ class PomdpModel:
     def n_actions(self):
         return len(self.action_names)
 
-    @property
-    def n_observations(self):
-        return len(self.obs_names)
-
     # -- table access ------------------------------------------------------
-    def transition_row(self, s, a):
-        """Successors of (s, a) as (indices, probs) arrays."""
-        idxs, cum = self._t[s][a]
-        probs = np.diff(np.asarray(cum), prepend=0.0)
-        return np.asarray(idxs), probs
-
-    def observation_row(self, s2, a):
-        """Observations of landed state s2 under a as (indices, probs)."""
-        idxs, cum = self._z[s2][a]
-        probs = np.diff(np.asarray(cum), prepend=0.0)
-        return np.asarray(idxs), probs
-
     def observation_prob(self, s2, a, o):
         idxs, cum = self._z[s2][a]
         prev = 0.0
@@ -179,31 +170,15 @@ class PomdpModel:
         return 0.0
 
     def reward(self, s, a):
-        return self._r[s][a]
+        return self.rows[s][a][2]
 
     def successors(self, s, a):
         """Tuple of states with T(s, a, s') > 0."""
-        return self._t[s][a][0]
+        return self.rows[s][a][0]
 
     def observation_support(self, s2, a):
         """Tuple of observations with Z(s2, a, o) > 0."""
         return self._z[s2][a][0]
-
-    @cached_property
-    def draw_rows(self):
-        """The rows :meth:`generative_step` draws from, one per (s, a).
-
-        ``draw_rows[s][a]`` is (successors, cumulative, reward, observation
-        rows), where the i-th observation row is the (observations,
-        cumulative) of Z(successors[i], a, .). A sampler that reads them
-        inline makes the same draws as :meth:`generative_step` without the
-        call. Built on first use and kept with the model.
-        """
-        return tuple(
-            tuple((*self._t[s][a], self._r[s][a],
-                   tuple(self._z[s2][a] for s2 in self._t[s][a][0]))
-                  for a in range(self.n_actions))
-            for s in range(self.n_states))
 
     # -- generative simulator ----------------------------------------------
     def generative_step(self, s, a, rng):
@@ -214,10 +189,10 @@ class PomdpModel:
         cumulative probability reaches one ``rng.random()`` draw; the last
         cumulative value is pinned to 1.0, so one always does.
         """
-        idxs, cum = self._t[s][a]
-        s2 = idxs[bisect_left(cum, rng.random())]
-        oidxs, ocum = self._z[s2][a]
-        return s2, oidxs[bisect_left(ocum, rng.random())], self._r[s][a]
+        succ, cum, reward, obs_rows = self.rows[s][a]
+        i = bisect_left(cum, rng.random())
+        oidxs, ocum = obs_rows[i]
+        return succ[i], oidxs[bisect_left(ocum, rng.random())], reward
 
 
 @dataclass
@@ -252,7 +227,7 @@ def belief_update(model, belief, action, observation):
     """
     pred = {}
     for s, p in belief.probs.items():
-        idxs, cum = model._t[s][action]
+        idxs, cum, _, _ = model.rows[s][action]
         prev = 0.0
         for s2, c in zip(idxs, cum):
             pred[s2] = pred.get(s2, 0.0) + p * (c - prev)

@@ -273,6 +273,9 @@ def make_predictor(name, predictions_path=None, scale=1.0):
 # synthesis
 
 
+SYNTH_KINDS = ("random-walk", "constant-velocity-with-noise", "waypoint")
+
+
 def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0),
                        speed=0.8, noise=0.3):
     """Generate n_agents synthetic trajectories of the given length.
@@ -282,6 +285,8 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
     'waypoint' (piecewise-constant heading through random waypoints). All
     kinds reflect at the bounds box and are deterministic given the rng.
     """
+    if kind not in SYNTH_KINDS:
+        raise InvalidSpec(f"unknown synthesis kind {kind!r}; choices: {SYNTH_KINDS}")
     if n_agents < 0 or length <= 0:
         raise InvalidSpec(f"need n_agents >= 0 and length > 0, got {n_agents}, {length}")
     xmin, xmax, ymin, ymax = bounds
@@ -313,7 +318,7 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
                 step = rng.normal(0.0, speed, size=2)
             elif kind == "constant-velocity-with-noise":
                 step = vel + (rng.normal(0.0, noise, size=2) if noise > 0 else 0.0)
-            elif kind == "waypoint":
+            else:                             # waypoint
                 gap = waypoint - pos
                 dist = float(np.linalg.norm(gap))
                 if dist < speed:
@@ -322,8 +327,6 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
                     dist = float(np.linalg.norm(gap))
                 step = speed * gap / dist if dist > 0 else np.zeros(2)
                 step = step + (rng.normal(0.0, noise, size=2) if noise > 0 else 0.0)
-            else:
-                raise InvalidSpec(f"unknown synthesis kind {kind!r}")
             pos = pos + step
             if kind == "constant-velocity-with-noise" and noise == 0.0:
                 pos, vel = reflect(pos, vel)      # keep exact lines exact inside

@@ -21,6 +21,22 @@ import numpy as np
 from acpshield.errors import ParticleDeprivation
 
 
+def n_observations(model):
+    return len(model.obs_names)
+
+
+def transition_row(model, s, a):
+    """Successors of (s, a) as (indices, probs) arrays, from ``model.rows``."""
+    idxs, cum, _, _ = model.rows[s][a]
+    return np.asarray(idxs), np.diff(np.asarray(cum), prepend=0.0)
+
+
+def observation_row(model, s2, a):
+    """Observations of landed state s2 under a as (indices, probs) arrays."""
+    idxs = model.observation_support(s2, a)
+    return np.asarray(idxs), np.array([model.observation_prob(s2, a, o) for o in idxs])
+
+
 def dense_tables(model, max_states=512):
     """Dense (T, Z, R) arrays of a model, filled from its sparse rows.
 
@@ -28,7 +44,7 @@ def dense_tables(model, max_states=512):
     above ``max_states`` states, whose dense T grows with the square of
     the state count.
     """
-    n_s, n_a, n_o = model.n_states, model.n_actions, model.n_observations
+    n_s, n_a, n_o = model.n_states, model.n_actions, n_observations(model)
     if n_s > max_states:
         raise ValueError(
             f"dense tables disabled for {n_s} states (limit {max_states})")
@@ -37,9 +53,9 @@ def dense_tables(model, max_states=512):
     R = np.zeros((n_s, n_a))
     for s in range(n_s):
         for a in range(n_a):
-            idxs, probs = model.transition_row(s, a)
+            idxs, probs = transition_row(model, s, a)
             T[s, a, idxs] = probs
-            idxs, probs = model.observation_row(s, a)
+            idxs, probs = observation_row(model, s, a)
             Z[s, a, idxs] = probs
             R[s, a] = model.reward(s, a)
     return T, Z, R
@@ -70,7 +86,7 @@ def reachable_supports(model, support, action):
         union.update(model.successors(s, action))
     grouped = {}
     for s2 in union:
-        idxs, probs = model.observation_row(s2, action)
+        idxs, probs = observation_row(model, s2, action)
         for o, p in zip(idxs, probs):
             if p > 0.0:
                 grouped.setdefault(int(o), set()).add(s2)
@@ -139,7 +155,7 @@ def belief_expectimax(model, belief_vec, depth, allowed=None):
         for a in acts:
             q = float(b @ R[:, a])
             pred = b @ T[:, a, :]
-            for o in range(model.n_observations):
+            for o in range(n_observations(model)):
                 w = pred * Z[:, a, o]
                 eta = w.sum()
                 if eta <= 0.0:
@@ -250,18 +266,21 @@ def nonconformity_oracle(actual, predicted):
 def generative_step_oracle(model, s, a, rng):
     """``PomdpModel.generative_step`` by a linear scan of the cumulative rows.
 
-    Reads the model's stored (indices, cumulative) rows and takes the first
-    outcome whose cumulative value is at least the draw, one
-    ``rng.random()`` draw for the successor and one for the observation.
+    Reads the model's row for (s, a) and the observation row of the drawn
+    successor, and takes the first outcome whose cumulative value is at
+    least the draw, one ``rng.random()`` draw for the successor and one for
+    the observation.
     """
-    idxs, cum = model._t[s][a]
+    idxs, cum, _, obs_rows = model.rows[s][a]
     u = rng.random()
-    s2 = idxs[-1]
-    for i, c in zip(idxs, cum):
+    k = len(idxs) - 1
+    for i, c in enumerate(cum):
         if u <= c:
-            s2 = i
+            k = i
             break
-    oidxs, ocum = model._z[s2][a]
+    s2 = idxs[k]
+    oidxs, ocum = obs_rows[k]
+    assert oidxs == model.observation_support(s2, a)      # the row of Z(s2, a, .)
     u = rng.random()
     o = oidxs[-1]
     for i, c in zip(oidxs, ocum):

@@ -9,6 +9,7 @@ program drops but a config the benchmark reads still sets would fail every
 benchmark run.
 """
 
+import ast
 import types
 from pathlib import Path
 
@@ -88,3 +89,14 @@ def test_public_names_import():
     exec("from acpshield import *", namespace)
     assert sorted(set(acpshield.__all__) - set(namespace)) == []
     assert len(set(acpshield.__all__)) == len(acpshield.__all__)
+
+
+def test_public_names_are_used_by_cli_or_harness():
+    # the package exports what the CLI and the harness are built from; a
+    # name only tests use belongs in tests/
+    imported = set()
+    for module in ("cli", "harness"):
+        source = (ROOT / "src" / "acpshield" / f"{module}.py").read_text(encoding="utf-8")
+        imported |= {alias.name for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(set(acpshield.__all__) - imported) == []

@@ -20,10 +20,12 @@ from acpshield.gridworld import (
 from acpshield.pomdp import BeliefState, belief_update
 from acpshield.shield import constraint_values
 
+from oracles import observation_row, transition_row
+
 
 def t_prob(model, s, a, s2):
     """T(s, a, s2), read from the model's sparse transition row."""
-    idxs, probs = model.transition_row(s, a)
+    idxs, probs = transition_row(model, s, a)
     return dict(zip(idxs.tolist(), probs.tolist())).get(s2, 0.0)
 
 
@@ -69,9 +71,9 @@ def test_all_rows_stochastic():
                                      goal_cell=(6, 4)))
     for s in range(model.n_states):
         for a in range(model.n_actions):
-            _, probs = model.transition_row(s, a)
+            _, probs = transition_row(model, s, a)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-            _, zprobs = model.observation_row(s, a)
+            _, zprobs = observation_row(model, s, a)
             assert zprobs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -175,7 +177,7 @@ def test_obs_noise_rows():
                     obs_noise=0.2)
     model = build_gridworld(spec)
     s = spec.state_index(4, 4)       # interior block with 4 neighbors
-    idxs, probs = model.observation_row(s, 0)
+    idxs, probs = observation_row(model, s, 0)
     assert probs.sum() == pytest.approx(1.0)
     assert probs.max() == pytest.approx(0.8)
     assert len(idxs) == 5

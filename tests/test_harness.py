@@ -526,3 +526,25 @@ def test_parse_config_rejects_unknown_keys(section, key):
 def test_parse_config_rejects_non_mapping_section(section):
     with pytest.raises(InvalidSpec, match=section):
         parse_config({section: [1, 2]})
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"agents": {"count": "five"}}, "agents.count"),
+    ({"runs": "x"}, "runs"),
+    ({"grid": {"start": 5}}, "grid.start"),
+    ({"planner": {"simulations": None}}, "planner.simulations"),
+    ({"grid": {"goal": [1]}}, "grid.goal"),
+    ({"acp": {"horizon": 2.7}}, "acp.horizon"),
+])
+def test_parse_config_rejects_malformed_values(data, key):
+    with pytest.raises(InvalidSpec, match=key):
+        parse_config(data)
+
+
+def test_parse_config_rejects_unknown_names_up_front():
+    # an unshielded run never builds a predictor and a run without agents
+    # synthesizes no steps, so only the config check catches these names
+    with pytest.raises(InvalidSpec, match="nonsense"):
+        parse_config({"method": "no-shield", "acp": {"predictor": "nonsense"}})
+    with pytest.raises(InvalidSpec, match="nope"):
+        parse_config({"method": "no-shield", "agents": {"kind": "nope", "count": 0}})

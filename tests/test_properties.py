@@ -59,7 +59,7 @@ def test_bsts_children_are_posterior_supports(seed, deterministic):
             belief = BeliefState(dict(zip(sorted(sup), weights)))
             for a in range(model.n_actions):
                 posteriors = {}
-                for o in range(model.n_observations):
+                for o in range(oracles.n_observations(model)):
                     try:
                         posteriors[o] = belief_update(model, belief, a, o).support()
                     except ImpossibleObservation:
@@ -388,7 +388,8 @@ def test_generative_step_matches_linear_scan_oracle(seed):
             model, s, a, theirs)
     assert ours.getstate() == theirs.getstate()
     # draws placed exactly on repeated cumulative values and their neighbours
-    rows = [row for table in (model._t, model._z) for per_s in table for row in per_s]
+    rows = [row for per_s in model.rows for succ, cum, _, obs_rows in per_s
+            for row in ((succ, cum), *obs_rows)]
     draws = boundary_draws(rows, rng, 2 * len(pairs))
     ours, theirs = ScriptedDraws(draws), ScriptedDraws(draws)
     for s, a in pairs:

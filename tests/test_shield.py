@@ -62,7 +62,7 @@ def corridor(n=5, n_obs_blocks=None):
 def random_support(model, rng):
     """Valid support: a nonempty state set sharing one observation."""
     while True:
-        o = int(rng.integers(model.n_observations))
+        o = int(rng.integers(oracles.n_observations(model)))
         eligible = [s for s in range(model.n_states) if o in model.obs_support[s]]
         if eligible:
             k = int(rng.integers(1, min(len(eligible), 4) + 1))
@@ -151,7 +151,7 @@ def test_bsts_node_count_bound(rng):
         root = random_support(model, rng)
         h = 3
         bsts = Bsts(model, root, h)
-        bound = sum(min((model.n_actions * model.n_observations) ** q,
+        bound = sum(min((model.n_actions * oracles.n_observations(model)) ** q,
                         2 ** model.n_states) for q in range(h + 1))
         assert bsts.node_count() <= bound
         assert set(bsts.levels) == {0, 1, 2, 3}

@@ -240,8 +240,9 @@ def test_synth_determinism_and_kinds():
             for (ta, pa), (tb, pb) in zip(track_of(a, aid), track_of(b, aid)):
                 assert ta == tb
                 np.testing.assert_array_equal(pa, pb)
-    with pytest.raises(InvalidSpec):
-        synth_trajectories("brownian-bridge", 1, 5, np.random.default_rng(0))
+    for count in (1, 0):           # the kind is checked even with no agents
+        with pytest.raises(InvalidSpec):
+            synth_trajectories("brownian-bridge", count, 5, np.random.default_rng(0))
 
 
 def test_synth_zero_noise_is_linear():
