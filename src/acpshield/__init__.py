@@ -24,10 +24,9 @@ from .gridworld import (
 from .harness import (
     METHODS,
     acp_coverage_run,
-    bench_lists,
-    expand_grid,
     format_table,
     load_config,
+    load_grid,
     run_benchmark,
     run_episode,
     write_aggregate_csv,
@@ -66,17 +65,16 @@ __all__ = [
     "PredictionRegions",
     "Shield",
     "acp_coverage_run",
-    "bench_lists",
     "build_gridworld",
     "cell_positions",
     "compute_winning_regions",
-    "expand_grid",
     "fallback_action",
     "format_table",
     "goal_greedy_actions",
     "initial_belief",
     "keeps_winning",
     "load_config",
+    "load_grid",
     "load_trajectories",
     "make_predictor",
     "run_benchmark",

@@ -8,17 +8,14 @@ import math
 import sys
 from pathlib import Path
 
-import yaml
-
 from .acp import DEFAULT_ALPHA, DEFAULT_DELTA, DEFAULT_WINDOW
 from .gridworld import build_gridworld
 from .harness import (
     METHODS,
     acp_coverage_run,
-    bench_lists,
-    expand_grid,
     format_table,
     load_config,
+    load_grid,
     run_benchmark,
     run_episode,
     run_many,
@@ -35,10 +32,9 @@ def _add_config_arguments(parser):
     parser.add_argument("--label", help="override the experiment label")
 
 
-def _load(args):
-    overrides = {"seed": args.seed, "method": args.method,
-                 "runs": args.runs, "label": args.label}
-    return load_config(args.config, overrides)
+def _overrides(args):
+    return {"seed": args.seed, "method": args.method,
+            "runs": args.runs, "label": args.label}
 
 
 def _json_ready(value):
@@ -52,7 +48,7 @@ def _json_ready(value):
 
 
 def cmd_run(args):
-    cfg = _load(args)
+    cfg = load_config(args.config, _overrides(args))
     model = build_gridworld(cfg.grid)
     hooks = []
     result = run_episode(cfg, run=args.run, model=model, step_hook=hooks.append)
@@ -99,21 +95,15 @@ def cmd_run(args):
 
 
 def cmd_bench(args):
-    cfg = _load(args)
-    with open(args.config) as fh:
-        raw = yaml.safe_load(fh) or {}
-    methods, counts = bench_lists(raw)
-    if args.methods:
-        methods = args.methods.split(",")
-    if args.agent_counts:
-        counts = [int(c) for c in args.agent_counts.split(",")]
-    configs = expand_grid(cfg, methods, counts)
+    lists = {"bench.methods": args.methods, "bench.agent_counts": args.agent_counts}
+    overrides = {key: text.split(",") for key, text in lists.items() if text}
+    configs = load_grid(args.config, {**_overrides(args), **overrides})
 
     results, rows = run_benchmark(configs)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    raw_path = out / f"{cfg.label}_raw.csv"
-    agg_path = out / f"{cfg.label}_aggregate.csv"
+    raw_path = out / f"{configs[0].label}_raw.csv"
+    agg_path = out / f"{configs[0].label}_aggregate.csv"
     write_raw_csv(results, raw_path)
     write_aggregate_csv(rows, agg_path)
     print(format_table(rows))
@@ -122,7 +112,7 @@ def cmd_bench(args):
 
 
 def cmd_validate(args):
-    cfg = _load(args)
+    cfg = load_config(args.config, _overrides(args))
     if cfg.method == "no-shield":
         print("validate needs a shielded method; use --method to pick one",
               file=sys.stderr)

@@ -12,7 +12,7 @@ them to realized returns instead (the model itself must stay stationary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,10 +40,10 @@ class Cell:
 class GridSpec:
     """Geometry, motion probabilities, and rewards of the benchmark grid."""
 
-    width: int
-    height: int
-    start_cells: dict            # (x, y) -> positive weight
-    goal_cell: tuple             # (x, y)
+    width: int = 20
+    height: int = 20
+    start_cells: dict = field(default_factory=lambda: {(1, 1): 1.0})  # (x, y) -> weight
+    goal_cell: tuple = None      # (x, y); None is (width - 2, height - 2)
     step_reward: float = -1.0
     goal_reward: float = 1000.0
     collision_reward: float = -10.0
@@ -63,6 +63,8 @@ class GridSpec:
             raise InvalidSpec(f"obs_noise {self.obs_noise} outside [0, 1)")
         if not self.start_cells:
             raise InvalidSpec("start_cells must be nonempty")
+        if self.goal_cell is None:
+            self.goal_cell = (self.width - 2, self.height - 2)
         self.goal_cell = tuple(self.goal_cell)
         if not self.contains(*self.goal_cell):
             raise InvalidSpec(f"goal cell {self.goal_cell} outside the grid")

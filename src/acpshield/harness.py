@@ -482,7 +482,13 @@ def run_benchmark(configs):
 
 
 def expand_grid(base, methods=None, agent_counts=None):
-    """Benchmark cells: one config per (method, agent count) combination."""
+    """Benchmark cells: one config per (method, agent count) combination.
+
+    A CSV log sets its own agents, so an agent-count list needs synthesis.
+    """
+    if agent_counts and base.agents.csv_path is not None:
+        raise InvalidSpec(f"bench.agent_counts {list(agent_counts)} cannot resize the "
+                          f"agents of the log {base.agents.csv_path}")
     methods = list(methods) if methods else [base.method]
     agent_counts = list(agent_counts) if agent_counts else [base.agents.count]
     grid = []
@@ -578,18 +584,46 @@ def acp_coverage_run(steps=10_000, horizon=3, n_agents=3, kind="random-walk",
 
 # -- config files ------------------------------------------------------------------------
 
-# the YAML schema: section -> the keys it may hold
-_CONFIG_SECTIONS = {
-    "grid": ("width", "height", "start", "goal", "step_reward", "goal_reward",
-             "collision_reward", "near_prob", "far_prob", "obs_noise"),
-    "agents": ("kind", "count", "speed", "noise", "csv", "scale", "stride"),
-    "acp": ("predictor", "predictions", "horizon", "delta", "epsilon", "alpha",
-            "window"),
-    "planner": ("simulations", "depth", "ucb", "particles", "rollout"),
-    "run": ("max_steps",),
-    "bench": ("methods", "agent_counts"),
+
+def _optional(kind):
+    """``kind``, where YAML null leaves the key unset."""
+    return lambda value, key: None if value is None else _typed(value, kind, key)
+
+
+def _start_cells(value, key):
+    """grid.start: one [x, y] cell, or a list of weighted [x, y, w] cells."""
+    if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
+        return {(x, y): w for x, y, w in _typed(value, [(int, int, float)], key)}
+    return {_typed(value, (int, int), key): 1.0}
+
+
+# the YAML schema: section (None for the top level) -> key -> (field, kind).
+# The fields are GridSpec's, AgentSetup's, PlannerConfig's, ExperimentConfig's
+# (top level, acp, run) and expand_grid's (bench); a key left out keeps the
+# field's default.
+_SCHEMA = {
+    None: {"label": ("label", str), "seed": ("seed", int), "runs": ("runs", int),
+           "method": ("method", str)},
+    "grid": {"width": ("width", int), "height": ("height", int),
+             "start": ("start_cells", _start_cells), "goal": ("goal_cell", (int, int)),
+             "step_reward": ("step_reward", float), "goal_reward": ("goal_reward", float),
+             "collision_reward": ("collision_reward", float),
+             "near_prob": ("near_prob", float), "far_prob": ("far_prob", float),
+             "obs_noise": ("obs_noise", float)},
+    "agents": {"kind": ("kind", str), "count": ("count", int), "speed": ("speed", float),
+               "noise": ("noise", float), "csv": ("csv_path", _optional(str)),
+               "scale": ("scale", float), "stride": ("stride", int)},
+    "acp": {"predictor": ("predictor", str), "predictions": ("predictions_path", _optional(str)),
+            "horizon": ("horizon", int), "delta": ("delta", float),
+            "epsilon": ("epsilon", float), "alpha": ("alpha", float),
+            "window": ("window", int)},
+    "planner": {"simulations": ("num_simulations", int), "depth": ("max_depth", int),
+                "ucb": ("ucb_constant", float), "particles": ("particle_count", int),
+                "rollout": ("rollout_policy", str)},
+    "run": {"max_steps": ("max_steps", int)},
+    "bench": {"methods": ("methods", _optional([str])),
+              "agent_counts": ("agent_counts", _optional([int]))},
 }
-_CONFIG_TOP_LEVEL = ("label", "seed", "runs", "method", *_CONFIG_SECTIONS)
 
 
 def _unknown_keys(mapping, known, where):
@@ -598,35 +632,28 @@ def _unknown_keys(mapping, known, where):
         raise InvalidSpec(f"unknown config key(s) in {where}: {', '.join(unknown)}")
 
 
-def _section(data, name):
-    """A getter ``get(key, default, kind)`` of ``data[name]`` ({} when absent),
-    checked against the schema; ``kind`` None returns the value unconverted."""
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise InvalidSpec(f"config section {name!r} must be a mapping")
-    _unknown_keys(section, _CONFIG_SECTIONS[name], f"section {name!r}")
-
-    def get(key, default=None, kind=None):
-        value = section.get(key, default)
-        return value if kind is None else _typed(value, kind, f"{name}.{key}")
-    return get
-
-
 def _typed(value, kind, key):
     """``value`` as ``kind``, or InvalidSpec naming ``key``.
 
-    A tuple of kinds reads a list of that length, entry by entry. Numbers
-    reject booleans; ints reject the non-integral floats that ``int()``
-    would truncate.
+    A kind is a type; a tuple of kinds, read from a list of that length; a
+    one-kind list, read from a list of any length; or a function of (value,
+    key). Strings must be strings. Numbers reject booleans; ints reject the
+    non-integral floats that ``int()`` would truncate.
     """
-    if isinstance(kind, tuple):
-        if isinstance(value, (list, tuple)) and len(value) == len(kind):
-            return tuple(_typed(v, k, key) for v, k in zip(value, kind))
-        wanted = f"a list of {len(kind)} numbers"
+    if isinstance(kind, (tuple, list)):
+        if isinstance(value, (list, tuple)):
+            kinds = kind * len(value) if isinstance(kind, list) else kind
+            if len(value) == len(kinds):
+                return tuple(_typed(v, k, key) for v, k in zip(value, kinds))
+        wanted = "a list" if isinstance(kind, list) else f"a list of {len(kind)} numbers"
+    elif not isinstance(kind, type):
+        return kind(value, key)
     else:
-        boolean = kind is not str and isinstance(value, bool)
-        fraction = kind is int and isinstance(value, float) and not value.is_integer()
-        if not (boolean or fraction):
+        if kind is str:
+            if isinstance(value, str):
+                return value
+        elif not (isinstance(value, bool) or kind is int and isinstance(value, float)
+                  and not value.is_integer()):
             try:
                 return kind(value)
             except (TypeError, ValueError, OverflowError):
@@ -635,68 +662,51 @@ def _typed(value, kind, key):
     raise InvalidSpec(f"config key {key} must be {wanted}, got {value!r}")
 
 
-def _grid_from_dict(get):
-    width, height = get("width", 20, int), get("height", 20, int)
-    start = get("start", [1, 1])
-    if isinstance(start, (list, tuple)) and start and isinstance(start[0], (list, tuple)):
-        weighted = [_typed(entry, (int, int, float), "grid.start") for entry in start]
-        start_cells = {(x, y): w for x, y, w in weighted}
-    else:
-        start_cells = {_typed(start, (int, int), "grid.start"): 1.0}
-    return GridSpec(
-        width=width, height=height, start_cells=start_cells,
-        goal_cell=get("goal", [width - 2, height - 2], (int, int)),
-        step_reward=get("step_reward", -1.0, float),
-        goal_reward=get("goal_reward", 1000.0, float),
-        collision_reward=get("collision_reward", -10.0, float),
-        near_prob=get("near_prob", 0.1, float), far_prob=get("far_prob", 0.9, float),
-        obs_noise=get("obs_noise", 0.0, float))
+def _parse(data, overrides=None):
+    """(ExperimentConfig, expand_grid's keyword arguments) of a YAML-schema
+    dict, with ``overrides`` as in ``load_config``."""
+    if not isinstance(data, dict):
+        raise InvalidSpec(f"config must be a mapping, got {type(data).__name__}")
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    typed = {}
+    for name, keys in _SCHEMA.items():
+        section = data if name is None else data.get(name, {})
+        if not isinstance(section, dict):
+            raise InvalidSpec(f"config section {name!r} must be a mapping")
+        known = keys if name else (*keys, *filter(None, _SCHEMA))
+        _unknown_keys(section, known, f"section {name!r}" if name else "the top level")
+        typed[name] = {}
+        for key, (field_name, kind) in keys.items():
+            where = f"{name}.{key}" if name else key
+            if where in overrides or key in section:
+                typed[name][field_name] = _typed(overrides.get(where, section.get(key)),
+                                                 kind, where)
+    cfg = ExperimentConfig(grid=GridSpec(**typed["grid"]), agents=AgentSetup(**typed["agents"]),
+                           planner=PlannerConfig(**typed["planner"]),
+                           **typed[None], **typed["acp"], **typed["run"])
+    return cfg, typed["bench"]
 
 
 def parse_config(data):
-    """ExperimentConfig from a YAML-schema dict; unknown keys and bad values raise InvalidSpec."""
-    _unknown_keys(data, _CONFIG_TOP_LEVEL, "the top level")
-    _section(data, "bench")
-    grid = _grid_from_dict(_section(data, "grid"))
-    a = _section(data, "agents")
-    agents = AgentSetup(
-        kind=a("kind", "constant-velocity-with-noise"),
-        count=a("count", 5, int), speed=a("speed", 0.8, float),
-        noise=a("noise", 0.3, float), csv_path=a("csv"),
-        scale=a("scale", 1.0, float), stride=a("stride", 1, int))
-    p = _section(data, "planner")
-    planner = PlannerConfig(
-        num_simulations=p("simulations", 4096, int), max_depth=p("depth", 200, int),
-        ucb_constant=p("ucb", 500.0, float), particle_count=p("particles", 10_000, int),
-        rollout_policy=p("rollout", "random"))
-    acp = _section(data, "acp")
-    return ExperimentConfig(
-        grid=grid, agents=agents, planner=planner,
-        label=_typed(data.get("label", "desk"), str, "label"),
-        method=data.get("method", "shield-acp"),
-        predictor=acp("predictor", "constant-velocity"), predictions_path=acp("predictions"),
-        horizon=acp("horizon", 3, int), delta=acp("delta", DEFAULT_DELTA, float),
-        epsilon=acp("epsilon", 0.5, float), alpha=acp("alpha", DEFAULT_ALPHA, float),
-        window=acp("window", DEFAULT_WINDOW, int),
-        runs=_typed(data.get("runs", 1), int, "runs"),
-        max_steps=_section(data, "run")("max_steps", 300, int),
-        seed=_typed(data.get("seed", 0), int, "seed"))
+    """ExperimentConfig from a YAML-schema dict; unknown keys and bad values,
+    the bench lists' included, raise InvalidSpec."""
+    return _parse(data)[0]
+
+
+def _read_yaml(path):
+    with open(path) as fh:
+        return yaml.safe_load(fh) or {}
 
 
 def load_config(path, overrides=None):
-    """Parse a YAML experiment file; ``overrides`` patch top-level keys."""
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise InvalidSpec(f"{path}: config must be a mapping")
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                data[key] = value
-    return parse_config(data)
+    """Parse a YAML experiment file. ``overrides`` maps keys, qualified as in
+    ``bench.methods``, to values that replace the file's; None leaves it."""
+    return _parse(_read_yaml(path), overrides)[0]
 
 
-def bench_lists(data):
-    """The optional bench section of a config dict: (methods, agent counts)."""
-    bench = data.get("bench", {}) if isinstance(data, dict) else {}
-    return bench.get("methods"), bench.get("agent_counts")
+def load_grid(path, overrides=None):
+    """A YAML experiment file's benchmark cells: its config expanded over the
+    bench lists, which the ``bench.methods`` and ``bench.agent_counts``
+    overrides replace."""
+    cfg, bench = _parse(_read_yaml(path), overrides)
+    return expand_grid(cfg, **bench)

@@ -15,8 +15,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     EmptyBelief,
     ImpossibleObservation,
@@ -58,9 +56,8 @@ def _cumulative(pairs, table, s, a):
 class PomdpModel:
     """Immutable discrete POMDP (states, actions, observations, T, R, Z, discount).
 
-    Construct from sparse rows (the constructor) or from dense numpy tables
-    (:meth:`from_tables`). Validation is eager: every T(s,a,.) and Z(s',a,.)
-    row must sum to 1 within 1e-9 and is then renormalized exactly.
+    Construct from sparse rows. Validation is eager: every T(s,a,.) and
+    Z(s',a,.) row must sum to 1 within 1e-9 and is then renormalized exactly.
 
     ``rows[s][a]`` is the one store of T and R that every sampler and the
     belief update read: (successors, cumulative, reward, observation rows),
@@ -119,36 +116,6 @@ class PomdpModel:
             s for s, per_a in enumerate(self.rows)
             if all(succ == (s,) and reward == 0.0 for succ, _, reward, _ in per_a)
         )
-
-    @classmethod
-    def from_tables(cls, transition, reward, observation_fn, state_names=None,
-                    action_names=None, obs_names=None, discount=0.95):
-        """Build from dense arrays T (n_s, n_a, n_s), R (n_s, n_a), Z (n_s, n_a, n_o)."""
-        t = np.asarray(transition, dtype=float)
-        r = np.asarray(reward, dtype=float)
-        z = np.asarray(observation_fn, dtype=float)
-        if t.ndim != 3 or t.shape[0] != t.shape[2]:
-            raise InvalidModel(f"transition table has shape {t.shape}, expected (n_s, n_a, n_s)")
-        n_s, n_a = t.shape[0], t.shape[1]
-        if r.shape != (n_s, n_a):
-            raise InvalidModel(f"reward table has shape {r.shape}, expected {(n_s, n_a)}")
-        if z.ndim != 3 or z.shape[:2] != (n_s, n_a):
-            raise InvalidModel(f"observation table has shape {z.shape}, expected (n_s, n_a, n_o)")
-        n_o = z.shape[2]
-        state_names = state_names or [f"s{i}" for i in range(n_s)]
-        action_names = action_names or [f"a{i}" for i in range(n_a)]
-        obs_names = obs_names or [f"o{i}" for i in range(n_o)]
-        t_rows = {}
-        z_rows = {}
-        rewards = {}
-        for s in range(n_s):
-            for a in range(n_a):
-                t_rows[(s, a)] = [(int(s2), float(p)) for s2, p in enumerate(t[s, a]) if p != 0.0]
-                z_rows[(s, a)] = [(int(o), float(p)) for o, p in enumerate(z[s, a]) if p != 0.0]
-                if r[s, a] != 0.0:
-                    rewards[(s, a)] = float(r[s, a])
-        return cls(state_names, action_names, obs_names, t_rows, z_rows, rewards,
-                   discount=discount)
 
     # -- sizes ------------------------------------------------------------
     @property

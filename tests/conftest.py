@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acpshield.pomdp import PomdpModel
+import oracles
 
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts survive output capture
@@ -47,7 +47,7 @@ def make_random_pomdp(rng, n_states=5, n_actions=3, n_obs=4, branch=3,
     r[:absorbing] = 0.0
     for s in range(absorbing):
         t[s, :, s] = 1.0
-    return PomdpModel.from_tables(t, r, z, discount=discount)
+    return oracles.model_from_tables(t, r, z, discount=discount)
 
 
 @pytest.fixture
@@ -56,7 +56,7 @@ def two_state_model():
     t = np.array([[[0.7, 0.3]], [[0.4, 0.6]]])          # (s, a, s')
     z = np.array([[[0.9, 0.1]], [[0.2, 0.8]]])          # (s', a, o)
     r = np.array([[1.0], [-1.0]])
-    return PomdpModel.from_tables(t, r, z, discount=0.9)
+    return oracles.model_from_tables(t, r, z, discount=0.9)
 
 
 @pytest.fixture

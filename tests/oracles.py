@@ -19,6 +19,23 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from acpshield.errors import ParticleDeprivation
+from acpshield.pomdp import PomdpModel
+
+
+def model_from_tables(transition, reward, observation_fn, discount=0.95):
+    """A PomdpModel from dense arrays T (n_s, n_a, n_s), R (n_s, n_a) and
+    Z (n_s, n_a, n_o), its zero entries left out of the sparse rows."""
+    t, r, z = (np.asarray(table, dtype=float) for table in (transition, reward, observation_fn))
+    n_s, n_a, n_o = z.shape
+    pairs = [(s, a) for s in range(n_s) for a in range(n_a)]
+    t_rows = {(s, a): [(s2, float(p)) for s2, p in enumerate(t[s, a]) if p != 0.0]
+              for s, a in pairs}
+    z_rows = {(s, a): [(o, float(p)) for o, p in enumerate(z[s, a]) if p != 0.0]
+              for s, a in pairs}
+    rewards = {(s, a): float(r[s, a]) for s, a in pairs if r[s, a] != 0.0}
+    return PomdpModel([f"s{i}" for i in range(n_s)], [f"a{i}" for i in range(n_a)],
+                      [f"o{i}" for i in range(n_o)], t_rows, z_rows, rewards,
+                      discount=discount)
 
 
 def n_observations(model):

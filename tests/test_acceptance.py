@@ -19,7 +19,6 @@ from acpshield.cli import main as cli_main
 from acpshield.gridworld import GridSpec, cell_positions
 from acpshield.harness import acp_coverage_run, expand_grid, load_config, run_benchmark
 from acpshield.planner import Planner, PlannerConfig
-from acpshield.pomdp import PomdpModel
 from acpshield.shield import Bsts, compute_winning_regions, unsafe_sets
 from acpshield.trajectory import JointAgentState, PredictionSet
 
@@ -200,7 +199,7 @@ def identity_obs_pomdp(rng, n_states, n_actions):
             succ = rng.choice(n_states, size=k, replace=False)
             t[s, a, succ] = rng.dirichlet(np.ones(k))
             z[s, a, s] = 1.0
-    return PomdpModel.from_tables(t, r, z, discount=0.95)
+    return oracles.model_from_tables(t, r, z, discount=0.95)
 
 
 def test_criterion_8_search_matches_exhaustive_expectimax():

@@ -8,6 +8,7 @@ import pytest
 
 from acpshield import harness
 from acpshield.cli import build_parser, main
+from acpshield.errors import InvalidSpec
 
 
 @pytest.fixture
@@ -114,6 +115,13 @@ def test_bench_cli_overrides_grid_lists(tiny_config, tmp_path, capsys):
     lines = (out_dir / "tiny_aggregate.csv").read_text().splitlines()
     assert len(lines) == 3                     # header + one row per count
     assert all("shield-no-acp" in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("counts", ["5,x", "2,", "1.5"])
+def test_bench_cli_rejects_malformed_agent_counts(tiny_config, tmp_path, counts):
+    with pytest.raises(InvalidSpec, match="bench.agent_counts"):
+        main(["bench", "--config", str(tiny_config), "--out-dir", str(tmp_path),
+              "--agent-counts", counts])
 
 
 def test_validate_passes_on_clean_config(tiny_config, capsys):

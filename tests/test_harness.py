@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +17,12 @@ from acpshield.harness import (
     ExperimentConfig,
     acp_coverage_run,
     aggregate,
-    bench_lists,
     build_source,
     episode_horizon,
     expand_grid,
     format_table,
     load_config,
+    load_grid,
     parse_config,
     run_benchmark,
     run_episode,
@@ -447,6 +447,9 @@ def test_parse_config_defaults():
     cfg = parse_config({})
     assert cfg.grid.width == 20 and cfg.grid.goal_cell == (18, 18)
     assert cfg.method == "shield-acp" and cfg.horizon == 3
+    # null leaves a path or a bench list unset, not the path "None"
+    assert parse_config({"agents": {"csv": None}, "acp": {"predictions": None},
+                         "bench": {"methods": None, "agent_counts": None}}) == cfg
 
 
 def test_load_config_round_trip(tmp_path):
@@ -494,9 +497,10 @@ bench:
     override = load_config(path, overrides={"seed": 7, "method": None})
     assert override.seed == 7 and override.method == "shield-no-acp"
 
-    import yaml as yaml_mod
-    methods, counts = bench_lists(yaml_mod.safe_load(text))
-    assert methods == ["no-shield", "shield-acp"] and counts == [4, 8]
+    assert [(c.method, c.agents.count) for c in load_grid(path)] == [
+        ("no-shield", 4), ("shield-acp", 4), ("no-shield", 8), ("shield-acp", 8)]
+    lists = {"bench.methods": ["shield-acp"], "bench.agent_counts": ["6"]}
+    assert [(c.method, c.agents.count) for c in load_grid(path, lists)] == [("shield-acp", 6)]
 
 
 def test_load_config_rejects_non_mapping(tmp_path):
@@ -535,10 +539,96 @@ def test_parse_config_rejects_non_mapping_section(section):
     ({"planner": {"simulations": None}}, "planner.simulations"),
     ({"grid": {"goal": [1]}}, "grid.goal"),
     ({"acp": {"horizon": 2.7}}, "acp.horizon"),
+    ({"agents": {"csv": 12345}}, "agents.csv"),
+    ({"acp": {"predictions": 0}}, "acp.predictions"),
+    ({"label": None}, "label"),
+    ({"bench": {"methods": "shield-acp"}}, "bench.methods"),
+    ({"bench": {"methods": [1]}}, "bench.methods"),
+    ({"bench": {"agent_counts": ["five"]}}, "bench.agent_counts"),
+    ({"bench": {"agent_counts": 5}}, "bench.agent_counts"),
+    ({"bench": {"agent_counts": [2.5]}}, "bench.agent_counts"),
 ])
 def test_parse_config_rejects_malformed_values(data, key):
     with pytest.raises(InvalidSpec, match=key):
         parse_config(data)
+
+
+def test_expand_grid_refuses_agent_counts_for_a_csv_log():
+    # build_source replays the log whatever agents.count says, so each count
+    # would label the same episodes with a different N
+    base = small_config(agents=AgentSetup(csv_path="crowd.csv"))
+    with pytest.raises(InvalidSpec, match="bench.agent_counts"):
+        expand_grid(base, agent_counts=(2, 5))
+    assert len(expand_grid(base, methods=("no-shield", "shield-acp"))) == 2
+
+
+def _flat_fields(cfg):
+    flat = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            flat.update({f"{f.name}.{g.name}": getattr(value, g.name) for g in fields(value)})
+        else:
+            flat[f.name] = value
+    return flat
+
+
+# YAML keys set to valid non-default values -> the fields they must change, and
+# to what (a width or height moves the default goal with it)
+SCHEMA_CASES = [
+    ({"label": "other"}, {"label": "other"}),
+    ({"seed": 3}, {"seed": 3}),
+    ({"runs": 2}, {"runs": 2}),
+    ({"method": "no-shield"}, {"method": "no-shield"}),
+    ({"grid.width": 25}, {"grid.width": 25, "grid.goal_cell": (23, 18)}),
+    ({"grid.height": 24}, {"grid.height": 24, "grid.goal_cell": (18, 22)}),
+    ({"grid.start": [[2, 3, 2.0]]}, {"grid.start_cells": {(2, 3): 2.0}}),
+    ({"grid.goal": [5, 6]}, {"grid.goal_cell": (5, 6)}),
+    ({"grid.step_reward": -2}, {"grid.step_reward": -2.0}),
+    ({"grid.goal_reward": 50}, {"grid.goal_reward": 50.0}),
+    ({"grid.collision_reward": -3}, {"grid.collision_reward": -3.0}),
+    ({"grid.near_prob": 0.25, "grid.far_prob": 0.75},
+     {"grid.near_prob": 0.25, "grid.far_prob": 0.75}),
+    ({"grid.obs_noise": 0.1}, {"grid.obs_noise": 0.1}),
+    ({"agents.kind": "waypoint"}, {"agents.kind": "waypoint"}),
+    ({"agents.count": 7}, {"agents.count": 7}),
+    ({"agents.speed": 0.5}, {"agents.speed": 0.5}),
+    ({"agents.noise": 0.1}, {"agents.noise": 0.1}),
+    ({"agents.csv": "crowd.csv"}, {"agents.csv_path": "crowd.csv"}),
+    ({"agents.scale": 2.0}, {"agents.scale": 2.0}),
+    ({"agents.stride": 3}, {"agents.stride": 3}),
+    ({"acp.predictor": "linear-fit"}, {"predictor": "linear-fit"}),
+    ({"acp.predictions": "p.csv"}, {"predictions_path": "p.csv"}),
+    ({"acp.horizon": 5}, {"horizon": 5}),
+    ({"acp.delta": 0.2}, {"delta": 0.2}),
+    ({"acp.epsilon": 1.5}, {"epsilon": 1.5}),
+    ({"acp.alpha": 0.01}, {"alpha": 0.01}),
+    ({"acp.window": 12}, {"window": 12}),
+    ({"planner.simulations": 64}, {"planner.num_simulations": 64}),
+    ({"planner.depth": 30}, {"planner.max_depth": 30}),
+    ({"planner.ucb": 10.0}, {"planner.ucb_constant": 10.0}),
+    ({"planner.particles": 300}, {"planner.particle_count": 300}),
+    ({"planner.rollout": "goal-greedy"}, {"planner.rollout_policy": "goal-greedy"}),
+    ({"run.max_steps": 40}, {"max_steps": 40}),
+]
+
+
+def test_config_schema_round_trip():
+    # every key of the schema is set once, and changes exactly its own field
+    schema_keys = {f"{name}.{key}" if name else key
+                   for name, keys in harness._SCHEMA.items() for key in keys}
+    case_keys = {key for keys, _ in SCHEMA_CASES for key in keys}
+    assert schema_keys - case_keys == {"bench.methods", "bench.agent_counts"}
+    assert case_keys <= schema_keys and len(schema_keys) == 36
+    default = _flat_fields(parse_config({}))
+    for keys, expected in SCHEMA_CASES:
+        data = {}
+        for key, value in keys.items():
+            section, _, leaf = key.rpartition(".")
+            (data.setdefault(section, {}) if section else data)[leaf] = value
+        changed = {k: v for k, v in _flat_fields(parse_config(data)).items()
+                   if v != default[k]}
+        assert changed == expected, keys
 
 
 def test_parse_config_rejects_unknown_names_up_front():

@@ -24,7 +24,6 @@ from acpshield.planner import (
     fallback_action,
     safe_margin,
 )
-from acpshield.pomdp import PomdpModel
 from acpshield.shield import (
     Bsts,
     Shield,
@@ -70,7 +69,7 @@ def corridor(n=5, rewards=None, discount=0.9):
         t[s, 1, min(s + 1, n - 1)] = 1.0
         z[s, :, s] = 1.0
     r = np.zeros((n, 2)) if rewards is None else np.asarray(rewards, dtype=float)
-    return PomdpModel.from_tables(t, r, z, discount=discount)
+    return oracles.model_from_tables(t, r, z, discount=discount)
 
 
 def chain(length, step_reward=1.0, discount=0.9):
@@ -85,7 +84,7 @@ def chain(length, step_reward=1.0, discount=0.9):
     t[length, 0, length] = 1.0
     for s in range(n):
         z[s, 0, s] = 1.0
-    return PomdpModel.from_tables(t, r, z, discount=discount)
+    return oracles.model_from_tables(t, r, z, discount=discount)
 
 
 def bandit(r_left=0.0, r_right=1.0, discount=0.9):
@@ -96,7 +95,7 @@ def bandit(r_left=0.0, r_right=1.0, discount=0.9):
     for s in range(2):
         z[s, :, s] = 1.0
     r = np.array([[r_left, r_right], [0.0, 0.0]])
-    return PomdpModel.from_tables(t, r, z, discount=discount)
+    return oracles.model_from_tables(t, r, z, discount=discount)
 
 
 def shielded_corridor(horizon=2):
@@ -266,7 +265,7 @@ def test_rollout_mean_matches_hit_probability():
     r[1, :] = prize
     for s in range(3):
         z[s, :, s] = 1.0
-    model = PomdpModel.from_tables(t, r, z, discount=gamma)
+    model = oracles.model_from_tables(t, r, z, discount=gamma)
     planner = Planner(model, PlannerConfig(num_simulations=1, max_depth=8, seed=13))
     n = 100_000
     mean = sum(planner.rollout(0, 0, None, None) for _ in range(n)) / n
@@ -502,7 +501,7 @@ def test_advance_root_matches_exact_filter():
     z[0, 0] = [0.8, 0.2]
     z[1, 0] = [0.4, 0.6]
     z[2, 0] = [0.1, 0.9]
-    model = PomdpModel.from_tables(t, np.zeros((3, 1)), z, discount=0.95)
+    model = oracles.model_from_tables(t, np.zeros((3, 1)), z, discount=0.95)
     prior = np.array([0.5, 0.25, 0.25])
     particles = [0] * 5000 + [1] * 2500 + [2] * 2500
     planner = Planner(model, PlannerConfig(

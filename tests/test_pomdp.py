@@ -65,7 +65,7 @@ def test_impossible_observation_raises(two_state_model):
     # possible for both o0 and o1 here, so build a model where o1 cannot occur.
     t = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
     z = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
-    model = PomdpModel.from_tables(t, np.zeros((2, 1)), z)
+    model = oracles.model_from_tables(t, np.zeros((2, 1)), z)
     with pytest.raises(ImpossibleObservation):
         belief_update(model, BeliefState({0: 1.0}), 0, 1)
 
@@ -75,20 +75,20 @@ def test_row_validation_tolerance():
     z = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
     ok = base_t.copy()
     ok[0, 0, 0] += 5e-10            # inside tolerance, renormalized away
-    model = PomdpModel.from_tables(ok, np.zeros((2, 1)), z)
+    model = oracles.model_from_tables(ok, np.zeros((2, 1)), z)
     idxs, probs = transition_row(model, 0, 0)
     assert probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     bad = base_t.copy()
     bad[0, 0, 0] += 1e-7            # outside tolerance
     with pytest.raises(InvalidModel):
-        PomdpModel.from_tables(bad, np.zeros((2, 1)), z)
+        oracles.model_from_tables(bad, np.zeros((2, 1)), z)
 
     neg = base_t.copy()
     neg[0, 0, 0] = -0.1
     neg[0, 0, 1] = 1.1
     with pytest.raises(InvalidModel):
-        PomdpModel.from_tables(neg, np.zeros((2, 1)), z)
+        oracles.model_from_tables(neg, np.zeros((2, 1)), z)
 
 
 def test_missing_rows_rejected():
@@ -168,14 +168,14 @@ def test_resample_particles_rare_observation_and_deprivation():
     z[[0, 3], 0, 0] = 1.0
     z[[1, 2], 0] = [0.999, 0.001]
     z[4, 0, 1] = 1.0
-    model = PomdpModel.from_tables(t, np.zeros((5, 1)), z)
+    model = oracles.model_from_tables(t, np.zeros((5, 1)), z)
     out = resample_particles(model, [0] * 5, 0, 1, 4000, random.Random(1))
     assert len(out) == 4000 and set(out) == {1, 2}
     assert out.count(1) / len(out) == pytest.approx(0.5, abs=0.03)
     # no successor of the particles can emit the observation
     t = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
     z = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
-    model = PomdpModel.from_tables(t, np.zeros((2, 1)), z)
+    model = oracles.model_from_tables(t, np.zeros((2, 1)), z)
     prng = random.Random(1)
     with pytest.raises(ParticleDeprivation):
         resample_particles(model, [0, 0, 0], 0, 1, 100, prng)
@@ -194,7 +194,7 @@ def test_resample_particles_chi_square_against_posterior_and_rejection():
     z = np.zeros((5, 1, 2))
     z[:, 0, 1] = [0.9, 0.4, 0.7, 0.25, 0.55]
     z[:, 0, 0] = 1.0 - z[:, 0, 1]
-    model = PomdpModel.from_tables(t, np.zeros((5, 1)), z)
+    model = oracles.model_from_tables(t, np.zeros((5, 1)), z)
     particles = [0] * 500 + [1] * 300 + [2] * 200
     n = 20_000
     T, Z, _ = dense_tables(model)

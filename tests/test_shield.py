@@ -9,7 +9,6 @@ import pytest
 from acpshield.acp import PredictionRegions
 from acpshield.errors import InvalidSpec, UnknownSupport
 from acpshield.gridworld import Cell, GridSpec, block_observation, build_gridworld, cell_positions
-from acpshield.pomdp import PomdpModel
 from acpshield.shield import (
     Bsts,
     Shield,
@@ -56,7 +55,7 @@ def corridor(n=5, n_obs_blocks=None):
         t[s, 0, max(s - 1, 0)] = 1.0
         t[s, 1, min(s + 1, n - 1)] = 1.0
         z[s, :, s] = 1.0
-    return PomdpModel.from_tables(t, np.zeros((n, 2)), z)
+    return oracles.model_from_tables(t, np.zeros((n, 2)), z)
 
 
 def random_support(model, rng):
@@ -85,7 +84,7 @@ def test_validate_support_requires_common_observation():
     z = np.zeros((2, 1, 2))
     z[0, 0, 0] = 1.0
     z[1, 0, 1] = 1.0
-    model = PomdpModel.from_tables(t, np.zeros((2, 1)), z)
+    model = oracles.model_from_tables(t, np.zeros((2, 1)), z)
     with pytest.raises(InvalidSpec):
         validate_support(model, [0, 1])
 
