@@ -1,6 +1,6 @@
 """Adaptive conformal prediction regions around trajectory predictions.
 
-One tracker per lookahead depth tau maintains a sliding window of the K
+Per lookahead depth tau the estimator keeps a sliding window of the K
 most recent time-lagged nonconformity scores (the joint distance between
 the agents' actual positions and the prediction issued tau steps earlier)
 and an adaptive failure level lambda. Each step emits a radius: the
@@ -23,37 +23,6 @@ from .errors import AgentMismatch, EmptyWindow, InvalidSpec, OutOfRange
 DEFAULT_ALPHA = 0.0008
 DEFAULT_DELTA = 0.05
 DEFAULT_WINDOW = 30
-
-
-@dataclass
-class AcpTracker:
-    """Sliding score window and adaptive failure level for one lookahead."""
-
-    horizon: int
-    alpha: float = DEFAULT_ALPHA
-    delta: float = DEFAULT_DELTA
-    window_size: int = DEFAULT_WINDOW
-    lam: float = None
-    window: deque = None
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise InvalidSpec(f"tracker horizon must be >= 1, got {self.horizon}")
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidSpec(f"alpha {self.alpha} outside (0, 1)")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidSpec(f"delta {self.delta} outside (0, 1)")
-        if self.window_size < 1:
-            raise InvalidSpec(f"window_size must be >= 1, got {self.window_size}")
-        if self.lam is None:
-            self.lam = self.delta
-        if self.window is None:
-            self.window = deque(maxlen=self.window_size)
-
-    def append_score(self, beta):
-        if beta < 0.0 or not math.isfinite(beta):
-            raise InvalidSpec(f"nonconformity score must be finite and >= 0, got {beta}")
-        self.window.append(beta)
 
 
 @dataclass(frozen=True)
@@ -94,31 +63,18 @@ def nonconformity(actual, predicted):
     return float(np.linalg.norm(diffs.ravel()))
 
 
-def update_lambda(tracker, violated):
-    """Adaptive level update: lam += alpha * (delta - violated), unclamped.
-
-    lam may leave (0, 1); only the quantile index derived from it is
-    clamped, which keeps the averaged recursion that the long-run coverage
-    argument relies on intact.
-    """
-    tracker.lam = tracker.lam + tracker.alpha * (tracker.delta - (1.0 if violated else 0.0))
-    return tracker
-
-
-def region_radius(window, lam, window_size):
+def region_radius(window, lam):
     """Empirical quantile radius: the r-th smallest score in the window.
 
-    r = ceil((k + 1) * (1 - lam)) with k the current window length (the
-    nominal window_size only bounds k). r below 1 clamps to the smallest
-    score; r above k means no stored score certifies the requested coverage,
-    so the radius is +inf, the conservative answer during warm-up or after
-    a run of violations pushed lam negative.
+    r = ceil((k + 1) * (1 - lam)) with k the current window length. r below
+    1 clamps to the smallest score; r above k means no stored score
+    certifies the requested coverage, so the radius is +inf, the
+    conservative answer during warm-up or after a run of violations pushed
+    lam negative.
     """
     k = len(window)
     if k == 0:
         raise EmptyWindow("cannot take a quantile of an empty score window")
-    if k > window_size:
-        raise InvalidSpec(f"window holds {k} scores, nominal size {window_size}")
     r = math.ceil((k + 1) * (1.0 - lam))
     if r > k:
         return math.inf
@@ -127,89 +83,77 @@ def region_radius(window, lam, window_size):
     return sorted(window)[r - 1]
 
 
-@dataclass(frozen=True)
-class AcpRecord:
-    """One per-(step, tau) diagnostic row for coverage plots."""
-
-    timestep: int
-    tau: int
-    beta: float          # NaN when no tau-old prediction existed
-    lam: float
-    radius: float        # radius issued this step, targeting timestep + tau
-    violated: bool       # None when no previously issued radius was testable
-
-
 class AcpEstimator:
-    """Per-episode ACP state: trackers, prediction buffer, issued radii.
+    """Per-episode ACP state, advanced by one ``step`` call per timestep.
 
-    Call order per timestep t: ``step(actual)`` first (it consumes the
-    predictions recorded tau steps earlier and emits the new radii), then
-    ``record_prediction`` with the prediction set the robot just computed
-    at t. Radii are buffered by their target timestep so each one is tested
-    exactly once, when its target arrives.
+    Per lookahead tau: the adaptive level ``lam[tau]``, the window
+    ``windows[tau]`` of the most recent scores, and the ``tested`` and
+    ``missed`` counts of issued radii. ``issued`` maps (target timestep,
+    tau) to the (radius, prediction) issued for it, so each radius is tested
+    exactly once, when its target arrives. ``last`` holds the latest step's
+    (beta, lam, violated) per tau: beta is NaN when no score was taken,
+    violated None when no radius was tested.
     """
 
     def __init__(self, horizon, alpha=DEFAULT_ALPHA, delta=DEFAULT_DELTA,
                  window_size=DEFAULT_WINDOW):
         if horizon < 1:
             raise InvalidSpec(f"horizon must be >= 1, got {horizon}")
-        self.horizon = horizon
-        self.trackers = {
-            tau: AcpTracker(tau, alpha=alpha, delta=delta, window_size=window_size)
-            for tau in range(1, horizon + 1)}
-        self._predictions = {}        # (target_t, tau) -> JointAgentState
-        self._pending = {}            # (target_t, tau) -> issued radius
-        self.records = []
+        if not (0.0 < alpha < 1.0):
+            raise InvalidSpec(f"alpha {alpha} outside (0, 1)")
+        if not (0.0 < delta < 1.0):
+            raise InvalidSpec(f"delta {delta} outside (0, 1)")
+        if window_size < 1:
+            raise InvalidSpec(f"window_size must be >= 1, got {window_size}")
+        self.horizon, self.alpha, self.delta = horizon, alpha, delta
+        taus = range(1, horizon + 1)
+        self.lam = dict.fromkeys(taus, delta)
+        self.windows = {tau: deque(maxlen=window_size) for tau in taus}
+        self.issued = {}
+        self.tested = dict.fromkeys(taus, 0)
+        self.missed = dict.fromkeys(taus, 0)
+        self.last = ()
 
-    def record_prediction(self, prediction_set):
-        """Buffer a PredictionSet so each lookahead can be scored later."""
-        if prediction_set.horizon < self.horizon:
+    def step(self, actual, prediction):
+        """Advance every lookahead with the joint state at t; emit radii.
+
+        ``prediction`` is the PredictionSet made at t, None while the
+        predictor has too little history. Per tau: score the prediction
+        made tau steps ago, test the radius issued with it, update lambda
+        with the outcome, slide the window, and issue the radius targeting
+        t + tau with this step's prediction. Lambda moves by alpha * (delta
+        - miss), unclamped; only the quantile index derived from it is
+        clamped, which keeps the averaged recursion that the long-run
+        coverage argument relies on intact.
+        """
+        if prediction is not None and prediction.horizon < self.horizon:
             raise InvalidSpec(
-                f"prediction horizon {prediction_set.horizon} below estimator "
+                f"prediction horizon {prediction.horizon} below estimator "
                 f"horizon {self.horizon}")
-        for tau in range(1, self.horizon + 1):
-            target = prediction_set.made_at + tau
-            self._predictions[(target, tau)] = prediction_set.at(tau)
-
-    def _score(self, actual, predicted):
-        """Nonconformity, None when either side has no agents.
-
-        Two nonempty states that share no agent raise AgentMismatch.
-        """
-        if actual.n_agents == 0 or predicted.n_agents == 0:
-            return None
-        return nonconformity(actual, predicted)
-
-    def step(self, actual):
-        """Advance every tracker with the joint state at time t; emit radii.
-
-        Per tau: score the tau-step-old prediction, test the radius that was
-        issued for this very timestep, update lambda with the outcome, slide
-        the window, and emit the radius targeting t + tau.
-        """
         t = actual.timestep
-        radii = []
+        radii, last = [], []
         for tau in range(1, self.horizon + 1):
-            tracker = self.trackers[tau]
-            predicted = self._predictions.pop((t, tau), None)
-            issued = self._pending.pop((t, tau), None)
-            beta = self._score(actual, predicted) if predicted is not None else None
-            violated = None
-            if beta is not None:
-                if issued is not None:
-                    violated = issued < beta
-                    update_lambda(tracker, violated)
-                tracker.append_score(beta)
-            if tracker.window:
-                radius = region_radius(tracker.window, tracker.lam, tracker.window_size)
-            else:
-                radius = math.inf
+            beta, violated = math.nan, None
+            issued, predicted = self.issued.pop((t, tau), (math.inf, None))
+            # an empty side has nothing to score
+            if predicted is not None and actual.n_agents and predicted.n_agents:
+                beta = nonconformity(actual, predicted)
+                if beta < 0.0 or not math.isfinite(beta):
+                    raise InvalidSpec(
+                        f"nonconformity score must be finite and >= 0, got {beta}")
+                violated = issued < beta
+                self.tested[tau] += 1
+                self.missed[tau] += violated
+                self.lam[tau] = self.lam[tau] + self.alpha * (
+                    self.delta - (1.0 if violated else 0.0))
+                self.windows[tau].append(beta)
+            window = self.windows[tau]
+            radius = region_radius(window, self.lam[tau]) if window else math.inf
             radii.append(radius)
-            self._pending[(t + tau, tau)] = radius
-            self.records.append(AcpRecord(
-                timestep=t, tau=tau,
-                beta=beta if beta is not None else math.nan,
-                lam=tracker.lam, radius=radius, violated=violated))
+            last.append((beta, self.lam[tau], violated))
+            if prediction is not None:
+                self.issued[(t + tau, tau)] = (radius, prediction.at(tau))
+        self.last = tuple(last)
         return PredictionRegions(made_at=t, radii=tuple(radii))
 
     def coverage(self, tau=None):
@@ -218,13 +162,16 @@ class AcpEstimator:
         None when nothing has been tested yet. ``tau=None`` pools all
         lookaheads.
         """
-        outcomes = self._outcomes(tau)
-        return 1.0 - sum(outcomes) / len(outcomes) if outcomes else None
+        tested = self.tested_count(tau)
+        return 1.0 - self._count(self.missed, tau) / tested if tested else None
 
     def tested_count(self, tau=None):
-        return len(self._outcomes(tau))
+        return self._count(self.tested, tau)
 
-    def _outcomes(self, tau):
-        """The records' tested outcomes (True for a miss), for one tau or all."""
-        return [rec.violated for rec in self.records
-                if rec.violated is not None and (tau is None or rec.tau == tau)]
+    def _count(self, counts, tau):
+        """A per-tau count, summed over all lookaheads when ``tau`` is None."""
+        if tau is None:
+            return sum(counts.values())
+        if tau not in counts:
+            raise OutOfRange(f"tau {tau} outside 1..{self.horizon}")
+        return counts[tau]

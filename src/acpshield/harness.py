@@ -3,8 +3,9 @@
 Every step of an episode runs the same stages, in order:
 
 1. observe: the agents' joint state, and the step's ``StepRecord``;
-2. ACP: append the state, update the conformal radii, predict and buffer
-   the prediction (``_acp_step``, also run by the warm-up and by
+2. ACP: append the state, predict, then one estimator call that tests the
+   radii issued for this step, adapts and issues the new radii with the
+   prediction (``_acp_step``, also run by the warm-up and by
    ``acp_coverage_run``);
 3. shield: unsafe sets, the BSTS of the particle support (built every
    step on the episode's one map of support edges), the winning regions
@@ -231,23 +232,21 @@ def _source_step(source, t):
 
 
 def _acp_step(estimator, predictor, history, actual, horizon):
-    """The ACP stage: append the state, update the radii, predict, buffer.
+    """The ACP stage: append the state, predict, update the radii.
 
     Without an estimator (``shield-no-acp``) the radii are zero. Returns
     (regions, prediction); the prediction is None while the history is too
     short for the predictor.
     """
     history.append(actual)
-    if estimator is None:
-        regions = PredictionRegions(made_at=actual.timestep, radii=(0.0,) * horizon)
-    else:
-        regions = estimator.step(actual)
     try:
         prediction = predictor(list(history), horizon)
     except HistoryTooShort:
-        return regions, None
-    if estimator is not None:
-        estimator.record_prediction(prediction)
+        prediction = None
+    if estimator is None:
+        regions = PredictionRegions(made_at=actual.timestep, radii=(0.0,) * horizon)
+    else:
+        regions = estimator.step(actual, prediction)
     return regions, prediction
 
 
@@ -335,10 +334,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
             regions, prediction = _acp_step(estimator, predictor, history, actual,
                                             cfg.horizon)
             if estimator is not None:
-                last = estimator.records[-cfg.horizon:]
-                rec.beta = tuple(r.beta for r in last)
-                rec.lam = tuple(r.lam for r in last)
-                rec.violated = tuple(r.violated for r in last)
+                rec.beta, rec.lam, rec.violated = zip(*estimator.last)
             rec.radius = regions.radii
             # shield
             unsafe = unsafe_sets(positions, prediction, regions, cfg.epsilon)
@@ -638,7 +634,8 @@ def _typed(value, kind, key):
     A kind is a type; a tuple of kinds, read from a list of that length; a
     one-kind list, read from a list of any length; or a function of (value,
     key). Strings must be strings. Numbers reject booleans; ints reject the
-    non-integral floats that ``int()`` would truncate.
+    non-integral floats that ``int()`` would truncate; floats reject NaN and
+    the infinities.
     """
     if isinstance(kind, (tuple, list)):
         if isinstance(value, (list, tuple)):
@@ -655,10 +652,13 @@ def _typed(value, kind, key):
         elif not (isinstance(value, bool) or kind is int and isinstance(value, float)
                   and not value.is_integer()):
             try:
-                return kind(value)
+                number = kind(value)
             except (TypeError, ValueError, OverflowError):
                 pass
-        wanted = f"of type {kind.__name__}"
+            else:
+                if kind is int or math.isfinite(number):
+                    return number
+        wanted = f"a finite {kind.__name__}" if kind is float else f"of type {kind.__name__}"
     raise InvalidSpec(f"config key {key} must be {wanted}, got {value!r}")
 
 

@@ -58,6 +58,7 @@ class PomdpModel:
 
     Construct from sparse rows. Validation is eager: every T(s,a,.) and
     Z(s',a,.) row must sum to 1 within 1e-9 and is then renormalized exactly.
+    Z rows with equal content are validated once and share one stored row.
 
     ``rows[s][a]`` is the one store of T and R that every sampler and the
     belief update read: (successors, cumulative, reward, observation rows),
@@ -87,6 +88,7 @@ class PomdpModel:
         t = [[None] * n_a for _ in range(n_s)]
         self._z = [[None] * n_a for _ in range(n_s)]
         r = [[0.0] * n_a for _ in range(n_s)]
+        z_seen = {}               # Z-row content -> its validated row, shared
         for s in range(n_s):
             for a in range(n_a):
                 row = t_rows.get((s, a))
@@ -96,7 +98,10 @@ class PomdpModel:
                 zrow = z_rows.get((s, a))
                 if zrow is None:
                     raise InvalidModel(f"missing observation row for (s'={s}, a={a})")
-                self._z[s][a] = _cumulative(zrow, "Z", s, a)
+                key = tuple(map(tuple, zrow))
+                if key not in z_seen:
+                    z_seen[key] = _cumulative(zrow, "Z", s, a)
+                self._z[s][a] = z_seen[key]
         for (s, a), reward in rewards.items():
             r[s][a] = float(reward)
         # the observation rows are the per-(s', a) store _z's own tuples

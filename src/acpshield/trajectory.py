@@ -110,30 +110,24 @@ class TrajectorySource:
                 at_ids, at_points = present.setdefault(t, ([], []))
                 at_ids.append(aid)
                 at_points.append(p)
-        self._set_frames(ids, {
+        self._set_frames({
             t: (tuple(at_ids), np.array(at_points, dtype=float).reshape(-1, 2))
             for t, (at_ids, at_points) in sorted(present.items())})
 
     @classmethod
-    def _from_frames(cls, ids, frames):
-        """A source from all agent ids in id order and time-sorted frames
-        {t: (ids present, (n, 2) positions)}."""
+    def _from_frames(cls, frames):
+        """A source from time-sorted frames {t: (ids present, (n, 2) positions)}."""
         source = cls.__new__(cls)
-        source._set_frames(ids, frames)
+        source._set_frames(frames)
         return source
 
-    def _set_frames(self, ids, frames):
-        self._ids = tuple(ids)
+    def _set_frames(self, frames):
         shared = {}
         self._frames = {}
         for t, (present, positions) in frames.items():
             positions.flags.writeable = False
             self._frames[t] = (shared.setdefault(present, present), positions)
         self._span = (min(frames), max(frames)) if frames else None
-
-    @property
-    def agent_ids(self):
-        return list(self._ids)
 
     def span(self):
         """(first, last) timestep with any agent present; None when empty."""
@@ -334,7 +328,7 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
                 pos = np.clip(pos, lo, hi)
     ids = tuple(range(n_agents))
     frames = {t: (ids, points[t]) for t in range(length)} if n_agents else {}
-    return TrajectorySource._from_frames(ids, frames)
+    return TrajectorySource._from_frames(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +460,7 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     positions *= scale
     starts = [0] + (np.flatnonzero(steps[1:] != steps[:-1]) + 1).tolist()
     ids = list(map(ordered.__getitem__, ranks.tolist()))
-    return TrajectorySource._from_frames(ordered, {
+    return TrajectorySource._from_frames({
         t: (tuple(ids[lo:hi]), positions[lo:hi])
         for t, lo, hi in zip(steps[starts].tolist(), starts, starts[1:] + [len(ids)])})
 

@@ -494,6 +494,18 @@ def agents_at_oracle(tracks, t):
     return tuple(ids), np.asarray(pos, dtype=float).reshape(-1, 2)
 
 
+def agent_ids(source):
+    """Every agent id of a ``TrajectorySource``, ints before strings, each
+    ascending, collected by scanning ``agents_at`` over its span."""
+    span = source.span()
+    if span is None:
+        return []
+    ids = set()
+    for t in range(span[0], span[1] + 1):
+        ids.update(source.agents_at(t).ids)
+    return sorted(ids, key=lambda aid: (isinstance(aid, str), aid))
+
+
 def track_of(source, agent_id):
     """Time-sorted (timestep, position) pairs of one agent of a
     ``TrajectorySource``, rebuilt by scanning ``agents_at`` over its span."""

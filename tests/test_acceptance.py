@@ -47,28 +47,22 @@ def desk_bench():
 
 
 def test_criterion_1_adaptive_region_golden_numbers():
-    # trackers preloaded with windows consistent with the worked scenario:
-    # both previously issued radii cover, so the level update is upward
+    # windows preloaded consistent with the worked scenario: both
+    # previously issued radii cover, so the level update is upward
     est = AcpEstimator(2, alpha=0.0008, delta=0.05, window_size=30)
-    t1, t2 = est.trackers[1], est.trackers[2]
-    t1.lam = 0.0495
-    for b in [0.005 * i for i in range(1, 30)] + [0.736]:
-        t1.append_score(b)
-    t2.lam = 0.05
-    for b in [0.01 * i for i in range(1, 30)] + [1.329]:
-        t2.append_score(b)
-    est._pending[(5, 1)] = 0.736
-    est._pending[(5, 2)] = 1.329
-    est._predictions[(5, 1)] = JointAgentState((0,), [[16.650, 9.682]], 5)
-    est._predictions[(5, 2)] = JointAgentState((0,), [[16.700, 9.730]], 5)
+    est.lam[1] = 0.0495
+    est.windows[1].extend([0.005 * i for i in range(1, 30)] + [0.736])
+    est.lam[2] = 0.05
+    est.windows[2].extend([0.01 * i for i in range(1, 30)] + [1.329])
+    est.issued[(5, 1)] = (0.736, JointAgentState((0,), [[16.650, 9.682]], 5))
+    est.issued[(5, 2)] = (1.329, JointAgentState((0,), [[16.700, 9.730]], 5))
 
     started = time.perf_counter()
-    regions = est.step(JointAgentState((0,), [[16.702, 9.726]], 5))
+    regions = est.step(JointAgentState((0,), [[16.702, 9.726]], 5), None)
     elapsed = time.perf_counter() - started
 
-    beta = next(r.beta for r in est.records if r.tau == 1)
-    lam = t1.lam
-    quantile_index = math.ceil((len(t1.window) + 1) * (1.0 - lam))
+    beta, lam, _ = est.last[0]
+    quantile_index = math.ceil((len(est.windows[1]) + 1) * (1.0 - lam))
     ok = (abs(beta - 0.068) <= 5e-4
           and abs(lam - 0.04954) <= 1e-9
           and quantile_index == 30

@@ -10,26 +10,15 @@ benchmark run.
 """
 
 import ast
-import types
 from pathlib import Path
 
 import acpshield
 from acpshield.harness import AgentSetup, load_config, parse_config, run_episode
 from acpshield.trajectory import TrajectorySource
 
-from test_harness import small_config
+from test_harness import load_stepbench, small_config
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_stepbench(name):
-    """Execute stepbench/<name>.py from its source, writing no bytecode cache
-    beside it."""
-    path = ROOT / "stepbench" / f"{name}.py"
-    module = types.ModuleType(f"stepbench_{name}")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
 
 
 def test_benchmark_configs_parse():

@@ -184,6 +184,14 @@ def test_obs_noise_rows():
     assert len(model.obs_support[s]) == 5
 
 
+def test_equal_observation_rows_are_stored_once():
+    # 16 x 16 blocks and the terminal's "done" row; Z ignores the action
+    model = build_gridworld(GridSpec(width=32, height=32))
+    rows = [row for per_state in model._z for row in per_state]
+    assert len(rows) == 1025 * 4
+    assert len({id(row) for row in rows}) == 257
+
+
 def test_initial_belief_weights():
     spec = GridSpec(width=4, height=4, start_cells={(0, 0): 3.0, (1, 0): 1.0},
                     goal_cell=(3, 3))

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import types
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -264,21 +265,43 @@ def test_episode_certificates_verified_every_shielded_step(method, monkeypatch):
 # radii, predictions and unsafe cells. Like the raw-CSV pin in test_cli, a
 # change that alters random-number use on purpose updates these and says so
 # in CHANGES.md; a refactor or speed-up must leave them alone.
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 EPISODE_DIGESTS = [
     ("desk20.yaml", (0, 1), "bc42be07474af2d4aa6af4a78bd7f86b6889bb5031a694e22a165220dbb1a1b5"),
     ("corridor.yaml", (0,), "c6fcc0c1afa2d43fbca5cc2065dc1234719d9ed3e5941ab3df3a8ab6b14ce941"),
 ]
+# the step benchmark's crowd-replay inputs for seed 0: a CSV log whose agents
+# enter and leave, read with the replay predictor and scored by ACP
+CROWD_REPLAY_DIGEST = "a982cd74b4169ccc4db89fbf67a9b9d5718d1b171cff67e46efdbcfc43a93152"
 
 
-@pytest.mark.parametrize("name, runs, digest", EPISODE_DIGESTS)
-def test_episode_digest_is_pinned(name, runs, digest):
-    cfg = load_config(CONFIGS / name)
+def load_stepbench(name):
+    """Execute stepbench/<name>.py from its source, writing no bytecode cache
+    beside it."""
+    path = ROOT / "stepbench" / f"{name}.py"
+    module = types.ModuleType(f"stepbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def runs_digest(cfg, runs):
     episodes = []
     for run in runs:
         steps = []
         episodes.append((run_episode(cfg, run, step_hook=steps.append), steps))
-    assert oracles.episode_digest(episodes) == digest
+    return oracles.episode_digest(episodes)
+
+
+@pytest.mark.parametrize("name, runs, digest", EPISODE_DIGESTS)
+def test_episode_digest_is_pinned(name, runs, digest):
+    assert runs_digest(load_config(CONFIGS / name), runs) == digest
+
+
+def test_crowd_replay_digest_is_pinned(tmp_path):
+    path = load_stepbench("inputs").generate("crowd-replay", 0, tmp_path)
+    assert runs_digest(load_config(path), (0, 1)) == CROWD_REPLAY_DIGEST
 
 
 def test_episode_coverage_populated_only_with_adaptation():
@@ -551,6 +574,16 @@ def test_parse_config_rejects_non_mapping_section(section):
 def test_parse_config_rejects_malformed_values(data, key):
     with pytest.raises(InvalidSpec, match=key):
         parse_config(data)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, "nan"], ids=["nan", "inf", "nan-str"])
+@pytest.mark.parametrize("section, key", [
+    ("acp", "epsilon"), ("planner", "ucb"), ("grid", "goal_reward"),
+    ("agents", "speed"), ("agents", "scale"),
+])
+def test_parse_config_rejects_non_finite_floats(section, key, value):
+    with pytest.raises(InvalidSpec, match=f"{section}.{key}"):
+        parse_config({section: {key: value}})
 
 
 def test_expand_grid_refuses_agent_counts_for_a_csv_log():

@@ -98,6 +98,21 @@ def test_missing_rows_rejected():
         PomdpModel(["s0"], ["a0"], ["o0"], {(0, 0): [(0, 1.0)]}, {}, {})
 
 
+def test_equal_observation_rows_validated_once_and_shared():
+    names = ["s0", "s1", "s2"], ["a0", "a1"], ["o0", "o1"]
+    t_rows = {(s, a): [(s, 1.0)] for s in range(3) for a in range(2)}
+    z_rows = {(s, a): [(0, 0.25), (1, 0.75)] for s in range(3) for a in range(2)}
+    z_rows[(0, 0)] = [(0, 1.0)]
+    model = PomdpModel(*names, t_rows, z_rows, {})
+    assert model._z[0][1] is model._z[2][1] is not model._z[0][0]
+    assert model._z[1][0] == ((0, 1), (0.25, 1.0))
+    # a bad row is named by its first (s', a), in state-major order
+    z_rows[(2, 0)] = [(0, 0.7)]
+    z_rows[(1, 1)] = [(0, 0.7)]
+    with pytest.raises(InvalidModel, match=r"Z\(1,1,\.\)"):
+        PomdpModel(*names, t_rows, z_rows, {})
+
+
 def test_obs_support_and_absorbing_detection():
     # s0 emits o0 under a0 and o1 under a1; s1 is a zero-reward self-loop.
     t_rows = {(0, 0): [(1, 1.0)], (0, 1): [(0, 1.0)],

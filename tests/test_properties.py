@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acpshield import trajectory
-from acpshield.acp import PredictionRegions, nonconformity, region_radius
+from acpshield.acp import AcpEstimator, PredictionRegions, nonconformity, region_radius
 from acpshield.errors import (
     AgentMismatch,
     AllActionsShielded,
@@ -34,7 +34,12 @@ from acpshield.shield import (
     unsafe_sets,
     verify_winning_regions,
 )
-from acpshield.trajectory import JointAgentState, PredictionSet, TrajectorySource
+from acpshield.trajectory import (
+    JointAgentState,
+    PredictionSet,
+    TrajectorySource,
+    predict_constant,
+)
 
 import oracles
 from conftest import make_random_pomdp
@@ -95,7 +100,7 @@ def test_shield_table_is_sound_and_matches_oracle(seed, horizon, deterministic):
        lams=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)))
 def test_acp_radius_monotone_in_lambda(window, lams):
     low, high = sorted(lams)
-    assert region_radius(window, low, 30) >= region_radius(window, high, 30)
+    assert region_radius(window, low) >= region_radius(window, high)
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,13 +110,44 @@ def test_acp_radius_monotone_in_lambda(window, lams):
 def test_acp_estimator_matches_scalar_replay(seed, length, step, alpha, delta, window):
     walk = np.cumsum(np.random.default_rng(seed).normal(0.0, step, size=(length, 2)), axis=0)
     points = [tuple(p) for p in walk]
-    est, regions = run_estimator_stream(points, alpha=alpha, delta=delta,
-                                        window_size=window)
+    est, regions, _ = run_estimator_stream(points, alpha=alpha, delta=delta,
+                                           window_size=window)
     radii, lam = oracles.acp_replay([], points[:-1], points[1:], alpha=alpha,
                                     delta=delta, window_size=window, lam0=delta)
     # math.dist against numpy's norm: last-ulp drift; infinities match exactly
     assert [r.radius(1) for r in regions[1:]] == pytest.approx(radii, rel=1e-12)
-    assert est.trackers[1].lam == pytest.approx(lam, abs=1e-12)
+    assert est.lam[1] == pytest.approx(lam, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, horizon=st.integers(1, 3), length=st.integers(1, 80),
+       p_empty=st.floats(0.0, 0.5), window=st.integers(1, 10),
+       alpha=st.floats(0.001, 0.2))
+def test_acp_counts_equal_the_reported_flags(seed, horizon, length, p_empty, window,
+                                             alpha):
+    # agent 0 is in every nonempty frame, so two nonempty states share an
+    # agent; agents 1-5 enter and leave at random
+    rng = np.random.default_rng(seed)
+    est = AcpEstimator(horizon, alpha=alpha, window_size=window)
+    flags = {tau: [] for tau in range(1, horizon + 1)}
+    for t in range(length):
+        if rng.random() < p_empty:
+            actual = JointAgentState.empty(t)
+        else:
+            others = rng.choice(np.arange(1, 6), size=int(rng.integers(0, 6)), replace=False)
+            ids = (0, *sorted(others.tolist()))
+            actual = JointAgentState(ids, rng.normal(0.0, 1.0, size=(len(ids), 2)), t)
+        est.step(actual, predict_constant([actual], horizon))
+        for tau, (beta, _, violated) in enumerate(est.last, start=1):
+            assert math.isnan(beta) == (violated is None)
+            if violated is not None:
+                flags[tau].append(violated)
+    for tau, outcomes in flags.items():
+        assert est.tested_count(tau) == len(outcomes)
+        assert est.coverage(tau) == (1.0 - sum(outcomes) / len(outcomes) if outcomes else None)
+    pooled = [v for outcomes in flags.values() for v in outcomes]
+    assert est.tested_count() == len(pooled)
+    assert est.coverage() == (1.0 - sum(pooled) / len(pooled) if pooled else None)
 
 
 @PROPERTY
@@ -581,7 +617,7 @@ def test_load_trajectories_equals_row_oracle(rows, stride, scale):
             assert str(exc.value) == f"agent {aid!r} appears twice in frame {frame}"
             return
         source = trajectory.load_trajectories(path, scale=scale, frame_stride=stride)
-    assert source.agent_ids == ids
+    assert oracles.agent_ids(source) == ids
     assert source.span() == ((min(served), max(served)) if served else None)
     for t, (present, positions) in served.items():
         state = source.agents_at(t)

@@ -26,7 +26,7 @@ from acpshield.trajectory import (
     synth_trajectories,
 )
 
-from oracles import track_of
+from oracles import agent_ids, track_of
 
 
 def joint(ids, coords, t):
@@ -236,7 +236,7 @@ def test_synth_determinism_and_kinds():
     for kind in ("random-walk", "constant-velocity-with-noise", "waypoint"):
         a = synth_trajectories(kind, 3, 20, np.random.default_rng(11))
         b = synth_trajectories(kind, 3, 20, np.random.default_rng(11))
-        for aid in a.agent_ids:
+        for aid in agent_ids(a):
             for (ta, pa), (tb, pb) in zip(track_of(a, aid), track_of(b, aid)):
                 assert ta == tb
                 np.testing.assert_array_equal(pa, pb)
@@ -249,7 +249,7 @@ def test_synth_zero_noise_is_linear():
     src = synth_trajectories("constant-velocity-with-noise", 2, 10,
                              np.random.default_rng(3), bounds=(0, 1000, 0, 1000),
                              speed=0.5, noise=0.0)
-    for aid in src.agent_ids:
+    for aid in agent_ids(src):
         pts = np.stack([p for _, p in track_of(src, aid)])
         steps = np.diff(pts, axis=0)
         assert np.allclose(steps, steps[0], atol=1e-12)
@@ -257,7 +257,7 @@ def test_synth_zero_noise_is_linear():
 
 def test_synth_zero_agents():
     src = synth_trajectories("random-walk", 0, 5, np.random.default_rng(0))
-    assert src.agent_ids == []
+    assert agent_ids(src) == []
     assert src.span() is None
 
 
@@ -347,9 +347,9 @@ def test_round_trip(tmp_path):
         path = tmp_path / f"rt{i}.csv"
         save_trajectories(src, path)
         back = load_trajectories(path)
-        assert back.agent_ids == src.agent_ids
+        assert agent_ids(back) == agent_ids(src)
         assert back.span() == src.span()
-        for aid in src.agent_ids:
+        for aid in agent_ids(src):
             orig, rt = track_of(src, aid), track_of(back, aid)
             assert [t for t, _ in orig] == [t for t, _ in rt]
             np.testing.assert_array_equal(np.stack([p for _, p in orig]),
