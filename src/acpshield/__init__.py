@@ -7,7 +7,7 @@ harness with a CLI. The names exported here are the ones the harness and the
 CLI are built from.
 """
 
-from .acp import AcpEstimator, PredictionRegions
+from .acp import AcpEstimator
 from .errors import (
     AllActionsShielded,
     HistoryTooShort,
@@ -62,7 +62,6 @@ __all__ = [
     "ParticleDeprivation",
     "Planner",
     "PlannerConfig",
-    "PredictionRegions",
     "Shield",
     "acp_coverage_run",
     "build_gridworld",

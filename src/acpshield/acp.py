@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,29 +22,6 @@ from .errors import AgentMismatch, EmptyWindow, InvalidSpec, OutOfRange
 DEFAULT_ALPHA = 0.0008
 DEFAULT_DELTA = 0.05
 DEFAULT_WINDOW = 30
-
-
-@dataclass(frozen=True)
-class PredictionRegions:
-    """Radii emitted at one timestep, one per lookahead 1..horizon."""
-
-    made_at: int
-    radii: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        if any(r < 0.0 for r in self.radii):
-            raise InvalidSpec("region radii must be nonnegative")
-
-    @property
-    def horizon(self):
-        return len(self.radii)
-
-    def radius(self, tau):
-        """Radius around the lookahead-tau prediction (targets made_at+tau)."""
-        if not (1 <= tau <= len(self.radii)):
-            raise OutOfRange(f"tau {tau} outside 1..{len(self.radii)}")
-        return self.radii[tau - 1]
 
 
 def nonconformity(actual, predicted):
@@ -115,16 +91,19 @@ class AcpEstimator:
         self.last = ()
 
     def step(self, actual, prediction):
-        """Advance every lookahead with the joint state at t; emit radii.
+        """Advance every lookahead with the joint state at t; return the
+        new radii, a tuple of floats for lookaheads 1..horizon.
 
         ``prediction`` is the PredictionSet made at t, None while the
         predictor has too little history. Per tau: score the prediction
         made tau steps ago, test the radius issued with it, update lambda
         with the outcome, slide the window, and issue the radius targeting
-        t + tau with this step's prediction. Lambda moves by alpha * (delta
-        - miss), unclamped; only the quantile index derived from it is
-        clamped, which keeps the averaged recursion that the long-run
-        coverage argument relies on intact.
+        t + tau with this step's prediction. With no agent on both sides (an
+        empty side, or a full turnover of ids) there is nothing to score,
+        and that lookahead's lambda, window and counts stay as they are.
+        Lambda moves by alpha * (delta - miss), unclamped; only the quantile
+        index derived from it is clamped, which keeps the averaged recursion
+        that the long-run coverage argument relies on intact.
         """
         if prediction is not None and prediction.horizon < self.horizon:
             raise InvalidSpec(
@@ -135,18 +114,21 @@ class AcpEstimator:
         for tau in range(1, self.horizon + 1):
             beta, violated = math.nan, None
             issued, predicted = self.issued.pop((t, tau), (math.inf, None))
-            # an empty side has nothing to score
-            if predicted is not None and actual.n_agents and predicted.n_agents:
-                beta = nonconformity(actual, predicted)
-                if beta < 0.0 or not math.isfinite(beta):
-                    raise InvalidSpec(
-                        f"nonconformity score must be finite and >= 0, got {beta}")
-                violated = issued < beta
-                self.tested[tau] += 1
-                self.missed[tau] += violated
-                self.lam[tau] = self.lam[tau] + self.alpha * (
-                    self.delta - (1.0 if violated else 0.0))
-                self.windows[tau].append(beta)
+            if predicted is not None:
+                try:
+                    beta = nonconformity(actual, predicted)
+                except AgentMismatch:
+                    pass
+                else:
+                    if beta < 0.0 or not math.isfinite(beta):
+                        raise InvalidSpec(
+                            f"nonconformity score must be finite and >= 0, got {beta}")
+                    violated = issued < beta
+                    self.tested[tau] += 1
+                    self.missed[tau] += violated
+                    self.lam[tau] = self.lam[tau] + self.alpha * (
+                        self.delta - (1.0 if violated else 0.0))
+                    self.windows[tau].append(beta)
             window = self.windows[tau]
             radius = region_radius(window, self.lam[tau]) if window else math.inf
             radii.append(radius)
@@ -154,7 +136,7 @@ class AcpEstimator:
             if prediction is not None:
                 self.issued[(t + tau, tau)] = (radius, prediction.at(tau))
         self.last = tuple(last)
-        return PredictionRegions(made_at=t, radii=tuple(radii))
+        return tuple(radii)
 
     def coverage(self, tau=None):
         """Fraction of tested radii that covered their realized score.

@@ -7,10 +7,12 @@ Every step of an episode runs the same stages, in order:
    radii issued for this step, adapts and issues the new radii with the
    prediction (``_acp_step``, also run by the warm-up and by
    ``acp_coverage_run``);
-3. shield: unsafe sets, the BSTS of the particle support (built every
+3. shield: the unsafe sets, a {tau: F_tau} map of the prediction
+   inflated by the radii, the BSTS of the particle support (built every
    step on the episode's one map of support edges), the winning regions
    with their action table, and the independent certificate check;
-4. plan a certified action, or take the fallback when all are shielded;
+4. plan a certified action, or, when all are shielded, take the fallback,
+   ranked by margins against the lookahead-1 prediction and radius;
 5. soundness: the executed action must keep every successor winning;
 6. execute the action in the simulator;
 7. advance the particle root by the action and its observation.
@@ -45,7 +47,6 @@ from .acp import (
     DEFAULT_DELTA,
     DEFAULT_WINDOW,
     AcpEstimator,
-    PredictionRegions,
 )
 from .errors import (
     AllActionsShielded,
@@ -175,7 +176,7 @@ class StepRecord:
 class EpisodeResult:
     label: str
     method: str
-    n_agents: int
+    n_agents: int                 # most agents present at one timestep of the source
     run: int
     steps: int
     success: bool
@@ -235,19 +236,16 @@ def _acp_step(estimator, predictor, history, actual, horizon):
     """The ACP stage: append the state, predict, update the radii.
 
     Without an estimator (``shield-no-acp``) the radii are zero. Returns
-    (regions, prediction); the prediction is None while the history is too
-    short for the predictor.
+    (radii, prediction): a tuple of floats, one per lookahead, and the
+    PredictionSet, None while the history is too short for the predictor.
     """
     history.append(actual)
     try:
         prediction = predictor(list(history), horizon)
     except HistoryTooShort:
         prediction = None
-    if estimator is None:
-        regions = PredictionRegions(made_at=actual.timestep, radii=(0.0,) * horizon)
-    else:
-        regions = estimator.step(actual, prediction)
-    return regions, prediction
+    radii = (0.0,) * horizon if estimator is None else estimator.step(actual, prediction)
+    return radii, prediction
 
 
 def _make_predictor(cfg):
@@ -331,25 +329,25 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
         support = root.support
         if shielded:
             # ACP
-            regions, prediction = _acp_step(estimator, predictor, history, actual,
-                                            cfg.horizon)
+            rec.radius, prediction = _acp_step(estimator, predictor, history, actual,
+                                               cfg.horizon)
             if estimator is not None:
                 rec.beta, rec.lam, rec.violated = zip(*estimator.last)
-            rec.radius = regions.radii
             # shield
-            unsafe = unsafe_sets(positions, prediction, regions, cfg.epsilon)
+            f_sets = unsafe_sets(positions, prediction, rec.radius, cfg.epsilon)
             bsts = Bsts(model, support, cfg.horizon, expansions)
-            winning = compute_winning_regions(bsts, unsafe)
+            winning = compute_winning_regions(bsts, f_sets)
             shield = Shield(bsts, winning)
-            cert_failures += len(verify_winning_regions(bsts, unsafe, winning))
+            cert_failures += len(verify_winning_regions(bsts, f_sets, winning))
             # plan, or fall back
             try:
                 rec.action = planner.plan(root, shield)
             except AllActionsShielded:
-                rec.action = fallback_action(model, support, unsafe)
+                rec.action = fallback_action(model, support, positions, prediction,
+                                             rec.radius, cfg.epsilon)
                 rec.deadlock = True
             # soundness
-            if not rec.deadlock and all(math.isfinite(r) for r in regions.radii):
+            if not rec.deadlock and all(math.isfinite(r) for r in rec.radius):
                 rec.sound = keeps_winning(bsts, winning, support, 0, rec.action)
         else:
             rec.action = planner.plan(root)
@@ -357,10 +355,9 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
             info = {"t": t, "state": state, "action": rec.action,
                     "deadlock": rec.deadlock, "support": sorted(support)}
             if shielded:
-                info["radii"] = list(regions.radii)
+                info["radii"] = list(rec.radius)
                 info["predicted"] = [p.positions.tolist() for p in prediction.predicted]
-                info["unsafe"] = {tau: sorted(unsafe.f_sets[tau])
-                                  for tau in range(1, cfg.horizon + 1)}
+                info["unsafe"] = {tau: sorted(f) for tau, f in f_sets.items()}
             step_hook(info)
 
         # execute
@@ -379,7 +376,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
                  for tau in range(1, cfg.horizon + 1)}
                 if estimator is not None else {})
     return EpisodeResult(
-        label=cfg.label, method=cfg.method, n_agents=cfg.agents.count, run=run,
+        label=cfg.label, method=cfg.method, n_agents=source.max_agents(), run=run,
         steps=len(records) - 1, success=records[-1].done == "goal", deprived=deprived,
         safety_rate=safe / len(records),
         min_distance=min(rec.min_distance for rec in records),

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from .errors import AllActionsShielded, EmptyBelief, InvalidSpec
 from .pomdp import resample_particles
+from .shield import constraint_values
 
 
 class ActionEdge:
@@ -125,21 +126,22 @@ def safe_margin(constraint_value, threshold):
     return constraint_value - threshold
 
 
-def fallback_action(model, support, unsafe):
+def fallback_action(model, support, positions, predictions, radii, epsilon):
     """Least-bad action when the shield allows nothing.
 
     Maximizes the worst-case one-step margin over all successor states of
-    the support; ties go to the lowest action index. Used only after
+    the support: each successor's constraint value against the lookahead-1
+    prediction ``predictions.at(1)``, less its radius ``radii[0]`` (see
+    ``safe_margin``); ties go to the lowest action index. Used only after
     AllActionsShielded, so "safe" options no longer exist and the margin
     ranking is a best effort. Only the successors' margins are computed.
     """
-    threshold = unsafe.thresholds.get(1)
-    if threshold is None or 1 not in unsafe.agents:
-        raise InvalidSpec("unsafe sets carry no lookahead-1 agent positions")
     successors = [[s2 for s in support for s2 in model.successors(s, a)]
                   for a in range(model.n_actions)]
     states = sorted(set().union(*successors))
-    margins = dict(zip(states, unsafe.margins(1, states).tolist()))
+    values = constraint_values(positions[states], predictions.at(1).positions, epsilon)
+    margins = dict(zip(states, values.tolist()))
+    threshold = radii[0]
     best_action, best = 0, -math.inf
     for a, succ in enumerate(successors):
         worst = math.inf

@@ -184,12 +184,6 @@ class BeliefState:
             raise InvalidModel(f"belief sums to {total!r}, expected 1.0")
         self.probs = {s: p / total for s, p in clean.items()}
 
-    def prob(self, s):
-        return self.probs.get(s, 0.0)
-
-    def support(self):
-        return frozenset(self.probs)
-
 
 def belief_update(model, belief, action, observation):
     """Exact Bayes update: b'(s') ∝ Z(s',a,o) Σ_s T(s,a,s') b(s).

@@ -8,8 +8,8 @@ planning step:
 
 1. enumerate the belief supports reachable from the current support within
    the prediction horizon (a small transition system over supports),
-2. mark states whose distance margin to any predicted agent falls below
-   the scaled conformal radius as unsafe, per lookahead,
+2. per lookahead tau, the unsafe set F_tau: the states whose distance
+   margin to the predicted agents falls below the conformal radius,
 3. sweep backward over the horizon once: per support, the actions that
    keep every observation outcome winning (the shield table), and from
    those the winning supports, safe ones with at least one such action,
@@ -172,31 +172,6 @@ def constraint_values(positions, agent_positions, epsilon):
     return out
 
 
-@dataclass
-class UnsafeSets:
-    """Per-lookahead unsafe state sets, with what their margins need.
-
-    f_sets[tau] holds the states whose margin to the lookahead-tau
-    prediction is below thresholds[tau] = radius(tau).
-    Lookahead 0 is the already realized present and is always safe.
-    ``margins(tau, states)`` computes the constraint values of a few states
-    on demand (used by the fallback action choice) from the state
-    positions, the lookahead-tau agent positions ``agents[tau]`` and
-    ``epsilon``.
-    """
-
-    horizon: int
-    f_sets: dict
-    thresholds: dict
-    positions: np.ndarray
-    agents: dict
-    epsilon: float
-
-    def margins(self, tau, states):
-        """Constraint values of ``states`` against the lookahead-tau agents."""
-        return constraint_values(self.positions[states], self.agents[tau], self.epsilon)
-
-
 def _first_witness(pos, located, agents, epsilon, threshold):
     """Sorted states of ``located`` whose margin to ``agents`` is below
     ``threshold``.
@@ -224,37 +199,34 @@ def _first_witness(pos, located, agents, epsilon, threshold):
     return np.sort(np.concatenate(hits)) if hits else located[:0]
 
 
-def unsafe_sets(positions, predictions, regions, epsilon):
-    """Build per-lookahead unsafe sets from predictions and their radii.
+def unsafe_sets(positions, predictions, radii, epsilon):
+    """The unsafe sets {tau: F_tau}, tau = 1..H, of the predictions and the
+    radii issued with them (``radii[tau - 1]`` for lookahead tau).
 
-    For each lookahead tau, a state is unsafe when its distance margin to
-    the predicted joint agent state (minimum over agents, minus epsilon)
-    falls below radius(tau). The radius itself is the threshold because the
-    margin c(x, Y) = min_i ||x - y_i|| - epsilon is 1-Lipschitz in the agent
+    F_tau holds the states whose distance margin to the lookahead-tau
+    prediction (minimum over agents, minus epsilon) falls below its radius.
+    The radius itself is the threshold because the margin
+    c(x, Y) = min_i ||x - y_i|| - epsilon is 1-Lipschitz in the agent
     positions Y under the nonconformity score's norm: agents within
     radius(tau) of their prediction move no margin by more than radius(tau).
     A larger factor would only shrink the safe set, a smaller one would be
     unsound. An infinite radius during ACP warm-up therefore marks every
     located state unsafe, the conservative answer; states without a
-    location are never unsafe.
+    location are never unsafe. A NaN or negative radius raises InvalidSpec,
+    as does a radius count other than the prediction horizon.
     """
-    if predictions.horizon != regions.horizon:
-        raise InvalidSpec(
-            f"prediction horizon {predictions.horizon} != regions horizon "
-            f"{regions.horizon}")
+    horizon = predictions.horizon
+    if len(radii) != horizon:
+        raise InvalidSpec(f"{len(radii)} radii for prediction horizon {horizon}")
+    if not all(r >= 0.0 for r in radii):
+        raise InvalidSpec(f"radii must be >= 0, got {tuple(radii)}")
     if epsilon < 0.0:
         raise InvalidSpec(f"epsilon must be >= 0, got {epsilon}")
     pos = np.asarray(positions, dtype=float)
     located = np.flatnonzero(np.isfinite(pos).all(axis=1))
-    horizon = predictions.horizon
-    f_sets, agents, thresholds = {}, {}, {}
-    for tau in range(1, horizon + 1):
-        agents[tau] = predictions.at(tau).positions
-        thresholds[tau] = regions.radius(tau)
-        unsafe = _first_witness(pos, located, agents[tau], epsilon, thresholds[tau])
-        f_sets[tau] = frozenset(unsafe.tolist())
-    return UnsafeSets(horizon=horizon, f_sets=f_sets, thresholds=thresholds,
-                      positions=pos, agents=agents, epsilon=epsilon)
+    return {tau: frozenset(_first_witness(pos, located, predictions.at(tau).positions,
+                                          epsilon, radii[tau - 1]).tolist())
+            for tau in range(1, horizon + 1)}
 
 
 @dataclass
@@ -270,7 +242,7 @@ class WinningRegions:
     allowed: dict                # (support, q) -> tuple of actions, q < horizon
 
 
-def compute_winning_regions(bsts, unsafe):
+def compute_winning_regions(bsts, f_sets):
     """One backward sweep over the BSTS levels: winning regions and table.
 
     Depth-H supports win by avoiding the depth-H unsafe states alone (no
@@ -279,11 +251,9 @@ def compute_winning_regions(bsts, unsafe):
     the next level's winning set, and a support wins when it is safe at its
     own depth and that tuple is nonempty.
     """
-    if unsafe.horizon != bsts.horizon:
-        raise InvalidSpec(
-            f"unsafe horizon {unsafe.horizon} != bsts horizon {bsts.horizon}")
+    if len(f_sets) != bsts.horizon:
+        raise InvalidSpec(f"{len(f_sets)} unsafe sets for bsts horizon {bsts.horizon}")
     h = bsts.horizon
-    f_sets = unsafe.f_sets
     post = bsts.expansions
     regions = {h: frozenset(sup for sup in bsts.levels[h]
                             if f_sets[h].isdisjoint(sup))}
@@ -309,7 +279,7 @@ def keeps_winning(bsts, winning, support, q, action):
     return winning.regions[q + 1].issuperset(bsts.post_by_obs(support, q, action).values())
 
 
-def verify_winning_regions(bsts, unsafe, winning):
+def verify_winning_regions(bsts, f_sets, winning):
     """Independent certificate check of the winning regions and shield table.
 
     Re-derives, straight from the BSTS edges and unsafe sets, that (a) every
@@ -327,7 +297,7 @@ def verify_winning_regions(bsts, unsafe, winning):
             if sup not in bsts.levels[tau]:
                 problems.append(f"tau={tau}: {sorted(sup)} is not a level node")
                 continue
-            bad = sup & unsafe.f_sets[tau]
+            bad = sup & f_sets[tau]
             if bad:
                 problems.append(
                     f"tau={tau}: {sorted(sup)} contains unsafe states {sorted(bad)}")

@@ -93,35 +93,9 @@ class TrajectorySource:
     their positions.
     """
 
-    def __init__(self, tracks):
-        """tracks: dict agent_id -> list of (timestep, (x, y)), increasing t."""
-        seqs = {}
-        for aid, seq in tracks.items():
-            seq = sorted(seq, key=lambda p: p[0])
-            for (t0, _), (t1, _) in zip(seq, seq[1:]):
-                if t1 <= t0:
-                    raise NonMonotoneFrames(
-                        f"agent {aid!r} has repeated timestep {t1}")
-            seqs[aid] = seq
-        ids = sorted(seqs, key=_id_key)
-        present = {}                  # timestep -> (ids, points) present, in id order
-        for aid in ids:
-            for t, p in seqs[aid]:
-                at_ids, at_points = present.setdefault(t, ([], []))
-                at_ids.append(aid)
-                at_points.append(p)
-        self._set_frames({
-            t: (tuple(at_ids), np.array(at_points, dtype=float).reshape(-1, 2))
-            for t, (at_ids, at_points) in sorted(present.items())})
-
-    @classmethod
-    def _from_frames(cls, frames):
-        """A source from time-sorted frames {t: (ids present, (n, 2) positions)}."""
-        source = cls.__new__(cls)
-        source._set_frames(frames)
-        return source
-
-    def _set_frames(self, frames):
+    def __init__(self, frames):
+        """frames: time-sorted {t: (ids present, (n, 2) positions)}, the
+        ids distinct and in id order; the arrays are made read-only."""
         shared = {}
         self._frames = {}
         for t, (present, positions) in frames.items():
@@ -132,6 +106,10 @@ class TrajectorySource:
     def span(self):
         """(first, last) timestep with any agent present; None when empty."""
         return self._span
+
+    def max_agents(self):
+        """The most agents present at one timestep; 0 when empty."""
+        return max((len(present) for present, _ in self._frames.values()), default=0)
 
     def agents_at(self, t):
         """Joint state of the agents present at timestep t."""
@@ -328,7 +306,7 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
                 pos = np.clip(pos, lo, hi)
     ids = tuple(range(n_agents))
     frames = {t: (ids, points[t]) for t in range(length)} if n_agents else {}
-    return TrajectorySource._from_frames(frames)
+    return TrajectorySource(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +438,7 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     positions *= scale
     starts = [0] + (np.flatnonzero(steps[1:] != steps[:-1]) + 1).tolist()
     ids = list(map(ordered.__getitem__, ranks.tolist()))
-    return TrajectorySource._from_frames({
+    return TrajectorySource({
         t: (tuple(ids[lo:hi]), positions[lo:hi])
         for t, lo, hi in zip(steps[starts].tolist(), starts, starts[1:] + [len(ids)])})
 

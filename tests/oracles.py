@@ -20,6 +20,7 @@ import numpy as np
 
 from acpshield.errors import ParticleDeprivation
 from acpshield.pomdp import PomdpModel
+from acpshield.trajectory import TrajectorySource
 
 
 def model_from_tables(transition, reward, observation_fn, discount=0.95):
@@ -76,6 +77,16 @@ def dense_tables(model, max_states=512):
             Z[s, a, idxs] = probs
             R[s, a] = model.reward(s, a)
     return T, Z, R
+
+
+def belief_prob(belief, s):
+    """Probability of state ``s`` under a ``BeliefState``, 0 off its support."""
+    return belief.probs.get(s, 0.0)
+
+
+def belief_support(belief):
+    """The states a ``BeliefState`` gives mass, as a frozenset."""
+    return frozenset(belief.probs)
 
 
 def exact_filter(T, Z, belief_vec, action, observation):
@@ -492,6 +503,23 @@ def agents_at_oracle(tracks, t):
                  key=lambda aid: (isinstance(aid, str), aid))
     pos = [next(p for ts, p in tracks[aid] if ts == t) for aid in ids]
     return tuple(ids), np.asarray(pos, dtype=float).reshape(-1, 2)
+
+
+def source_from_tracks(tracks):
+    """A ``TrajectorySource`` from per-agent tracks.
+
+    ``tracks`` maps agent id -> list of (timestep, (x, y)), one entry per
+    timestep. Each timestep becomes a frame of the agents present, ints
+    before strings, each ascending.
+    """
+    present = {}
+    for aid in sorted(tracks, key=lambda aid: (isinstance(aid, str), aid)):
+        for t, p in tracks[aid]:
+            ids, points = present.setdefault(t, ([], []))
+            ids.append(aid)
+            points.append(p)
+    return TrajectorySource({t: (tuple(ids), np.array(points, dtype=float).reshape(-1, 2))
+                             for t, (ids, points) in sorted(present.items())})
 
 
 def agent_ids(source):

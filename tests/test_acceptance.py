@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from acpshield.acp import AcpEstimator, PredictionRegions
+from acpshield.acp import AcpEstimator
 from acpshield.cli import main as cli_main
 from acpshield.gridworld import GridSpec, cell_positions
 from acpshield.harness import acp_coverage_run, expand_grid, load_config, run_benchmark
 from acpshield.planner import Planner, PlannerConfig
-from acpshield.shield import Bsts, compute_winning_regions, unsafe_sets
+from acpshield.shield import Bsts, compute_winning_regions, constraint_values, unsafe_sets
 from acpshield.trajectory import JointAgentState, PredictionSet
 
 import oracles
@@ -58,7 +58,7 @@ def test_criterion_1_adaptive_region_golden_numbers():
     est.issued[(5, 2)] = (1.329, JointAgentState((0,), [[16.700, 9.730]], 5))
 
     started = time.perf_counter()
-    regions = est.step(JointAgentState((0,), [[16.702, 9.726]], 5), None)
+    radii = est.step(JointAgentState((0,), [[16.702, 9.726]], 5), None)
     elapsed = time.perf_counter() - started
 
     beta, lam, _ = est.last[0]
@@ -66,11 +66,11 @@ def test_criterion_1_adaptive_region_golden_numbers():
     ok = (abs(beta - 0.068) <= 5e-4
           and abs(lam - 0.04954) <= 1e-9
           and quantile_index == 30
-          and regions.radius(1) == pytest.approx(0.736, abs=1e-9)
-          and regions.radius(2) == pytest.approx(1.329, abs=1e-9)
+          and radii[0] == pytest.approx(0.736, abs=1e-9)
+          and radii[1] == pytest.approx(1.329, abs=1e-9)
           and elapsed < 1e-3)
     report(1, ok, f"beta={beta:.4f} lam={lam:.6f} index={quantile_index} "
-                  f"radii=({regions.radius(1):.3f}, {regions.radius(2):.3f}) "
+                  f"radii=({radii[0]:.3f}, {radii[1]:.3f}) "
                   f"step={elapsed * 1e6:.0f}us")
 
 
@@ -81,12 +81,11 @@ def test_criterion_2_constraint_golden_value():
     positions = cell_positions(spec)
     state = spec.state_index(18, 4)
     prediction = PredictionSet(0, 1, (JointAgentState((0,), [[17.334, 9.711]], 1),))
-    unsafe = unsafe_sets(positions, prediction,
-                         PredictionRegions(0, (0.736,)), epsilon=2.0)
-    margin = unsafe.margins(1, [state])[0]
-    ok = abs(margin - 3.7497) <= 1e-3 and state not in unsafe.f_sets[1]
+    f_sets = unsafe_sets(positions, prediction, (0.736,), epsilon=2.0)
+    margin = constraint_values(positions[[state]], prediction.at(1).positions, 2.0)[0]
+    ok = abs(margin - 3.7497) <= 1e-3 and state not in f_sets[1]
     report(2, ok, f"c((18,4), agent)={margin:.4f} vs radius 0.736 -> "
-                  f"{'safe' if state not in unsafe.f_sets[1] else 'unsafe'}")
+                  f"{'safe' if state not in f_sets[1] else 'unsafe'}")
 
 
 def test_criterion_3_conformal_coverage_rates():

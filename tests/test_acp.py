@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from acpshield import acp
-from acpshield.acp import AcpEstimator, PredictionRegions, nonconformity, region_radius
+from acpshield.acp import AcpEstimator, nonconformity, region_radius
 from acpshield.errors import AgentMismatch, EmptyWindow, InvalidSpec, OutOfRange
 from acpshield.trajectory import JointAgentState, PredictionSet
 
@@ -142,26 +142,26 @@ def test_region_radius_duplicate_scores_count_separately():
 def run_estimator_stream(points, horizon=1, **kw):
     """Feed a single-agent position stream with a constant predictor.
 
-    Returns the estimator, each step's regions and each step's ``last``.
+    Returns the estimator, each step's radii and each step's ``last``.
     """
     est = AcpEstimator(horizon, **kw)
-    regions, lasts = [], []
+    radii, lasts = [], []
     for t, p in enumerate(points):
         preds = tuple(joint([0], [p], t + tau) for tau in range(1, horizon + 1))
-        regions.append(est.step(joint([0], [p], t), PredictionSet(t, horizon, preds)))
+        radii.append(est.step(joint([0], [p], t), PredictionSet(t, horizon, preds)))
         lasts.append(est.last)
-    return est, regions, lasts
+    return est, radii, lasts
 
 
 def test_estimator_matches_scalar_replay_oracle(rng):
     points = np.cumsum(rng.normal(0.0, 0.4, size=(200, 2)), axis=0)
-    est, regions, _ = run_estimator_stream([tuple(p) for p in points])
+    est, radii, _ = run_estimator_stream([tuple(p) for p in points])
     # oracle sees the same stream: actual at t vs position at t-1
     scores = []
     oracle_radii, oracle_lam = acp_replay(
         scores, [tuple(p) for p in points[:-1]], [tuple(p) for p in points[1:]],
         alpha=0.0008, delta=0.05, window_size=30, lam0=0.05)
-    got = [r.radius(1) for r in regions[1:]]
+    got = [r[0] for r in radii[1:]]
     # the oracle computes distances with math.dist, the package with
     # numpy, so allow last-ulp drift; infinities must match exactly
     assert got == pytest.approx(oracle_radii, rel=1e-12)
@@ -173,27 +173,27 @@ def test_estimator_matches_scalar_replay_oracle(rng):
 
 def test_estimator_perfect_predictor_dynamics():
     n = 300
-    est, regions, _ = run_estimator_stream([(2.0, 2.0)] * n)
+    est, radii, _ = run_estimator_stream([(2.0, 2.0)] * n)
     # every tested step is covered, so lam climbs by alpha*delta per test
     assert est.lam[1] == pytest.approx(0.05 + (n - 1) * 0.0008 * 0.05, abs=1e-12)
     assert est.coverage(1) == 1.0
     # once 19 zero scores accumulate the radius is exactly 0
-    for r in regions[40:]:
-        assert r.radius(1) == 0.0
-    for r in regions[:10]:
-        assert r.radius(1) == math.inf
+    for r in radii[40:]:
+        assert r == (0.0,)
+    for r in radii[:10]:
+        assert r == (math.inf,)
 
 
 def test_estimator_determinism(rng):
     pts = [tuple(p) for p in rng.uniform(0, 5, size=(80, 2))]
     _, a, _ = run_estimator_stream(pts)
     _, b, _ = run_estimator_stream(pts)
-    assert [r.radii for r in a] == [r.radii for r in b]
+    assert a == b
 
 
 def test_estimator_multi_tau_bookkeeping(rng):
     pts = [(0.1 * t, 0.0) for t in range(50)]
-    est, regions, lasts = run_estimator_stream(pts, horizon=3)
+    est, radii, lasts = run_estimator_stream(pts, horizon=3)
     for t, last in enumerate(lasts):
         for tau, (beta, lam, violated) in enumerate(last, start=1):
             # lag tau scores first arrive at t = tau; each is tested
@@ -203,8 +203,8 @@ def test_estimator_multi_tau_bookkeeping(rng):
                 assert beta == pytest.approx(0.1 * tau, abs=1e-9)
     assert [est.tested_count(tau) for tau in (1, 2, 3)] == [49, 48, 47]
     # after warm-up the radius equals the constant score for that lag
-    assert regions[-1].radius(2) == pytest.approx(0.2, abs=1e-9)
-    assert regions[-1].radii == tuple(sorted(regions[-1].radii))
+    assert radii[-1][1] == pytest.approx(0.2, abs=1e-9)
+    assert radii[-1] == tuple(sorted(radii[-1]))
 
 
 def test_estimator_reproduces_worked_radii():
@@ -217,12 +217,11 @@ def test_estimator_reproduces_worked_radii():
     # both previously issued radii cover
     est.issued[(5, 1)] = (0.736, joint([0], [[16.650, 9.682]], 5))
     est.issued[(5, 2)] = (1.329, joint([0], [[16.7, 9.73]], 5))
-    regions = est.step(joint([0], [[16.702, 9.726]], 5), None)
+    radii = est.step(joint([0], [[16.702, 9.726]], 5), None)
     assert est.lam[1] == pytest.approx(0.04954, abs=1e-15)
     # beta = 0.068 joins the window, displacing the oldest score; the
     # 30th-smallest is still the stored maximum for both lags
-    assert regions.radius(1) == pytest.approx(0.736)
-    assert regions.radius(2) == pytest.approx(1.329)
+    assert radii == pytest.approx((0.736, 1.329))
     # nothing predicted at t = 5, so nothing is issued for later steps
     assert est.issued == {}
 
@@ -242,17 +241,28 @@ def test_estimator_gaussian_coverage(rng):
 def test_estimator_empty_agents_are_vacuous():
     est = AcpEstimator(2)
     for t in range(40):
-        regions = est.step(JointAgentState.empty(t), PredictionSet(
+        radii = est.step(JointAgentState.empty(t), PredictionSet(
             t, 2, (JointAgentState.empty(t + 1), JointAgentState.empty(t + 2))))
-    assert regions.radii == (math.inf, math.inf)
+    assert radii == (math.inf, math.inf)
     assert est.coverage() is None
 
 
 def test_estimator_mismatch_policy():
+    # a full turnover of ids scores nothing, like an empty side: beta stays
+    # NaN, nothing is tested, and lambda, the window and the counts hold
     est = AcpEstimator(1)
-    est.step(joint([1], [[0, 0]], 0), PredictionSet(0, 1, (joint([1], [[0, 0]], 1),)))
+    for t in range(3):
+        here = joint([1], [[0.5 * t, 0]], t)
+        est.step(here, PredictionSet(t, 1, (joint([1], [[0.5 * t, 0]], t + 1),)))
+    lam, window, tested = est.lam[1], list(est.windows[1]), est.tested_count()
+    radii = est.step(joint([2], [[5, 5]], 3), None)
+    (beta, lam_now, violated), = est.last
+    assert math.isnan(beta) and violated is None and lam_now == lam
+    assert list(est.windows[1]) == window and est.tested_count() == tested == 2
+    assert radii == (region_radius(window, lam),) and est.issued == {}
+    # the score itself still refuses disjoint ids
     with pytest.raises(AgentMismatch):
-        est.step(joint([2], [[5, 5]], 1), None)
+        nonconformity(joint([2], [[5, 5]], 3), joint([1], [[1.5, 0]], 3))
 
 
 def test_estimator_rejects_a_short_prediction():
@@ -266,10 +276,6 @@ def test_type_validation(monkeypatch):
                {"window_size": 0}, {"horizon": 0}):
         with pytest.raises(InvalidSpec):
             AcpEstimator(**{"horizon": 1, **kw})
-    with pytest.raises(InvalidSpec):
-        PredictionRegions(0, (1.0, -0.5))
-    with pytest.raises(OutOfRange):
-        PredictionRegions(0, (1.0,)).radius(2)
     for tau in (0, 2):
         with pytest.raises(OutOfRange):
             AcpEstimator(1).coverage(tau)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import acpshield
 from acpshield.harness import AgentSetup, load_config, parse_config, run_episode
-from acpshield.trajectory import TrajectorySource
 
+import oracles
 from test_harness import load_stepbench, small_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,7 +68,7 @@ def test_traced_episode_records_every_stage():
     expected |= {"trajectory.load_predictor", "trajectory.predict"}
     assert sorted(expected - names) == []
     # every root action shielded: one parked agent and a wide buffer
-    parked = TrajectorySource({0: [(t, (1.0, 1.0)) for t in range(200)]})
+    parked = oracles.source_from_tracks({0: [(t, (1.0, 1.0)) for t in range(200)]})
     deadlocked = small_config(epsilon=8.0, max_steps=6, agents=AgentSetup(count=1))
     assert "planner.fallback" in traced_span_names(deadlocked, parked)
 

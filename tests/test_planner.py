@@ -8,7 +8,6 @@ import random
 import numpy as np
 import pytest
 
-from acpshield.acp import PredictionRegions
 from acpshield.errors import (
     AllActionsShielded,
     EmptyBelief,
@@ -27,37 +26,30 @@ from acpshield.planner import (
 from acpshield.shield import (
     Bsts,
     Shield,
-    UnsafeSets,
     compute_winning_regions,
+    constraint_values,
     unsafe_sets,
 )
 from acpshield.trajectory import JointAgentState, PredictionSet
 
 import oracles
 from conftest import make_random_pomdp
-from test_shield import make_shield
+from test_shield import make_shield, manual_unsafe
 
 
 def fs(*states):
     return frozenset(states)
 
 
-def manual_unsafe(horizon, by_level):
-    return UnsafeSets(
-        horizon=horizon,
-        f_sets={tau: frozenset(by_level.get(tau, ())) for tau in range(1, horizon + 1)},
-        thresholds={}, positions=None, agents={}, epsilon=0.0)
-
-
-def margin_unsafe(horizon, margins, threshold):
-    """UnsafeSets whose lookahead-1 margins are ``margins``: state s sits
-    margins[s] from one agent at the origin, with a zero buffer."""
+def margin_inputs(horizon, margins, threshold):
+    """``fallback_action``'s (positions, predictions, radii, epsilon) under
+    which state s has lookahead-1 margin margins[s]: it sits margins[s] from
+    one predicted agent at the origin, with a zero buffer."""
     positions = np.stack([margins, np.zeros_like(margins)], axis=1)
-    unsafe = UnsafeSets(horizon=horizon, f_sets={tau: frozenset() for tau in range(1, horizon + 1)},
-                        thresholds={1: threshold}, positions=positions,
-                        agents={1: np.zeros((1, 2))}, epsilon=0.0)
-    assert np.array_equal(unsafe.margins(1, np.arange(len(margins))), margins)
-    return unsafe
+    pred = PredictionSet(0, horizon, tuple(JointAgentState((0,), np.zeros((1, 2)), tau)
+                                           for tau in range(1, horizon + 1)))
+    assert np.array_equal(constraint_values(positions, pred.at(1).positions, 0.0), margins)
+    return positions, pred, (threshold,) * horizon, 0.0
 
 
 def corridor(n=5, rewards=None, discount=0.9):
@@ -407,15 +399,14 @@ def test_grid_two_speed_scenario_prunes_toward_agent():
         JointAgentState(("a1",), np.array([[17.334, 9.711]]), 1),
         JointAgentState(("a1",), np.array([[17.947, 9.743]]), 2),
     ))
-    regions = PredictionRegions(made_at=0, radii=(0.736, 1.329))
-    unsafe = unsafe_sets(positions, pred, regions, epsilon=2.0)
+    unsafe = unsafe_sets(positions, pred, (0.736, 1.329), epsilon=2.0)
     here = spec.state_index(17, 5)
     shield = make_shield(model, fs(here), 2, unsafe)
 
     east, south, west, north = 0, 1, 2, 3
-    assert spec.state_index(18, 5) not in unsafe.f_sets[1]
-    assert spec.state_index(17, 7) in unsafe.f_sets[1]
-    assert spec.state_index(18, 7) in unsafe.f_sets[2]
+    assert spec.state_index(18, 5) not in unsafe[1]
+    assert spec.state_index(17, 7) in unsafe[1]
+    assert spec.state_index(18, 7) in unsafe[2]
 
     root_allowed = shield.allowed(fs(here), 0)
     assert east in root_allowed
@@ -530,28 +521,25 @@ def test_advance_root_impossible_observation():
 def test_fallback_action_maximizes_worst_margin():
     model = corridor()
     margins = np.array([0.2, 3.0, 0.5, 0.1, 4.0])
-    unsafe = margin_unsafe(2, margins, 1.0)
-    assert fallback_action(model, fs(2), unsafe) == 0
-    assert fallback_action(model, fs(1, 3), unsafe) == 1
+    inputs = margin_inputs(2, margins, 1.0)
+    assert fallback_action(model, fs(2), *inputs) == 0
+    assert fallback_action(model, fs(1, 3), *inputs) == 1
     for support in (fs(2), fs(1, 3), fs(0, 4), fs(0, 2, 4)):
         def worst(a):
             return min(margins[s2] - 1.0 for s in support
                        for s2 in model.successors(s, a))
         best = max(range(model.n_actions), key=lambda a: (worst(a), -a))
-        assert fallback_action(model, support, unsafe) == best
+        assert fallback_action(model, support, *inputs) == best
 
 
 def test_fallback_tie_breaks_lowest_and_handles_infinities():
     model = corridor(3)
     margins = np.array([1.0, 1.0, 1.0])
-    unsafe = margin_unsafe(1, margins, math.inf)
-    assert fallback_action(model, fs(1), unsafe) == 0
+    assert fallback_action(model, fs(1), *margin_inputs(1, margins, math.inf)) == 0
     assert safe_margin(math.inf, math.inf) == math.inf
     assert safe_margin(1.0, math.inf) == -math.inf
     assert safe_margin(math.inf, 1.0) == math.inf
     assert safe_margin(3.0, 1.0) == 2.0
-    with pytest.raises(InvalidSpec):
-        fallback_action(model, fs(1), manual_unsafe(2, {}))
 
 
 # -- diagnostics --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acpshield import trajectory
-from acpshield.acp import AcpEstimator, PredictionRegions, nonconformity, region_radius
+from acpshield.acp import AcpEstimator, nonconformity, region_radius
 from acpshield.errors import (
     AgentMismatch,
     AllActionsShielded,
@@ -37,7 +37,6 @@ from acpshield.shield import (
 from acpshield.trajectory import (
     JointAgentState,
     PredictionSet,
-    TrajectorySource,
     predict_constant,
 )
 
@@ -66,7 +65,7 @@ def test_bsts_children_are_posterior_supports(seed, deterministic):
                 posteriors = {}
                 for o in range(oracles.n_observations(model)):
                     try:
-                        posteriors[o] = belief_update(model, belief, a, o).support()
+                        posteriors[o] = oracles.belief_support(belief_update(model, belief, a, o))
                     except ImpossibleObservation:
                         pass
                 assert bsts.post_by_obs(sup, q, a) == posteriors
@@ -110,12 +109,12 @@ def test_acp_radius_monotone_in_lambda(window, lams):
 def test_acp_estimator_matches_scalar_replay(seed, length, step, alpha, delta, window):
     walk = np.cumsum(np.random.default_rng(seed).normal(0.0, step, size=(length, 2)), axis=0)
     points = [tuple(p) for p in walk]
-    est, regions, _ = run_estimator_stream(points, alpha=alpha, delta=delta,
+    est, radii_seen, _ = run_estimator_stream(points, alpha=alpha, delta=delta,
                                            window_size=window)
     radii, lam = oracles.acp_replay([], points[:-1], points[1:], alpha=alpha,
                                     delta=delta, window_size=window, lam0=delta)
     # math.dist against numpy's norm: last-ulp drift; infinities match exactly
-    assert [r.radius(1) for r in regions[1:]] == pytest.approx(radii, rel=1e-12)
+    assert [r[0] for r in radii_seen[1:]] == pytest.approx(radii, rel=1e-12)
     assert est.lam[1] == pytest.approx(lam, abs=1e-12)
 
 
@@ -215,16 +214,15 @@ def test_unsafe_sets_equal_margin_oracle(seed, n_states, counts, n_nan, n_dup, e
         preds.append(JointAgentState(tuple(range(len(agents))), agents, tau))
     if n_states:
         positions[rng.integers(0, n_states, size=n_nan)] = np.nan
-    regions = PredictionRegions(0, tuple(radius_pool[:horizon]))
+    radii = tuple(radius_pool[:horizon])
     with mock.patch("acpshield.shield.MARGIN_BLOCK", block):
-        unsafe = unsafe_sets(positions, PredictionSet(0, horizon, tuple(preds)), regions,
+        f_sets = unsafe_sets(positions, PredictionSet(0, horizon, tuple(preds)), radii,
                              epsilon)
+    assert list(f_sets) == list(range(1, horizon + 1))
     for tau in range(1, horizon + 1):
-        threshold = regions.radius(tau)
         margins = oracles.constraint_values_oracle(positions, preds[tau - 1].positions,
                                                    epsilon)
-        assert unsafe.f_sets[tau] == frozenset(np.flatnonzero(margins < threshold).tolist())
-        assert unsafe.thresholds[tau] == threshold
+        assert f_sets[tau] == frozenset(np.flatnonzero(margins < radii[tau - 1]).tolist())
 
 
 GRIDS = [GridSpec(width=w, height=h, start_cells={(0, 0): 1.0}, goal_cell=(w - 1, h - 1))
@@ -245,12 +243,10 @@ def test_fallback_action_equals_full_grid_oracle(seed, grid, n_agents, n_support
                                   rng.uniform(0.0, bounds, size=(n_agents, 2)), tau)
                   for tau in (1, 2))
     prediction = PredictionSet(0, 2, preds)
-    unsafe = unsafe_sets(positions, prediction, PredictionRegions(0, (radius, radius)),
-                         epsilon)
     support = frozenset(rng.choice(model.n_states, size=n_support, replace=False).tolist())
     margins = oracles.constraint_values_oracle(positions, preds[0].positions, epsilon)
-    assert fallback_action(model, support, unsafe) == oracles.fallback_oracle(
-        model, support, margins, radius)
+    chosen = fallback_action(model, support, positions, prediction, (radius, radius), epsilon)
+    assert chosen == oracles.fallback_oracle(model, support, margins, radius)
 
 
 def random_joint(rng, ids, timestep=0):
@@ -323,7 +319,7 @@ def test_resample_particles_posterior_support_and_draw_count(seed, count, determ
     out = resample_particles(model, particles, action, obs, count, prng)
     belief = BeliefState({s: particles.count(s) / len(particles) for s in set(particles)})
     assert len(out) == count
-    assert set(out) <= belief_update(model, belief, action, obs).support()
+    assert set(out) <= oracles.belief_support(belief_update(model, belief, action, obs))
     expected = random.Random(seed)
     for _ in range(count):
         expected.random()
@@ -583,7 +579,7 @@ def test_agents_at_matches_full_scan_oracle(seed, n_agents, mixed):
         times = [t for t in range(first, last + 1) if rng.random() < 0.8]   # gaps
         tracks[aid] = [(t, tuple(rng.uniform(-5.0, 5.0, size=2))) for t in times]
     tracks = {aid: seq for aid, seq in tracks.items() if seq}
-    source = TrajectorySource(tracks)
+    source = oracles.source_from_tracks(tracks)
     if source.span() is None:
         assert not tracks
         return

@@ -6,13 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acpshield.acp import PredictionRegions
 from acpshield.errors import InvalidSpec, UnknownSupport
 from acpshield.gridworld import Cell, GridSpec, block_observation, build_gridworld, cell_positions
 from acpshield.shield import (
     Bsts,
     Shield,
-    UnsafeSets,
     compute_winning_regions,
     constraint_values,
     unsafe_sets,
@@ -30,16 +28,15 @@ def fs(*states):
 
 
 def manual_unsafe(horizon, by_level):
-    """UnsafeSets straight from state sets, skipping the geometric builder."""
-    return UnsafeSets(horizon=horizon,
-                      f_sets={tau: frozenset(by_level.get(tau, ())) for tau in range(1, horizon + 1)},
-                      thresholds={}, positions=None, agents={}, epsilon=0.0)
+    """The {tau: F_tau} map straight from state sets, skipping the geometric
+    builder."""
+    return {tau: frozenset(by_level.get(tau, ())) for tau in range(1, horizon + 1)}
 
 
-def make_shield(model, root, horizon, unsafe):
+def make_shield(model, root, horizon, f_sets):
     """BSTS, winning regions and shield for one root support."""
     bsts = Bsts(model, root, horizon)
-    return Shield(bsts, compute_winning_regions(bsts, unsafe))
+    return Shield(bsts, compute_winning_regions(bsts, f_sets))
 
 
 def post(bsts, support, q, a):
@@ -187,45 +184,50 @@ def agents_pred(made_at, points_by_tau):
 def test_unsafe_sets_paper_worked_example():
     spec, pos = grid_inputs()
     pred = agents_pred(0, {1: [(17.334, 9.711)], 2: [(17.947, 9.743)]})
-    regions = PredictionRegions(0, (0.736, 1.329))
-    unsafe = unsafe_sets(pos, pred, regions, epsilon=2.0)
+    f_sets = unsafe_sets(pos, pred, (0.736, 1.329), epsilon=2.0)
+    assert set(f_sets) == {1, 2}
     s_18_4 = spec.state_index(18, 4)
-    assert unsafe.margins(1, [s_18_4])[0] == pytest.approx(3.7497, abs=1e-3)
-    assert s_18_4 not in unsafe.f_sets[1]
+    margin = constraint_values(pos[[s_18_4]], pred.at(1).positions, 2.0)[0]
+    assert margin == pytest.approx(3.7497, abs=1e-3)
+    assert s_18_4 not in f_sets[1]
     # a cell well inside the inflated region is excluded
     s_17_9 = spec.state_index(17, 9)
-    assert s_17_9 in unsafe.f_sets[1]
+    assert s_17_9 in f_sets[1]
     # two-step lookahead: (18,7) sits 2.7435 from the prediction, margin
     # 0.7435 below the 1.329 radius, hence unsafe
     s_18_7 = spec.state_index(18, 7)
-    assert unsafe.margins(2, [s_18_7])[0] == pytest.approx(0.7435, abs=1e-3)
-    assert s_18_7 in unsafe.f_sets[2]
-    assert unsafe.thresholds == {1: 0.736, 2: 1.329}
+    margin = constraint_values(pos[[s_18_7]], pred.at(2).positions, 2.0)[0]
+    assert margin == pytest.approx(0.7435, abs=1e-3)
+    assert s_18_7 in f_sets[2]
 
 
 def test_unsafe_sets_no_agents_vacuous():
     _, pos = grid_inputs(6, 6)
     pred = PredictionSet(0, 2, (JointAgentState.empty(1), JointAgentState.empty(2)))
-    unsafe = unsafe_sets(pos, pred, PredictionRegions(0, (0.5, 0.5)), epsilon=0.5)
-    assert unsafe.f_sets == {1: frozenset(), 2: frozenset()}
-    assert np.all(np.isinf(unsafe.margins(1, np.arange(len(pos)))))
+    assert unsafe_sets(pos, pred, (0.5, 0.5), epsilon=0.5) == {1: frozenset(), 2: frozenset()}
+    assert np.all(np.isinf(constraint_values(pos, pred.at(1).positions, 0.5)))
 
 
 def test_unsafe_sets_infinite_radius_marks_all_located_states():
     spec, pos = grid_inputs(6, 6)
     pred = agents_pred(0, {1: [(3.0, 3.0)]})
-    unsafe = unsafe_sets(pos, pred, PredictionRegions(0, (math.inf,)), epsilon=0.5)
-    assert unsafe.f_sets[1] == frozenset(range(spec.n_cells))
-    assert spec.terminal_state not in unsafe.f_sets[1]
+    f_sets = unsafe_sets(pos, pred, (math.inf,), epsilon=0.5)
+    assert f_sets[1] == frozenset(range(spec.n_cells))
+    assert spec.terminal_state not in f_sets[1]
 
 
 def test_unsafe_sets_input_validation():
     _, pos = grid_inputs(4, 4)
     pred = agents_pred(0, {1: [(1.0, 1.0)]})
     with pytest.raises(InvalidSpec):
-        unsafe_sets(pos, pred, PredictionRegions(0, (0.5, 0.5)), epsilon=0.5)
+        unsafe_sets(pos, pred, (0.5, 0.5), epsilon=0.5)
     with pytest.raises(InvalidSpec):
-        unsafe_sets(pos, pred, PredictionRegions(0, (0.5,)), epsilon=-1.0)
+        unsafe_sets(pos, pred, (0.5,), epsilon=-1.0)
+    # a NaN radius would compare false against every margin and leave F_1
+    # empty, failing open
+    for radius in (math.nan, -0.5):
+        with pytest.raises(InvalidSpec):
+            unsafe_sets(pos, pred, (radius,), epsilon=0.5)
 
 
 def test_constraint_values_allocates_only_block_temporaries():
@@ -250,15 +252,15 @@ def test_constraint_values_allocates_only_block_temporaries():
 def test_corridor_winning_regions_hand_checked():
     model = corridor(5)
     bsts = Bsts(model, fs(2), 2)
-    unsafe = manual_unsafe(2, {1: {3}, 2: {3}})
-    winning = compute_winning_regions(bsts, unsafe)
+    f_sets = manual_unsafe(2, {1: {3}, 2: {3}})
+    winning = compute_winning_regions(bsts, f_sets)
     assert winning.regions[2] == frozenset({fs(0), fs(2), fs(4)})
     assert winning.regions[1] == frozenset({fs(1)})
     assert winning.allowed[(fs(2), 0)] == (0,)
     # {3} keeps both moves winning but is itself unsafe at level 1
     assert winning.allowed[(fs(1), 1)] == (0, 1)
     assert winning.allowed[(fs(3), 1)] == (0, 1)
-    assert verify_winning_regions(bsts, unsafe, winning) == []
+    assert verify_winning_regions(bsts, f_sets, winning) == []
 
 
 def test_empty_unsafe_means_everything_wins(rng):
@@ -275,8 +277,8 @@ def test_fully_unsafe_first_level_blocks_everything(rng):
     model = make_random_pomdp(rng, n_states=5, n_actions=2, n_obs=2)
     root = random_support(model, rng)
     bsts = Bsts(model, root, 2)
-    unsafe = manual_unsafe(2, {1: set(range(model.n_states))})
-    winning = compute_winning_regions(bsts, unsafe)
+    f_sets = manual_unsafe(2, {1: set(range(model.n_states))})
+    winning = compute_winning_regions(bsts, f_sets)
     assert winning.regions[1] == frozenset()
     assert winning.allowed[(root, 0)] == ()
 
@@ -296,8 +298,8 @@ def test_winning_regions_match_policy_search_oracle(rng):
             k = int(rng.integers(0, model.n_states // 2 + 1))
             by_level[tau] = set(rng.choice(model.n_states, size=k, replace=False).tolist())
         bsts = Bsts(model, root, h)
-        unsafe = manual_unsafe(h, by_level)
-        winning = compute_winning_regions(bsts, unsafe)
+        f_sets = manual_unsafe(h, by_level)
+        winning = compute_winning_regions(bsts, f_sets)
         oracle_levels = {tau: frozenset(by_level.get(tau, ())) for tau in range(1, h + 1)}
         for tau in range(1, h + 1):
             for sup in bsts.levels[tau]:
@@ -306,7 +308,7 @@ def test_winning_regions_match_policy_search_oracle(rng):
                 assert (sup in winning.regions[tau]) == expected, (trial, tau, sorted(sup))
         assert list(winning.allowed[(root, 0)]) == oracles.shielded_actions_oracle(
             model, root, 0, h, oracle_levels)
-        assert verify_winning_regions(bsts, unsafe, winning) == []
+        assert verify_winning_regions(bsts, f_sets, winning) == []
 
 
 def test_monotone_conservatism(rng):
@@ -328,32 +330,32 @@ def test_monotone_conservatism(rng):
 def test_certificate_verifier_catches_corruption():
     model = corridor(5)
     bsts = Bsts(model, fs(2), 2)
-    unsafe = manual_unsafe(2, {1: {3}, 2: {3}})
-    winning = compute_winning_regions(bsts, unsafe)
+    f_sets = manual_unsafe(2, {1: {3}, 2: {3}})
+    winning = compute_winning_regions(bsts, f_sets)
     # claim the unsafe support {3} wins at level 1
     winning.regions[1] = winning.regions[1] | {fs(3)}
-    problems = verify_winning_regions(bsts, unsafe, winning)
+    problems = verify_winning_regions(bsts, f_sets, winning)
     assert any("unsafe states [3]" in p for p in problems)
     # a node absent from the level is flagged too
     winning.regions[1] = frozenset({fs(4)})
     assert any("not a level node" in p
-               for p in verify_winning_regions(bsts, unsafe, winning))
+               for p in verify_winning_regions(bsts, f_sets, winning))
 
 
 def test_certificate_verifier_catches_table_corruption():
     model = corridor(5)
     bsts = Bsts(model, fs(2), 2)
-    unsafe = manual_unsafe(2, {1: {3}, 2: {3}})
-    winning = compute_winning_regions(bsts, unsafe)
+    f_sets = manual_unsafe(2, {1: {3}, 2: {3}})
+    winning = compute_winning_regions(bsts, f_sets)
     # right from {2} lands on the unsafe {3}; listing it must be flagged
     winning.allowed[(fs(2), 0)] = (0, 1)
-    problems = verify_winning_regions(bsts, unsafe, winning)
+    problems = verify_winning_regions(bsts, f_sets, winning)
     assert any("allows action 1" in p for p in problems)
     # a winning support without an entry, and one with an empty entry
-    winning = compute_winning_regions(bsts, unsafe)
+    winning = compute_winning_regions(bsts, f_sets)
     del winning.allowed[(fs(2), 0)]
     winning.allowed[(fs(1), 1)] = ()
-    problems = verify_winning_regions(bsts, unsafe, winning)
+    problems = verify_winning_regions(bsts, f_sets, winning)
     assert any("no table entry" in p for p in problems)
     assert any("[1] has no all-winning action" in p for p in problems)
 
