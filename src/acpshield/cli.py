@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 from .acp import DEFAULT_ALPHA, DEFAULT_DELTA, DEFAULT_WINDOW
@@ -38,7 +39,7 @@ def _overrides(args):
 
 
 def _json_ready(value):
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(k): _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_ready(v) for v in value]

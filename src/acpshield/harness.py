@@ -7,10 +7,11 @@ Every step of an episode runs the same stages, in order:
    radii issued for this step, adapts and issues the new radii with the
    prediction (``_acp_step``, also run by the warm-up and by
    ``acp_coverage_run``);
-3. shield: the unsafe sets, a {tau: F_tau} map of the prediction
-   inflated by the radii, the BSTS of the particle support (built every
-   step on the episode's one map of support edges), the winning regions
-   with their action table, and the independent certificate check;
+3. shield: the BSTS of the particle support (built every step on the
+   episode's one map of support edges), then the unsafe sets, a {tau:
+   F_tau} map of the prediction inflated by the radii, decided only on
+   the located states the BSTS holds below its root, then the winning
+   regions with their action table, and the independent certificate check;
 4. plan a certified action, or, when all are shielded, take the fallback,
    ranked by margins against the lookahead-1 prediction and radius;
 5. soundness: the executed action must keep every successor winning;
@@ -37,7 +38,9 @@ import math
 import random
 import time
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -255,6 +258,41 @@ def _make_predictor(cfg):
     return make_predictor(cfg.predictor, cfg.predictions_path, cfg.agents.scale)
 
 
+class _UnsafeOverlay(Mapping):
+    """The full-grid unsafe cells of one step, {tau: sorted states}, in tau
+    order: ``unsafe_sets`` of the step's inputs, computed on the first read.
+
+    The shield decides F_tau only on its BSTS's states; plots, dumps and
+    checks that want every cell read them here, and a step hook that never
+    reads them pays nothing. Holds the step's immutable inputs only.
+    """
+
+    def __init__(self, positions, prediction, radii, epsilon):
+        self._inputs = (positions, prediction, radii, epsilon)
+
+    @cached_property
+    def _cells(self):
+        return {tau: sorted(f) for tau, f in unsafe_sets(*self._inputs).items()}
+
+    def __getitem__(self, tau):
+        return self._cells[tau]
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self):
+        return len(self._cells)
+
+
+def _bsts_states(bsts, located):
+    """Sorted int array of the located states in BSTS levels 1..H, the only
+    states whose unsafe-set membership the shield stages read."""
+    states = frozenset().union(*(sup for q in range(1, bsts.horizon + 1)
+                                 for sup in bsts.levels[q]))
+    states = np.fromiter(states, dtype=np.intp, count=len(states))
+    return np.sort(states[located[states]])
+
+
 def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=None):
     """Execute one episode, stage by stage; deterministic given (cfg, run).
 
@@ -262,7 +300,9 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
     not given. ``step_hook(info)``, when given, receives a
     per-planning-step dict with the belief support, predictions, radii,
     and unsafe cells (the overlay data for plots); it must not mutate its
-    argument.
+    argument. The unsafe cells, a read-only mapping, cover the full grid
+    and are computed when first read, so a hook that ignores them adds no
+    work to the step.
     """
     if model is None:
         model = build_gridworld(cfg.grid)
@@ -271,6 +311,8 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
     if predictor is None:
         predictor = _make_predictor(cfg)
     positions = cell_positions(cfg.grid)
+    positions.flags.writeable = False
+    located = np.isfinite(positions).all(axis=1)
     goal_state = cfg.grid.state_index(*cfg.grid.goal_cell)
     shielded = cfg.method != "no-shield"
 
@@ -334,8 +376,9 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
             if estimator is not None:
                 rec.beta, rec.lam, rec.violated = zip(*estimator.last)
             # shield
-            f_sets = unsafe_sets(positions, prediction, rec.radius, cfg.epsilon)
             bsts = Bsts(model, support, cfg.horizon, expansions)
+            f_sets = unsafe_sets(positions, prediction, rec.radius, cfg.epsilon,
+                                 within=_bsts_states(bsts, located))
             winning = compute_winning_regions(bsts, f_sets)
             shield = Shield(bsts, winning)
             cert_failures += len(verify_winning_regions(bsts, f_sets, winning))
@@ -357,7 +400,8 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
             if shielded:
                 info["radii"] = list(rec.radius)
                 info["predicted"] = [p.positions.tolist() for p in prediction.predicted]
-                info["unsafe"] = {tau: sorted(f) for tau, f in f_sets.items()}
+                info["unsafe"] = _UnsafeOverlay(positions, prediction, rec.radius,
+                                                cfg.epsilon)
             step_hook(info)
 
         # execute

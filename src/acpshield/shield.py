@@ -10,6 +10,7 @@ planning step:
    the prediction horizon (a small transition system over supports),
 2. per lookahead tau, the unsafe set F_tau: the states whose distance
    margin to the predicted agents falls below the conformal radius,
+   decided only on the states those supports hold,
 3. sweep backward over the horizon once: per support, the actions that
    keep every observation outcome winning (the shield table), and from
    those the winning supports, safe ones with at least one such action,
@@ -199,7 +200,7 @@ def _first_witness(pos, located, agents, epsilon, threshold):
     return np.sort(np.concatenate(hits)) if hits else located[:0]
 
 
-def unsafe_sets(positions, predictions, radii, epsilon):
+def unsafe_sets(positions, predictions, radii, epsilon, within=None):
     """The unsafe sets {tau: F_tau}, tau = 1..H, of the predictions and the
     radii issued with them (``radii[tau - 1]`` for lookahead tau).
 
@@ -214,6 +215,11 @@ def unsafe_sets(positions, predictions, radii, epsilon):
     located state unsafe, the conservative answer; states without a
     location are never unsafe. A NaN or negative radius raises InvalidSpec,
     as does a radius count other than the prediction horizon.
+
+    ``within``, an int array of states, limits the decision to those
+    states: each set is then F_tau restricted to ``within``. The default
+    decides every located state. A caller that reads the sets only on
+    some states, such as the shield on its BSTS's, passes them here.
     """
     horizon = predictions.horizon
     if len(radii) != horizon:
@@ -223,7 +229,8 @@ def unsafe_sets(positions, predictions, radii, epsilon):
     if epsilon < 0.0:
         raise InvalidSpec(f"epsilon must be >= 0, got {epsilon}")
     pos = np.asarray(positions, dtype=float)
-    located = np.flatnonzero(np.isfinite(pos).all(axis=1))
+    located = (np.flatnonzero(np.isfinite(pos).all(axis=1)) if within is None
+               else np.asarray(within, dtype=np.intp))
     return {tau: frozenset(_first_witness(pos, located, predictions.at(tau).positions,
                                           epsilon, radii[tau - 1]).tolist())
             for tau in range(1, horizon + 1)}

@@ -11,7 +11,6 @@ the canonical form that pins whole episodes, shield internals included.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import asdict, replace
@@ -639,10 +638,13 @@ def episode_digest(episodes):
     ``episodes`` holds (EpisodeResult, step-hook dicts) pairs. Each result
     counts with ``mean_plan_seconds`` zeroed, the one wall-clock field, and
     each step dict with its support, radii, predictions and unsafe cells,
-    which the raw CSV leaves out. The pairs are serialised as sorted-key
+    which the raw CSV leaves out. The unsafe cells, a lazy mapping, count
+    as the plain dict they read as. The pairs are serialised as sorted-key
     JSON, whose floats are their shortest round-trip repr.
     """
-    payload = [(asdict(replace(result, mean_plan_seconds=0.0)), steps)
+    payload = [(asdict(replace(result, mean_plan_seconds=0.0)),
+                [{**step, "unsafe": dict(step["unsafe"])} if "unsafe" in step else step
+                 for step in steps])
                for result, steps in episodes]
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

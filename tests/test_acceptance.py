@@ -7,7 +7,6 @@ few minutes. Verdict lines are echoed after the pytest summary.
 
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np

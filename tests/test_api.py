@@ -89,3 +89,29 @@ def test_public_names_are_used_by_cli_or_harness():
         imported |= {alias.name for node in ast.walk(ast.parse(source))
                      if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(set(acpshield.__all__) - imported) == []
+
+
+def unused_imports(path):
+    """Names a module imports at its top level and never reads; a name in
+    ``__all__`` counts as read, ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    unused = {str(path.relative_to(ROOT)): names
+              for folder in ("src", "tests") for path in sorted((ROOT / folder).rglob("*.py"))
+              if (names := unused_imports(path))}
+    assert unused == {}

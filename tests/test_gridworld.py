@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from acpshield.errors import ImpossibleObservation, InvalidSpec
+from acpshield.errors import InvalidSpec
 from acpshield.gridworld import (
     ACTION_NAMES,
     Cell,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acpshield import harness, trajectory
+from acpshield import harness, shield, trajectory
 from acpshield.errors import InvalidSpec
 from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
 from acpshield.harness import (
@@ -348,7 +348,17 @@ def test_episode_coverage_populated_only_with_adaptation():
     assert fixed.coverage == {} and fixed.coverage_tested == 0
 
 
-def test_step_hook_sees_overlay_data():
+def record_unsafe_calls(monkeypatch):
+    """Patch ``harness.unsafe_sets`` to record each call's (args, kwargs)."""
+    calls = []
+    unsafe = harness.unsafe_sets
+    monkeypatch.setattr(harness, "unsafe_sets", lambda *args, **kwargs: calls.append(
+        (args, kwargs)) or unsafe(*args, **kwargs))
+    return calls
+
+
+def test_step_hook_sees_overlay_data(monkeypatch):
+    calls = record_unsafe_calls(monkeypatch)
     seen = []
     cfg = small_config(max_steps=4)
     run_episode(cfg, step_hook=seen.append)
@@ -356,11 +366,35 @@ def test_step_hook_sees_overlay_data():
     keys = {"t", "state", "action", "deadlock", "support", "radii",
             "predicted", "unsafe"}
     assert keys <= set(seen[0])
-    assert set(seen[0]["unsafe"]) == {1, 2}
+    # read after the episode: the overlay is the full-grid unsafe_sets of
+    # its step's inputs, in tau order
+    restricted = list(calls)
+    assert len(restricted) == len(seen)
+    for (args, _), info in zip(restricted, seen):
+        assert list(info["unsafe"]) == [1, 2]
+        assert dict(info["unsafe"]) == {tau: sorted(f) for tau, f in
+                                        shield.unsafe_sets(*args).items()}
     bare_seen = []
     run_episode(replace(cfg, method="no-shield"), step_hook=bare_seen.append)
     assert bare_seen and "radii" not in bare_seen[0]
     assert bare_seen[0]["support"]
+
+
+def test_shield_decides_unsafe_sets_on_bsts_states_only(monkeypatch):
+    # a hook that ignores the overlay: the one unsafe_sets call of each
+    # shielded step decides only located states of that step's BSTS levels 1..H
+    calls = record_unsafe_calls(monkeypatch)
+    built = []
+    bsts = harness.Bsts
+    monkeypatch.setattr(harness, "Bsts", lambda *args: built.append(bsts(*args)) or built[-1])
+    steps = []
+    cfg = small_config(max_steps=8)
+    run_episode(cfg, step_hook=lambda info: steps.append(info["t"]))
+    assert len(calls) == len(built) == len(steps) > 0
+    located = np.isfinite(cell_positions(cfg.grid)).all(axis=1)
+    for (_, kwargs), tree in zip(calls, built):
+        states = {s for q in range(1, tree.horizon + 1) for sup in tree.levels[q] for s in sup}
+        assert kwargs["within"].tolist() == sorted(s for s in states if located[s])
 
 
 # -- aggregation and benchmark grids ------------------------------------------

@@ -1,6 +1,5 @@
 """Model construction, exact filtering, simulator statistics, particle refresh."""
 
-import math
 import random
 
 import numpy as np

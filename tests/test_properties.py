@@ -1,6 +1,7 @@
 """Property tests on random inputs: BSTS edges, the shield table, ACP radii,
-constraint margins, nonconformity scores, the particle refresh, simulator
-draws, rollouts, the planner's search and the per-timestep agent index."""
+constraint margins, unsafe sets on a subset of the states, nonconformity
+scores, the particle refresh, simulator draws, rollouts, the planner's
+search and the per-timestep agent index."""
 
 import math
 import random
@@ -29,6 +30,7 @@ from acpshield.pomdp import BeliefState, PomdpModel, belief_update, resample_par
 from acpshield.shield import (
     MARGIN_BLOCK,
     Bsts,
+    WinningRegions,
     compute_winning_regions,
     constraint_values,
     unsafe_sets,
@@ -223,6 +225,49 @@ def test_unsafe_sets_equal_margin_oracle(seed, n_states, counts, n_nan, n_dup, e
         margins = oracles.constraint_values_oracle(positions, preds[tau - 1].positions,
                                                    epsilon)
         assert f_sets[tau] == frozenset(np.flatnonzero(margins < radii[tau - 1]).tolist())
+
+
+@PROPERTY
+@given(seed=seeds, horizon=st.integers(1, 3), deterministic=st.booleans(),
+       n_nan=st.integers(0, 2), epsilon=st.sampled_from([0.0, 0.5, 1.0]),
+       radius_pool=st.lists(st.sampled_from([0.0, 0.5, 1.5, math.inf]),
+                            min_size=3, max_size=3))
+def test_unsafe_sets_within_bsts_states_give_the_full_grid_shield(
+        seed, horizon, deterministic, n_nan, epsilon, radius_pool):
+    # F_tau decided on a subset U equals the full-grid F_tau within U; on
+    # the BSTS's states of levels 1..H, the winning regions, the table and
+    # the verifier cannot tell the restricted map from the full one
+    rng = np.random.default_rng(seed)
+    model = make_random_pomdp(rng, n_states=int(rng.integers(4, 9)),
+                              n_actions=int(rng.integers(1, 4)), n_obs=3,
+                              deterministic_obs=deterministic)
+    positions = rng.uniform(0.0, 4.0, size=(model.n_states, 2))
+    positions[rng.integers(0, model.n_states, size=n_nan)] = np.nan
+    preds = tuple(JointAgentState(tuple(range(k)), rng.uniform(0.0, 4.0, size=(k, 2)), tau)
+                  for tau, k in enumerate(rng.integers(0, 5, size=horizon), 1))
+    args = (positions, PredictionSet(0, horizon, preds), tuple(radius_pool[:horizon]),
+            epsilon)
+    full = unsafe_sets(*args)
+    subset = np.flatnonzero(rng.random(model.n_states) < 0.5)
+    assert unsafe_sets(*args, within=subset) == {
+        tau: f & frozenset(subset.tolist()) for tau, f in full.items()}
+
+    bsts = Bsts(model, random_support(model, rng), horizon)
+    states = sorted(s for q in range(1, horizon + 1) for sup in bsts.levels[q]
+                    for s in sup if np.isfinite(positions[s]).all())
+    within = unsafe_sets(*args, within=np.unique(states))
+    winning = compute_winning_regions(bsts, within)
+    expected = compute_winning_regions(bsts, full)
+    assert winning.regions == expected.regions
+    assert winning.allowed == expected.allowed
+    # an overclaiming certificate: every node wins with every action
+    claim = WinningRegions(
+        regions={tau: frozenset(bsts.levels[tau]) for tau in range(1, horizon + 1)},
+        allowed={(sup, q): tuple(range(model.n_actions))
+                 for q in range(horizon) for sup in bsts.levels[q]})
+    for certificate in (expected, claim):
+        assert (verify_winning_regions(bsts, within, certificate)
+                == verify_winning_regions(bsts, full, certificate))
 
 
 GRIDS = [GridSpec(width=w, height=h, start_cells={(0, 0): 1.0}, goal_cell=(w - 1, h - 1))

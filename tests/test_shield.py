@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from acpshield.errors import InvalidSpec, UnknownSupport
-from acpshield.gridworld import Cell, GridSpec, block_observation, build_gridworld, cell_positions
+from acpshield.gridworld import GridSpec, block_observation, build_gridworld, cell_positions
 from acpshield.shield import (
     Bsts,
     Shield,
