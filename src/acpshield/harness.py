@@ -9,9 +9,10 @@ Every step of an episode runs the same stages, in order:
    ``acp_coverage_run``);
 3. shield: the BSTS of the particle support (built every step on the
    episode's one map of support edges), then the unsafe sets, a {tau:
-   F_tau} map of the prediction inflated by the radii, decided only on
-   the located states the BSTS holds below its root, then the winning
-   regions with their action table, and the independent certificate check;
+   F_tau} map: the states whose ``constraint_values`` margin to the
+   lookahead-tau prediction is below the radius, decided only on the
+   states the BSTS holds below its root; then the winning regions with
+   their action table, and the independent certificate check;
 4. plan a certified action, or, when all are shielded, take the fallback,
    ranked by margins against the lookahead-1 prediction and radius;
 5. soundness: the executed action must keep every successor winning;
@@ -146,6 +147,8 @@ class ExperimentConfig:
             raise InvalidSpec(f"runs must be >= 1, got {self.runs}")
         if self.max_steps < 1:
             raise InvalidSpec(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.planner.max_depth < self.horizon:
             raise InvalidSpec(
                 f"planner depth {self.planner.max_depth} below horizon {self.horizon}")
@@ -284,13 +287,12 @@ class _UnsafeOverlay(Mapping):
         return len(self._cells)
 
 
-def _bsts_states(bsts, located):
-    """Sorted int array of the located states in BSTS levels 1..H, the only
-    states whose unsafe-set membership the shield stages read."""
+def _bsts_states(bsts):
+    """Sorted int array of the states in BSTS levels 1..H, the only states
+    whose unsafe-set membership the shield stages read."""
     states = frozenset().union(*(sup for q in range(1, bsts.horizon + 1)
                                  for sup in bsts.levels[q]))
-    states = np.fromiter(states, dtype=np.intp, count=len(states))
-    return np.sort(states[located[states]])
+    return np.sort(np.fromiter(states, dtype=np.intp, count=len(states)))
 
 
 def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=None):
@@ -304,6 +306,8 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
     and are computed when first read, so a hook that ignores them adds no
     work to the step.
     """
+    if run < 0:
+        raise InvalidSpec(f"run index must be >= 0, got {run}")
     if model is None:
         model = build_gridworld(cfg.grid)
     if source is None:
@@ -312,7 +316,6 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
         predictor = _make_predictor(cfg)
     positions = cell_positions(cfg.grid)
     positions.flags.writeable = False
-    located = np.isfinite(positions).all(axis=1)
     goal_state = cfg.grid.state_index(*cfg.grid.goal_cell)
     shielded = cfg.method != "no-shield"
 
@@ -378,7 +381,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
             # shield
             bsts = Bsts(model, support, cfg.horizon, expansions)
             f_sets = unsafe_sets(positions, prediction, rec.radius, cfg.epsilon,
-                                 within=_bsts_states(bsts, located))
+                                 within=_bsts_states(bsts))
             winning = compute_winning_regions(bsts, f_sets)
             shield = Shield(bsts, winning)
             cert_failures += len(verify_winning_regions(bsts, f_sets, winning))
@@ -607,6 +610,8 @@ def acp_coverage_run(steps=10_000, horizon=3, n_agents=3, kind="random-walk",
     Returns {tau: (empirical coverage, tested count)}. The planner plays no
     part: this isolates the coverage property of the radii themselves.
     """
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0, 0]))
     source = synth_trajectories(kind, n_agents, steps, rng, bounds=bounds,
                                 speed=speed, noise=noise)
@@ -708,7 +713,11 @@ def _parse(data, overrides=None):
     dict, with ``overrides`` as in ``load_config``."""
     if not isinstance(data, dict):
         raise InvalidSpec(f"config must be a mapping, got {type(data).__name__}")
-    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    overrides = overrides or {}
+    _unknown_keys(overrides, {f"{name}.{key}" if name else key
+                              for name, keys in _SCHEMA.items() for key in keys},
+                  "the overrides")
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     typed = {}
     for name, keys in _SCHEMA.items():
         section = data if name is None else data.get(name, {})
@@ -741,7 +750,8 @@ def _read_yaml(path):
 
 def load_config(path, overrides=None):
     """Parse a YAML experiment file. ``overrides`` maps keys, qualified as in
-    ``bench.methods``, to values that replace the file's; None leaves it."""
+    ``bench.methods``, to values that replace the file's; None leaves it. A
+    key outside the schema raises InvalidSpec, whatever its value."""
     return _parse(_read_yaml(path), overrides)[0]
 
 

@@ -113,33 +113,6 @@ class Bsts:
         return sum(len(sups) for sups in self.levels.values())
 
 
-def _nearest_sq(ax, ay, sx, sy, bx, by):
-    """Min over the agents (ax, ay) of the squared distance to each state
-    (sx, sy), computed in (agents, states) blocks at the front of the flat
-    buffers bx and by."""
-    shape = (ax.size, sx.size)
-    bx = bx[:ax.size * sx.size].reshape(shape)
-    by = by[:ax.size * sx.size].reshape(shape)
-    np.subtract(sx, ax[:, None], out=bx)
-    np.subtract(sy, ay[:, None], out=by)
-    bx *= bx
-    by *= by
-    bx += by
-    return bx.min(axis=0)
-
-
-def _agents_per_block(n_states):
-    """About ``MARGIN_BLOCK`` state-agent pairs a block, at least 16 agents."""
-    return max(16, MARGIN_BLOCK // max(n_states, 1))
-
-
-def _block_buffers(n_agents, n_states):
-    """Two flat buffers, each big enough for any block of at most
-    ``n_agents`` agents against ``n_states`` or fewer states."""
-    size = min(n_agents * n_states, max(16 * n_states, MARGIN_BLOCK))
-    return np.empty(size), np.empty(size)
-
-
 def constraint_values(positions, agent_positions, epsilon):
     """Distance margin of every state's center to the closest predicted agent.
 
@@ -149,77 +122,48 @@ def constraint_values(positions, agent_positions, epsilon):
     zero agents +inf.
 
     Works through the agents in (agents, states) blocks of about
-    ``MARGIN_BLOCK`` pairs, keeping the running min of the squared
-    distances. The square root is taken after the min over agents: sqrt is
-    monotone and correctly rounded, so this equals the min of the per-agent
-    distances bit for bit.
+    ``MARGIN_BLOCK`` pairs, at least 16 agents a block, keeping the running
+    min of the squared distances, so no temporary outgrows a block's two
+    (agents, states) arrays. The square root is taken after the min over
+    agents: sqrt is monotone and correctly rounded, so this equals the min
+    of the per-agent distances bit for bit.
     """
     pos = np.asarray(positions, dtype=float)
     agents = np.asarray(agent_positions, dtype=float).reshape(-1, 2)
-    n_states, n_agents = pos.shape[0], agents.shape[0]
-    out = np.full(n_states, math.inf)
-    if n_agents == 0:
-        return out
-    k = _agents_per_block(n_states)
-    bx, by = _block_buffers(n_agents, n_states)
     sx, sy = pos[:, 0], pos[:, 1]
-    dists = None
-    for lo in range(0, n_agents, k):
-        block = _nearest_sq(agents[lo:lo + k, 0], agents[lo:lo + k, 1], sx, sy, bx, by)
-        dists = block if dists is None else np.minimum(dists, block, out=dists)
-    np.sqrt(dists, out=dists)
-    finite = np.isfinite(dists)
-    out[finite] = dists[finite] - epsilon
-    return out
-
-
-def _first_witness(pos, located, agents, epsilon, threshold):
-    """Sorted states of ``located`` whose margin to ``agents`` is below
-    ``threshold``.
-
-    The undecided states meet the agents block by block, (k agents,
-    undecided states) with k = max(16, MARGIN_BLOCK // undecided), and a
-    state leaves at the first block whose nearest agent puts its margin
-    below the threshold. sqrt and the subtraction of epsilon are monotone,
-    so a block's minimum passes exactly when the minimum over all agents
-    does.
-    """
-    n_agents = agents.shape[0]
-    bx, by = _block_buffers(n_agents, located.size)
-    hits = []
-    undecided, lo = located, 0
-    while undecided.size and lo < n_agents:
-        hi = lo + _agents_per_block(undecided.size)
-        near = _nearest_sq(agents[lo:hi, 0], agents[lo:hi, 1], pos[undecided, 0],
-                           pos[undecided, 1], bx, by)
-        np.sqrt(near, out=near)
-        near -= epsilon
-        hit = near < threshold
-        hits.append(undecided[hit])
-        undecided, lo = undecided[~hit], hi
-    return np.sort(np.concatenate(hits)) if hits else located[:0]
+    nearest = np.full(pos.shape[0], math.inf)
+    k = max(16, MARGIN_BLOCK // max(pos.shape[0], 1))
+    for lo in range(0, agents.shape[0], k):
+        dx = sx - agents[lo:lo + k, 0, None]
+        dy = sy - agents[lo:lo + k, 1, None]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.minimum(nearest, dx.min(axis=0), out=nearest)
+    np.sqrt(nearest, out=nearest)
+    return np.where(np.isfinite(nearest), nearest - epsilon, math.inf)
 
 
 def unsafe_sets(positions, predictions, radii, epsilon, within=None):
     """The unsafe sets {tau: F_tau}, tau = 1..H, of the predictions and the
     radii issued with them (``radii[tau - 1]`` for lookahead tau).
 
-    F_tau holds the states whose distance margin to the lookahead-tau
-    prediction (minimum over agents, minus epsilon) falls below its radius.
-    The radius itself is the threshold because the margin
-    c(x, Y) = min_i ||x - y_i|| - epsilon is 1-Lipschitz in the agent
-    positions Y under the nonconformity score's norm: agents within
-    radius(tau) of their prediction move no margin by more than radius(tau).
-    A larger factor would only shrink the safe set, a smaller one would be
-    unsound. An infinite radius during ACP warm-up therefore marks every
-    located state unsafe, the conservative answer; states without a
-    location are never unsafe. A NaN or negative radius raises InvalidSpec,
-    as does a radius count other than the prediction horizon.
+    F_tau holds the states whose ``constraint_values`` margin to the
+    lookahead-tau prediction falls below its radius. The radius itself is
+    the threshold because the margin c(x, Y) = min_i ||x - y_i|| - epsilon
+    is 1-Lipschitz in the agent positions Y under the nonconformity score's
+    norm: agents within radius(tau) of their prediction move no margin by
+    more than radius(tau). A larger factor would only shrink the safe set,
+    a smaller one would be unsound. An infinite radius during ACP warm-up
+    therefore marks every located state unsafe, the conservative answer;
+    states without a location have a +inf margin and are never unsafe. A
+    NaN or negative radius raises InvalidSpec, as does a radius count other
+    than the prediction horizon.
 
     ``within``, an int array of states, limits the decision to those
     states: each set is then F_tau restricted to ``within``. The default
-    decides every located state. A caller that reads the sets only on
-    some states, such as the shield on its BSTS's, passes them here.
+    decides every state. A caller that reads the sets only on some states,
+    such as the shield on its BSTS's, passes them here.
     """
     horizon = predictions.horizon
     if len(radii) != horizon:
@@ -229,10 +173,10 @@ def unsafe_sets(positions, predictions, radii, epsilon, within=None):
     if epsilon < 0.0:
         raise InvalidSpec(f"epsilon must be >= 0, got {epsilon}")
     pos = np.asarray(positions, dtype=float)
-    located = (np.flatnonzero(np.isfinite(pos).all(axis=1)) if within is None
-               else np.asarray(within, dtype=np.intp))
-    return {tau: frozenset(_first_witness(pos, located, predictions.at(tau).positions,
-                                          epsilon, radii[tau - 1]).tolist())
+    states = np.arange(pos.shape[0]) if within is None else np.asarray(within, dtype=np.intp)
+    pos = pos[states]
+    return {tau: frozenset(states[constraint_values(pos, predictions.at(tau).positions,
+                                                    epsilon) < radii[tau - 1]].tolist())
             for tau in range(1, horizon + 1)}
 
 

@@ -31,6 +31,15 @@ bench:
     return path
 
 
+@pytest.mark.parametrize("argv", [["run", "--run", "-1"], ["run", "--seed", "-1"],
+                                  ["coverage", "--steps", "10", "--seed", "-1"]])
+def test_negative_seeds_and_runs_raise_invalid_spec(tiny_config, argv):
+    if argv[0] == "run":
+        argv = [*argv, "--config", str(tiny_config), "--quiet"]
+    with pytest.raises(InvalidSpec, match="must be >= 0"):
+        main(argv)
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -65,10 +65,16 @@ def test_config_rejects_unknown_method():
 @pytest.mark.parametrize("field,value", [
     ("horizon", 0), ("delta", 0.0), ("delta", 1.0), ("alpha", 0.0),
     ("epsilon", 0.0), ("epsilon", -1.0), ("window", 0), ("runs", 0), ("max_steps", 0),
+    ("seed", -5),
 ])
 def test_config_rejects_bad_scalars(field, value):
     with pytest.raises(InvalidSpec):
         small_config(**{field: value})
+
+
+def test_run_episode_rejects_negative_run():
+    with pytest.raises(InvalidSpec, match="run"):
+        run_episode(small_config(), run=-1)
 
 
 def test_config_rejects_planner_shallower_than_horizon():
@@ -382,19 +388,23 @@ def test_step_hook_sees_overlay_data(monkeypatch):
 
 def test_shield_decides_unsafe_sets_on_bsts_states_only(monkeypatch):
     # a hook that ignores the overlay: the one unsafe_sets call of each
-    # shielded step decides only located states of that step's BSTS levels 1..H
+    # shielded step decides exactly the states of that step's BSTS levels
+    # 1..H. Starting next to the goal brings the unlocated terminal state
+    # into the BSTS, and it is passed like any other state
     calls = record_unsafe_calls(monkeypatch)
     built = []
     bsts = harness.Bsts
     monkeypatch.setattr(harness, "Bsts", lambda *args: built.append(bsts(*args)) or built[-1])
     steps = []
-    cfg = small_config(max_steps=8)
+    cfg = small_config(grid=small_grid(start=(3, 4)), max_steps=8)
     run_episode(cfg, step_hook=lambda info: steps.append(info["t"]))
     assert len(calls) == len(built) == len(steps) > 0
-    located = np.isfinite(cell_positions(cfg.grid)).all(axis=1)
+    terminal_seen = False
     for (_, kwargs), tree in zip(calls, built):
         states = {s for q in range(1, tree.horizon + 1) for sup in tree.levels[q] for s in sup}
-        assert kwargs["within"].tolist() == sorted(s for s in states if located[s])
+        assert kwargs["within"].tolist() == sorted(states)
+        terminal_seen |= cfg.grid.terminal_state in states
+    assert terminal_seen
 
 
 # -- aggregation and benchmark grids ------------------------------------------
@@ -534,6 +544,11 @@ def test_acp_coverage_run_shape_and_determinism():
         assert 0.8 <= cov <= 1.0
 
 
+def test_acp_coverage_run_rejects_negative_seed():
+    with pytest.raises(InvalidSpec, match="seed"):
+        acp_coverage_run(steps=10, seed=-1)
+
+
 # -- config files ---------------------------------------------------------------
 
 def test_parse_config_defaults():
@@ -594,6 +609,18 @@ bench:
         ("no-shield", 4), ("shield-acp", 4), ("no-shield", 8), ("shield-acp", 8)]
     lists = {"bench.methods": ["shield-acp"], "bench.agent_counts": ["6"]}
     assert [(c.method, c.agents.count) for c in load_grid(path, lists)] == [("shield-acp", 6)]
+
+
+def test_overrides_reject_unknown_keys():
+    # every misspelt key is named, a None value included; a section name or
+    # an unqualified section key is not an override key either
+    with pytest.raises(InvalidSpec, match="grid.widht, planer.depth"):
+        load_config(CONFIGS / "corridor.yaml", {"grid.widht": 5, "planer.depth": 3})
+    for key in ("grid.widht", "width", "grid", "acp.seed"):
+        with pytest.raises(InvalidSpec, match=key):
+            load_config(CONFIGS / "corridor.yaml", {key: None})
+    with pytest.raises(InvalidSpec, match="bench.method"):
+        load_grid(CONFIGS / "corridor.yaml", {"bench.method": ["shield-acp"]})
 
 
 def test_load_config_rejects_non_mapping(tmp_path):

@@ -193,7 +193,7 @@ def agents_with_edge_cases(rng, n_agents, n_dup, scale):
                             min_size=3, max_size=3),
        scale=st.sampled_from([1.0, 40.0, 1e6]),
        block=st.sampled_from([1, 7, 64, MARGIN_BLOCK]))
-# the undecided states shrink between blocks, so later blocks take more agents
+# 400 states take 40 agents a block, and 203 and 303 agents end on a short one
 @example(seed=4, n_states=400, counts=[200, 300], n_nan=2, n_dup=3, epsilon=0.3,
          radius_pool=[3.0, 0.7, 8.0], scale=40.0, block=MARGIN_BLOCK)
 def test_unsafe_sets_equal_margin_oracle(seed, n_states, counts, n_nan, n_dup, epsilon,
@@ -254,7 +254,7 @@ def test_unsafe_sets_within_bsts_states_give_the_full_grid_shield(
 
     bsts = Bsts(model, random_support(model, rng), horizon)
     states = sorted(s for q in range(1, horizon + 1) for sup in bsts.levels[q]
-                    for s in sup if np.isfinite(positions[s]).all())
+                    for s in sup)
     within = unsafe_sets(*args, within=np.unique(states))
     winning = compute_winning_regions(bsts, within)
     expected = compute_winning_regions(bsts, full)
