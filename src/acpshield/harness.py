@@ -106,6 +106,10 @@ class AgentSetup:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise InvalidSpec(f"agent kind {self.kind!r} not one of {SYNTH_KINDS}")
+        if not self.scale > 0:
+            raise InvalidSpec(f"agents.scale must be > 0, got {self.scale}")
+        if self.stride < 1:
+            raise InvalidSpec(f"agents.stride must be >= 1, got {self.stride}")
 
 
 @dataclass

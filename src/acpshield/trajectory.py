@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,16 +265,8 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
     xmin, xmax, ymin, ymax = bounds
     lo = np.array([xmin, ymin])
     hi = np.array([xmax, ymax])
-
-    def reflect(p, v):
-        for d in range(2):
-            if p[d] < lo[d]:
-                p[d] = 2 * lo[d] - p[d]
-                v[d] = -v[d]
-            elif p[d] > hi[d]:
-                p[d] = 2 * hi[d] - p[d]
-                v[d] = -v[d]
-        return p, v
+    xmin, ymin = lo.tolist()
+    xmax, ymax = hi.tolist()
 
     points = np.empty((length, n_agents, 2))
     for aid in range(n_agents):
@@ -283,14 +276,10 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
         else:
             heading = rng.uniform(0.0, 2.0 * math.pi)
             vel = speed * np.array([math.cos(heading), math.sin(heading)])
-        waypoint = rng.uniform(lo, hi) if kind == "waypoint" else None
-        for t in range(length):
-            points[t, aid] = pos
-            if kind == "random-walk":
-                step = rng.normal(0.0, speed, size=2)
-            elif kind == "constant-velocity-with-noise":
-                step = vel + (rng.normal(0.0, noise, size=2) if noise > 0 else 0.0)
-            else:                             # waypoint
+        if kind == "waypoint":            # draws one step at a time: they depend on pos
+            waypoint = rng.uniform(lo, hi)
+            for t in range(length):
+                points[t, aid] = pos
                 gap = waypoint - pos
                 dist = float(np.linalg.norm(gap))
                 if dist < speed:
@@ -299,11 +288,34 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
                     dist = float(np.linalg.norm(gap))
                 step = speed * gap / dist if dist > 0 else np.zeros(2)
                 step = step + (rng.normal(0.0, noise, size=2) if noise > 0 else 0.0)
-            pos = pos + step
-            if kind == "constant-velocity-with-noise" and noise == 0.0:
-                pos, vel = reflect(pos, vel)      # keep exact lines exact inside
+                pos = np.clip(pos + step, lo, hi)
+            continue
+        # Every step's draw at once: the rng fills them in the order per-step
+        # draws would take, so the path is bit-identical to stepping one by one.
+        if kind == "random-walk":
+            moves = rng.normal(0.0, speed, size=(length, 2)).tolist()
+        elif noise > 0:
+            moves = (vel + rng.normal(0.0, noise, size=(length, 2))).tolist()
+        else:
+            moves = None                              # exact lines, reflected at the box
+        (x, y), (vx, vy) = pos.tolist(), vel.tolist()
+        path = []
+        for t in range(length):
+            path.append((x, y))
+            if moves is None:             # the step is vel + 0.0: a -0.0 turns into 0.0
+                x, y = x + (vx + 0.0), y + (vy + 0.0)
+                if x < xmin:
+                    x, vx = 2 * xmin - x, -vx
+                elif x > xmax:
+                    x, vx = 2 * xmax - x, -vx
+                if y < ymin:
+                    y, vy = 2 * ymin - y, -vy
+                elif y > ymax:
+                    y, vy = 2 * ymax - y, -vy
             else:
-                pos = np.clip(pos, lo, hi)
+                dx, dy = moves[t]
+                x, y = min(max(x + dx, xmin), xmax), min(max(y + dy, ymin), ymax)
+        points[:, aid] = path
     ids = tuple(range(n_agents))
     frames = {t: (ids, points[t]) for t in range(length)} if n_agents else {}
     return TrajectorySource(frames)
@@ -355,13 +367,20 @@ def _to_columns(cols, n_frames):
     return [f.astype(np.int64) for f in frames], ids, x, y
 
 
+def _is_header(line, n_frames):
+    """Whether stripped line 1 is a header: not a comment, ``n_frames + 3``
+    fields, and numeric fields that do not parse."""
+    if not line or line.startswith("#"):
+        return False
+    toks = _split_row(line)
+    return len(toks) == n_frames + 3 and not _numbers_parse(toks, n_frames)
+
+
 def _parse_chunk(lines, start, n_frames):
     """Columns of the stripped ``lines``, the first of which is line ``start``."""
     n_cols = n_frames + 3
-    if start == 1 and lines and lines[0] and not lines[0].startswith("#"):
-        toks = _split_row(lines[0])
-        if len(toks) == n_cols and not _numbers_parse(toks, n_frames):
-            lines, start = lines[1:], 2                 # header row
+    if start == 1 and lines and _is_header(lines[0], n_frames):
+        lines, start = lines[1:], 2                     # header row
     # Fast path: every line is a data row with n_cols comma-separated fields.
     commas = list(map(str.count, lines, itertools.repeat(",", len(lines))))
     text = ",".join(lines)
@@ -384,16 +403,51 @@ def _parse_chunk(lines, start, n_frames):
     return _to_columns(list(zip(*rows)) or [()] * n_cols, n_frames)
 
 
+def _read_numeric(path, n_frames):
+    """The table of a comma-separated file of numeric rows with integer ids,
+    read in one ``np.loadtxt`` pass by numpy's C tokenizer; None when that
+    pass rejects the file.
+
+    Line 1 is skipped when ``_is_header`` says so. Blank lines are skipped;
+    any other line must hold ``n_frames + 3`` comma-separated fields, the
+    id an int64 and the rest floats. A '#' parses as no number, so a file
+    with comments is rejected too, as is a frame outside int64, an empty
+    file, and any call that warns (numpy 1.23-1.26 read "1.0" as an int
+    with a DeprecationWarning, where ``int()`` does not). Float fields go
+    through the same string-to-double conversion as ``float()``.
+    """
+    dtype = [(f"f{k}", "f8") for k in range(n_frames)] + [("id", "i8"), ("x", "f8"), ("y", "f8")]
+    with open(path, encoding="utf-8") as fh:
+        skip = int(_is_header(fh.readline().strip(), n_frames))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                               skiprows=skip, encoding="utf-8", ndmin=1)
+    except (ValueError, Warning):
+        return None
+    frames = [table[f"f{k}"] for k in range(n_frames)]
+    if not all((np.abs(f) < 2.0 ** 63).all() for f in frames):   # NaN, inf, past int64
+        return None
+    return [f.astype(np.int64) for f in frames], table["id"], table["x"], table["y"]
+
+
 def _read_table(path, n_frames):
     """Read rows of ``n_frames`` frame columns, an agent id, x and y.
 
     Comma- or whitespace-separated (chosen per line); blank lines and lines
     starting with '#' are skipped, and line 1 is skipped as a header when
-    its numeric fields do not parse. The file is read ``_CHUNK_LINES`` lines
-    at a time and each chunk converted column by column. Returns (frames,
-    ids, x, y): one int64 array per frame column, a list of ids, and two
-    float arrays, in file order.
+    its numeric fields do not parse. Returns (frames, ids, x, y): one int64
+    array per frame column, the ids, and two float arrays, in file order.
+
+    A file that ``_read_numeric`` accepts is read in that one C pass, and
+    its ids are an int64 array. Any other file is read ``_CHUNK_LINES``
+    lines at a time, each chunk converted column by column, and its ids are
+    a list of ints and strings. Both readers give equal tables.
     """
+    table = _read_numeric(path, n_frames)
+    if table is not None:
+        return table
     parts = [_to_columns([()] * (n_frames + 3), n_frames)]
     with open(path, encoding="utf-8") as fh:
         start = 1
@@ -407,37 +461,46 @@ def _read_table(path, n_frames):
     return frames, ids, x, y
 
 
+def _rank_ids(ids):
+    """(distinct ids in ``_id_key`` order, int64 rank of each row's id)."""
+    if isinstance(ids, np.ndarray):          # int64 ids sort as _id_key sorts ints
+        ordered, ranks = np.unique(ids, return_inverse=True)
+        return ordered.tolist(), ranks
+    ordered = sorted(set(ids), key=_id_key)
+    rank = dict(zip(ordered, range(len(ordered))))
+    return ordered, np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+
+
 def load_trajectories(path, scale=1.0, frame_stride=1):
     """Read (frame_id, agent_id, x, y) rows into a TrajectorySource.
 
-    Comma- or whitespace-separated, optional header row. Frames are the
-    global sorted distinct frame ids subsampled by ``frame_stride``; the
-    retained frames become timesteps 0, 1, 2, ... Positions are multiplied
-    by ``scale``.
+    Comma- or whitespace-separated, optional header row, read by
+    ``_read_table`` (one C pass for a comma-separated file with integer
+    ids). Frames are the global sorted distinct frame ids subsampled by
+    ``frame_stride``; the retained frames become timesteps 0, 1, 2, ...
+    Positions are multiplied by ``scale``.
     """
     if frame_stride < 1:
         raise InvalidSpec(f"frame_stride must be >= 1, got {frame_stride}")
     (frames,), ids, x, y = _read_table(path, 1)
     kept = np.unique(frames)[::frame_stride]
     rows = np.flatnonzero(np.isin(frames, kept))
-    ids = list(map(ids.__getitem__, rows.tolist()))
-    if not ids:
+    if not len(rows):
         return TrajectorySource({})
-    ordered = sorted(set(ids), key=_id_key)
-    rank = dict(zip(ordered, range(len(ordered))))
-    ranks = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    ordered, ranks = _rank_ids(ids)
+    ranks = ranks[rows]
     steps = np.searchsorted(kept, frames[rows])
     order = np.lexsort((ranks, steps))      # stable: repeats stay in file order
-    steps, ranks = steps[order], ranks[order]
-    repeat = (steps[1:] == steps[:-1]) & (ranks[1:] == ranks[:-1])
+    steps, ranked = steps[order], ranks[order]
+    repeat = (steps[1:] == steps[:-1]) & (ranked[1:] == ranked[:-1])
     if repeat.any():
         first = int(order[1:][repeat].min())       # the first repeated row in the file
-        raise NonMonotoneFrames(
-            f"agent {ids[first]!r} appears twice in frame {int(frames[rows[first]])}")
+        raise NonMonotoneFrames(f"agent {ordered[ranks[first]]!r} appears twice"
+                                f" in frame {int(frames[rows[first]])}")
     positions = np.stack((x, y), axis=1)[rows[order]]
     positions *= scale
     starts = [0] + (np.flatnonzero(steps[1:] != steps[:-1]) + 1).tolist()
-    ids = list(map(ordered.__getitem__, ranks.tolist()))
+    ids = list(map(ordered.__getitem__, ranked.tolist()))
     return TrajectorySource({
         t: (tuple(ids[lo:hi]), positions[lo:hi])
         for t, lo, hi in zip(steps[starts].tolist(), starts, starts[1:] + [len(ids)])})
@@ -457,14 +520,14 @@ def save_trajectories(source, path):
 def load_predictions(path, scale=1.0):
     """Read (t, tau, agent_id, x, y) rows into a replay-predictor table.
 
+    The file is read by ``_read_table``: one C pass for a comma-separated
+    file with integer ids, line by line otherwise, with equal results.
     Returns {(t, tau): (ids, positions)}: the ids in ``_id_key`` order and
     one read-only (n, 2) array of their positions, times ``scale``. When a
     (t, tau, agent_id) repeats, its last row wins.
     """
     (t, tau), ids, x, y = _read_table(path, 2)
-    ordered = sorted(set(ids), key=_id_key)
-    rank = dict(zip(ordered, range(len(ordered))))
-    ranks = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    ordered, ranks = _rank_ids(ids)
     # row number as the last key makes the sort total: repeats stay in file order
     order = np.lexsort((np.arange(len(ranks)), ranks, tau, t))
     t, tau, ranks = t[order], tau[order], ranks[order]

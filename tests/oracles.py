@@ -547,6 +547,56 @@ def track_of(source, agent_id):
     return track
 
 
+def synth_oracle(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0),
+                 speed=0.8, noise=0.3):
+    """(length, n_agents, 2) positions ``synth_trajectories`` gives, stepping
+    every agent one timestep at a time with one rng draw per step."""
+    xmin, xmax, ymin, ymax = bounds
+    lo = np.array([xmin, ymin])
+    hi = np.array([xmax, ymax])
+
+    def reflect(p, v):
+        for d in range(2):
+            if p[d] < lo[d]:
+                p[d] = 2 * lo[d] - p[d]
+                v[d] = -v[d]
+            elif p[d] > hi[d]:
+                p[d] = 2 * hi[d] - p[d]
+                v[d] = -v[d]
+        return p, v
+
+    points = np.empty((length, n_agents, 2))
+    for aid in range(n_agents):
+        pos = rng.uniform(lo, hi)
+        if kind == "random-walk":
+            vel = np.zeros(2)
+        else:
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+            vel = speed * np.array([math.cos(heading), math.sin(heading)])
+        waypoint = rng.uniform(lo, hi) if kind == "waypoint" else None
+        for t in range(length):
+            points[t, aid] = pos
+            if kind == "random-walk":
+                step = rng.normal(0.0, speed, size=2)
+            elif kind == "constant-velocity-with-noise":
+                step = vel + (rng.normal(0.0, noise, size=2) if noise > 0 else 0.0)
+            else:                             # waypoint
+                gap = waypoint - pos
+                dist = float(np.linalg.norm(gap))
+                if dist < speed:
+                    waypoint = rng.uniform(lo, hi)
+                    gap = waypoint - pos
+                    dist = float(np.linalg.norm(gap))
+                step = speed * gap / dist if dist > 0 else np.zeros(2)
+                step = step + (rng.normal(0.0, noise, size=2) if noise > 0 else 0.0)
+            pos = pos + step
+            if kind == "constant-velocity-with-noise" and noise == 0.0:
+                pos, vel = reflect(pos, vel)      # keep exact lines exact inside
+            else:
+                pos = np.clip(pos, lo, hi)
+    return points
+
+
 class RepeatedRow(Exception):
     """An agent appears twice in one kept frame; args are (agent id, frame)."""
 

@@ -65,11 +65,16 @@ def test_config_rejects_unknown_method():
 @pytest.mark.parametrize("field,value", [
     ("horizon", 0), ("delta", 0.0), ("delta", 1.0), ("alpha", 0.0),
     ("epsilon", 0.0), ("epsilon", -1.0), ("window", 0), ("runs", 0), ("max_steps", 0),
-    ("seed", -5),
+    ("seed", -5), ("agents.scale", 0.0), ("agents.scale", -2.0), ("agents.scale", math.nan),
+    ("agents.stride", 0), ("agents.stride", -1),
 ])
 def test_config_rejects_bad_scalars(field, value):
-    with pytest.raises(InvalidSpec):
-        small_config(**{field: value})
+    section, _, key = field.rpartition(".")
+    with pytest.raises(InvalidSpec, match=field if section else None):
+        if section:
+            small_config(agents=AgentSetup(**{key: value}))
+        else:
+            small_config(**{field: value})
 
 
 def test_run_episode_rejects_negative_run():

@@ -1,7 +1,8 @@
 """Property tests on random inputs: BSTS edges, the shield table, ACP radii,
 constraint margins, unsafe sets on a subset of the states, nonconformity
 scores, the particle refresh, simulator draws, rollouts, the planner's
-search and the per-timestep agent index."""
+search, the per-timestep agent index, trajectory synthesis and the CSV
+readers."""
 
 import math
 import random
@@ -613,6 +614,25 @@ def test_planner_matches_recursive_oracle(seed, horizon, extra_depth, determinis
 
 
 @PROPERTY
+@given(kind=st.sampled_from(trajectory.SYNTH_KINDS), seed=seeds, n_agents=st.integers(0, 4),
+       length=st.integers(1, 40), noise=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       speed=st.floats(0.0, 5.0),
+       corner=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+       size=st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0)))
+def test_synth_trajectories_equal_per_step_oracle(kind, seed, n_agents, length, noise, speed,
+                                                  corner, size):
+    bounds = (corner[0], corner[0] + size[0], corner[1], corner[1] + size[1])
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    source = trajectory.synth_trajectories(kind, n_agents, length, rng, bounds, speed, noise)
+    want = oracles.synth_oracle(kind, n_agents, length, oracle_rng, bounds, speed, noise)
+    got = np.stack([source.agents_at(t).positions for t in range(length)]) if n_agents \
+        else np.empty((length, 0, 2))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()            # bit for bit, signed zeros too
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@PROPERTY
 @given(seed=seeds, n_agents=st.integers(0, 25), mixed=st.booleans())
 def test_agents_at_matches_full_scan_oracle(seed, n_agents, mixed):
     rng = np.random.default_rng(seed)
@@ -704,3 +724,78 @@ def test_load_predictions_equals_dict_oracle(lines, chunk, scale):
     for key, (ids, positions) in want.items():
         assert got[key][0] == ids
         assert np.array_equal(got[key][1], positions.reshape(-1, 2), equal_nan=True)
+
+
+def load_outcome(load, path):
+    """What a loader gives for ``path``: ("ok", value) or the error it raised."""
+    try:
+        return "ok", load(path)
+    except (ParseError, NonMonotoneFrames) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def same_frames(got, want):
+    """Whether two {key: (ids, (n, 2) positions)} maps are equal, key order,
+    id types and position bits included."""
+    return (list(got) == list(want) and all(
+        got[k][0] == want[k][0] and list(map(type, got[k][0])) == list(map(type, want[k][0]))
+        and got[k][1].shape == want[k][1].shape
+        and got[k][1].tobytes() == want[k][1].tobytes() for k in want))
+
+
+# Tokens on which numpy's C pass and the Python row reader may disagree: each
+# must either give the same value in both or make the C pass reject the file.
+odd_tok = st.sampled_from([
+    "1.0", "1e3", " 3", "+5", "07", "-0", "0x10", "12345678901234567890", "1_0", "nan",
+    "-inf", "Infinity", "nan(1)", "1e400", "٣", "١٠", "9223372036854775807",
+    "-9223372036854775809", "", " ", "a", "1 0", "2.9", "-0.4", "1e19"])
+usual_tok = {"frame": st.integers(0, 3).map(str), "id": st.integers(-2, 9).map(str),
+             "xy": st.floats(-1e6, 1e6).map(repr)}
+
+
+@st.composite
+def numeric_file(draw, n_frames):
+    """Text of a frame/id/x/y file with an optional header: comma-separated
+    numeric rows and blank lines; in some files odd tokens, and in some
+    whitespace-separated rows and whitespace-only lines."""
+    odd, messy = draw(st.booleans()), draw(st.booleans())
+    tok = {kind: st.one_of(*[usual] * 6, odd_tok) if odd else usual
+           for kind, usual in usual_tok.items()}
+    fields = st.tuples(*[tok["frame"]] * n_frames, tok["id"], tok["xy"], tok["xy"])
+    separator = st.sampled_from([",", ", ", " "] if messy else [",", " , "])
+    row = st.tuples(separator, fields).map(lambda r: r[0].join(r[1]))
+    other = st.sampled_from(["", "   ", "\t"] if messy else [""])
+    lines = draw(st.lists(st.one_of(*[row] * 8, other), max_size=12))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(["t"] * n_frames + ["agent_id", "x", "y"]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@PROPERTY
+@given(trajectories=numeric_file(1), predictions=numeric_file(2),
+       stride=st.integers(1, 2), scale=st.sampled_from([1.0, 0.5]))
+@example(trajectories="", predictions="", stride=1, scale=1.0)
+@example(trajectories="frame_id,agent_id,x,y\n", predictions="t,tau,agent_id,x,y",
+         stride=1, scale=1.0)
+@example(trajectories="0,1,2.0,4.0\n   \n1,1,2.5,4.5\n", predictions="0,1,1.0,4,2.0\n\n",
+         stride=1, scale=1.0)
+@example(trajectories="0,1,2.0,4.0\n1e19,1,2.5,4.5\n", predictions="0,-inf,1,1.0,2.0\n",
+         stride=1, scale=1.0)                        # frames outside int64
+def test_c_pass_equals_row_reader(trajectories, predictions, stride, scale):
+    def load_trajectories(path):
+        return trajectory.load_trajectories(path, scale, stride)._frames
+
+    def load_predictions(path):
+        return trajectory.load_predictions(path, scale)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for text, load in ((trajectories, load_trajectories), (predictions, load_predictions)):
+            path = Path(tmp) / "table.csv"
+            path.write_text(text, encoding="utf-8")
+            got = load_outcome(load, path)
+            with mock.patch.object(trajectory, "_read_numeric", lambda path, n_frames: None):
+                want = load_outcome(load, path)
+            if want[0] == "ok":
+                assert got[0] == "ok" and same_frames(got[1], want[1])
+            else:
+                assert got == want

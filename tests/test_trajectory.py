@@ -1,8 +1,11 @@
 """Agent ingestion, predictors, and synthetic trajectory generation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from acpshield import trajectory
 from acpshield.errors import (
     HistoryTooShort,
     InvalidSpec,
@@ -351,3 +354,60 @@ def test_round_trip(tmp_path):
             assert [t for t, _ in orig] == [t for t, _ in rt]
             np.testing.assert_array_equal(np.stack([p for _, p in orig]),
                                           np.stack([p for _, p in rt]))
+
+def refuse_row_reader(monkeypatch):
+    """Make the line-by-line reader raise, so a load can only take the C pass."""
+    def refuse(*args):
+        raise AssertionError("the row reader ran")
+    monkeypatch.setattr(trajectory, "_parse_chunk", refuse)
+
+
+def test_stepbench_format_takes_the_c_pass(tmp_path, monkeypatch):
+    # the layout of stepbench/inputs.py: a header, then rows with six decimals
+    rng = np.random.default_rng(5)
+    log, preds = ["frame_id,agent_id,x,y"], ["t,tau,agent_id,x,y"]
+    for t in range(6):
+        for aid in rng.choice(40, size=5, replace=False).tolist():
+            x, y = rng.uniform(0.0, 32.0, size=2)
+            log.append(f"{t},{aid},{x:.6f},{y:.6f}")
+            preds.extend(f"{t},{tau},{aid},{x + tau:.6f},{y - tau:.6f}" for tau in (1, 2, 3))
+    (tmp_path / "crowd.csv").write_text("\n".join(log) + "\n")
+    (tmp_path / "predictions.csv").write_text("\n".join(preds) + "\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(trajectory, "_read_numeric", lambda path, n_frames: None)
+        want_log = load_trajectories(tmp_path / "crowd.csv", scale=0.5)._frames
+        want_preds = load_predictions(tmp_path / "predictions.csv")
+    refuse_row_reader(monkeypatch)
+    got_log = load_trajectories(tmp_path / "crowd.csv", scale=0.5)._frames
+    got_preds = load_predictions(tmp_path / "predictions.csv")
+    for got, want in ((got_log, want_log), (got_preds, want_preds)):
+        assert list(got) == list(want)
+        for key, (ids, positions) in want.items():
+            assert got[key][0] == ids and all(type(aid) is int for aid in got[key][0])
+            assert got[key][1].tobytes() == positions.tobytes()
+
+
+def test_round_trip_takes_the_c_pass(tmp_path, monkeypatch):
+    src = synth_trajectories("random-walk", 6, 30, np.random.default_rng(2))
+    save_trajectories(src, tmp_path / "rt.csv")
+    refuse_row_reader(monkeypatch)
+    back = load_trajectories(tmp_path / "rt.csv")
+    assert list(back._frames) == list(src._frames)
+    for t, (ids, positions) in src._frames.items():
+        assert back._frames[t][0] == ids
+        np.testing.assert_array_equal(back._frames[t][1], positions)
+
+
+def test_c_pass_emits_no_warning(tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_text("t,tau,agent_id,x,y\n0,1,3,1.5,2.5\n0,1,-4,1e3,-inf\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trajectory._read_numeric(good, 2) is not None
+    empty = tmp_path / "empty.csv"                 # numpy warns on input with no data
+    empty.write_text("frame_id,agent_id,x,y\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert trajectory._read_numeric(empty, 1) is None
+        assert load_trajectories(empty).span() is None
+    assert caught == []
