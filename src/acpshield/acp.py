@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from collections import deque
 
-import numpy as np
-
 from .errors import AgentMismatch, EmptyWindow, InvalidSpec, OutOfRange
 
 DEFAULT_ALPHA = 0.0008
@@ -32,11 +30,11 @@ def nonconformity(actual, predicted):
     when the two states share no agents at all.
     """
     mine, theirs = actual.shared_rows(predicted)
-    if not mine:
+    if not len(mine):
         raise AgentMismatch(
             f"no common agents between actual {actual.ids} and predicted {predicted.ids}")
-    diffs = actual.positions[mine] - predicted.positions[theirs]
-    return float(np.linalg.norm(diffs.ravel()))
+    d = (actual.positions[mine] - predicted.positions[theirs]).ravel()
+    return math.sqrt(d.dot(d))                  # np.linalg.norm's 1-D formula
 
 
 def region_radius(window, lam):

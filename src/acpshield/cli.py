@@ -9,6 +9,8 @@ import sys
 from collections.abc import Mapping
 from pathlib import Path
 
+import numpy as np
+
 from .acp import DEFAULT_ALPHA, DEFAULT_DELTA, DEFAULT_WINDOW
 from .gridworld import build_gridworld
 from .harness import (
@@ -39,6 +41,8 @@ def _overrides(args):
 
 
 def _json_ready(value):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, Mapping):
         return {str(k): _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

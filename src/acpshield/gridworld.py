@@ -114,8 +114,9 @@ def cell_positions(spec):
     agent is treated as +inf downstream, so they are never unsafe.
     """
     pos = np.full((spec.n_cells + 1, 2), np.nan)
-    for s in range(spec.n_cells):
-        pos[s] = spec.state_cell(s).center
+    s = np.arange(spec.n_cells)
+    pos[:-1, 0] = s % spec.width
+    pos[:-1, 1] = s // spec.width
     return pos
 
 

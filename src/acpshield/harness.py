@@ -291,6 +291,12 @@ class _UnsafeOverlay(Mapping):
         return len(self._cells)
 
 
+def _read_only(array):
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 def _bsts_states(bsts):
     """Sorted int array of the states in BSTS levels 1..H, the only states
     whose unsafe-set membership the shield stages read."""
@@ -306,9 +312,11 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
     not given. ``step_hook(info)``, when given, receives a
     per-planning-step dict with the belief support, predictions, radii,
     and unsafe cells (the overlay data for plots); it must not mutate its
-    argument. The unsafe cells, a read-only mapping, cover the full grid
-    and are computed when first read, so a hook that ignores them adds no
-    work to the step.
+    argument. The predictions are read-only views of the prediction's
+    (n, 2) position arrays, one per lookahead, which the estimator keeps
+    to score later; ``run --dump`` writes them as lists. The unsafe cells,
+    a read-only mapping, cover the full grid and are computed when first
+    read, so a hook that ignores them adds no work to the step.
     """
     if run < 0:
         raise InvalidSpec(f"run index must be >= 0, got {run}")
@@ -406,7 +414,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
                     "deadlock": rec.deadlock, "support": sorted(support)}
             if shielded:
                 info["radii"] = list(rec.radius)
-                info["predicted"] = [p.positions.tolist() for p in prediction.predicted]
+                info["predicted"] = [_read_only(p.positions) for p in prediction.predicted]
                 info["unsafe"] = _UnsafeOverlay(positions, prediction, rec.radius,
                                                 cfg.epsilon)
             step_hook(info)

@@ -1,7 +1,12 @@
 """Discrete POMDP model, exact belief update, particle refresh, and the simulator.
 
 The particle refresh draws from the exact posterior of the particles'
-empirical belief, so it never calls the simulator.
+empirical belief, so it never calls the simulator. It makes the draws of
+``rng.choices`` over that posterior in one ``getrandbits`` call: each pair
+of 32-bit words becomes one uniform exactly as CPython's ``random()``
+builds it, and numpy bisects the cumulative weights as ``choices`` does.
+The particles and the stream's end state are those of ``choices``; a
+differential test against it pins this on every supported interpreter.
 
 The model stores transition and observation tables as per-(state, action)
 sparse rows (successor indices plus cumulative probabilities), which keeps
@@ -14,6 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     EmptyBelief,
@@ -212,15 +219,32 @@ def belief_update(model, belief, action, observation):
     return BeliefState({s2: w / eta for s2, w in post.items()})
 
 
+def _uniforms(rng, count):
+    """``count`` draws of ``rng.random()``, bit for bit, as one float array.
+
+    ``rng.getrandbits(64 * count)`` consumes the 2 * count 32-bit words that
+    ``count`` ``random()`` calls would, least significant first; each pair
+    (w0, w1) becomes ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, CPython's
+    ``random()``, which is exact in float64.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+
+
 def resample_particles(model, particles, action, observation, count, rng):
     """Refresh a particle set after executing (action, observation).
 
     Draws ``count`` states from the exact posterior of the particles'
     empirical belief {s: n_s / n}, P(s') ∝ Σ_s n_s T(s,a,s') Z(s',a,o): the
     law that rejection through the simulator samples from. The draw is
-    ``rng.choices`` over the posterior's states in ascending order, one
-    ``rng.random()`` per particle. Raises ParticleDeprivation when the
-    particle set is empty or no successor of it can emit the observation.
+    that of ``rng.choices`` over the posterior's states in ascending order,
+    made at once: ``_uniforms`` takes the ``count`` ``rng.random()`` values
+    from one ``getrandbits`` call, and ``searchsorted(side="right")`` on the
+    cumulative weights, clipped to the last state, bisects each as
+    ``choices`` does. Particles and the stream's end state both equal those
+    of ``choices``; ``test_resample_particles_equals_choices`` pins it.
+    Raises ParticleDeprivation when the particle set is empty or no
+    successor of it can emit the observation.
     """
     if not particles:
         raise ParticleDeprivation("source particle set is empty")
@@ -232,4 +256,6 @@ def resample_particles(model, particles, action, observation, count, rng):
         raise ParticleDeprivation(
             f"no particles consistent with observation {observation}") from None
     states = sorted(post)
-    return rng.choices(states, [post[s] for s in states], k=count)
+    cum = np.cumsum([post[s] for s in states])      # sequential, as accumulate()
+    picks = np.searchsorted(cum, _uniforms(rng, count) * cum[-1], side="right")
+    return np.take(states, np.minimum(picks, len(states) - 1)).tolist()

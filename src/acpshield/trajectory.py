@@ -55,10 +55,12 @@ class JointAgentState:
 
     def shared_rows(self, other):
         """Rows, here and in ``other``, of the agents present in both states,
-        as two index lists in this state's id order."""
+        as two intp arrays in this state's id order."""
         theirs = dict(zip(other.ids, range(len(other.ids))))
-        mine = [i for i, aid in enumerate(self.ids) if aid in theirs]
-        return mine, [theirs[self.ids[i]] for i in mine]
+        rows = np.fromiter(map(theirs.get, self.ids, itertools.repeat(-1)), np.intp,
+                           len(self.ids))
+        mine = np.flatnonzero(rows >= 0)
+        return mine, rows[mine]
 
     @classmethod
     def empty(cls, timestep):
@@ -139,13 +141,19 @@ def _velocities(history):
     return vel
 
 
+def _frozen(positions):
+    positions.flags.writeable = False
+    return positions
+
+
 def predict_constant(history, horizon):
     """Repeat the current joint state for every future step."""
     if not history:
         raise HistoryTooShort("constant predictor needs at least one state")
     last = history[-1]
+    positions = _frozen(last.positions.copy())
     preds = tuple(
-        JointAgentState(last.ids, last.positions.copy(), last.timestep + tau)
+        JointAgentState(last.ids, positions, last.timestep + tau)
         for tau in range(1, horizon + 1))
     return PredictionSet(last.timestep, horizon, preds)
 
@@ -157,7 +165,7 @@ def predict_constant_velocity(history, horizon):
     last = history[-1]
     vel = _velocities(history)
     preds = tuple(
-        JointAgentState(last.ids, last.positions + tau * vel, last.timestep + tau)
+        JointAgentState(last.ids, _frozen(last.positions + tau * vel), last.timestep + tau)
         for tau in range(1, horizon + 1))
     return PredictionSet(last.timestep, horizon, preds)
 
@@ -190,7 +198,7 @@ def predict_linear_fit(history, horizon):
         for tau in range(1, horizon + 1):
             t_future = last.timestep + tau
             preds_pos[tau - 1][i] = coef[0] + coef[1] * t_future
-    preds = tuple(JointAgentState(last.ids, preds_pos[tau - 1], last.timestep + tau)
+    preds = tuple(JointAgentState(last.ids, _frozen(preds_pos[tau - 1]), last.timestep + tau)
                   for tau in range(1, horizon + 1))
     return PredictionSet(last.timestep, horizon, preds)
 
@@ -461,14 +469,16 @@ def _read_table(path, n_frames):
     return frames, ids, x, y
 
 
-def _rank_ids(ids):
-    """(distinct ids in ``_id_key`` order, int64 rank of each row's id)."""
-    if isinstance(ids, np.ndarray):          # int64 ids sort as _id_key sorts ints
-        ordered, ranks = np.unique(ids, return_inverse=True)
-        return ordered.tolist(), ranks
+def _id_keys(ids):
+    """(int64 key of each row's id, in ``_id_key`` order, and the function
+    from an array of keys to the list of their ids). int64 ids are their
+    own keys: they sort as ``_id_key`` sorts ints."""
+    if isinstance(ids, np.ndarray):
+        return ids, np.ndarray.tolist
     ordered = sorted(set(ids), key=_id_key)
     rank = dict(zip(ordered, range(len(ordered))))
-    return ordered, np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    keys = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    return keys, lambda k: list(map(ordered.__getitem__, k.tolist()))
 
 
 def load_trajectories(path, scale=1.0, frame_stride=1):
@@ -487,20 +497,20 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     rows = np.flatnonzero(np.isin(frames, kept))
     if not len(rows):
         return TrajectorySource({})
-    ordered, ranks = _rank_ids(ids)
-    ranks = ranks[rows]
+    keys, to_ids = _id_keys(ids)
+    keys = keys[rows]
     steps = np.searchsorted(kept, frames[rows])
-    order = np.lexsort((ranks, steps))      # stable: repeats stay in file order
-    steps, ranked = steps[order], ranks[order]
+    order = np.lexsort((keys, steps))       # stable: repeats stay in file order
+    steps, ranked = steps[order], keys[order]
     repeat = (steps[1:] == steps[:-1]) & (ranked[1:] == ranked[:-1])
     if repeat.any():
         first = int(order[1:][repeat].min())       # the first repeated row in the file
-        raise NonMonotoneFrames(f"agent {ordered[ranks[first]]!r} appears twice"
+        raise NonMonotoneFrames(f"agent {to_ids(keys[first:first + 1])[0]!r} appears twice"
                                 f" in frame {int(frames[rows[first]])}")
     positions = np.stack((x, y), axis=1)[rows[order]]
     positions *= scale
     starts = [0] + (np.flatnonzero(steps[1:] != steps[:-1]) + 1).tolist()
-    ids = list(map(ordered.__getitem__, ranked.tolist()))
+    ids = to_ids(ranked)
     return TrajectorySource({
         t: (tuple(ids[lo:hi]), positions[lo:hi])
         for t, lo, hi in zip(steps[starts].tolist(), starts, starts[1:] + [len(ids)])})
@@ -527,20 +537,19 @@ def load_predictions(path, scale=1.0):
     (t, tau, agent_id) repeats, its last row wins.
     """
     (t, tau), ids, x, y = _read_table(path, 2)
-    ordered, ranks = _rank_ids(ids)
-    # row number as the last key makes the sort total: repeats stay in file order
-    order = np.lexsort((np.arange(len(ranks)), ranks, tau, t))
-    t, tau, ranks = t[order], tau[order], ranks[order]
+    keys, to_ids = _id_keys(ids)
+    order = np.lexsort((keys, tau, t))      # stable: repeats stay in file order
+    t, tau, keys = t[order], tau[order], keys[order]
     last = np.ones(len(order), dtype=bool)          # the last row of its (t, tau, id)
-    last[:-1] = (t[1:] != t[:-1]) | (tau[1:] != tau[:-1]) | (ranks[1:] != ranks[:-1])
-    order, t, tau, ranks = order[last], t[last], tau[last], ranks[last]
+    last[:-1] = (t[1:] != t[:-1]) | (tau[1:] != tau[:-1]) | (keys[1:] != keys[:-1])
+    order, t, tau, keys = order[last], t[last], tau[last], keys[last]
     first = np.ones(len(order), dtype=bool)         # the first row of its (t, tau)
     first[1:] = (t[1:] != t[:-1]) | (tau[1:] != tau[:-1])
     starts = np.flatnonzero(first).tolist()
     positions = np.stack((x[order], y[order]), axis=1)
     positions *= scale
     positions.flags.writeable = False
-    keys = zip(t[starts].tolist(), tau[starts].tolist())
-    ids = list(map(ordered.__getitem__, ranks.tolist()))
+    made = zip(t[starts].tolist(), tau[starts].tolist())
+    ids = to_ids(keys)
     return {key: (tuple(ids[lo:hi]), positions[lo:hi])
-            for key, lo, hi in zip(keys, starts, starts[1:] + [len(ids)])}
+            for key, lo, hi in zip(made, starts, starts[1:] + [len(ids)])}

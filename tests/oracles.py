@@ -4,7 +4,9 @@ Everything here is deliberately brute-force: dense matrix filtering,
 explicit policy enumeration, small expectimax. These are the oracles the
 package code is checked against, so they must stay straightforward enough
 to audit by eye and must not import the package's own algorithms beyond
-plain model table access. ``episode_digest`` is the one non-oracle here:
+plain model table access; ``resample_choices_oracle`` takes its posterior
+from the exact belief update, whose own oracle is ``exact_filter``.
+``episode_digest`` is the one non-oracle here:
 the canonical form that pins whole episodes, shield internals included.
 """
 
@@ -17,8 +19,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from acpshield.errors import ParticleDeprivation
-from acpshield.pomdp import PomdpModel
+from acpshield.errors import ImpossibleObservation, ParticleDeprivation
+from acpshield.pomdp import BeliefState, PomdpModel, belief_update
 from acpshield.trajectory import TrajectorySource
 
 
@@ -290,6 +292,14 @@ def nonconformity_oracle(actual, predicted):
     return float(np.linalg.norm(diffs))
 
 
+def shared_rows_oracle(actual, other):
+    """``JointAgentState.shared_rows`` as one dict of the other's rows and
+    a list comprehension over this state's ids: two index lists."""
+    theirs = dict(zip(other.ids, range(len(other.ids))))
+    mine = [i for i, aid in enumerate(actual.ids) if aid in theirs]
+    return mine, [theirs[actual.ids[i]] for i in mine]
+
+
 def generative_step_oracle(model, s, a, rng):
     """``PomdpModel.generative_step`` by a linear scan of the cumulative rows.
 
@@ -347,6 +357,27 @@ def resample_rejection_oracle(model, particles, action, observation, count, rng,
                 f"no particles consistent with observation {observation}")
         accepted.extend(pool[int(rng.random() * len(pool))] for _ in range(missing))
     return accepted
+
+
+def resample_choices_oracle(model, particles, action, observation, count, rng):
+    """The particle refresh as ``rng.choices`` over the exact posterior.
+
+    The posterior of the particles' empirical belief is ``belief_update``'s
+    (checked against ``exact_filter`` on its own), so this oracle pins the
+    draw alone: ``count`` calls of ``rng.random()``, each bisected into the
+    cumulative weights of the posterior's states in ascending order.
+    """
+    if not particles:
+        raise ParticleDeprivation("source particle set is empty")
+    n = len(particles)
+    belief = BeliefState({s: particles.count(s) / n for s in dict.fromkeys(particles)})
+    try:
+        post = belief_update(model, belief, action, observation).probs
+    except ImpossibleObservation:
+        raise ParticleDeprivation(
+            f"no particles consistent with observation {observation}") from None
+    states = sorted(post)
+    return rng.choices(states, [post[s] for s in states], k=count)
 
 
 def rollout_oracle(model, state, depth, support, shield, rng, max_depth, discount,
@@ -688,12 +719,14 @@ def episode_digest(episodes):
     ``episodes`` holds (EpisodeResult, step-hook dicts) pairs. Each result
     counts with ``mean_plan_seconds`` zeroed, the one wall-clock field, and
     each step dict with its support, radii, predictions and unsafe cells,
-    which the raw CSV leaves out. The unsafe cells, a lazy mapping, count
-    as the plain dict they read as. The pairs are serialised as sorted-key
+    which the raw CSV leaves out. The predictions, read-only arrays, count
+    as the nested lists they hold, and the unsafe cells, a lazy mapping, as
+    the plain dict they read as. The pairs are serialised as sorted-key
     JSON, whose floats are their shortest round-trip repr.
     """
     payload = [(asdict(replace(result, mean_plan_seconds=0.0)),
-                [{**step, "unsafe": dict(step["unsafe"])} if "unsafe" in step else step
+                [{**step, "predicted": [p.tolist() for p in step["predicted"]],
+                  "unsafe": dict(step["unsafe"])} if "unsafe" in step else step
                  for step in steps])
                for result, steps in episodes]
     text = json.dumps(payload, sort_keys=True)

@@ -73,6 +73,10 @@ def test_run_dump_writes_step_json(tiny_config, tmp_path, capsys):
     step = payload["steps"][0]
     assert {"t", "support", "radii", "predicted", "unsafe"} <= set(step)
     assert set(step["unsafe"]) == {"1", "2"}
+    # per lookahead, the agents' predicted [x, y] as lists
+    assert len(step["predicted"]) == 2
+    assert all(len(xy) == 2 and all(isinstance(v, float) for v in xy)
+               for positions in step["predicted"] for xy in positions)
 
 
 def test_validate_loads_a_csv_log_once(tiny_config, tmp_path, capsys, monkeypatch):

@@ -153,6 +153,17 @@ def test_cell_positions_terminal_is_nan():
     assert tuple(pos[spec.state_index(2, 1)]) == (2.0, 1.0)
 
 
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 6), (6, 1), (37, 5)])
+def test_cell_positions_equal_the_cell_centers(width, height):
+    spec = GridSpec(width=width, height=height, start_cells={(0, 0): 1.0},
+                    goal_cell=(width - 1, height - 1))
+    expected = [spec.state_cell(s).center for s in range(spec.n_cells)]
+    pos = cell_positions(spec)
+    assert pos.dtype == np.float64 and pos.shape == (spec.n_cells + 1, 2)
+    assert list(map(tuple, pos[:-1].tolist())) == expected
+    assert np.isnan(pos[-1]).all()
+
+
 def test_belief_supports_stay_inside_one_block():
     spec = GridSpec(width=8, height=8, start_cells={(0, 0): 1.0}, goal_cell=(7, 7))
     model = build_gridworld(spec)

@@ -454,10 +454,9 @@ def test_expand_grid_crosses_methods_and_counts():
     assert base.method == "shield-acp" and base.agents.count == 2
 
 
-def test_run_many_loads_replay_predictions_once(tmp_path, monkeypatch):
-    # run_many builds the replay predictor once per config and shares it;
-    # the episodes equal those that each load their own
-    cfg = small_config(runs=3, max_steps=6)
+def write_replay_predictions(cfg, path):
+    """A predictions file for run 0 of ``cfg``: each agent's position, 0.1 *
+    tau to the east, for every (t, tau) the episode reads."""
     source = build_source(cfg, 0)
     lines = ["t,tau,agent_id,x,y"]
     for t in range(episode_horizon(cfg)):
@@ -465,10 +464,38 @@ def test_run_many_loads_replay_predictions_once(tmp_path, monkeypatch):
         for tau in range(1, cfg.horizon + 1):
             for aid, (x, y) in zip(now.ids, now.positions.tolist()):
                 lines.append(f"{t},{tau},{aid},{x + 0.1 * tau!r},{y!r}")
-    preds, log = tmp_path / "preds.csv", tmp_path / "agents.csv"
-    preds.write_text("\n".join(lines) + "\n")
-    save_trajectories(source, log)
-    cfg = replace(cfg, predictor="replay", predictions_path=str(preds),
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("predictor", ["constant", "constant-velocity", "linear-fit", "replay"])
+def test_step_hook_predictions_are_read_only(tmp_path, predictor):
+    # the hook sees the arrays the estimator keeps to score later: views it
+    # can neither write through nor make writable
+    cfg = small_config(predictor=predictor, max_steps=4)
+    if predictor == "replay":
+        cfg = replace(cfg, predictions_path=write_replay_predictions(cfg, tmp_path / "p.csv"))
+    seen = []
+    run_episode(cfg, step_hook=seen.append)
+    assert seen
+    for info in seen:
+        assert len(info["predicted"]) == cfg.horizon
+        for positions in info["predicted"]:
+            assert positions.shape == (cfg.agents.count, 2)
+            with pytest.raises(ValueError):
+                positions[0] = 0.0
+            with pytest.raises(ValueError):
+                positions.flags.writeable = True
+
+
+def test_run_many_loads_replay_predictions_once(tmp_path, monkeypatch):
+    # run_many builds the replay predictor once per config and shares it;
+    # the episodes equal those that each load their own
+    cfg = small_config(runs=3, max_steps=6)
+    preds = write_replay_predictions(cfg, tmp_path / "preds.csv")
+    log = tmp_path / "agents.csv"
+    save_trajectories(build_source(cfg, 0), log)
+    cfg = replace(cfg, predictor="replay", predictions_path=preds,
                   agents=replace(cfg.agents, csv_path=str(log)))
     loads = []
     load = trajectory.load_predictions

@@ -15,6 +15,7 @@ from acpshield.errors import (
 from acpshield.pomdp import (
     BeliefState,
     PomdpModel,
+    _uniforms,
     belief_update,
     resample_particles,
 )
@@ -195,6 +196,52 @@ def test_resample_particles_rare_observation_and_deprivation():
         resample_particles(model, [0, 0, 0], 0, 1, 100, prng)
     with pytest.raises(ParticleDeprivation):
         resample_particles(model, [], 0, 0, 100, prng)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 800, 3000])
+def test_uniforms_are_the_random_draws(count):
+    # the refresh's one getrandbits call yields random()'s values bit for
+    # bit and leaves the stream where count random() calls leave it
+    for seed in range(5):
+        rng, expected = random.Random(seed), random.Random(seed)
+        rng.random()
+        expected.random()
+        assert _uniforms(rng, count).tolist() == [expected.random() for _ in range(count)]
+        assert rng.getstate() == expected.getstate()
+
+
+class ScriptedRandom(random.Random):
+    """Serves the given ``random()`` values, also through ``getrandbits``:
+    each value, a multiple of 2**-53, as the two 32-bit words CPython's
+    ``random()`` reads it from."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+    def getrandbits(self, k):
+        bits = 0
+        for i in range(k // 64):
+            m = int(self.random() * 2 ** 53)
+            w0, w1 = (m >> 26) << 5, (m % 2 ** 26) << 6
+            bits |= (w0 | w1 << 32) << 64 * i
+        return bits
+
+
+def test_resample_particles_bisects_as_choices_at_the_boundaries():
+    # posterior {1: 0.5, 2: 0.5}: a draw of exactly 0.5 picks state 2, as
+    # bisect_right does; 0 and the largest draw pick the first and last
+    t = np.zeros((3, 1, 3))
+    t[0, 0, 1:] = 0.5
+    t[1:, 0, 0] = 1.0
+    model = oracles.model_from_tables(t, np.zeros((3, 1)), np.ones((3, 1, 1)))
+    draws = [0.5, 0.0, 1.0 - 2.0 ** -53, 0.25, 0.5 - 2.0 ** -53]
+    out = resample_particles(model, [0], 0, 0, len(draws), ScriptedRandom(draws))
+    assert out == ScriptedRandom(draws).choices([1, 2], [0.5, 0.5], k=len(draws))
+    assert out == [2, 1, 2, 1, 1]
 
 
 def test_resample_particles_chi_square_against_posterior_and_rejection():

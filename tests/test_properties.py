@@ -321,6 +321,56 @@ def test_nonconformity_equals_position_of_oracle(seed, pool, mixed, overlap):
 
 
 @PROPERTY
+@given(seed=seeds, pool=st.integers(1, 60), mixed=st.booleans(),
+       overlap=st.floats(0.0, 1.0), same=st.booleans())
+@example(seed=0, pool=1, mixed=False, overlap=0.0, same=False)     # disjoint
+def test_shared_rows_equals_dict_oracle(seed, pool, mixed, overlap, same):
+    rng = np.random.default_rng(seed)
+    ids = list(range(pool)) + ([str(i) for i in range(pool)] if mixed else [])
+    mine_ids = [aid for aid in ids if rng.random() < 0.7]
+    shared = [aid for aid in mine_ids if rng.random() < overlap]
+    only_theirs = [aid for aid in ids if aid not in mine_ids and rng.random() < 0.5]
+    mine = random_joint(rng, mine_ids)
+    theirs = (JointAgentState(mine.ids, mine.positions + 1.0, 1) if same
+              else random_joint(rng, shared + only_theirs))
+    rows = mine.shared_rows(theirs)
+    expected = oracles.shared_rows_oracle(mine, theirs)
+    assert [r.tolist() for r in rows] == list(expected)
+    assert all(r.dtype == np.intp for r in rows)
+    if expected[0]:
+        diffs = mine.positions[expected[0]] - theirs.positions[expected[1]]
+        assert nonconformity(mine, theirs) == float(np.linalg.norm(diffs.ravel()))
+
+
+@PROPERTY
+@given(seed=seeds, n_post=st.integers(1, 60), count=st.integers(1, 3000),
+       spread=st.floats(0.0, 6.0), others=st.booleans())
+@example(seed=1, n_post=60, count=3000, spread=6.0, others=True)
+@example(seed=2, n_post=1, count=1, spread=0.0, others=False)
+def test_resample_particles_equals_choices(seed, n_post, count, spread, others):
+    # state 0 moves to 1..n_post with lognormal weights, the rest back to 0;
+    # each state emits o0 with its own probability, which skews the posterior
+    rng = np.random.default_rng(seed)
+    n = n_post + 1
+    t = np.zeros((n, 1, n))
+    weights = rng.lognormal(0.0, spread, size=n_post)
+    t[0, 0, 1:] = weights / weights.sum()
+    t[1:, 0, 0] = 1.0
+    z = np.zeros((n, 1, 2))
+    z[:, 0, 0] = rng.uniform(0.05, 1.0, size=n)
+    z[:, 0, 1] = 1.0 - z[:, 0, 0]
+    model = oracles.model_from_tables(t, np.zeros((n, 1)), z)
+    particles = [0] * int(rng.integers(1, 50))
+    if others:
+        particles += rng.integers(1, n, size=int(rng.integers(1, 50))).tolist()
+    rng.shuffle(particles)
+    prng, expected_rng = random.Random(seed), random.Random(seed)
+    out = resample_particles(model, particles, 0, 0, count, prng)
+    assert out == oracles.resample_choices_oracle(model, particles, 0, 0, count, expected_rng)
+    assert prng.getstate() == expected_rng.getstate()
+
+
+@PROPERTY
 @given(seed=seeds, count=st.integers(1, 40))
 def test_advance_root_keeps_count_of_consistent_successors(seed, count):
     rng = np.random.default_rng(seed)
