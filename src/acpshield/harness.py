@@ -106,6 +106,12 @@ class AgentSetup:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise InvalidSpec(f"agent kind {self.kind!r} not one of {SYNTH_KINDS}")
+        if self.count < 0:
+            raise InvalidSpec(f"agents.count must be >= 0, got {self.count}")
+        if not self.speed >= 0:
+            raise InvalidSpec(f"agents.speed must be >= 0, got {self.speed}")
+        if not self.noise >= 0:
+            raise InvalidSpec(f"agents.noise must be >= 0, got {self.noise}")
         if not self.scale > 0:
             raise InvalidSpec(f"agents.scale must be > 0, got {self.scale}")
         if self.stride < 1:
@@ -143,7 +149,7 @@ class ExperimentConfig:
             raise InvalidSpec(f"delta {self.delta} outside (0, 1)")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidSpec(f"alpha {self.alpha} outside (0, 1)")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise InvalidSpec(f"epsilon must be > 0, got {self.epsilon}")
         if self.window < 1:
             raise InvalidSpec(f"window must be >= 1, got {self.window}")

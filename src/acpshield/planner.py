@@ -93,7 +93,7 @@ class PlannerConfig:
             raise InvalidSpec(f"max_depth must be >= 1, got {self.max_depth}")
         if self.particle_count < 1:
             raise InvalidSpec(f"particle_count must be >= 1, got {self.particle_count}")
-        if self.ucb_constant < 0.0:
+        if not self.ucb_constant >= 0.0:
             raise InvalidSpec(f"ucb_constant must be >= 0, got {self.ucb_constant}")
         if self.rollout_policy not in ("random", "goal-greedy"):
             raise InvalidSpec(f"rollout_policy {self.rollout_policy!r} is not "

@@ -170,7 +170,7 @@ def unsafe_sets(positions, predictions, radii, epsilon, within=None):
         raise InvalidSpec(f"{len(radii)} radii for prediction horizon {horizon}")
     if not all(r >= 0.0 for r in radii):
         raise InvalidSpec(f"radii must be >= 0, got {tuple(radii)}")
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise InvalidSpec(f"epsilon must be >= 0, got {epsilon}")
     pos = np.asarray(positions, dtype=float)
     states = np.arange(pos.shape[0]) if within is None else np.asarray(within, dtype=np.intp)

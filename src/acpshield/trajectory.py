@@ -270,6 +270,8 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
         raise InvalidSpec(f"unknown synthesis kind {kind!r}; choices: {SYNTH_KINDS}")
     if n_agents < 0 or length <= 0:
         raise InvalidSpec(f"need n_agents >= 0 and length > 0, got {n_agents}, {length}")
+    if not (0.0 <= speed < math.inf and 0.0 <= noise < math.inf):
+        raise InvalidSpec(f"speed and noise must be finite and >= 0, got {speed}, {noise}")
     xmin, xmax, ymin, ymax = bounds
     lo = np.array([xmin, ymin])
     hi = np.array([xmax, ymax])
@@ -333,9 +335,6 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
 # file io
 
 
-_CHUNK_LINES = 4096       # lines per chunk of _read_table
-
-
 def _parse_id(token):
     try:
         return int(token)
@@ -359,22 +358,6 @@ def _numbers_parse(toks, n_frames):
         return False
 
 
-def _to_columns(cols, n_frames):
-    """Frame columns (int64, truncated like int(float(.))), ids, x and y of
-    token columns; raises ValueError when a numeric field does not parse."""
-    n = len(cols[0])
-    frames = [np.fromiter(map(float, col), float, n) for col in cols[:n_frames]]
-    if not all((np.abs(f) < 2.0 ** 63).all() for f in frames):   # NaN, inf, past int64
-        raise ValueError("frame outside int64")
-    x = np.fromiter(map(float, cols[-2]), float, n)
-    y = np.fromiter(map(float, cols[-1]), float, n)
-    try:
-        ids = list(map(int, cols[n_frames]))
-    except ValueError:
-        ids = list(map(_parse_id, map(str.strip, cols[n_frames])))
-    return [f.astype(np.int64) for f in frames], ids, x, y
-
-
 def _is_header(line, n_frames):
     """Whether stripped line 1 is a header: not a comment, ``n_frames + 3``
     fields, and numeric fields that do not parse."""
@@ -384,31 +367,32 @@ def _is_header(line, n_frames):
     return len(toks) == n_frames + 3 and not _numbers_parse(toks, n_frames)
 
 
-def _parse_chunk(lines, start, n_frames):
-    """Columns of the stripped ``lines``, the first of which is line ``start``."""
+def _read_rows(path, n_frames):
+    """The table of a file read line by line; its ids are a list of ints and
+    strings. Raises ParseError at the first row with the wrong column count
+    or a bad number."""
     n_cols = n_frames + 3
-    if start == 1 and lines and _is_header(lines[0], n_frames):
-        lines, start = lines[1:], 2                     # header row
-    # Fast path: every line is a data row with n_cols comma-separated fields.
-    commas = list(map(str.count, lines, itertools.repeat(",", len(lines))))
-    text = ",".join(lines)
-    if commas.count(n_cols - 1) == len(lines) and "#" not in text:
-        toks = text.split(",")
-        try:
-            return _to_columns([toks[k::n_cols] for k in range(n_cols)], n_frames)
-        except ValueError:
-            pass                                # the row pass below names the line
-    rows = []
-    for lineno, line in enumerate(lines, start):
-        if not line or line.startswith("#"):
-            continue
-        toks = _split_row(line)
-        if len(toks) != n_cols:
-            raise ParseError(f"expected {n_cols} columns, got {len(toks)}", line=lineno)
-        if not _numbers_parse(toks, n_frames):
-            raise ParseError(f"bad numeric field in {toks!r}", line=lineno)
-        rows.append(toks)
-    return _to_columns(list(zip(*rows)) or [()] * n_cols, n_frames)
+    fields = []                             # every row's tokens, one flat list
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(map(str.strip, fh), 1):
+            if not line or line.startswith("#") or lineno == 1 and _is_header(line, n_frames):
+                continue
+            toks = _split_row(line)
+            if len(toks) != n_cols:
+                raise ParseError(f"expected {n_cols} columns, got {len(toks)}", line=lineno)
+            if not _numbers_parse(toks, n_frames):
+                raise ParseError(f"bad numeric field in {toks!r}", line=lineno)
+            fields += toks
+    cols = [fields[k::n_cols] for k in range(n_cols)]
+    n = len(cols[0])
+    frames = [np.fromiter(map(float, col), float, n).astype(np.int64) for col in cols[:n_frames]]
+    try:
+        ids = list(map(int, cols[n_frames]))
+    except ValueError:
+        ids = list(map(_parse_id, cols[n_frames]))
+    x = np.fromiter(map(float, cols[-2]), float, n)
+    y = np.fromiter(map(float, cols[-1]), float, n)
+    return frames, ids, x, y
 
 
 def _read_numeric(path, n_frames):
@@ -425,13 +409,13 @@ def _read_numeric(path, n_frames):
     through the same string-to-double conversion as ``float()``.
     """
     dtype = [(f"f{k}", "f8") for k in range(n_frames)] + [("id", "i8"), ("x", "f8"), ("y", "f8")]
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         skip = int(_is_header(fh.readline().strip(), n_frames))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
-                               skiprows=skip, encoding="utf-8", ndmin=1)
+                               skiprows=skip, encoding="utf-8-sig", ndmin=1)
     except (ValueError, Warning):
         return None
     frames = [table[f"f{k}"] for k in range(n_frames)]
@@ -443,30 +427,18 @@ def _read_numeric(path, n_frames):
 def _read_table(path, n_frames):
     """Read rows of ``n_frames`` frame columns, an agent id, x and y.
 
-    Comma- or whitespace-separated (chosen per line); blank lines and lines
-    starting with '#' are skipped, and line 1 is skipped as a header when
-    its numeric fields do not parse. Returns (frames, ids, x, y): one int64
-    array per frame column, the ids, and two float arrays, in file order.
+    Comma- or whitespace-separated (chosen per line); a leading byte-order
+    mark is dropped, blank lines and lines starting with '#' are skipped,
+    and line 1 is skipped as a header when its numeric fields do not parse.
+    Returns (frames, ids, x, y): one int64 array per frame column, the ids,
+    and two float arrays, in file order.
 
     A file that ``_read_numeric`` accepts is read in that one C pass, and
-    its ids are an int64 array. Any other file is read ``_CHUNK_LINES``
-    lines at a time, each chunk converted column by column, and its ids are
-    a list of ints and strings. Both readers give equal tables.
+    its ids are an int64 array; any other file is read by ``_read_rows``,
+    and its ids are a list of ints and strings. Both give equal tables.
     """
     table = _read_numeric(path, n_frames)
-    if table is not None:
-        return table
-    parts = [_to_columns([()] * (n_frames + 3), n_frames)]
-    with open(path, encoding="utf-8") as fh:
-        start = 1
-        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
-            parts.append(_parse_chunk(list(map(str.strip, lines)), start, n_frames))
-            start += len(lines)
-    frames = [np.concatenate(col) for col in zip(*(p[0] for p in parts))]
-    ids = list(itertools.chain.from_iterable(p[1] for p in parts))
-    x = np.concatenate([p[2] for p in parts])
-    y = np.concatenate([p[3] for p in parts])
-    return frames, ids, x, y
+    return table if table is not None else _read_rows(path, n_frames)
 
 
 def _id_keys(ids):

@@ -64,9 +64,11 @@ def test_config_rejects_unknown_method():
 
 @pytest.mark.parametrize("field,value", [
     ("horizon", 0), ("delta", 0.0), ("delta", 1.0), ("alpha", 0.0),
-    ("epsilon", 0.0), ("epsilon", -1.0), ("window", 0), ("runs", 0), ("max_steps", 0),
-    ("seed", -5), ("agents.scale", 0.0), ("agents.scale", -2.0), ("agents.scale", math.nan),
-    ("agents.stride", 0), ("agents.stride", -1),
+    ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", math.nan), ("window", 0), ("runs", 0),
+    ("max_steps", 0), ("seed", -5), ("agents.scale", 0.0), ("agents.scale", -2.0),
+    ("agents.scale", math.nan), ("agents.stride", 0), ("agents.stride", -1),
+    ("agents.count", -1), ("agents.speed", -0.5), ("agents.speed", math.nan),
+    ("agents.noise", -0.1), ("agents.noise", math.nan),
 ])
 def test_config_rejects_bad_scalars(field, value):
     section, _, key = field.rpartition(".")

@@ -133,8 +133,9 @@ def test_config_validation():
         PlannerConfig(max_depth=0)
     with pytest.raises(InvalidSpec):
         PlannerConfig(particle_count=0)
-    with pytest.raises(InvalidSpec):
-        PlannerConfig(ucb_constant=-1.0)
+    for ucb in (-1.0, math.nan):
+        with pytest.raises(InvalidSpec):
+            PlannerConfig(ucb_constant=ucb)
     with pytest.raises(InvalidSpec):
         PlannerConfig(rollout_policy="goal_greedy")
 

@@ -754,8 +754,8 @@ file_lines = st.lists(st.one_of(*[row_line] * 6, other_line), max_size=30)
 
 
 @PROPERTY
-@given(lines=file_lines, chunk=st.integers(1, 6), scale=st.sampled_from([1.0, 0.5, 3.0]))
-def test_load_predictions_equals_dict_oracle(lines, chunk, scale):
+@given(lines=file_lines, scale=st.sampled_from([1.0, 0.5, 3.0]))
+def test_load_predictions_equals_dict_oracle(lines, scale):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "preds.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -763,13 +763,11 @@ def test_load_predictions_equals_dict_oracle(lines, chunk, scale):
             want = oracles.replay_oracle(path, scale)
         except oracles.BadLine as bad:
             line, message = bad.args
-            with mock.patch.object(trajectory, "_CHUNK_LINES", chunk), \
-                    pytest.raises(ParseError) as exc:
+            with pytest.raises(ParseError) as exc:
                 trajectory.load_predictions(path, scale)
             assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
             return
-        with mock.patch.object(trajectory, "_CHUNK_LINES", chunk):
-            got = trajectory.load_predictions(path, scale)
+        got = trajectory.load_predictions(path, scale)
     assert got.keys() == want.keys()
     for key, (ids, positions) in want.items():
         assert got[key][0] == ids

@@ -221,8 +221,9 @@ def test_unsafe_sets_input_validation():
     pred = agents_pred(0, {1: [(1.0, 1.0)]})
     with pytest.raises(InvalidSpec):
         unsafe_sets(pos, pred, (0.5, 0.5), epsilon=0.5)
-    with pytest.raises(InvalidSpec):
-        unsafe_sets(pos, pred, (0.5,), epsilon=-1.0)
+    for epsilon in (-1.0, math.nan):      # a NaN epsilon would leave F_1 empty too
+        with pytest.raises(InvalidSpec):
+            unsafe_sets(pos, pred, (0.5,), epsilon=epsilon)
     # a NaN radius would compare false against every margin and leave F_1
     # empty, failing open
     for radius in (math.nan, -0.5):

@@ -1,5 +1,6 @@
 """Agent ingestion, predictors, and synthetic trajectory generation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from acpshield.errors import (
     ParseError,
 )
 from acpshield.trajectory import (
+    SYNTH_KINDS,
     JointAgentState,
     PredictionSet,
     ReplayPredictor,
@@ -201,7 +203,7 @@ def test_load_predictions_scale_and_empty_file(tmp_path):
 
 
 def test_load_predictions_past_the_first_chunk(tmp_path):
-    # longer than the reader's chunks, so every case below sits past the first
+    # a long file: every case below sits thousands of lines in
     lines = ["t,tau,agent_id,x,y"]
     lines += [f"{i // 100},1,{i % 100},{i}.0,{-i}.0" for i in range(12_000)]
     path = tmp_path / "preds.csv"
@@ -255,6 +257,17 @@ def test_synth_zero_noise_is_linear():
         pts = np.stack([p for _, p in track_of(src, aid)])
         steps = np.diff(pts, axis=0)
         assert np.allclose(steps, steps[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_synth_rejects_negative_or_non_finite_settings(kind):
+    for setting in ({"speed": -0.5}, {"noise": -0.1}, {"speed": math.nan},
+                    {"noise": math.inf}):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidSpec):
+            synth_trajectories(kind, 2, 5, rng, **setting)
+        assert rng.bit_generator.state == state             # checked before any draw
 
 
 def test_synth_zero_agents():
@@ -359,7 +372,7 @@ def refuse_row_reader(monkeypatch):
     """Make the line-by-line reader raise, so a load can only take the C pass."""
     def refuse(*args):
         raise AssertionError("the row reader ran")
-    monkeypatch.setattr(trajectory, "_parse_chunk", refuse)
+    monkeypatch.setattr(trajectory, "_read_rows", refuse)
 
 
 def test_stepbench_format_takes_the_c_pass(tmp_path, monkeypatch):
@@ -411,3 +424,25 @@ def test_c_pass_emits_no_warning(tmp_path):
         assert trajectory._read_numeric(empty, 1) is None
         assert load_trajectories(empty).span() is None
     assert caught == []
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+@pytest.mark.parametrize("reader", ["c-pass", "rows"])
+def test_byte_order_mark_is_dropped(tmp_path, monkeypatch, header, reader):
+    # with the mark, line 1 of a header-less file must still read as a row
+    if reader == "c-pass":
+        refuse_row_reader(monkeypatch)
+    else:
+        monkeypatch.setattr(trajectory, "_read_numeric", lambda path, n_frames: None)
+    log = ["frame_id,agent_id,x,y"] * header + ["0,1,2.0,3.0", "1,1,2.5,3.5"]
+    preds = ["t,tau,agent_id,x,y"] * header + ["0,1,1,2.0,3.0", "0,2,1,2.5,3.5"]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    for lines, load in ((log, lambda path: load_trajectories(path)._frames),
+                        (preds, load_predictions)):
+        plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        marked.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = load(plain), load(marked)
+        assert len(want) == 2 and list(got) == list(want)
+        for key, (ids, positions) in want.items():
+            assert got[key][0] == ids and got[key][1].tobytes() == positions.tobytes()
