@@ -12,6 +12,7 @@ them to realized returns instead (the model itself must stay stationary).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +55,15 @@ class GridSpec:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise InvalidSpec(f"grid {self.width}x{self.height} must be positive")
-        if abs(self.near_prob + self.far_prob - 1.0) > 1e-9:
+        # every check below is written so that NaN fails it
+        if not abs(self.near_prob + self.far_prob - 1.0) <= 1e-9:
             raise InvalidSpec(
                 f"near_prob + far_prob = {self.near_prob + self.far_prob}, expected 1")
-        if self.near_prob < 0.0 or self.far_prob < 0.0:
+        if not (self.near_prob >= 0.0 and self.far_prob >= 0.0):
             raise InvalidSpec("motion probabilities must be nonnegative")
+        for name in ("step_reward", "goal_reward", "collision_reward"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} {getattr(self, name)} is not finite")
         if not (0.0 <= self.obs_noise < 1.0):
             raise InvalidSpec(f"obs_noise {self.obs_noise} outside [0, 1)")
         if not self.start_cells:
@@ -73,8 +78,8 @@ class GridSpec:
             x, y = xy
             if not self.contains(x, y):
                 raise InvalidSpec(f"start cell {xy} outside the grid")
-            if w <= 0:
-                raise InvalidSpec(f"start cell {xy} has nonpositive weight {w}")
+            if not 0 < w < math.inf:
+                raise InvalidSpec(f"start cell {xy} has weight {w}, not in (0, inf)")
             clean[(int(x), int(y))] = float(w)
         self.start_cells = clean
 

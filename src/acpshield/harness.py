@@ -11,8 +11,10 @@ Every step of an episode runs the same stages, in order:
    episode's one map of support edges), then the unsafe sets, a {tau:
    F_tau} map: the states whose ``constraint_values`` margin to the
    lookahead-tau prediction is below the radius, decided only on the
-   states the BSTS holds below its root; then the winning regions with
-   their action table, and the independent certificate check;
+   BSTS's ``states`` (those its levels hold below the root); then the
+   step's one ``Shield``, built from the winning regions and the
+   depth-indexed action table of one backward sweep, and the independent
+   certificate check of that shield;
 4. plan a certified action, or, when all are shielded, take the fallback,
    ranked by margins against the lookahead-1 prediction and radius;
 5. soundness: the executed action must keep every successor winning;
@@ -303,14 +305,6 @@ def _read_only(array):
     return view
 
 
-def _bsts_states(bsts):
-    """Sorted int array of the states in BSTS levels 1..H, the only states
-    whose unsafe-set membership the shield stages read."""
-    states = frozenset().union(*(sup for q in range(1, bsts.horizon + 1)
-                                 for sup in bsts.levels[q]))
-    return np.sort(np.fromiter(states, dtype=np.intp, count=len(states)))
-
-
 def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=None):
     """Execute one episode, stage by stage; deterministic given (cfg, run).
 
@@ -399,10 +393,9 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
             # shield
             bsts = Bsts(model, support, cfg.horizon, expansions)
             f_sets = unsafe_sets(positions, prediction, rec.radius, cfg.epsilon,
-                                 within=_bsts_states(bsts))
-            winning = compute_winning_regions(bsts, f_sets)
-            shield = Shield(bsts, winning)
-            cert_failures += len(verify_winning_regions(bsts, f_sets, winning))
+                                 within=bsts.states)
+            shield = Shield(bsts, *compute_winning_regions(bsts, f_sets))
+            cert_failures += len(verify_winning_regions(shield, f_sets))
             # plan, or fall back
             try:
                 rec.action = planner.plan(root, shield)
@@ -412,7 +405,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
                 rec.deadlock = True
             # soundness
             if not rec.deadlock and all(math.isfinite(r) for r in rec.radius):
-                rec.sound = keeps_winning(bsts, winning, support, 0, rec.action)
+                rec.sound = keeps_winning(shield, support, 0, rec.action)
         else:
             rec.action = planner.plan(root)
         if step_hook is not None:

@@ -17,10 +17,11 @@ the first H tree levels: an action is searchable only when every
 observation outcome keeps the belief support winning. Each tree node's
 belief support is resolved exactly from the BSTS (the root support is the
 particle support), and its searchable actions are read straight off the
-shield table (``Shield.table`` and ``Shield.groups``, without a method
-call per child). That table never leaves a reachable node below the
-horizon without an action, so the search has no dead ends to handle; a
-broken table is the certificate verifier's to catch.
+shield's depth-indexed table, ``Shield.table[depth][support]``, with the
+child support from ``Shield.groups``, without a method call per child.
+That table never leaves a reachable node below the horizon without an
+action, so the search has no dead ends to handle; a broken table is the
+certificate verifier's to catch.
 
 A planning step owns the tree exclusively. Trees are rebuilt from a fresh
 root each environment step: the shield changes with every new prediction,
@@ -33,6 +34,8 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AllActionsShielded, EmptyBelief, InvalidSpec
 from .pomdp import resample_particles
@@ -111,28 +114,14 @@ class PlanStats:
     root_pruned: tuple
 
 
-def safe_margin(constraint_value, threshold):
-    """Margin of one successor state against the lookahead-1 threshold.
-
-    Located states keep c - threshold; states without a location
-    (c = +inf) are unconditionally safe, and a +inf threshold makes every
-    located state maximally unsafe. The two rules keep inf - inf out of
-    the arithmetic.
-    """
-    if math.isinf(constraint_value):
-        return math.inf
-    if math.isinf(threshold):
-        return -math.inf
-    return constraint_value - threshold
-
-
 def fallback_action(model, support, positions, predictions, radii, epsilon):
     """Least-bad action when the shield allows nothing.
 
     Maximizes the worst-case one-step margin over all successor states of
     the support: each successor's constraint value against the lookahead-1
-    prediction ``predictions.at(1)``, less its radius ``radii[0]`` (see
-    ``safe_margin``); ties go to the lowest action index. Used only after
+    prediction ``predictions.at(1)``, less its radius ``radii[0]``; ties go
+    to the lowest action index. A state without a location (c = +inf)
+    keeps +inf even against an infinite radius. Used only after
     AllActionsShielded, so "safe" options no longer exist and the margin
     ranking is a best effort. Only the successors' margins are computed.
     """
@@ -140,18 +129,11 @@ def fallback_action(model, support, positions, predictions, radii, epsilon):
                   for a in range(model.n_actions)]
     states = sorted(set().union(*successors))
     values = constraint_values(positions[states], predictions.at(1).positions, epsilon)
-    margins = dict(zip(states, values.tolist()))
-    threshold = radii[0]
-    best_action, best = 0, -math.inf
-    for a, succ in enumerate(successors):
-        worst = math.inf
-        for s2 in succ:
-            m = safe_margin(margins[s2], threshold)
-            if m < worst:
-                worst = m
-        if worst > best:
-            best, best_action = worst, a
-    return best_action
+    with np.errstate(invalid="ignore"):
+        margins = np.where(np.isinf(values), values, values - radii[0])
+    margin = dict(zip(states, margins.tolist()))
+    worst = [min(margin[s2] for s2 in succ) for succ in successors]
+    return worst.index(max(worst))
 
 
 class Planner:
@@ -199,7 +181,7 @@ class Planner:
         if shield is None or parent.support is None or depth >= shield.horizon:
             return SearchNode(depth, None, self._all_actions)
         support = shield.groups[parent.support][action].get(observation)
-        return SearchNode(depth, support, shield.table[(support, depth)])
+        return SearchNode(depth, support, shield.table[depth][support])
 
     # -- search ---------------------------------------------------------------
 
@@ -331,7 +313,7 @@ class Planner:
             while d < max_depth and d < horizon and support is not None:
                 if state in absorbing:
                     return ret
-                acts = certified[(support, d)]
+                acts = certified[d][support]
                 if not acts:
                     return ret            # dead end: truncate the rollout
                 if table is None or table[state] not in acts:

@@ -16,6 +16,7 @@ each row has at most a couple of successors.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -36,17 +37,18 @@ def _cumulative(pairs, table, s, a):
     """One validated probability row as (indices, cumulative probabilities).
 
     ``pairs`` is a list of (index, prob), the row ``table``(s, a, .). Rejects
-    negative entries and row sums off by more than PROB_TOL; renormalizes
-    the tiny float drift away, drops zero entries and pins the last
-    cumulative value to 1.0. The row's name is formatted only on error: the
-    model checks thousands of rows.
+    negative or NaN entries and row sums off by more than PROB_TOL (each
+    check is written so that NaN fails it); renormalizes the tiny float
+    drift away, drops zero entries and pins the last cumulative value to
+    1.0. The row's name is formatted only on error: the model checks
+    thousands of rows.
     """
     total = 0.0
     for idx, p in pairs:
-        if p < 0.0:
-            raise InvalidModel(f"{table}({s},{a},.): negative probability {p} at index {idx}")
+        if not p >= 0.0:
+            raise InvalidModel(f"{table}({s},{a},.): probability {p} at index {idx} is not >= 0")
         total += p
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise InvalidModel(f"{table}({s},{a},.): row sums to {total!r}, expected 1.0")
     idxs, cum, acc = [], [], 0.0
     for idx, p in pairs:
@@ -111,6 +113,8 @@ class PomdpModel:
                 self._z[s][a] = z_seen[key]
         for (s, a), reward in rewards.items():
             r[s][a] = float(reward)
+            if not math.isfinite(r[s][a]):
+                raise InvalidModel(f"R({s},{a}) = {reward} is not finite")
         # the observation rows are the per-(s', a) store _z's own tuples
         self.rows = tuple(
             tuple([(*t[s][a], r[s][a], tuple([self._z[s2][a] for s2 in t[s][a][0]]))
@@ -184,10 +188,10 @@ class BeliefState:
         clean = {int(s): float(p) for s, p in self.probs.items() if p != 0.0}
         if not clean:
             raise EmptyBelief("belief has no mass")
-        if any(p < 0.0 for p in clean.values()):
-            raise InvalidModel("belief has negative probability")
+        if not all(p >= 0.0 for p in clean.values()):
+            raise InvalidModel("belief has a negative or NaN probability")
         total = sum(clean.values())
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise InvalidModel(f"belief sums to {total!r}, expected 1.0")
         self.probs = {s: p / total for s, p in clean.items()}
 

@@ -11,10 +11,12 @@ planning step:
 2. per lookahead tau, the unsafe set F_tau: the states whose distance
    margin to the predicted agents falls below the conformal radius,
    decided only on the states those supports hold,
-3. sweep backward over the horizon once: per support, the actions that
-   keep every observation outcome winning (the shield table), and from
-   those the winning supports, safe ones with at least one such action,
-4. answer, for any support and depth, which actions are certified safe.
+3. sweep backward over the horizon once: per depth and support, the
+   actions that keep every observation outcome winning (the shield table),
+   and from those the winning supports, safe ones with at least one such
+   action,
+4. hold both in the step's one ``Shield``, which answers, for any support
+   and depth, which actions are certified safe.
 
 Supports are canonical frozensets of state indices; all structures built
 here are immutable once constructed and safe to share.
@@ -23,7 +25,6 @@ here are immutable once constructed and safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +84,9 @@ class Bsts:
     every BSTS of one model may share: a support expanded once is read from
     it, and new ones are added to it. The map may hold supports that are
     not nodes of this BSTS, so lookups go through ``levels`` first.
+
+    ``states`` is the sorted int array of the states the supports of levels
+    1..H hold, the only states whose unsafe-set membership the shield reads.
     """
 
     def __init__(self, model, root, horizon, expansions=None):
@@ -93,6 +97,7 @@ class Bsts:
         self.root = validate_support(model, root)
         self.levels = {0: {self.root}}
         self.expansions = expansions = {} if expansions is None else expansions
+        held = set()
         for q in range(horizon):
             nxt = set()
             for sup in self.levels[q]:
@@ -102,6 +107,8 @@ class Bsts:
                 for by_obs in groups:
                     nxt.update(by_obs.values())
             self.levels[q + 1] = nxt
+            held.update(*nxt)
+        self.states = np.sort(np.fromiter(held, dtype=np.intp, count=len(held)))
 
     def post_by_obs(self, support, q, a):
         """dict observation -> successor support for one (node, action)."""
@@ -180,27 +187,15 @@ def unsafe_sets(positions, predictions, radii, epsilon, within=None):
             for tau in range(1, horizon + 1)}
 
 
-@dataclass
-class WinningRegions:
-    """Winning supports and the shield table of one BSTS.
-
-    ``regions[tau]`` holds the winning supports of level tau, 1..horizon.
-    ``allowed[(support, q)]`` holds, for every node below the horizon, the
-    actions whose every observation outcome lands in ``regions[q + 1]``.
-    """
-
-    regions: dict                # tau -> frozenset of supports
-    allowed: dict                # (support, q) -> tuple of actions, q < horizon
-
-
 def compute_winning_regions(bsts, f_sets):
-    """One backward sweep over the BSTS levels: winning regions and table.
+    """One backward sweep over the BSTS levels: ``(regions, table)``, the
+    two maps a ``Shield`` holds.
 
     Depth-H supports win by avoiding the depth-H unsafe states alone (no
     lookahead exists beyond the prediction horizon). Below that, each
-    node's allowed actions are those sending every observation outcome into
-    the next level's winning set, and a support wins when it is safe at its
-    own depth and that tuple is nonempty.
+    node's table entry is the actions sending every observation outcome
+    into the next level's winning set, and a support wins when it is safe
+    at its own depth and that tuple is nonempty.
     """
     if len(f_sets) != bsts.horizon:
         raise InvalidSpec(f"{len(f_sets)} unsafe sets for bsts horizon {bsts.horizon}")
@@ -208,30 +203,67 @@ def compute_winning_regions(bsts, f_sets):
     post = bsts.expansions
     regions = {h: frozenset(sup for sup in bsts.levels[h]
                             if f_sets[h].isdisjoint(sup))}
-    allowed = {}
+    table = {}
     for q in range(h - 1, -1, -1):
         above = regions[q + 1]
         won = set()
+        row = table[q] = {}
         for sup in bsts.levels[q]:
-            acts = tuple(a for a, by_obs in enumerate(post[sup])
-                         if above.issuperset(by_obs.values()))
-            allowed[(sup, q)] = acts
+            acts = row[sup] = tuple(a for a, by_obs in enumerate(post[sup])
+                                    if above.issuperset(by_obs.values()))
             if acts and (q == 0 or f_sets[q].isdisjoint(sup)):
                 won.add(sup)
         if q >= 1:
             regions[q] = frozenset(won)
-    return WinningRegions(regions=regions, allowed=allowed)
+    return regions, table
 
 
-def keeps_winning(bsts, winning, support, q, action):
+class Shield:
+    """Per-step shield: the winning regions and certified actions of one BSTS.
+
+    ``regions[tau]`` holds the winning supports of level tau, 1..horizon, and
+    ``table[q][support]`` the certified actions of every level-q node below
+    the horizon: those whose every observation outcome lands in
+    ``regions[q + 1]``. ``groups[support][action]`` is the {observation:
+    child support} dict of every expanded support; it is the BSTS's shared
+    edge map, so it may hold supports of other BSTSs. The planner's inner
+    loop reads these maps directly.
+
+    ``allowed(support, depth)`` answers which actions are certified from a
+    support sitting ``depth`` steps into the future (depth 0 is now).
+    Depths at or beyond the horizon are unconstrained: the prediction
+    regions say nothing about them.
+    """
+
+    def __init__(self, bsts, regions, table):
+        self.bsts = bsts
+        self.horizon = bsts.horizon
+        self.regions = regions
+        self.table = table
+        self.groups = bsts.expansions
+        self._unconstrained = tuple(range(bsts.model.n_actions))
+
+    def allowed(self, support, depth):
+        """Certified actions from (support, depth); all actions past horizon."""
+        if depth >= self.horizon:
+            return self._unconstrained
+        try:
+            return self.table[depth][support]
+        except KeyError:
+            raise UnknownSupport(
+                f"({sorted(support)}, {depth}) is not a BSTS node") from None
+
+
+def keeps_winning(shield, support, q, action):
     """Certificate predicate: every successor of (support, q) under
     ``action`` lies in the claimed W^{q+1}, read straight off the BSTS edges.
     """
-    return winning.regions[q + 1].issuperset(bsts.post_by_obs(support, q, action).values())
+    return shield.regions[q + 1].issuperset(
+        shield.bsts.post_by_obs(support, q, action).values())
 
 
-def verify_winning_regions(bsts, f_sets, winning):
-    """Independent certificate check of the winning regions and shield table.
+def verify_winning_regions(shield, f_sets):
+    """Independent certificate check of a shield's winning regions and table.
 
     Re-derives, straight from the BSTS edges and unsafe sets, that (a) every
     claimed winning support is a level node with no unsafe state at its
@@ -242,9 +274,10 @@ def verify_winning_regions(bsts, f_sets, winning):
     descriptions, empty when the certificate holds.
     """
     problems = []
+    bsts, table = shield.bsts, shield.table
     h = bsts.horizon
     for tau in range(1, h + 1):
-        for sup in winning.regions[tau]:
+        for sup in shield.regions[tau]:
             if sup not in bsts.levels[tau]:
                 problems.append(f"tau={tau}: {sorted(sup)} is not a level node")
                 continue
@@ -252,53 +285,18 @@ def verify_winning_regions(bsts, f_sets, winning):
             if bad:
                 problems.append(
                     f"tau={tau}: {sorted(sup)} contains unsafe states {sorted(bad)}")
-            if tau < h and not winning.allowed.get((sup, tau)):
+            if tau < h and not table[tau].get(sup):
                 problems.append(
                     f"tau={tau}: {sorted(sup)} has no all-winning action")
     for q in range(h):
         for sup in bsts.levels[q]:
-            acts = winning.allowed.get((sup, q))
+            acts = table[q].get(sup)
             if acts is None:
                 problems.append(f"q={q}: {sorted(sup)} has no table entry")
                 continue
             for a in acts:
-                if not keeps_winning(bsts, winning, sup, q, a):
+                if not keeps_winning(shield, sup, q, a):
                     problems.append(
                         f"q={q}: {sorted(sup)} allows action {a}, which can "
                         f"leave W^{q + 1}")
     return problems
-
-
-class Shield:
-    """Per-step shield: the certified actions of every BSTS node.
-
-    ``allowed(support, depth)`` answers which actions are certified from a
-    support sitting ``depth`` steps into the future (depth 0 is now).
-    Depths at or beyond the horizon are unconstrained: the prediction
-    regions say nothing about them.
-
-    The planner's inner loop reads the tables directly:
-    ``table[(support, depth)]`` is the certified action tuple of every node
-    below the horizon, and ``groups[support][action]`` the {observation:
-    child support} dict of every expanded support. ``groups`` is the BSTS's
-    shared edge map, so it may hold supports of other BSTSs; a node of
-    this one is a ``table`` key.
-    """
-
-    def __init__(self, bsts, winning):
-        self.bsts = bsts
-        self.horizon = bsts.horizon
-        self.table = winning.allowed
-        self.groups = bsts.expansions
-        self._unconstrained = tuple(range(bsts.model.n_actions))
-
-    def allowed(self, support, depth):
-        """Certified actions from (support, depth); all actions past horizon."""
-        if depth >= self.horizon:
-            return self._unconstrained
-        try:
-            return self.table[(support, depth)]
-        except KeyError:
-            raise UnknownSupport(
-                f"({sorted(support)}, {depth}) is not a BSTS node") from None
-

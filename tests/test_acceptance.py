@@ -18,7 +18,13 @@ from acpshield.cli import main as cli_main
 from acpshield.gridworld import GridSpec, cell_positions
 from acpshield.harness import acp_coverage_run, expand_grid, load_config, run_benchmark
 from acpshield.planner import Planner, PlannerConfig
-from acpshield.shield import Bsts, compute_winning_regions, constraint_values, unsafe_sets
+from acpshield.shield import (
+    Bsts,
+    Shield,
+    compute_winning_regions,
+    constraint_values,
+    unsafe_sets,
+)
 from acpshield.trajectory import JointAgentState, PredictionSet
 
 import oracles
@@ -123,17 +129,17 @@ def test_criterion_4_winning_regions_match_enumeration():
             by_level[tau] = set(rng.choice(model.n_states, size=k,
                                            replace=False).tolist())
         bsts = Bsts(model, root, horizon)
-        winning = compute_winning_regions(bsts, manual_unsafe(horizon, by_level))
+        shield = Shield(bsts, *compute_winning_regions(bsts, manual_unsafe(horizon, by_level)))
         levels = {tau: frozenset(by_level[tau]) for tau in range(1, horizon + 1)}
         for tau in range(1, horizon + 1):
             for sup in bsts.levels[tau]:
                 expected = oracles.enumerate_winning_supports(
                     model, sup, horizon, levels, level=tau)
                 supports_checked += 1
-                mismatches += (sup in winning.regions[tau]) != expected
+                mismatches += (sup in shield.regions[tau]) != expected
         oracle_allowed = oracles.shielded_actions_oracle(
             model, root, 0, horizon, levels)
-        mismatches += list(winning.allowed[(root, 0)]) != oracle_allowed
+        mismatches += list(shield.table[0][root]) != oracle_allowed
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 60.0
     report(4, ok, f"100 models, {supports_checked} supports vs policy "

@@ -233,6 +233,14 @@ def test_goal_greedy_policy_heads_toward_goal():
     dict(start_cells={(0, 0): 0.0}),
     dict(width=0),
     dict(obs_noise=1.5),
+    # NaN and infinities fail the checks too
+    dict(near_prob=math.nan),
+    dict(far_prob=math.nan),
+    dict(step_reward=math.nan),
+    dict(goal_reward=math.inf),
+    dict(collision_reward=-math.inf),
+    dict(start_cells={(1, 1): math.inf}),
+    dict(start_cells={(1, 1): math.nan}),
 ])
 def test_invalid_specs_rejected(kw):
     with pytest.raises(InvalidSpec):

@@ -21,7 +21,6 @@ from acpshield.planner import (
     Planner,
     PlannerConfig,
     fallback_action,
-    safe_margin,
 )
 from acpshield.shield import (
     Bsts,
@@ -352,8 +351,7 @@ def test_tree_pruning_matches_certified_sets(rng):
                     for tau in (1, 2)}
         unsafe = manual_unsafe(horizon, by_level)
         bsts = Bsts(model, fs(root_state), horizon)
-        winning = compute_winning_regions(bsts, unsafe)
-        shield = Shield(bsts, winning)
+        shield = Shield(bsts, *compute_winning_regions(bsts, unsafe))
         oracle_levels = {tau: frozenset(by_level.get(tau, ())) for tau in (1, 2)}
         for q in range(horizon):
             for sup in bsts.levels[q]:
@@ -537,10 +535,6 @@ def test_fallback_tie_breaks_lowest_and_handles_infinities():
     model = corridor(3)
     margins = np.array([1.0, 1.0, 1.0])
     assert fallback_action(model, fs(1), *margin_inputs(1, margins, math.inf)) == 0
-    assert safe_margin(math.inf, math.inf) == math.inf
-    assert safe_margin(1.0, math.inf) == -math.inf
-    assert safe_margin(math.inf, 1.0) == math.inf
-    assert safe_margin(3.0, 1.0) == 2.0
 
 
 # -- diagnostics --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Model construction, exact filtering, simulator statistics, particle refresh."""
 
+import math
 import random
 
 import numpy as np
@@ -91,6 +92,19 @@ def test_row_validation_tolerance():
         oracles.model_from_tables(neg, np.zeros((2, 1)), z)
 
 
+@pytest.mark.parametrize("t_row, z_row, reward", [
+    ([(0, math.nan), (1, 1.0)], [(0, 1.0)], 0.0),     # not read as a zero entry
+    ([(0, 1.0)], [(0, math.nan), (0, 1.0)], 0.0),
+    ([(0, 1.0)], [(0, 1.0)], math.inf),
+    ([(0, 1.0)], [(0, 1.0)], -math.inf),
+    ([(0, 1.0)], [(0, 1.0)], math.nan),
+])
+def test_nan_and_infinite_entries_rejected(t_row, z_row, reward):
+    with pytest.raises(InvalidModel):
+        PomdpModel(["s0", "s1"], ["a0"], ["o0"], {(0, 0): t_row, (1, 0): [(1, 1.0)]},
+                   {(0, 0): z_row, (1, 0): [(0, 1.0)]}, {(0, 0): reward})
+
+
 def test_missing_rows_rejected():
     with pytest.raises(InvalidModel):
         PomdpModel(["s0"], ["a0"], ["o0"], {}, {(0, 0): [(0, 1.0)]}, {})
@@ -160,6 +174,13 @@ def test_belief_state_validation():
         BeliefState({0: -0.5, 1: 1.5})
     b = BeliefState({0: 0.25, 1: 0.75, 2: 0.0})
     assert oracles.belief_support(b) == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("probs", [{0: math.nan}, {0: math.nan, 1: 1.0},
+                                   {0: 1.0, 1: math.nan}])
+def test_belief_state_rejects_nan(probs):
+    with pytest.raises(InvalidModel):
+        BeliefState(probs)
 
 
 def test_resample_particles_converges_to_posterior(rng, two_state_model):

@@ -31,7 +31,7 @@ from acpshield.pomdp import BeliefState, PomdpModel, belief_update, resample_par
 from acpshield.shield import (
     MARGIN_BLOCK,
     Bsts,
-    WinningRegions,
+    Shield,
     compute_winning_regions,
     constraint_values,
     unsafe_sets,
@@ -85,14 +85,14 @@ def test_shield_table_is_sound_and_matches_oracle(seed, horizon, deterministic):
                                           size=int(rng.integers(0, 4)),
                                           replace=False).tolist())
                 for tau in range(1, horizon + 1)}
-    bsts = Bsts(model, random_support(model, rng), horizon)
-    winning = compute_winning_regions(bsts, manual_unsafe(horizon, by_level))
+    shield = make_shield(model, random_support(model, rng), horizon,
+                         manual_unsafe(horizon, by_level))
     for q in range(horizon):
-        for sup in bsts.levels[q]:
-            acts = winning.allowed[(sup, q)]
+        for sup in shield.bsts.levels[q]:
+            acts = shield.table[q][sup]
             for a in acts:
                 children = oracles.reachable_supports(model, sup, a).values()
-                assert all(child in winning.regions[q + 1] for child in children)
+                assert all(child in shield.regions[q + 1] for child in children)
             assert list(acts) == oracles.shielded_actions_oracle(
                 model, sup, q, horizon, by_level)
 
@@ -257,18 +257,16 @@ def test_unsafe_sets_within_bsts_states_give_the_full_grid_shield(
     states = sorted(s for q in range(1, horizon + 1) for sup in bsts.levels[q]
                     for s in sup)
     within = unsafe_sets(*args, within=np.unique(states))
-    winning = compute_winning_regions(bsts, within)
     expected = compute_winning_regions(bsts, full)
-    assert winning.regions == expected.regions
-    assert winning.allowed == expected.allowed
+    assert compute_winning_regions(bsts, within) == expected
     # an overclaiming certificate: every node wins with every action
-    claim = WinningRegions(
-        regions={tau: frozenset(bsts.levels[tau]) for tau in range(1, horizon + 1)},
-        allowed={(sup, q): tuple(range(model.n_actions))
-                 for q in range(horizon) for sup in bsts.levels[q]})
-    for certificate in (expected, claim):
-        assert (verify_winning_regions(bsts, within, certificate)
-                == verify_winning_regions(bsts, full, certificate))
+    claim = Shield(bsts,
+                   {tau: frozenset(bsts.levels[tau]) for tau in range(1, horizon + 1)},
+                   {q: dict.fromkeys(bsts.levels[q], tuple(range(model.n_actions)))
+                    for q in range(horizon)})
+    for certificate in (Shield(bsts, *expected), claim):
+        assert (verify_winning_regions(certificate, within)
+                == verify_winning_regions(certificate, full))
 
 
 GRIDS = [GridSpec(width=w, height=h, start_cells={(0, 0): 1.0}, goal_cell=(w - 1, h - 1))
@@ -454,10 +452,32 @@ def test_bsts_with_shared_expansions_equals_fresh(seed, deterministic, horizon):
             tau: rng.choice(model.n_states, size=int(rng.integers(0, 3)),
                             replace=False).tolist() for tau in range(1, horizon + 1)})
         winning = compute_winning_regions(shared, unsafe)
-        expected = compute_winning_regions(fresh, unsafe)
-        assert winning.regions == expected.regions
-        assert winning.allowed == expected.allowed
-        assert verify_winning_regions(shared, unsafe, winning) == []
+        assert winning == compute_winning_regions(fresh, unsafe)
+        assert verify_winning_regions(Shield(shared, *winning), unsafe) == []
+
+
+@PROPERTY
+@given(seed=seeds, deterministic=st.booleans(), horizon=st.integers(1, 3),
+       grid=st.sampled_from([None, *GRIDS]))
+def test_bsts_states_are_the_sorted_states_of_levels_1_to_h(seed, deterministic, horizon,
+                                                            grid):
+    # on a grid the root is the goal cell, whose every successor is the
+    # unlocated terminal state: it is held like any other state
+    rng = np.random.default_rng(seed)
+    if grid is None:
+        model = make_random_pomdp(rng, n_states=int(rng.integers(3, 8)),
+                                  n_actions=int(rng.integers(1, 4)), n_obs=3,
+                                  deterministic_obs=deterministic)
+        root = random_support(model, rng)
+    else:
+        model = build_gridworld(grid)
+        root = {grid.state_index(*grid.goal_cell)}
+    bsts = Bsts(model, root, horizon, {})
+    union = set().union(*(sup for q in range(1, horizon + 1) for sup in bsts.levels[q]))
+    assert bsts.states.dtype == np.intp
+    assert bsts.states.tolist() == sorted(union)
+    if grid is not None:
+        assert grid.terminal_state in bsts.states
 
 
 TINY = (5e-324, 1e-300, 1e-17, 1e-16)

@@ -34,9 +34,9 @@ def manual_unsafe(horizon, by_level):
 
 
 def make_shield(model, root, horizon, f_sets):
-    """BSTS, winning regions and shield for one root support."""
+    """BSTS and shield for one root support."""
     bsts = Bsts(model, root, horizon)
-    return Shield(bsts, compute_winning_regions(bsts, f_sets))
+    return Shield(bsts, *compute_winning_regions(bsts, f_sets))
 
 
 def post(bsts, support, q, a):
@@ -252,36 +252,32 @@ def test_constraint_values_allocates_only_block_temporaries():
 
 def test_corridor_winning_regions_hand_checked():
     model = corridor(5)
-    bsts = Bsts(model, fs(2), 2)
     f_sets = manual_unsafe(2, {1: {3}, 2: {3}})
-    winning = compute_winning_regions(bsts, f_sets)
-    assert winning.regions[2] == frozenset({fs(0), fs(2), fs(4)})
-    assert winning.regions[1] == frozenset({fs(1)})
-    assert winning.allowed[(fs(2), 0)] == (0,)
+    shield = make_shield(model, fs(2), 2, f_sets)
+    assert shield.regions[2] == frozenset({fs(0), fs(2), fs(4)})
+    assert shield.regions[1] == frozenset({fs(1)})
+    assert shield.table[0][fs(2)] == (0,)
     # {3} keeps both moves winning but is itself unsafe at level 1
-    assert winning.allowed[(fs(1), 1)] == (0, 1)
-    assert winning.allowed[(fs(3), 1)] == (0, 1)
-    assert verify_winning_regions(bsts, f_sets, winning) == []
+    assert shield.table[1][fs(1)] == (0, 1)
+    assert shield.table[1][fs(3)] == (0, 1)
+    assert verify_winning_regions(shield, f_sets) == []
 
 
 def test_empty_unsafe_means_everything_wins(rng):
     model = make_random_pomdp(rng, n_states=6, n_actions=2, n_obs=3)
     root = random_support(model, rng)
-    bsts = Bsts(model, root, 3)
-    winning = compute_winning_regions(bsts, manual_unsafe(3, {}))
+    shield = make_shield(model, root, 3, manual_unsafe(3, {}))
     for tau in (1, 2, 3):
-        assert winning.regions[tau] == frozenset(bsts.levels[tau])
-    assert winning.allowed[(root, 0)] == tuple(range(model.n_actions))
+        assert shield.regions[tau] == frozenset(shield.bsts.levels[tau])
+    assert shield.table[0][root] == tuple(range(model.n_actions))
 
 
 def test_fully_unsafe_first_level_blocks_everything(rng):
     model = make_random_pomdp(rng, n_states=5, n_actions=2, n_obs=2)
     root = random_support(model, rng)
-    bsts = Bsts(model, root, 2)
-    f_sets = manual_unsafe(2, {1: set(range(model.n_states))})
-    winning = compute_winning_regions(bsts, f_sets)
-    assert winning.regions[1] == frozenset()
-    assert winning.allowed[(root, 0)] == ()
+    shield = make_shield(model, root, 2, manual_unsafe(2, {1: set(range(model.n_states))}))
+    assert shield.regions[1] == frozenset()
+    assert shield.table[0][root] == ()
 
 
 def test_winning_regions_match_policy_search_oracle(rng):
@@ -298,18 +294,17 @@ def test_winning_regions_match_policy_search_oracle(rng):
         for tau in range(1, h + 1):
             k = int(rng.integers(0, model.n_states // 2 + 1))
             by_level[tau] = set(rng.choice(model.n_states, size=k, replace=False).tolist())
-        bsts = Bsts(model, root, h)
         f_sets = manual_unsafe(h, by_level)
-        winning = compute_winning_regions(bsts, f_sets)
+        shield = make_shield(model, root, h, f_sets)
         oracle_levels = {tau: frozenset(by_level.get(tau, ())) for tau in range(1, h + 1)}
         for tau in range(1, h + 1):
-            for sup in bsts.levels[tau]:
+            for sup in shield.bsts.levels[tau]:
                 expected = oracles.enumerate_winning_supports(
                     model, sup, h, oracle_levels, level=tau)
-                assert (sup in winning.regions[tau]) == expected, (trial, tau, sorted(sup))
-        assert list(winning.allowed[(root, 0)]) == oracles.shielded_actions_oracle(
+                assert (sup in shield.regions[tau]) == expected, (trial, tau, sorted(sup))
+        assert list(shield.table[0][root]) == oracles.shielded_actions_oracle(
             model, root, 0, h, oracle_levels)
-        assert verify_winning_regions(bsts, f_sets, winning) == []
+        assert verify_winning_regions(shield, f_sets) == []
 
 
 def test_monotone_conservatism(rng):
@@ -322,41 +317,38 @@ def test_monotone_conservatism(rng):
                 for tau in range(1, h + 1)}
         bigger = {tau: base[tau] | {int(rng.integers(model.n_states))}
                   for tau in range(1, h + 1)}
-        w_base = compute_winning_regions(bsts, manual_unsafe(h, base))
-        w_big = compute_winning_regions(bsts, manual_unsafe(h, bigger))
+        w_base, _ = compute_winning_regions(bsts, manual_unsafe(h, base))
+        w_big, _ = compute_winning_regions(bsts, manual_unsafe(h, bigger))
         for tau in range(1, h + 1):
-            assert w_big.regions[tau] <= w_base.regions[tau]
+            assert w_big[tau] <= w_base[tau]
 
 
 def test_certificate_verifier_catches_corruption():
     model = corridor(5)
-    bsts = Bsts(model, fs(2), 2)
     f_sets = manual_unsafe(2, {1: {3}, 2: {3}})
-    winning = compute_winning_regions(bsts, f_sets)
+    shield = make_shield(model, fs(2), 2, f_sets)
     # claim the unsafe support {3} wins at level 1
-    winning.regions[1] = winning.regions[1] | {fs(3)}
-    problems = verify_winning_regions(bsts, f_sets, winning)
+    shield.regions[1] = shield.regions[1] | {fs(3)}
+    problems = verify_winning_regions(shield, f_sets)
     assert any("unsafe states [3]" in p for p in problems)
     # a node absent from the level is flagged too
-    winning.regions[1] = frozenset({fs(4)})
-    assert any("not a level node" in p
-               for p in verify_winning_regions(bsts, f_sets, winning))
+    shield.regions[1] = frozenset({fs(4)})
+    assert any("not a level node" in p for p in verify_winning_regions(shield, f_sets))
 
 
 def test_certificate_verifier_catches_table_corruption():
     model = corridor(5)
-    bsts = Bsts(model, fs(2), 2)
     f_sets = manual_unsafe(2, {1: {3}, 2: {3}})
-    winning = compute_winning_regions(bsts, f_sets)
+    shield = make_shield(model, fs(2), 2, f_sets)
     # right from {2} lands on the unsafe {3}; listing it must be flagged
-    winning.allowed[(fs(2), 0)] = (0, 1)
-    problems = verify_winning_regions(bsts, f_sets, winning)
+    shield.table[0][fs(2)] = (0, 1)
+    problems = verify_winning_regions(shield, f_sets)
     assert any("allows action 1" in p for p in problems)
     # a winning support without an entry, and one with an empty entry
-    winning = compute_winning_regions(bsts, f_sets)
-    del winning.allowed[(fs(2), 0)]
-    winning.allowed[(fs(1), 1)] = ()
-    problems = verify_winning_regions(bsts, f_sets, winning)
+    shield = make_shield(model, fs(2), 2, f_sets)
+    del shield.table[0][fs(2)]
+    shield.table[1][fs(1)] = ()
+    problems = verify_winning_regions(shield, f_sets)
     assert any("no table entry" in p for p in problems)
     assert any("[1] has no all-winning action" in p for p in problems)
 
@@ -377,7 +369,7 @@ def test_shared_map_support_off_this_level_is_unknown():
     expansions = {}
     Bsts(model, fs(0), 2, expansions)           # expands {0} and {1}
     bsts = Bsts(model, fs(4), 2, expansions)    # levels {4}; {3}, {5}; {2}, {4}, {5}
-    shield = Shield(bsts, compute_winning_regions(bsts, manual_unsafe(2, {})))
+    shield = Shield(bsts, *compute_winning_regions(bsts, manual_unsafe(2, {})))
     for sup, q in ((fs(0), 0), (fs(1), 1), (fs(3), 0), (fs(4), 1), (fs(5), 0)):
         assert sup in expansions
         with pytest.raises(UnknownSupport):
@@ -415,4 +407,4 @@ def test_shield_successor_resolution():
     shield = make_shield(model, fs(2), 2, manual_unsafe(2, {}))
     assert shield.groups[fs(2)][1].get(3) == fs(3)   # obs 3 after moving right
     assert shield.groups[fs(2)][1].get(0) is None    # obs 0 impossible there
-    assert shield.table[(fs(2), 0)] == shield.allowed(fs(2), 0)
+    assert shield.table[0][fs(2)] == shield.allowed(fs(2), 0)
