@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer field check."""
+
+import numbers
 
 
 class AcpShieldError(Exception):
@@ -69,3 +71,17 @@ class AllActionsShielded(AcpShieldError):
 class ParticleDeprivation(AcpShieldError):
     """No successor of the particles is consistent with the received
     observation."""
+
+
+def is_int(value):
+    """True for ints, numpy's included; bools and floats, integral or not,
+    are not ints, so a spec built directly never truncates a size or count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_int(name, value, low):
+    """InvalidSpec naming ``name`` unless ``value`` is an int of at least ``low``."""
+    if not is_int(value):
+        raise InvalidSpec(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise InvalidSpec(f"{name} must be >= {low}, got {value}")

@@ -2,8 +2,10 @@
 
 A robot on a width x height grid moves east, south, west, or north; each
 move covers one cell with ``near_prob`` and two cells with ``far_prob``,
-truncated at walls. The robot senses only the 2x2 block containing its
-cell, so belief supports stay inside a single block (at most four cells).
+truncated at walls. State s is the cell (s % width, s // width). The
+robot senses only the 2x2 block containing its cell, so belief supports
+stay inside a single block (at most four cells); the model is built by
+integer arithmetic on these indices, one observation row per block.
 Reaching the goal cell pays ``goal_reward`` and absorbs into a terminal
 state with its own observation. Collision penalties are not part of the
 model: they depend on the moving agents, so the experiment harness applies
@@ -17,24 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, is_int, require_int
 from .pomdp import BeliefState, PomdpModel
 
 # action order: east (+x), south (-y), west (-x), north (+y)
 ACTION_NAMES = ("east", "south", "west", "north")
 ACTION_DELTAS = ((1, 0), (0, -1), (-1, 0), (0, 1))
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Grid cell with integer coordinates; its spatial center is (x, y)."""
-
-    x: int
-    y: int
-
-    @property
-    def center(self):
-        return (float(self.x), float(self.y))
 
 
 @dataclass
@@ -53,8 +43,8 @@ class GridSpec:
     obs_noise: float = 0.0       # probability of reporting an adjacent block
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidSpec(f"grid {self.width}x{self.height} must be positive")
+        require_int("width", self.width, 1)
+        require_int("height", self.height, 1)
         # every check below is written so that NaN fails it
         if not abs(self.near_prob + self.far_prob - 1.0) <= 1e-9:
             raise InvalidSpec(
@@ -70,18 +60,22 @@ class GridSpec:
             raise InvalidSpec("start_cells must be nonempty")
         if self.goal_cell is None:
             self.goal_cell = (self.width - 2, self.height - 2)
-        self.goal_cell = tuple(self.goal_cell)
-        if not self.contains(*self.goal_cell):
-            raise InvalidSpec(f"goal cell {self.goal_cell} outside the grid")
+        self.goal_cell = self._cell("goal cell", self.goal_cell)
         clean = {}
         for xy, w in self.start_cells.items():
-            x, y = xy
-            if not self.contains(x, y):
-                raise InvalidSpec(f"start cell {xy} outside the grid")
+            cell = self._cell("start cell", xy)
             if not 0 < w < math.inf:
                 raise InvalidSpec(f"start cell {xy} has weight {w}, not in (0, inf)")
-            clean[(int(x), int(y))] = float(w)
+            clean[cell] = float(w)
         self.start_cells = clean
+
+    def _cell(self, name, xy):
+        """``xy`` as an (x, y) pair of ints inside the grid, else InvalidSpec."""
+        if not (isinstance(xy, (tuple, list)) and len(xy) == 2 and all(map(is_int, xy))):
+            raise InvalidSpec(f"{name} {xy!r} is not an (x, y) pair of ints")
+        if not self.contains(*xy):
+            raise InvalidSpec(f"{name} {tuple(xy)} outside the grid")
+        return (int(xy[0]), int(xy[1]))
 
     def contains(self, x, y):
         return 0 <= x < self.width and 0 <= y < self.height
@@ -100,17 +94,6 @@ class GridSpec:
             raise InvalidSpec(f"cell ({x},{y}) outside the grid")
         return y * self.width + x
 
-    def state_cell(self, s):
-        """Cell of a grid state; the terminal state has no cell."""
-        if not (0 <= s < self.n_cells):
-            raise InvalidSpec(f"state {s} is not a grid cell")
-        return Cell(s % self.width, s // self.width)
-
-
-def block_observation(cell):
-    """2x2 block containing the cell; block origins sit at even coordinates."""
-    return (cell.x // 2, cell.y // 2)
-
 
 def cell_positions(spec):
     """(n_states, 2) array of cell centers; the terminal row is NaN.
@@ -125,33 +108,6 @@ def cell_positions(spec):
     return pos
 
 
-def _blocks(spec):
-    """All block ids of the grid, in observation-index order."""
-    bw = (spec.width + 1) // 2
-    bh = (spec.height + 1) // 2
-    return [(bx, by) for by in range(bh) for bx in range(bw)]
-
-
-def _block_index(spec, block):
-    bw = (spec.width + 1) // 2
-    return block[1] * bw + block[0]
-
-
-def _observation_row(spec, block, block_ids):
-    """Observation distribution for a cell in ``block`` with optional noise."""
-    if spec.obs_noise == 0.0:
-        return [(_block_index(spec, block), 1.0)]
-    bx, by = block
-    adjacent = [b for b in ((bx + 1, by), (bx - 1, by), (bx, by + 1), (bx, by - 1))
-                if b in block_ids]
-    if not adjacent:
-        return [(_block_index(spec, block), 1.0)]
-    row = [(_block_index(spec, block), 1.0 - spec.obs_noise)]
-    share = spec.obs_noise / len(adjacent)
-    row.extend((_block_index(spec, b), share) for b in adjacent)
-    return row
-
-
 def build_gridworld(spec):
     """Construct the benchmark PomdpModel from a GridSpec.
 
@@ -160,43 +116,55 @@ def build_gridworld(spec):
     far_prob; displacements truncate at walls and merged outcomes keep rows
     stochastic. The goal cell pays goal_reward and moves to the terminal
     under every action; every other cell pays step_reward.
+
+    Cell (x, y) observes block (y // 2) * ceil(width / 2) + x // 2, named
+    ``b{x // 2}_{y // 2}``. With obs_noise the block reports itself with
+    1 - obs_noise and each existing east, west, north and south neighbour
+    block, in that order, with an equal share of obs_noise.
     """
-    n_cells = spec.n_cells
+    width, height = spec.width, spec.height
+    bw, bh = (width + 1) // 2, (height + 1) // 2
     terminal = spec.terminal_state
-    blocks = _blocks(spec)
-    block_ids = set(blocks)
-    obs_names = [f"b{bx}_{by}" for bx, by in blocks] + ["done"]
-    done_obs = len(obs_names) - 1
-    state_names = [f"c{s % spec.width}_{s // spec.width}" for s in range(n_cells)]
-    state_names.append("terminal")
     goal = spec.state_index(*spec.goal_cell)
+    obs_names = [f"b{b % bw}_{b // bw}" for b in range(bw * bh)] + ["done"]
+    state_names = [f"c{s % width}_{s // width}" for s in range(spec.n_cells)]
+    state_names.append("terminal")
+
+    obs_rows = []                 # per block; every cell and action shares it
+    for b in range(bw * bh):
+        bx, by = b % bw, b // bw
+        adjacent = [n for n, inside in ((b + 1, bx + 1 < bw), (b - 1, bx > 0),
+                                        (b + bw, by + 1 < bh), (b - bw, by > 0))
+                    if inside]
+        if spec.obs_noise == 0.0 or not adjacent:
+            obs_rows.append([(b, 1.0)])
+        else:
+            share = spec.obs_noise / len(adjacent)
+            obs_rows.append([(b, 1.0 - spec.obs_noise)] + [(n, share) for n in adjacent])
 
     t_rows = {}
     z_rows = {}
     rewards = {}
-    for s in range(n_cells):
-        cell = spec.state_cell(s)
-        obs_row = _observation_row(spec, block_observation(cell), block_ids)
+    for s in range(spec.n_cells):
+        x, y = s % width, s // width
+        obs_row = obs_rows[(y // 2) * bw + x // 2]
         for a, (dx, dy) in enumerate(ACTION_DELTAS):
+            z_rows[(s, a)] = obs_row
             if s == goal:
                 t_rows[(s, a)] = [(terminal, 1.0)]
                 rewards[(s, a)] = spec.goal_reward
+                continue
+            nx, fx = min(max(x + dx, 0), width - 1), min(max(x + 2 * dx, 0), width - 1)
+            ny, fy = min(max(y + dy, 0), height - 1), min(max(y + 2 * dy, 0), height - 1)
+            s_near, s_far = ny * width + nx, fy * width + fx
+            if s_near == s_far:
+                t_rows[(s, a)] = [(s_near, 1.0)]
             else:
-                near = (min(max(cell.x + dx, 0), spec.width - 1),
-                        min(max(cell.y + dy, 0), spec.height - 1))
-                far = (min(max(cell.x + 2 * dx, 0), spec.width - 1),
-                       min(max(cell.y + 2 * dy, 0), spec.height - 1))
-                s_near = spec.state_index(*near)
-                s_far = spec.state_index(*far)
-                if s_near == s_far:
-                    t_rows[(s, a)] = [(s_near, 1.0)]
-                else:
-                    t_rows[(s, a)] = [(s_near, spec.near_prob), (s_far, spec.far_prob)]
-                rewards[(s, a)] = spec.step_reward
-            z_rows[(s, a)] = obs_row
+                t_rows[(s, a)] = [(s_near, spec.near_prob), (s_far, spec.far_prob)]
+            rewards[(s, a)] = spec.step_reward
     for a in range(len(ACTION_DELTAS)):
         t_rows[(terminal, a)] = [(terminal, 1.0)]
-        z_rows[(terminal, a)] = [(done_obs, 1.0)]
+        z_rows[(terminal, a)] = [(len(obs_names) - 1, 1.0)]
 
     return PomdpModel(state_names, ACTION_NAMES, obs_names, t_rows, z_rows,
                       rewards, discount=0.95)

@@ -59,6 +59,7 @@ from .errors import (
     HistoryTooShort,
     InvalidSpec,
     ParticleDeprivation,
+    require_int,
 )
 from .gridworld import (
     GridSpec,
@@ -108,16 +109,14 @@ class AgentSetup:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise InvalidSpec(f"agent kind {self.kind!r} not one of {SYNTH_KINDS}")
-        if self.count < 0:
-            raise InvalidSpec(f"agents.count must be >= 0, got {self.count}")
+        require_int("agents.count", self.count, 0)
         if not self.speed >= 0:
             raise InvalidSpec(f"agents.speed must be >= 0, got {self.speed}")
         if not self.noise >= 0:
             raise InvalidSpec(f"agents.noise must be >= 0, got {self.noise}")
         if not self.scale > 0:
             raise InvalidSpec(f"agents.scale must be > 0, got {self.scale}")
-        if self.stride < 1:
-            raise InvalidSpec(f"agents.stride must be >= 1, got {self.stride}")
+        require_int("agents.stride", self.stride, 1)
 
 
 @dataclass
@@ -145,22 +144,17 @@ class ExperimentConfig:
             raise InvalidSpec(f"method {self.method!r} not one of {METHODS}")
         if self.predictor not in (*PREDICTORS, "replay"):
             raise InvalidSpec(f"predictor {self.predictor!r} not one of {(*PREDICTORS, 'replay')}")
-        if self.horizon < 1:
-            raise InvalidSpec(f"horizon must be >= 1, got {self.horizon}")
+        require_int("horizon", self.horizon, 1)
         if not (0.0 < self.delta < 1.0):
             raise InvalidSpec(f"delta {self.delta} outside (0, 1)")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidSpec(f"alpha {self.alpha} outside (0, 1)")
         if not self.epsilon > 0.0:
             raise InvalidSpec(f"epsilon must be > 0, got {self.epsilon}")
-        if self.window < 1:
-            raise InvalidSpec(f"window must be >= 1, got {self.window}")
-        if self.runs < 1:
-            raise InvalidSpec(f"runs must be >= 1, got {self.runs}")
-        if self.max_steps < 1:
-            raise InvalidSpec(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        require_int("window", self.window, 1)
+        require_int("runs", self.runs, 1)
+        require_int("max_steps", self.max_steps, 1)
+        require_int("seed", self.seed, 0)
         if self.planner.max_depth < self.horizon:
             raise InvalidSpec(
                 f"planner depth {self.planner.max_depth} below horizon {self.horizon}")

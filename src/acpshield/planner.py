@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllActionsShielded, EmptyBelief, InvalidSpec
+from .errors import AllActionsShielded, EmptyBelief, InvalidSpec, require_int
 from .pomdp import resample_particles
 from .shield import constraint_values
 
@@ -90,12 +90,10 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_simulations < 1:
-            raise InvalidSpec(f"num_simulations must be >= 1, got {self.num_simulations}")
-        if self.max_depth < 1:
-            raise InvalidSpec(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.particle_count < 1:
-            raise InvalidSpec(f"particle_count must be >= 1, got {self.particle_count}")
+        require_int("num_simulations", self.num_simulations, 1)
+        require_int("max_depth", self.max_depth, 1)
+        require_int("particle_count", self.particle_count, 1)
+        require_int("seed", self.seed, 0)
         if not self.ucb_constant >= 0.0:
             raise InvalidSpec(f"ucb_constant must be >= 0, got {self.ucb_constant}")
         if self.rollout_policy not in ("random", "goal-greedy"):

@@ -263,8 +263,9 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
 
     kinds: 'random-walk' (Gaussian steps), 'constant-velocity-with-noise'
     (fixed heading plus Gaussian jitter; noise=0 gives exact lines), and
-    'waypoint' (piecewise-constant heading through random waypoints). All
-    kinds reflect at the bounds box and are deterministic given the rng.
+    'waypoint' (piecewise-constant heading through random waypoints).
+    Constant-velocity agents with noise=0 reflect at the bounds box; every
+    other agent is clipped to it. All kinds are deterministic given the rng.
     """
     if kind not in SYNTH_KINDS:
         raise InvalidSpec(f"unknown synthesis kind {kind!r}; choices: {SYNTH_KINDS}")

@@ -56,6 +56,11 @@ def observation_row(model, s2, a):
     return np.asarray(idxs), np.array([model.observation_prob(s2, a, o) for o in idxs])
 
 
+def cell_and_block(spec, s):
+    """Grid state ``s`` as its (x, y) cell and that cell's 2x2 block (x // 2, y // 2)."""
+    return (s % spec.width, s // spec.width), (s % spec.width // 2, s // spec.width // 2)
+
+
 def dense_tables(model, max_states=512):
     """Dense (T, Z, R) arrays of a model, filled from its sparse rows.
 

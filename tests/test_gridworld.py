@@ -9,9 +9,7 @@ import pytest
 from acpshield.errors import InvalidSpec
 from acpshield.gridworld import (
     ACTION_NAMES,
-    Cell,
     GridSpec,
-    block_observation,
     build_gridworld,
     cell_positions,
     goal_greedy_actions,
@@ -20,7 +18,13 @@ from acpshield.gridworld import (
 from acpshield.pomdp import BeliefState, belief_update
 from acpshield.shield import constraint_values
 
-from oracles import belief_prob, belief_support, observation_row, transition_row
+from oracles import (
+    belief_prob,
+    belief_support,
+    cell_and_block,
+    observation_row,
+    transition_row,
+)
 
 
 def t_prob(model, s, a, s2):
@@ -112,37 +116,48 @@ def test_terminal_observation_is_distinct():
 
 
 def test_block_membership():
-    assert len({block_observation(Cell(x, y)) for x, y in
-                [(0, 0), (1, 0), (0, 1), (1, 1)]}) == 1
-    assert block_observation(Cell(2, 0)) != block_observation(Cell(1, 0))
+    spec = GridSpec(width=4, height=4, start_cells={(0, 0): 1.0}, goal_cell=(3, 3))
+    model = build_gridworld(spec)
+
+    def obs(x, y):
+        return observation_row(model, spec.state_index(x, y), 0)[0].tolist()
+
+    assert len({tuple(obs(x, y)) for x, y in [(0, 0), (1, 0), (0, 1), (1, 1)]}) == 1
+    assert obs(2, 0) != obs(1, 0)
 
 
 def test_block_partition_covers_grid_once():
     spec = GridSpec(width=9, height=6, start_cells={(0, 0): 1.0}, goal_cell=(8, 5))
+    model = build_gridworld(spec)
     seen = {}
     for s in range(spec.n_cells):
-        b = block_observation(spec.state_cell(s))
-        seen.setdefault(b, []).append(s)
+        for a in range(model.n_actions):
+            (o,), probs = observation_row(model, s, a)
+            assert probs.tolist() == [1.0]
+            seen.setdefault(o, set()).add(s)
+    assert len(seen) == 5 * 3
     assert sum(len(v) for v in seen.values()) == spec.n_cells
-    for (bx, by), cells in seen.items():
+    for o, cells in seen.items():
         for s in cells:
-            c = spec.state_cell(s)
-            assert c.x // 2 == bx and c.y // 2 == by
+            (x, y), (bx, by) = cell_and_block(spec, s)
+            assert model.obs_names[o] == f"b{bx}_{by}" == f"b{x // 2}_{y // 2}"
 
 
 def test_cell_distance_values():
     # cell-center distances as the shield measures them: zero-buffer margins
-    positions = cell_positions(spec30())
+    spec = spec30()
+    positions = cell_positions(spec)
 
     def dist(cell, point):
-        state = spec30().state_index(cell.x, cell.y)
+        state = spec.state_index(*cell)
+        assert cell_and_block(spec, state)[0] == cell
         return constraint_values(positions[[state]], [point], epsilon=0.0)[0]
 
-    assert dist(Cell(0, 0), (3.0, 4.0)) == pytest.approx(5.0)
-    assert dist(Cell(18, 4), (17.334, 9.711)) == pytest.approx(5.7497, abs=1e-3)
-    assert dist(Cell(7, 2), (7.0, 2.0)) == 0.0
+    assert dist((0, 0), (3.0, 4.0)) == pytest.approx(5.0)
+    assert dist((18, 4), (17.334, 9.711)) == pytest.approx(5.7497, abs=1e-3)
+    assert dist((7, 2), (7.0, 2.0)) == 0.0
     p = (1.25, -0.5)
-    assert dist(Cell(0, 0), p) == pytest.approx(math.dist(p, (0.0, 0.0)), abs=1e-12)
+    assert dist((0, 0), p) == pytest.approx(math.dist(p, (0.0, 0.0)), abs=1e-12)
 
 
 def test_cell_positions_terminal_is_nan():
@@ -157,7 +172,7 @@ def test_cell_positions_terminal_is_nan():
 def test_cell_positions_equal_the_cell_centers(width, height):
     spec = GridSpec(width=width, height=height, start_cells={(0, 0): 1.0},
                     goal_cell=(width - 1, height - 1))
-    expected = [spec.state_cell(s).center for s in range(spec.n_cells)]
+    expected = [tuple(map(float, cell_and_block(spec, s)[0])) for s in range(spec.n_cells)]
     pos = cell_positions(spec)
     assert pos.dtype == np.float64 and pos.shape == (spec.n_cells + 1, 2)
     assert list(map(tuple, pos[:-1].tolist())) == expected
@@ -177,8 +192,7 @@ def test_belief_supports_stay_inside_one_block():
             b = belief_update(model, b, a, o)
             support = belief_support(b)
             assert len(support) <= 4
-            cells = [spec.state_cell(x) for x in support if x < spec.n_cells]
-            assert len({block_observation(c) for c in cells}) <= 1
+            assert len({cell_and_block(spec, x)[1] for x in support if x < spec.n_cells}) <= 1
             if s == spec.terminal_state:
                 break
 
@@ -193,6 +207,31 @@ def test_obs_noise_rows():
     assert probs.max() == pytest.approx(0.8)
     assert len(idxs) == 5
     assert len(model.obs_support[s]) == 5
+
+
+@pytest.mark.parametrize("noise", [0.2, 0.999])
+@pytest.mark.parametrize("width, height", [(9, 6), (37, 5), (1, 6), (6, 1), (2, 2)])
+def test_obs_noise_rows_at_edges_corners_and_odd_sizes(width, height, noise):
+    # the row's order fixes which observation each random draw picks
+    spec = GridSpec(width=width, height=height, start_cells={(0, 0): 1.0},
+                    goal_cell=(width - 1, height - 1), obs_noise=noise)
+    model = build_gridworld(spec)
+    bw, bh = math.ceil(width / 2), math.ceil(height / 2)
+    for s in range(spec.n_cells):
+        _, (bx, by) = cell_and_block(spec, s)
+        east, west, north, south = (bx + 1, by), (bx - 1, by), (bx, by + 1), (bx, by - 1)
+        neighbours = [(x, y) for x, y in (east, west, north, south)
+                      if 0 <= x < bw and 0 <= y < bh]
+        blocks = [(bx, by), *neighbours]
+        if neighbours:
+            probs = [1.0 - noise] + [noise / len(neighbours)] * len(neighbours)
+        else:
+            probs = [1.0]
+        for a in range(model.n_actions):
+            idxs, zprobs = observation_row(model, s, a)
+            assert [model.obs_names[o] for o in idxs] == [f"b{x}_{y}" for x, y in blocks]
+            assert idxs.tolist() == [y * bw + x for x, y in blocks]
+            assert zprobs.tolist() == pytest.approx(probs, abs=1e-12)
 
 
 def test_equal_observation_rows_are_stored_once():
@@ -241,6 +280,16 @@ def test_goal_greedy_policy_heads_toward_goal():
     dict(collision_reward=-math.inf),
     dict(start_cells={(1, 1): math.inf}),
     dict(start_cells={(1, 1): math.nan}),
+    # sizes and cells must be ints, and cells (x, y) pairs
+    dict(goal_cell=(4.5, 4)),
+    dict(goal_cell=(4, 4.0)),
+    dict(goal_cell=(1, 2, 3)),
+    dict(goal_cell=(True, 4)),
+    dict(start_cells={(1.5, 1): 1.0}),
+    dict(start_cells={5: 1.0}),
+    dict(width=30.5),
+    dict(height=30.0),
+    dict(width=True, goal_cell=(0, 5)),
 ])
 def test_invalid_specs_rejected(kw):
     with pytest.raises(InvalidSpec):

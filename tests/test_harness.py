@@ -69,6 +69,9 @@ def test_config_rejects_unknown_method():
     ("agents.scale", math.nan), ("agents.stride", 0), ("agents.stride", -1),
     ("agents.count", -1), ("agents.speed", -0.5), ("agents.speed", math.nan),
     ("agents.noise", -0.1), ("agents.noise", math.nan),
+    # integer fields take ints only: max_steps 10.5 would play 11 steps
+    ("horizon", 2.5), ("window", 4.5), ("runs", 1.5), ("max_steps", 10.5), ("max_steps", True),
+    ("seed", 1.0), ("agents.count", 2.5), ("agents.stride", 1.5),
 ])
 def test_config_rejects_bad_scalars(field, value):
     section, _, key = field.rpartition(".")

@@ -137,6 +137,11 @@ def test_config_validation():
             PlannerConfig(ucb_constant=ucb)
     with pytest.raises(InvalidSpec):
         PlannerConfig(rollout_policy="goal_greedy")
+    # integer fields take ints only: 10.5 simulations would run 11
+    for field, value in [("num_simulations", 10.5), ("max_depth", 24.5),
+                         ("particle_count", 100.0), ("seed", 1.5), ("num_simulations", True)]:
+        with pytest.raises(InvalidSpec, match=field):
+            PlannerConfig(**{field: value})
 
 
 def test_plan_requires_depth_covering_horizon():

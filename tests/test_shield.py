@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from acpshield.errors import InvalidSpec, UnknownSupport
-from acpshield.gridworld import GridSpec, block_observation, build_gridworld, cell_positions
+from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
 from acpshield.shield import (
     Bsts,
     Shield,
@@ -115,9 +115,8 @@ def test_bsts_gridworld_one_step_hand_enumeration():
     })
     assert post(bsts, root, 0, 3) == north
     for sup in bsts.levels[1]:
-        cells = [spec.state_cell(s) for s in sup]
         assert len(sup) <= 4
-        assert len({block_observation(c) for c in cells}) == 1
+        assert len({oracles.cell_and_block(spec, s)[1] for s in sup}) == 1
 
 
 def test_bsts_groups_match_set_algebra_oracle(rng):
