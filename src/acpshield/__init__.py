@@ -42,7 +42,6 @@ from .shield import (
     verify_winning_regions,
 )
 from .trajectory import (
-    JointAgentState,
     load_trajectories,
     make_predictor,
     synth_trajectories,
@@ -58,7 +57,6 @@ __all__ = [
     "GridSpec",
     "HistoryTooShort",
     "InvalidSpec",
-    "JointAgentState",
     "ParticleDeprivation",
     "Planner",
     "PlannerConfig",

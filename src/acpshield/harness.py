@@ -81,7 +81,6 @@ from .shield import (
 from .trajectory import (
     PREDICTORS,
     SYNTH_KINDS,
-    JointAgentState,
     load_trajectories,
     make_predictor,
     synth_trajectories,
@@ -110,12 +109,12 @@ class AgentSetup:
         if self.kind not in SYNTH_KINDS:
             raise InvalidSpec(f"agent kind {self.kind!r} not one of {SYNTH_KINDS}")
         require_int("agents.count", self.count, 0)
-        if not self.speed >= 0:
-            raise InvalidSpec(f"agents.speed must be >= 0, got {self.speed}")
-        if not self.noise >= 0:
-            raise InvalidSpec(f"agents.noise must be >= 0, got {self.noise}")
-        if not self.scale > 0:
-            raise InvalidSpec(f"agents.scale must be > 0, got {self.scale}")
+        if not 0 <= self.speed < math.inf:
+            raise InvalidSpec(f"agents.speed must be finite and >= 0, got {self.speed}")
+        if not 0 <= self.noise < math.inf:
+            raise InvalidSpec(f"agents.noise must be finite and >= 0, got {self.noise}")
+        if not 0 < self.scale < math.inf:
+            raise InvalidSpec(f"agents.scale must be finite and > 0, got {self.scale}")
         require_int("agents.stride", self.stride, 1)
 
 
@@ -149,8 +148,8 @@ class ExperimentConfig:
             raise InvalidSpec(f"delta {self.delta} outside (0, 1)")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidSpec(f"alpha {self.alpha} outside (0, 1)")
-        if not self.epsilon > 0.0:
-            raise InvalidSpec(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise InvalidSpec(f"epsilon must be finite and > 0, got {self.epsilon}")
         require_int("window", self.window, 1)
         require_int("runs", self.runs, 1)
         require_int("max_steps", self.max_steps, 1)
@@ -231,14 +230,6 @@ def build_source(cfg, run):
     return synth_trajectories(cfg.agents.kind, cfg.agents.count, episode_horizon(cfg),
                               rng, bounds=bounds, speed=cfg.agents.speed,
                               noise=cfg.agents.noise)
-
-
-def _source_step(source, t):
-    # outside the recorded span means no agents in the scene, not an error
-    span = source.span()
-    if span is None or not (span[0] <= t <= span[1]):
-        return JointAgentState.empty(t)
-    return source.agents_at(t)
 
 
 # -- episode loop ------------------------------------------------------------------
@@ -347,7 +338,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
     t0 = cfg.window + cfg.horizon
     if shielded:
         for t in range(t0):
-            _acp_step(estimator, predictor, history, _source_step(source, t), cfg.horizon)
+            _acp_step(estimator, predictor, history, source.agents_at(t), cfg.horizon)
 
     records = []
     expansions = {}               # support -> successor groups, shared by every BSTS
@@ -359,7 +350,7 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
     t = t0
     while True:
         # observe
-        actual = _source_step(source, t)
+        actual = source.agents_at(t)
         pos = positions[state]
         min_d = float(constraint_values(pos[None], actual.positions, 0.0)[0])
         c_val = min_d - cfg.epsilon

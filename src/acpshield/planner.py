@@ -94,8 +94,8 @@ class PlannerConfig:
         require_int("max_depth", self.max_depth, 1)
         require_int("particle_count", self.particle_count, 1)
         require_int("seed", self.seed, 0)
-        if not self.ucb_constant >= 0.0:
-            raise InvalidSpec(f"ucb_constant must be >= 0, got {self.ucb_constant}")
+        if not 0.0 <= self.ucb_constant < math.inf:
+            raise InvalidSpec(f"ucb_constant must be finite and >= 0, got {self.ucb_constant}")
         if self.rollout_policy not in ("random", "goal-greedy"):
             raise InvalidSpec(f"rollout_policy {self.rollout_policy!r} is not "
                               "'random' or 'goal-greedy'")

@@ -24,6 +24,7 @@ from .errors import (
     NonMonotoneFrames,
     OutOfRange,
     ParseError,
+    require_int,
 )
 
 
@@ -115,9 +116,8 @@ class TrajectorySource:
         return max((len(present) for present, _ in self._frames.values()), default=0)
 
     def agents_at(self, t):
-        """Joint state of the agents present at timestep t."""
-        if self._span is not None and not (self._span[0] <= t <= self._span[1]):
-            raise OutOfRange(f"timestep {t} outside span {self._span}")
+        """Joint state of the agents present at timestep t: the empty state
+        at a timestep with no frame, before, inside or after the span."""
         frame = self._frames.get(t)
         if frame is None:
             return JointAgentState.empty(t)
@@ -141,21 +141,23 @@ def _velocities(history):
     return vel
 
 
-def _frozen(positions):
-    positions.flags.writeable = False
-    return positions
+def _prediction_set(last, horizon, positions):
+    """The PredictionSet made at ``last``'s timestep: lookahead tau holds
+    ``last``'s agents at ``positions[tau - 1]``, made read-only."""
+    preds = []
+    for tau, pos in enumerate(positions, 1):
+        pos.flags.writeable = False
+        preds.append(JointAgentState(last.ids, pos, last.timestep + tau))
+    return PredictionSet(last.timestep, horizon, preds)
 
 
 def predict_constant(history, horizon):
-    """Repeat the current joint state for every future step."""
+    """Repeat the current joint state for every future step: one read-only
+    copy of its positions, shared by every lookahead."""
     if not history:
         raise HistoryTooShort("constant predictor needs at least one state")
     last = history[-1]
-    positions = _frozen(last.positions.copy())
-    preds = tuple(
-        JointAgentState(last.ids, positions, last.timestep + tau)
-        for tau in range(1, horizon + 1))
-    return PredictionSet(last.timestep, horizon, preds)
+    return _prediction_set(last, horizon, [last.positions.copy()] * horizon)
 
 
 def predict_constant_velocity(history, horizon):
@@ -164,24 +166,22 @@ def predict_constant_velocity(history, horizon):
         raise HistoryTooShort("constant-velocity predictor needs two states")
     last = history[-1]
     vel = _velocities(history)
-    preds = tuple(
-        JointAgentState(last.ids, _frozen(last.positions + tau * vel), last.timestep + tau)
-        for tau in range(1, horizon + 1))
-    return PredictionSet(last.timestep, horizon, preds)
+    return _prediction_set(last, horizon,
+                           (last.positions + tau * vel for tau in range(1, horizon + 1)))
 
 
 def predict_linear_fit(history, horizon):
     """Per-agent least-squares line through the provided window.
 
     Each coordinate is regressed on the timestep over the frames where the
-    agent appears; agents seen once fall back to their current position.
+    agent appears, and that one line gives all the agent's lookaheads;
+    agents seen once fall back to their current position.
     """
     if len(history) < 2:
         raise HistoryTooShort("linear-fit predictor needs two states")
     last = history[-1]
-    preds_pos = []
-    for tau in range(1, horizon + 1):
-        preds_pos.append(np.zeros((last.n_agents, 2)))
+    future = np.arange(last.timestep + 1, last.timestep + horizon + 1, dtype=float)
+    preds = np.repeat(last.positions[None], len(future), axis=0)      # (horizon, n, 2)
     seen = [([], []) for _ in last.ids]       # per agent: timesteps, positions
     for js in history:
         for i, j in zip(*last.shared_rows(js)):
@@ -189,18 +189,13 @@ def predict_linear_fit(history, horizon):
             seen[i][1].append(js.positions[j])
     for i, (ts, pts) in enumerate(seen):
         if len(ts) < 2:
-            for tau in range(1, horizon + 1):
-                preds_pos[tau - 1][i] = last.positions[i]
             continue
         t_arr = np.asarray(ts, dtype=float)
         design = np.stack([np.ones_like(t_arr), t_arr], axis=1)
         coef, *_ = np.linalg.lstsq(design, np.stack(pts), rcond=None)
-        for tau in range(1, horizon + 1):
-            t_future = last.timestep + tau
-            preds_pos[tau - 1][i] = coef[0] + coef[1] * t_future
-    preds = tuple(JointAgentState(last.ids, _frozen(preds_pos[tau - 1]), last.timestep + tau)
-                  for tau in range(1, horizon + 1))
-    return PredictionSet(last.timestep, horizon, preds)
+        preds[:, i] = coef[0] + np.multiply.outer(future, coef[1])
+    preds.flags.writeable = False           # so no lookahead's view can be made writable
+    return _prediction_set(last, horizon, preds)
 
 
 class ReplayPredictor:
@@ -370,8 +365,8 @@ def _is_header(line, n_frames):
 
 def _read_rows(path, n_frames):
     """The table of a file read line by line; its ids are a list of ints and
-    strings. Raises ParseError at the first row with the wrong column count
-    or a bad number."""
+    strings. Raises ParseError at the first row with the wrong column count,
+    a bad number or a position that is not finite."""
     n_cols = n_frames + 3
     fields = []                             # every row's tokens, one flat list
     with open(path, encoding="utf-8-sig") as fh:
@@ -383,6 +378,8 @@ def _read_rows(path, n_frames):
                 raise ParseError(f"expected {n_cols} columns, got {len(toks)}", line=lineno)
             if not _numbers_parse(toks, n_frames):
                 raise ParseError(f"bad numeric field in {toks!r}", line=lineno)
+            if not (math.isfinite(float(toks[-2])) and math.isfinite(float(toks[-1]))):
+                raise ParseError(f"non-finite position in {toks!r}", line=lineno)
             fields += toks
     cols = [fields[k::n_cols] for k in range(n_cols)]
     n = len(cols[0])
@@ -406,8 +403,10 @@ def _read_numeric(path, n_frames):
     id an int64 and the rest floats. A '#' parses as no number, so a file
     with comments is rejected too, as is a frame outside int64, an empty
     file, and any call that warns (numpy 1.23-1.26 read "1.0" as an int
-    with a DeprecationWarning, where ``int()`` does not). Float fields go
-    through the same string-to-double conversion as ``float()``.
+    with a DeprecationWarning, where ``int()`` does not), and a file with
+    a position that is not finite, so that ``_read_rows`` names its line.
+    Float fields go through the same string-to-double conversion as
+    ``float()``.
     """
     dtype = [(f"f{k}", "f8") for k in range(n_frames)] + [("id", "i8"), ("x", "f8"), ("y", "f8")]
     with open(path, encoding="utf-8-sig") as fh:
@@ -422,6 +421,8 @@ def _read_numeric(path, n_frames):
     frames = [table[f"f{k}"] for k in range(n_frames)]
     if not all((np.abs(f) < 2.0 ** 63).all() for f in frames):   # NaN, inf, past int64
         return None
+    if not (np.isfinite(table["x"]).all() and np.isfinite(table["y"]).all()):
+        return None
     return [f.astype(np.int64) for f in frames], table["id"], table["x"], table["y"]
 
 
@@ -430,9 +431,10 @@ def _read_table(path, n_frames):
 
     Comma- or whitespace-separated (chosen per line); a leading byte-order
     mark is dropped, blank lines and lines starting with '#' are skipped,
-    and line 1 is skipped as a header when its numeric fields do not parse.
-    Returns (frames, ids, x, y): one int64 array per frame column, the ids,
-    and two float arrays, in file order.
+    and line 1 is skipped as a header when its numeric fields do not parse;
+    a row with a position that is not finite raises ParseError. Returns
+    (frames, ids, x, y): one int64 array per frame column, the ids, and two
+    float arrays, in file order.
 
     A file that ``_read_numeric`` accepts is read in that one C pass, and
     its ids are an int64 array; any other file is read by ``_read_rows``,
@@ -454,6 +456,11 @@ def _id_keys(ids):
     return keys, lambda k: list(map(ordered.__getitem__, k.tolist()))
 
 
+def _require_scale(scale):
+    if not 0 < scale < math.inf:
+        raise InvalidSpec(f"scale must be finite and > 0, got {scale}")
+
+
 def load_trajectories(path, scale=1.0, frame_stride=1):
     """Read (frame_id, agent_id, x, y) rows into a TrajectorySource.
 
@@ -461,10 +468,10 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     ``_read_table`` (one C pass for a comma-separated file with integer
     ids). Frames are the global sorted distinct frame ids subsampled by
     ``frame_stride``; the retained frames become timesteps 0, 1, 2, ...
-    Positions are multiplied by ``scale``.
+    Positions are multiplied by ``scale``, which must be finite and > 0.
     """
-    if frame_stride < 1:
-        raise InvalidSpec(f"frame_stride must be >= 1, got {frame_stride}")
+    _require_scale(scale)
+    require_int("frame_stride", frame_stride, 1)
     (frames,), ids, x, y = _read_table(path, 1)
     kept = np.unique(frames)[::frame_stride]
     rows = np.flatnonzero(np.isin(frames, kept))
@@ -506,9 +513,11 @@ def load_predictions(path, scale=1.0):
     The file is read by ``_read_table``: one C pass for a comma-separated
     file with integer ids, line by line otherwise, with equal results.
     Returns {(t, tau): (ids, positions)}: the ids in ``_id_key`` order and
-    one read-only (n, 2) array of their positions, times ``scale``. When a
-    (t, tau, agent_id) repeats, its last row wins.
+    one read-only (n, 2) array of their positions, times ``scale``, which
+    must be finite and > 0. When a (t, tau, agent_id) repeats, its last row
+    wins.
     """
+    _require_scale(scale)
     (t, tau), ids, x, y = _read_table(path, 2)
     keys, to_ids = _id_keys(ids)
     order = np.lexsort((keys, tau, t))      # stable: repeats stay in file order

@@ -21,7 +21,7 @@ import numpy as np
 
 from acpshield.errors import ImpossibleObservation, ParticleDeprivation
 from acpshield.pomdp import BeliefState, PomdpModel, belief_update
-from acpshield.trajectory import TrajectorySource
+from acpshield.trajectory import JointAgentState, PredictionSet, TrajectorySource
 
 
 def model_from_tables(transition, reward, observation_fn, discount=0.95):
@@ -583,6 +583,60 @@ def track_of(source, agent_id):
     return track
 
 
+def _frozen(positions):
+    positions.flags.writeable = False
+    return positions
+
+
+def predict_constant_oracle(history, horizon):
+    """``predict_constant`` as each lookahead's joint state built by hand:
+    one read-only copy of the last positions, shared by every lookahead."""
+    last = history[-1]
+    positions = _frozen(last.positions.copy())
+    preds = tuple(JointAgentState(last.ids, positions, last.timestep + tau)
+                  for tau in range(1, horizon + 1))
+    return PredictionSet(last.timestep, horizon, preds)
+
+
+def predict_constant_velocity_oracle(history, horizon):
+    """``predict_constant_velocity`` with the id-matched velocity of
+    ``shared_rows_oracle``; an agent new in the last state stands still."""
+    last, prev = history[-1], history[-2]
+    mine, theirs = shared_rows_oracle(last, prev)
+    vel = np.zeros_like(last.positions)
+    vel[mine] = last.positions[mine] - prev.positions[theirs]
+    preds = tuple(
+        JointAgentState(last.ids, _frozen(last.positions + tau * vel), last.timestep + tau)
+        for tau in range(1, horizon + 1))
+    return PredictionSet(last.timestep, horizon, preds)
+
+
+def predict_linear_fit_oracle(history, horizon):
+    """``predict_linear_fit`` agent by agent and lookahead by lookahead:
+    a least-squares line through each agent's timesteps in the window, the
+    current position for an agent seen once."""
+    last = history[-1]
+    preds_pos = [np.zeros((last.n_agents, 2)) for _ in range(horizon)]
+    seen = [([], []) for _ in last.ids]       # per agent: timesteps, positions
+    for js in history:
+        for i, j in zip(*shared_rows_oracle(last, js)):
+            seen[i][0].append(js.timestep)
+            seen[i][1].append(js.positions[j])
+    for i, (ts, pts) in enumerate(seen):
+        if len(ts) < 2:
+            for tau in range(1, horizon + 1):
+                preds_pos[tau - 1][i] = last.positions[i]
+            continue
+        t_arr = np.asarray(ts, dtype=float)
+        design = np.stack([np.ones_like(t_arr), t_arr], axis=1)
+        coef, *_ = np.linalg.lstsq(design, np.stack(pts), rcond=None)
+        for tau in range(1, horizon + 1):
+            preds_pos[tau - 1][i] = coef[0] + coef[1] * (last.timestep + tau)
+    preds = tuple(JointAgentState(last.ids, _frozen(preds_pos[tau - 1]), last.timestep + tau)
+                  for tau in range(1, horizon + 1))
+    return PredictionSet(last.timestep, horizon, preds)
+
+
 def synth_oracle(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0),
                  speed=0.8, noise=0.3):
     """(length, n_agents, 2) positions ``synth_trajectories`` gives, stepping
@@ -643,16 +697,21 @@ def trajectories_oracle(path, scale=1.0, frame_stride=1):
 
     Keeps every ``frame_stride``-th distinct frame, in ascending order, as
     timesteps 0, 1, ...; raises RepeatedRow for the first row, in file
-    order, whose (frame, agent) was seen before in a kept frame. Returns
+    order, whose (frame, agent) was seen before in a kept frame, after
+    raising BadLine for the first row whose position is not finite. Returns
     (agent ids, {timestep: (ids, (n, 2) positions)}), ids ints before
     strings, each ascending.
     """
     with open(path, encoding="utf-8") as fh:
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    frames = sorted({int(row[0]) for row in rows})[::frame_stride]
+        rows = [(lineno, line.strip().split(","))
+                for lineno, line in enumerate(fh, start=1) if line.strip()]
+    for lineno, row in rows:
+        if not all(math.isfinite(float(v)) for v in row[2:]):
+            raise BadLine(lineno, f"non-finite position in {row!r}")
+    frames = sorted({int(row[0]) for _, row in rows})[::frame_stride]
     timestep = {f: i for i, f in enumerate(frames)}
     table, seen = {}, set()
-    for frame, aid, x, y in rows:
+    for _, (frame, aid, x, y) in rows:
         frame = int(frame)
         try:
             aid = int(aid)
@@ -688,7 +747,8 @@ def replay_oracle(path, scale=1.0):
     '#' lines skipped; line 1 skipped when its numbers do not parse; the
     last row of a repeated (t, tau, id) wins. Each entry is then served as
     (ids, (n, 2) positions), ints before strings, each in ascending order.
-    Raises BadLine for a row with the wrong column count or a bad number.
+    Raises BadLine for a row with the wrong column count, a bad number or
+    a position that is not finite.
     """
     table = {}
     with open(path, encoding="utf-8") as fh:
@@ -706,6 +766,8 @@ def replay_oracle(path, scale=1.0):
                 if lineno == 1:
                     continue                                    # header row
                 raise BadLine(lineno, f"bad numeric field in {toks!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise BadLine(lineno, f"non-finite position in {toks!r}")
             try:
                 aid = int(toks[2])
             except ValueError:

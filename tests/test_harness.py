@@ -69,6 +69,9 @@ def test_config_rejects_unknown_method():
     ("agents.scale", math.nan), ("agents.stride", 0), ("agents.stride", -1),
     ("agents.count", -1), ("agents.speed", -0.5), ("agents.speed", math.nan),
     ("agents.noise", -0.1), ("agents.noise", math.nan),
+    # each float field must be finite: epsilon inf makes every step unsafe
+    ("epsilon", math.inf), ("agents.speed", math.inf), ("agents.noise", math.inf),
+    ("agents.scale", math.inf),
     # integer fields take ints only: max_steps 10.5 would play 11 steps
     ("horizon", 2.5), ("window", 4.5), ("runs", 1.5), ("max_steps", 10.5), ("max_steps", True),
     ("seed", 1.0), ("agents.count", 2.5), ("agents.stride", 1.5),
@@ -263,6 +266,19 @@ def test_episode_survives_a_full_agent_turnover(tmp_path):
     assert all(math.isnan(beta) for beta in handover.beta)
     assert handover.violated == (None, None)
     assert r.coverage_tested > 0
+
+
+def test_episode_runs_past_the_end_of_a_csv_log(tmp_path):
+    # the log stops at t = 12, mid-episode: from t = 13 on the scene is
+    # empty, so every step is safe and no lookahead has an agent to check
+    log = write_log(tmp_path / "short.csv", [(t, 0, 0.5, 0.5 + 0.2 * t) for t in range(13)])
+    cfg = small_config(agents=AgentSetup(csv_path=log), window=4, max_steps=30)
+    r = run_episode(cfg)
+    assert r.records[0].t < 12 < r.records[-1].t
+    after = [rec for rec in r.records if rec.t > 12]
+    assert all(rec.safe and rec.min_distance == math.inf for rec in after)
+    # the last row plays no action, so it has no lookaheads to check
+    assert all(rec.violated == (None,) * cfg.horizon for rec in after[:-1])
 
 
 def test_episode_counts_the_agents_of_a_csv_log(tmp_path):

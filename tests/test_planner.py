@@ -132,7 +132,7 @@ def test_config_validation():
         PlannerConfig(max_depth=0)
     with pytest.raises(InvalidSpec):
         PlannerConfig(particle_count=0)
-    for ucb in (-1.0, math.nan):
+    for ucb in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidSpec):
             PlannerConfig(ucb_constant=ucb)
     with pytest.raises(InvalidSpec):

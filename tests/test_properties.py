@@ -702,6 +702,43 @@ def test_synth_trajectories_equal_per_step_oracle(kind, seed, n_agents, length, 
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@st.composite
+def agent_history(draw):
+    """1-8 consecutive joint states of 0-5 agents each, drawn from 8 int and
+    2 string ids, so agents enter and leave between states."""
+    start = draw(st.integers(0, 1000))
+    coord = st.floats(-50.0, 50.0)
+    history = []
+    for t in range(start, start + draw(st.integers(1, 8))):
+        ids = draw(st.lists(st.sampled_from([*range(8), "a", "b"]), max_size=5, unique=True))
+        ids.sort(key=lambda aid: (isinstance(aid, str), aid))
+        points = draw(st.lists(st.tuples(coord, coord), min_size=len(ids), max_size=len(ids)))
+        positions = np.array(points, dtype=float).reshape(-1, 2)
+        history.append(JointAgentState(tuple(ids), positions, t))
+    return history
+
+
+@PROPERTY
+@given(history=agent_history(), horizon=st.integers(1, 5))
+def test_model_predictors_equal_reference_oracles(history, horizon):
+    pairs = [(trajectory.predict_constant, oracles.predict_constant_oracle)]
+    if len(history) >= 2:
+        pairs += [(trajectory.predict_constant_velocity, oracles.predict_constant_velocity_oracle),
+                  (trajectory.predict_linear_fit, oracles.predict_linear_fit_oracle)]
+    for predict, oracle in pairs:
+        got, want = predict(history, horizon), oracle(history, horizon)
+        assert (got.made_at, got.horizon) == (want.made_at, want.horizon)
+        assert len(got.predicted) == len(want.predicted) == horizon
+        for g, w in zip(got.predicted, want.predicted):
+            assert g.ids == w.ids and list(map(type, g.ids)) == list(map(type, w.ids))
+            assert g.timestep == w.timestep
+            assert g.positions.shape == w.positions.shape
+            assert g.positions.tobytes() == w.positions.tobytes()     # signed zeros too
+            for positions in (g.positions, w.positions):
+                with pytest.raises(ValueError):            # read-only, and stays so
+                    positions.flags.writeable = True
+
+
 @PROPERTY
 @given(seed=seeds, n_agents=st.integers(0, 25), mixed=st.booleans())
 def test_agents_at_matches_full_scan_oracle(seed, n_agents, mixed):
@@ -730,10 +767,15 @@ def test_agents_at_matches_full_scan_oracle(seed, n_agents, mixed):
         assert all(np.array_equal(p, want) for (_, p), (_, want) in zip(got, seq))
 
 
+# mostly finite: a non-finite position makes the whole file a ParseError
+position = st.one_of(*[st.floats(-1e6, 1e6)] * 40,
+                     st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
 @PROPERTY
 @given(rows=st.lists(st.tuples(st.integers(0, 12), st.one_of(st.integers(0, 9),
                                                               st.sampled_from(["a", "b"])),
-                               st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), max_size=60),
+                               position, position), max_size=60),
        stride=st.integers(1, 3), scale=st.sampled_from([1.0, 0.5, 3.0]))
 def test_load_trajectories_equals_row_oracle(rows, stride, scale):
     with tempfile.TemporaryDirectory() as tmp:
@@ -741,6 +783,12 @@ def test_load_trajectories_equals_row_oracle(rows, stride, scale):
         path.write_text("".join(f"{f},{aid},{x!r},{y!r}\n" for f, aid, x, y in rows))
         try:
             ids, served = oracles.trajectories_oracle(path, scale, stride)
+        except oracles.BadLine as bad:
+            line, message = bad.args
+            with pytest.raises(ParseError) as exc:
+                trajectory.load_trajectories(path, scale=scale, frame_stride=stride)
+            assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
+            return
         except oracles.RepeatedRow as repeat:
             aid, frame = repeat.args
             with pytest.raises(NonMonotoneFrames) as exc:

@@ -287,8 +287,10 @@ def test_agents_at_presence_and_span():
     assert src.agents_at(4).n_agents == 0       # inside span, nobody present
     js5 = src.agents_at(5)
     assert js5.ids == ("b",)
-    with pytest.raises(OutOfRange):
-        src.agents_at(7)
+    for t in (7, -1):                           # outside the span, nobody present
+        outside = src.agents_at(t)
+        assert outside.ids == () and outside.positions.shape == (0, 2)
+        assert outside.timestep == t
 
 
 def test_agents_at_positions_are_read_only():
@@ -344,6 +346,39 @@ def test_load_trajectories_whitespace_and_errors(tmp_path):
 
     with pytest.raises(InvalidSpec):
         load_trajectories(ws, frame_stride=0)
+
+
+@pytest.mark.parametrize("load", [load_trajectories, load_predictions])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_loaders_reject_a_bad_scale(tmp_path, load, scale):
+    path = tmp_path / "rows.csv"
+    path.write_text("0,1,1,2.0,4.0\n" if load is load_predictions else "0,1,2.0,4.0\n")
+    with pytest.raises(InvalidSpec, match="scale"):
+        load(path, scale=scale)
+
+
+@pytest.mark.parametrize("stride", [0, -1, True, 1.5, 2.0])
+def test_load_trajectories_rejects_a_bad_frame_stride(tmp_path, stride):
+    path = tmp_path / "walk.csv"
+    path.write_text("0,1,2.0,4.0\n1,1,2.5,4.0\n")
+    with pytest.raises(InvalidSpec, match="frame_stride"):
+        load_trajectories(path, frame_stride=stride)
+
+
+@pytest.mark.parametrize("load", [load_trajectories, load_predictions])
+@pytest.mark.parametrize("separator", [",", " "])
+@pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e400"])
+@pytest.mark.parametrize("line", [1, 3])
+def test_loaders_reject_a_non_finite_position(tmp_path, load, separator, token, line):
+    # line 1 holding a NaN position is a bad row, not a header
+    frames = ["0", "1"] if load is load_predictions else ["0"]
+    rows = [separator.join(frames + [str(aid), "1.0", "2.0"]) for aid in range(4)]
+    rows[line - 1] = separator.join(frames + ["7", "1.0", token])
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="non-finite position") as exc:
+        load(path)
+    assert exc.value.line == line
 
 
 def test_round_trip(tmp_path):
@@ -413,7 +448,7 @@ def test_round_trip_takes_the_c_pass(tmp_path, monkeypatch):
 
 def test_c_pass_emits_no_warning(tmp_path):
     good = tmp_path / "good.csv"
-    good.write_text("t,tau,agent_id,x,y\n0,1,3,1.5,2.5\n0,1,-4,1e3,-inf\n")
+    good.write_text("t,tau,agent_id,x,y\n0,1,3,1.5,2.5\n0,1,-4,1e3,-2.5e-3\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert trajectory._read_numeric(good, 2) is not None
