@@ -142,27 +142,23 @@ def build_gridworld(spec):
             share = spec.obs_noise / len(adjacent)
             obs_rows.append([(b, 1.0 - spec.obs_noise)] + [(n, share) for n in adjacent])
 
-    t_rows = {}
-    z_rows = {}
-    rewards = {}
-    for s in range(spec.n_cells):
-        x, y = s % width, s // width
-        obs_row = obs_rows[(y // 2) * bw + x // 2]
-        for a, (dx, dy) in enumerate(ACTION_DELTAS):
-            z_rows[(s, a)] = obs_row
-            if s == goal:
-                t_rows[(s, a)] = [(terminal, 1.0)]
-                rewards[(s, a)] = spec.goal_reward
-                continue
-            nx, fx = min(max(x + dx, 0), width - 1), min(max(x + 2 * dx, 0), width - 1)
-            ny, fy = min(max(y + dy, 0), height - 1), min(max(y + 2 * dy, 0), height - 1)
-            s_near, s_far = ny * width + nx, fy * width + fx
-            if s_near == s_far:
-                t_rows[(s, a)] = [(s_near, 1.0)]
-            else:
-                t_rows[(s, a)] = [(s_near, spec.near_prob), (s_far, spec.far_prob)]
-            rewards[(s, a)] = spec.step_reward
+    # each move's near and far target, clamped, for every cell at once
+    cells = np.arange(spec.n_cells)
+    x, y = cells % width, cells // width
+    cell_obs = [obs_rows[b] for b in ((y // 2) * bw + x // 2).tolist()]
+    near_prob, far_prob = spec.near_prob, spec.far_prob
+    t_rows, z_rows = {}, {}
+    for a, (dx, dy) in enumerate(ACTION_DELTAS):
+        near, far = ((np.clip(y + k * dy, 0, height - 1) * width
+                      + np.clip(x + k * dx, 0, width - 1)).tolist() for k in (1, 2))
+        keys = [(s, a) for s in range(spec.n_cells)]
+        t_rows.update(zip(keys, [[(n, 1.0)] if n == f else [(n, near_prob), (f, far_prob)]
+                                 for n, f in zip(near, far)]))
+        z_rows.update(zip(keys, cell_obs))
+    rewards = dict.fromkeys(t_rows, spec.step_reward)
     for a in range(len(ACTION_DELTAS)):
+        t_rows[(goal, a)] = [(terminal, 1.0)]
+        rewards[(goal, a)] = spec.goal_reward
         t_rows[(terminal, a)] = [(terminal, 1.0)]
         z_rows[(terminal, a)] = [(len(obs_names) - 1, 1.0)]
 

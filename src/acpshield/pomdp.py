@@ -16,6 +16,7 @@ each row has at most a couple of successors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -33,41 +34,62 @@ from .errors import (
 PROB_TOL = 1e-9
 
 
-def _cumulative(pairs, table, s, a):
-    """One validated probability row as (indices, cumulative probabilities).
+def _cumulative(idxs, probs, table, s, a):
+    """One validated probability row as (positions kept, cumulative probabilities).
 
-    ``pairs`` is a list of (index, prob), the row ``table``(s, a, .). Rejects
-    negative or NaN entries and row sums off by more than PROB_TOL (each
-    check is written so that NaN fails it); renormalizes the tiny float
-    drift away, drops zero entries and pins the last cumulative value to
-    1.0. The row's name is formatted only on error: the model checks
-    thousands of rows.
+    ``idxs`` and ``probs`` are the indices and probabilities of the row
+    ``table``(s, a, .). Rejects negative or NaN entries and row sums off by
+    more than PROB_TOL (each check is written so that NaN fails it);
+    renormalizes the tiny float drift away, drops zero entries and pins the
+    last cumulative value to 1.0. The kept positions are None when no entry
+    is dropped. Only ``probs`` decides the result; the indices and the row's
+    name are read on error only, so one call serves every row with these
+    probabilities.
     """
     total = 0.0
-    for idx, p in pairs:
+    for idx, p in zip(idxs, probs):
         if not p >= 0.0:
             raise InvalidModel(f"{table}({s},{a},.): probability {p} at index {idx} is not >= 0")
         total += p
     if not abs(total - 1.0) <= PROB_TOL:
         raise InvalidModel(f"{table}({s},{a},.): row sums to {total!r}, expected 1.0")
-    idxs, cum, acc = [], [], 0.0
-    for idx, p in pairs:
+    kept, cum, acc = [], [], 0.0
+    for i, p in enumerate(probs):
         if p > 0.0:
-            idxs.append(idx)
+            kept.append(i)
             acc += p / total
             cum.append(acc)
     if not cum:
         raise InvalidModel(f"{table}({s},{a},.): row has no positive mass")
     cum[-1] = 1.0
-    return tuple(idxs), tuple(cum)
+    return (None if len(kept) == len(probs) else tuple(kept)), tuple(cum)
+
+
+def _validated(row, table, s, a, valid, seen):
+    """Row ``table``(s, a, .) as (indices, cumulative probabilities): its
+    probabilities checked by ``_cumulative`` once per distinct vector,
+    through the cache ``seen``, and every index checked to lie in the
+    frozenset ``valid``, 0..n-1."""
+    idxs, probs = zip(*row) if row else ((), ())
+    hit = seen.get(probs)
+    if hit is None:
+        hit = seen[probs] = _cumulative(idxs, probs, table, s, a)
+    if not valid.issuperset(idxs):
+        bad = next(i for i in idxs if i not in valid)
+        raise InvalidModel(f"{table}({s},{a},.): index {bad!r} outside 0..{len(valid) - 1}")
+    kept, cum = hit
+    return (idxs if kept is None else tuple([idxs[i] for i in kept])), cum
 
 
 class PomdpModel:
     """Immutable discrete POMDP (states, actions, observations, T, R, Z, discount).
 
     Construct from sparse rows. Validation is eager: every T(s,a,.) and
-    Z(s',a,.) row must sum to 1 within 1e-9 and is then renormalized exactly.
-    Z rows with equal content are validated once and share one stored row.
+    Z(s',a,.) row must sum to 1 within 1e-9 and is then renormalized
+    exactly, and its indices must lie inside the model. The sums are
+    checked once per distinct probability vector, and the indices of each
+    row. Z rows with equal content are validated once and share one stored
+    row.
 
     ``rows[s][a]`` is the one store of T and R that every sampler and the
     belief update read: (successors, cumulative, reward, observation rows),
@@ -94,44 +116,50 @@ class PomdpModel:
         if n_s == 0 or n_a == 0 or n_o == 0:
             raise InvalidModel("states, actions, and observations must be nonempty")
 
-        t = [[None] * n_a for _ in range(n_s)]
-        self._z = [[None] * n_a for _ in range(n_s)]
-        r = [[0.0] * n_a for _ in range(n_s)]
-        z_seen = {}               # Z-row content -> its validated row, shared
-        for s in range(n_s):
-            for a in range(n_a):
-                row = t_rows.get((s, a))
-                if row is None:
-                    raise InvalidModel(f"missing transition row for (s={s}, a={a})")
-                t[s][a] = _cumulative(row, "T", s, a)
-                zrow = z_rows.get((s, a))
+        keys = list(itertools.product(range(n_s), range(n_a)))       # state-major
+        states, observations = frozenset(range(n_s)), frozenset(range(n_o))
+        seen = {}                 # probability vector -> its _cumulative result
+        z_by_id, z_by_content = {}, {}      # Z-row object, then content -> stored row
+        trans, z_flat = [], []    # per (s, a), state-major
+        for (s, a), row, zrow in zip(keys, map(t_rows.get, keys), map(z_rows.get, keys)):
+            if row is None:
+                raise InvalidModel(f"missing transition row for (s={s}, a={a})")
+            trans.append(_validated(row, "T", s, a, states, seen))
+            stored = z_by_id.get(id(zrow))        # z_rows keeps every row object alive
+            if stored is None:
                 if zrow is None:
                     raise InvalidModel(f"missing observation row for (s'={s}, a={a})")
-                key = tuple(map(tuple, zrow))
-                if key not in z_seen:
-                    z_seen[key] = _cumulative(zrow, "Z", s, a)
-                self._z[s][a] = z_seen[key]
-        for (s, a), reward in rewards.items():
-            r[s][a] = float(reward)
-            if not math.isfinite(r[s][a]):
-                raise InvalidModel(f"R({s},{a}) = {reward} is not finite")
-        # the observation rows are the per-(s', a) store _z's own tuples
-        self.rows = tuple(
-            tuple([(*t[s][a], r[s][a], tuple([self._z[s2][a] for s2 in t[s][a][0]]))
-                   for a in range(n_a)])
-            for s in range(n_s))
+                content = tuple(map(tuple, zrow))
+                stored = z_by_content.get(content)
+                if stored is None:
+                    stored = z_by_content[content] = _validated(
+                        content, "Z", s, a, observations, seen)
+                z_by_id[id(zrow)] = stored
+            z_flat.append(stored)
+        r = dict.fromkeys(keys, 0.0)
+        for key, reward in rewards.items():
+            if key not in r:
+                raise InvalidModel(f"reward key {key!r} is not a (state, action) of the model")
+            r[key] = float(reward)
+            if not math.isfinite(r[key]):
+                raise InvalidModel(f"R({key[0]},{key[1]}) = {reward} is not finite")
 
-        # obs_support(s) = { o | exists a with Z(s, a, o) > 0 }
-        self.obs_support = tuple(
-            frozenset(o for a in range(n_a) for o in self._z[s][a][0])
-            for s in range(n_s)
-        )
-        # States that self-loop with zero reward under every action contribute
-        # exactly 0 to any return; simulations may stop there early.
-        self.absorbing_zero = frozenset(
-            s for s, per_a in enumerate(self.rows)
-            if all(succ == (s,) and reward == 0.0 for succ, _, reward, _ in per_a)
-        )
+        # One pass over the states. rows[s][a] holds the stored Z rows of its
+        # successors, and obs_support(s) = {o | exists a with Z(s, a, o) > 0}.
+        # A state that self-loops with zero reward under every action
+        # contributes exactly 0 to any return; simulations may stop there early.
+        self._z = tuple(zip(*[iter(z_flat)] * n_a))
+        z_cols = [z_flat[a::n_a] for a in range(n_a)]
+        rows, support, absorbing = [], [], []
+        for s, t_s, r_s, z_s in zip(range(n_s), zip(*[iter(trans)] * n_a),
+                                    zip(*[iter(r.values())] * n_a), self._z):
+            rows.append(tuple([(succ, cum, reward, tuple(map(z_col.__getitem__, succ)))
+                               for (succ, cum), reward, z_col in zip(t_s, r_s, z_cols)]))
+            support.append(frozenset(o for oidxs, _ in z_s for o in oidxs))
+            if not any(r_s) and all(succ == (s,) for succ, _ in t_s):
+                absorbing.append(s)
+        self.rows, self.obs_support = tuple(rows), tuple(support)
+        self.absorbing_zero = frozenset(absorbing)
 
     # -- sizes ------------------------------------------------------------
     @property

@@ -320,7 +320,9 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
                     y, vy = 2 * ymax - y, -vy
             else:
                 dx, dy = moves[t]
-                x, y = min(max(x + dx, xmin), xmax), min(max(y + dy, ymin), ymax)
+                # np.clip's order: a tie goes to the bound, so -0.0 against a
+                # bound of 0.0 gives 0.0, bit for bit as the oracle's clip
+                x, y = min(xmax, max(xmin, x + dx)), min(ymax, max(ymin, y + dy))
         points[:, aid] = path
     ids = tuple(range(n_agents))
     frames = {t: (ids, points[t]) for t in range(length)} if n_agents else {}
@@ -366,7 +368,8 @@ def _is_header(line, n_frames):
 def _read_rows(path, n_frames):
     """The table of a file read line by line; its ids are a list of ints and
     strings. Raises ParseError at the first row with the wrong column count,
-    a bad number or a position that is not finite."""
+    a bad number, a frame field that is not integral or a position that is
+    not finite."""
     n_cols = n_frames + 3
     fields = []                             # every row's tokens, one flat list
     with open(path, encoding="utf-8-sig") as fh:
@@ -378,6 +381,8 @@ def _read_rows(path, n_frames):
                 raise ParseError(f"expected {n_cols} columns, got {len(toks)}", line=lineno)
             if not _numbers_parse(toks, n_frames):
                 raise ParseError(f"bad numeric field in {toks!r}", line=lineno)
+            if not all(float(tok).is_integer() for tok in toks[:n_frames]):
+                raise ParseError(f"non-integral frame field in {toks!r}", line=lineno)
             if not (math.isfinite(float(toks[-2])) and math.isfinite(float(toks[-1]))):
                 raise ParseError(f"non-finite position in {toks!r}", line=lineno)
             fields += toks
@@ -394,21 +399,22 @@ def _read_rows(path, n_frames):
 
 
 def _read_numeric(path, n_frames):
-    """The table of a comma-separated file of numeric rows with integer ids,
-    read in one ``np.loadtxt`` pass by numpy's C tokenizer; None when that
-    pass rejects the file.
+    """The table of a comma-separated file of numeric rows with integer
+    frames and ids, read in one ``np.loadtxt`` pass by numpy's C tokenizer;
+    None when that pass rejects the file.
 
     Line 1 is skipped when ``_is_header`` says so. Blank lines are skipped;
     any other line must hold ``n_frames + 3`` comma-separated fields, the
-    id an int64 and the rest floats. A '#' parses as no number, so a file
-    with comments is rejected too, as is a frame outside int64, an empty
-    file, and any call that warns (numpy 1.23-1.26 read "1.0" as an int
-    with a DeprecationWarning, where ``int()`` does not), and a file with
-    a position that is not finite, so that ``_read_rows`` names its line.
-    Float fields go through the same string-to-double conversion as
-    ``float()``.
+    frames and the id int64 and the rest floats. A '#' parses as no number,
+    so a file with comments is rejected too, as is an empty file, and any
+    call that warns (numpy 1.23-1.26 read "1.0" as an int with a
+    DeprecationWarning, where ``int()`` does not). So is a frame that needs
+    ``float()`` ("1.0", "1e3") or lies beyond 2**53, where the row reader's
+    ``float()`` rounds it, and a file with a position that is not finite, so
+    that ``_read_rows`` names its line. Float fields go through the same
+    string-to-double conversion as ``float()``.
     """
-    dtype = [(f"f{k}", "f8") for k in range(n_frames)] + [("id", "i8"), ("x", "f8"), ("y", "f8")]
+    dtype = [(f"f{k}", "i8") for k in range(n_frames)] + [("id", "i8"), ("x", "f8"), ("y", "f8")]
     with open(path, encoding="utf-8-sig") as fh:
         skip = int(_is_header(fh.readline().strip(), n_frames))
     try:
@@ -419,11 +425,11 @@ def _read_numeric(path, n_frames):
     except (ValueError, Warning):
         return None
     frames = [table[f"f{k}"] for k in range(n_frames)]
-    if not all((np.abs(f) < 2.0 ** 63).all() for f in frames):   # NaN, inf, past int64
+    if any(-2 ** 53 > f.min() or f.max() > 2 ** 53 for f in frames):
         return None
     if not (np.isfinite(table["x"]).all() and np.isfinite(table["y"]).all()):
         return None
-    return [f.astype(np.int64) for f in frames], table["id"], table["x"], table["y"]
+    return frames, table["id"], table["x"], table["y"]
 
 
 def _read_table(path, n_frames):
@@ -432,7 +438,8 @@ def _read_table(path, n_frames):
     Comma- or whitespace-separated (chosen per line); a leading byte-order
     mark is dropped, blank lines and lines starting with '#' are skipped,
     and line 1 is skipped as a header when its numeric fields do not parse;
-    a row with a position that is not finite raises ParseError. Returns
+    a row with a frame field that is not integral ("1.0" is) or a position
+    that is not finite raises ParseError. Returns
     (frames, ids, x, y): one int64 array per frame column, the ids, and two
     float arrays, in file order.
 
@@ -456,6 +463,18 @@ def _id_keys(ids):
     return keys, lambda k: list(map(ordered.__getitem__, k.tolist()))
 
 
+def _strictly_ascending(*columns):
+    """Whether the rows, keyed by ``columns`` (most significant first), are
+    in strictly ascending order: a stable lexsort would leave them in place
+    and find no repeated key."""
+    ahead, tied = False, True
+    for col in columns:
+        before, after = col[:-1], col[1:]
+        ahead = ahead | (tied & (after > before))
+        tied = tied & (after == before)
+    return bool(np.all(ahead))
+
+
 def _require_scale(scale):
     if not 0 < scale < math.inf:
         raise InvalidSpec(f"scale must be finite and > 0, got {scale}")
@@ -466,9 +485,11 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
 
     Comma- or whitespace-separated, optional header row, read by
     ``_read_table`` (one C pass for a comma-separated file with integer
-    ids). Frames are the global sorted distinct frame ids subsampled by
-    ``frame_stride``; the retained frames become timesteps 0, 1, 2, ...
-    Positions are multiplied by ``scale``, which must be finite and > 0.
+    frames and ids). Frames are the global sorted distinct frame ids
+    subsampled by ``frame_stride``; the retained frames become timesteps
+    0, 1, 2, ... Positions are multiplied by ``scale``, which must be
+    finite and > 0. Kept rows already in strictly ascending (frame, id)
+    order are not sorted.
     """
     _require_scale(scale)
     require_int("frame_stride", frame_stride, 1)
@@ -480,17 +501,19 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     keys, to_ids = _id_keys(ids)
     keys = keys[rows]
     steps = np.searchsorted(kept, frames[rows])
-    order = np.lexsort((keys, steps))       # stable: repeats stay in file order
-    steps, ranked = steps[order], keys[order]
-    repeat = (steps[1:] == steps[:-1]) & (ranked[1:] == ranked[:-1])
-    if repeat.any():
-        first = int(order[1:][repeat].min())       # the first repeated row in the file
-        raise NonMonotoneFrames(f"agent {to_ids(keys[first:first + 1])[0]!r} appears twice"
-                                f" in frame {int(frames[rows[first]])}")
-    positions = np.stack((x, y), axis=1)[rows[order]]
+    if not _strictly_ascending(steps, keys):
+        order = np.lexsort((keys, steps))       # stable: repeats stay in file order
+        ranked_steps, ranked = steps[order], keys[order]
+        repeat = (ranked_steps[1:] == ranked_steps[:-1]) & (ranked[1:] == ranked[:-1])
+        if repeat.any():
+            first = int(order[1:][repeat].min())       # the first repeated row in the file
+            raise NonMonotoneFrames(f"agent {to_ids(keys[first:first + 1])[0]!r} appears"
+                                    f" twice in frame {int(frames[rows[first]])}")
+        rows, steps, keys = rows[order], ranked_steps, ranked
+    positions = np.stack((x, y), axis=1)[rows]
     positions *= scale
     starts = [0] + (np.flatnonzero(steps[1:] != steps[:-1]) + 1).tolist()
-    ids = to_ids(ranked)
+    ids = to_ids(keys)
     return TrajectorySource({
         t: (tuple(ids[lo:hi]), positions[lo:hi])
         for t, lo, hi in zip(steps[starts].tolist(), starts, starts[1:] + [len(ids)])})
@@ -511,24 +534,27 @@ def load_predictions(path, scale=1.0):
     """Read (t, tau, agent_id, x, y) rows into a replay-predictor table.
 
     The file is read by ``_read_table``: one C pass for a comma-separated
-    file with integer ids, line by line otherwise, with equal results.
+    file with integer frames and ids, line by line otherwise, with equal
+    results.
     Returns {(t, tau): (ids, positions)}: the ids in ``_id_key`` order and
     one read-only (n, 2) array of their positions, times ``scale``, which
     must be finite and > 0. When a (t, tau, agent_id) repeats, its last row
-    wins.
+    wins. Rows already in strictly ascending (t, tau, id) order are not
+    sorted.
     """
     _require_scale(scale)
     (t, tau), ids, x, y = _read_table(path, 2)
     keys, to_ids = _id_keys(ids)
-    order = np.lexsort((keys, tau, t))      # stable: repeats stay in file order
-    t, tau, keys = t[order], tau[order], keys[order]
-    last = np.ones(len(order), dtype=bool)          # the last row of its (t, tau, id)
-    last[:-1] = (t[1:] != t[:-1]) | (tau[1:] != tau[:-1]) | (keys[1:] != keys[:-1])
-    order, t, tau, keys = order[last], t[last], tau[last], keys[last]
-    first = np.ones(len(order), dtype=bool)         # the first row of its (t, tau)
+    positions = np.stack((x, y), axis=1)
+    if not _strictly_ascending(t, tau, keys):
+        order = np.lexsort((keys, tau, t))      # stable: repeats stay in file order
+        t, tau, keys = t[order], tau[order], keys[order]
+        last = np.ones(len(order), dtype=bool)          # the last row of its (t, tau, id)
+        last[:-1] = (t[1:] != t[:-1]) | (tau[1:] != tau[:-1]) | (keys[1:] != keys[:-1])
+        t, tau, keys, positions = t[last], tau[last], keys[last], positions[order[last]]
+    first = np.ones(len(t), dtype=bool)             # the first row of its (t, tau)
     first[1:] = (t[1:] != t[:-1]) | (tau[1:] != tau[:-1])
     starts = np.flatnonzero(first).tolist()
-    positions = np.stack((x[order], y[order]), axis=1)
     positions *= scale
     positions.flags.writeable = False
     made = zip(t[starts].tolist(), tau[starts].tolist())

@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from acpshield.errors import ImpossibleObservation, ParticleDeprivation
+from acpshield.errors import ImpossibleObservation, InvalidModel, ParticleDeprivation
 from acpshield.pomdp import BeliefState, PomdpModel, belief_update
 from acpshield.trajectory import JointAgentState, PredictionSet, TrajectorySource
 
@@ -83,6 +83,111 @@ def dense_tables(model, max_states=512):
             Z[s, a, idxs] = probs
             R[s, a] = model.reward(s, a)
     return T, Z, R
+
+
+def _reference_cumulative(pairs, table, s, a):
+    """One validated row of ``reference_model_tables``: (indices, cumulative
+    probabilities), with the model's checks and error messages."""
+    total = 0.0
+    for idx, p in pairs:
+        if not p >= 0.0:
+            raise InvalidModel(f"{table}({s},{a},.): probability {p} at index {idx} is not >= 0")
+        total += p
+    if not abs(total - 1.0) <= 1e-9:
+        raise InvalidModel(f"{table}({s},{a},.): row sums to {total!r}, expected 1.0")
+    idxs, cum, acc = [], [], 0.0
+    for idx, p in pairs:
+        if p > 0.0:
+            idxs.append(idx)
+            acc += p / total
+            cum.append(acc)
+    if not cum:
+        raise InvalidModel(f"{table}({s},{a},.): row has no positive mass")
+    cum[-1] = 1.0
+    return tuple(idxs), tuple(cum)
+
+
+def reference_model_tables(n_s, n_a, t_rows, z_rows, rewards):
+    """(rows, Z rows, obs_support, absorbing_zero) of a ``PomdpModel`` with
+    these sizes and sparse rows, built one (s, a) row at a time: every T row
+    through its own ``_reference_cumulative`` call, each distinct Z-row
+    content once. Raises InvalidModel, with the model's message, at the
+    first bad row in state-major order, then at the first bad reward. It
+    assumes every index lies inside the model."""
+    t = [[None] * n_a for _ in range(n_s)]
+    z = [[None] * n_a for _ in range(n_s)]
+    r = [[0.0] * n_a for _ in range(n_s)]
+    z_seen = {}
+    for s in range(n_s):
+        for a in range(n_a):
+            row = t_rows.get((s, a))
+            if row is None:
+                raise InvalidModel(f"missing transition row for (s={s}, a={a})")
+            t[s][a] = _reference_cumulative(row, "T", s, a)
+            zrow = z_rows.get((s, a))
+            if zrow is None:
+                raise InvalidModel(f"missing observation row for (s'={s}, a={a})")
+            key = tuple(map(tuple, zrow))
+            if key not in z_seen:
+                z_seen[key] = _reference_cumulative(zrow, "Z", s, a)
+            z[s][a] = z_seen[key]
+    for (s, a), reward in rewards.items():
+        r[s][a] = float(reward)
+        if not math.isfinite(r[s][a]):
+            raise InvalidModel(f"R({s},{a}) = {reward} is not finite")
+    rows = tuple(
+        tuple((*t[s][a], r[s][a], tuple(z[s2][a] for s2 in t[s][a][0])) for a in range(n_a))
+        for s in range(n_s))
+    obs_support = tuple(frozenset(o for a in range(n_a) for o in z[s][a][0])
+                        for s in range(n_s))
+    absorbing_zero = frozenset(
+        s for s, per_a in enumerate(rows)
+        if all(succ == (s,) and reward == 0.0 for succ, _, reward, _ in per_a))
+    return rows, tuple(map(tuple, z)), obs_support, absorbing_zero
+
+
+def reference_gridworld_rows(spec):
+    """(t_rows, z_rows, rewards) of the grid model, built one cell and one
+    move at a time with clamped coordinates, as ``build_gridworld`` documents:
+    a move reaches one cell with near_prob and two with far_prob, truncated
+    at the walls; the goal moves to the terminal, paying goal_reward; cell
+    (x, y) observes its 2x2 block, and with obs_noise each existing east,
+    west, north and south neighbour block, in that order, shares it."""
+    width, height = spec.width, spec.height
+    bw, bh = (width + 1) // 2, (height + 1) // 2
+    terminal = spec.n_cells
+    goal = spec.goal_cell[1] * width + spec.goal_cell[0]
+    deltas = ((1, 0), (0, -1), (-1, 0), (0, 1))
+    t_rows, z_rows, rewards = {}, {}, {}
+    for s in range(spec.n_cells):
+        x, y = s % width, s // width
+        b = (y // 2) * bw + x // 2
+        bx, by = b % bw, b // bw
+        adjacent = [n for n, inside in ((b + 1, bx + 1 < bw), (b - 1, bx > 0),
+                                        (b + bw, by + 1 < bh), (b - bw, by > 0)) if inside]
+        if spec.obs_noise == 0.0 or not adjacent:
+            obs_row = [(b, 1.0)]
+        else:
+            share = spec.obs_noise / len(adjacent)
+            obs_row = [(b, 1.0 - spec.obs_noise)] + [(n, share) for n in adjacent]
+        for a, (dx, dy) in enumerate(deltas):
+            z_rows[(s, a)] = obs_row
+            if s == goal:
+                t_rows[(s, a)] = [(terminal, 1.0)]
+                rewards[(s, a)] = spec.goal_reward
+                continue
+            nx, fx = min(max(x + dx, 0), width - 1), min(max(x + 2 * dx, 0), width - 1)
+            ny, fy = min(max(y + dy, 0), height - 1), min(max(y + 2 * dy, 0), height - 1)
+            s_near, s_far = ny * width + nx, fy * width + fx
+            if s_near == s_far:
+                t_rows[(s, a)] = [(s_near, 1.0)]
+            else:
+                t_rows[(s, a)] = [(s_near, spec.near_prob), (s_far, spec.far_prob)]
+            rewards[(s, a)] = spec.step_reward
+    for a in range(len(deltas)):
+        t_rows[(terminal, a)] = [(terminal, 1.0)]
+        z_rows[(terminal, a)] = [(bw * bh, 1.0)]
+    return t_rows, z_rows, rewards
 
 
 def belief_prob(belief, s):
@@ -698,7 +803,8 @@ def trajectories_oracle(path, scale=1.0, frame_stride=1):
     Keeps every ``frame_stride``-th distinct frame, in ascending order, as
     timesteps 0, 1, ...; raises RepeatedRow for the first row, in file
     order, whose (frame, agent) was seen before in a kept frame, after
-    raising BadLine for the first row whose position is not finite. Returns
+    raising BadLine for the first row whose frame is not integral ("1.0"
+    is) or whose position is not finite. Returns
     (agent ids, {timestep: (ids, (n, 2) positions)}), ids ints before
     strings, each ascending.
     """
@@ -706,13 +812,15 @@ def trajectories_oracle(path, scale=1.0, frame_stride=1):
         rows = [(lineno, line.strip().split(","))
                 for lineno, line in enumerate(fh, start=1) if line.strip()]
     for lineno, row in rows:
+        if not float(row[0]).is_integer():
+            raise BadLine(lineno, f"non-integral frame field in {row!r}")
         if not all(math.isfinite(float(v)) for v in row[2:]):
             raise BadLine(lineno, f"non-finite position in {row!r}")
-    frames = sorted({int(row[0]) for _, row in rows})[::frame_stride]
+    frames = sorted({int(float(row[0])) for _, row in rows})[::frame_stride]
     timestep = {f: i for i, f in enumerate(frames)}
     table, seen = {}, set()
     for _, (frame, aid, x, y) in rows:
-        frame = int(frame)
+        frame = int(float(frame))
         try:
             aid = int(aid)
         except ValueError:
@@ -747,8 +855,9 @@ def replay_oracle(path, scale=1.0):
     '#' lines skipped; line 1 skipped when its numbers do not parse; the
     last row of a repeated (t, tau, id) wins. Each entry is then served as
     (ids, (n, 2) positions), ints before strings, each in ascending order.
-    Raises BadLine for a row with the wrong column count, a bad number or
-    a position that is not finite.
+    Raises BadLine for a row with the wrong column count, a bad number, a
+    t or tau that is not integral ("1.0" is) or a position that is not
+    finite.
     """
     table = {}
     with open(path, encoding="utf-8") as fh:
@@ -766,6 +875,8 @@ def replay_oracle(path, scale=1.0):
                 if lineno == 1:
                     continue                                    # header row
                 raise BadLine(lineno, f"bad numeric field in {toks!r}") from None
+            if not (float(toks[0]).is_integer() and float(toks[1]).is_integer()):
+                raise BadLine(lineno, f"non-integral frame field in {toks!r}")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise BadLine(lineno, f"non-finite position in {toks!r}")
             try:

@@ -127,6 +127,32 @@ def test_equal_observation_rows_validated_once_and_shared():
         PomdpModel(*names, t_rows, z_rows, {})
 
 
+@pytest.mark.parametrize("table, key, row, match", [
+    ("T", (0, 0), [(-1, 1.0)], r"T\(0,0,\.\): index -1 outside 0\.\.2"),
+    ("T", (1, 0), [(99, 0.5), (1, 0.5)], r"T\(1,0,\.\): index 99 outside 0\.\.2"),
+    # the probabilities of T(2, 0) equal those of the valid T(1, 0)
+    ("T", (2, 0), [(3, 0.5), (1, 0.5)], r"T\(2,0,\.\): index 3 outside 0\.\.2"),
+    ("Z", (1, 0), [(0, 0.5), (7, 0.5)], r"Z\(1,0,\.\): index 7 outside 0\.\.1"),
+    ("Z", (2, 0), [(-1, 1.0)], r"Z\(2,0,\.\): index -1 outside 0\.\.1"),
+], ids=["T-negative", "T-past-the-end", "T-cached-probabilities", "Z-past-the-end",
+        "Z-negative"])
+def test_row_indices_outside_the_model_rejected(table, key, row, match):
+    t_rows = {(0, 0): [(0, 1.0)], (1, 0): [(0, 0.5), (1, 0.5)], (2, 0): [(2, 1.0)]}
+    z_rows = {(s, 0): [(s % 2, 1.0)] for s in range(3)}
+    (t_rows if table == "T" else z_rows)[key] = row
+    with pytest.raises(InvalidModel, match=match):
+        PomdpModel(["s0", "s1", "s2"], ["a0"], ["o0", "o1"], t_rows, z_rows, {})
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (99, 0), (0, -1), (0, 1), (3, 0), "s0"])
+def test_reward_keys_outside_the_model_rejected(key):
+    t_rows = {(s, 0): [(s, 1.0)] for s in range(3)}
+    z_rows = {(s, 0): [(0, 1.0)] for s in range(3)}
+    with pytest.raises(InvalidModel, match="reward key"):
+        PomdpModel(["s0", "s1", "s2"], ["a0"], ["o0"], t_rows, z_rows,
+                   {(0, 0): 1.0, key: 5.0})
+
+
 def test_obs_support_and_absorbing_detection():
     # s0 emits o0 under a0 and o1 under a1; s1 is a zero-reward self-loop.
     t_rows = {(0, 0): [(1, 1.0)], (0, 1): [(0, 1.0)],

@@ -21,6 +21,7 @@ from acpshield.errors import (
     AgentMismatch,
     AllActionsShielded,
     ImpossibleObservation,
+    InvalidModel,
     NonMonotoneFrames,
     ParseError,
     ParticleDeprivation,
@@ -689,6 +690,8 @@ def test_planner_matches_recursive_oracle(seed, horizon, extra_depth, determinis
        speed=st.floats(0.0, 5.0),
        corner=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
        size=st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0)))
+@example(kind="constant-velocity-with-noise", seed=0, n_agents=1, length=2, noise=1.0,
+         speed=0.0, corner=(0.0, -0.0), size=(0.0, 0.0))      # a -0.0 to 0.0 box
 def test_synth_trajectories_equal_per_step_oracle(kind, seed, n_agents, length, noise, speed,
                                                   corner, size):
     bounds = (corner[0], corner[0] + size[0], corner[1], corner[1] + size[1])
@@ -915,3 +918,153 @@ def test_c_pass_equals_row_reader(trajectories, predictions, stride, scale):
                 assert got[0] == "ok" and same_frames(got[1], want[1])
             else:
                 assert got == want
+
+
+@PROPERTY
+@given(width=st.integers(1, 9), height=st.integers(1, 9),
+       near=st.sampled_from([0.0, 0.1, 0.5, 1.0]), noise=st.sampled_from([0.0, 0.1, 0.999]),
+       goal=st.tuples(st.integers(0, 8), st.integers(0, 8)))
+@example(width=1, height=1, near=0.1, noise=0.1, goal=(0, 0))
+def test_grid_model_equals_reference(width, height, near, noise, goal):
+    spec = GridSpec(width=width, height=height, start_cells={(0, 0): 1.0},
+                    goal_cell=(goal[0] % width, goal[1] % height),
+                    near_prob=near, far_prob=1.0 - near, obs_noise=noise)
+    rows = oracles.reference_gridworld_rows(spec)
+    want = oracles.reference_model_tables(spec.n_cells + 1, 4, *rows)
+    n_obs = ((width + 1) // 2) * ((height + 1) // 2) + 1
+    for model in (build_gridworld(spec),
+                  PomdpModel(range(spec.n_cells + 1), range(4), range(n_obs), *rows)):
+        assert (model.rows, model._z, model.obs_support, model.absorbing_zero) == want
+        stored = [row for per_state in model._z for row in per_state]
+        assert len({id(row) for row in stored}) == len(set(stored))     # equal rows shared
+
+
+corruption = st.sampled_from(["missing", "empty", "scaled", "negative", "nan", "zero"])
+
+
+@PROPERTY
+@given(seed=seeds, shared=st.booleans(),
+       bad=st.lists(st.tuples(st.sampled_from("TZR"), st.integers(0, 10 ** 6), corruption),
+                    max_size=3))
+def test_model_rows_equal_reference_on_random_models(seed, shared, bad):
+    rng = np.random.default_rng(seed)
+    n_s, n_a = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+    T, Z, R = oracles.dense_tables(make_random_pomdp(
+        rng, n_states=n_s, n_actions=n_a, n_obs=int(rng.integers(1, 5)), branch=min(3, n_s),
+        absorbing=int(rng.integers(0, n_s + 1))))
+    keys = [(s, a) for s in range(n_s) for a in range(n_a)]
+    t_rows = {key: [(s2, float(T[key][s2])) for s2 in np.flatnonzero(T[key]).tolist()]
+              for key in keys}
+    z_objects = {}            # with ``shared``, one list object per distinct Z row
+    z_rows = {key: [(o, float(Z[key][o])) for o in np.flatnonzero(Z[key]).tolist()]
+              for key in keys}
+    if shared:                # equal T probability vectors, and shared Z-row objects
+        t_rows = {key: [(s2, 1.0 / len(row)) for s2, _ in row] for key, row in t_rows.items()}
+        z_rows = {key: z_objects.setdefault(tuple(row), row) for key, row in z_rows.items()}
+    rewards = {key: float(R[key]) for key in keys if R[key] != 0.0}
+    for table, pick, how in bad:
+        key = keys[pick % len(keys)]
+        if table == "R":
+            rewards[key] = math.nan if how == "nan" else math.inf
+            continue
+        rows = t_rows if table == "T" else z_rows
+        if how == "missing" or key not in rows:
+            rows.pop(key, None)
+            continue
+        row = list(rows[key])
+        if how == "empty":
+            row = []
+        elif how == "scaled":
+            row = [(i, 1.5 * p) for i, p in row]
+        elif how == "zero":
+            row = [(i, 0.0) for i, _ in row]
+        else:
+            row[0] = (row[0][0], -0.1 if how == "negative" else math.nan)
+        rows[key] = row
+    names = range(n_s), range(n_a), range(Z.shape[2])
+    try:
+        want = oracles.reference_model_tables(n_s, n_a, t_rows, z_rows, rewards)
+    except InvalidModel as err:
+        with pytest.raises(InvalidModel) as exc:
+            PomdpModel(*names, t_rows, z_rows, rewards)
+        assert str(exc.value) == str(err)
+        return
+    model = PomdpModel(*names, t_rows, z_rows, rewards)
+    assert (model.rows, model._z, model.obs_support, model.absorbing_zero) == want
+
+
+frame_value = st.sampled_from([0, 1, 2, 3, 2 ** 53 + 1])
+agent_id = st.one_of(st.integers(0, 5), st.sampled_from(["a", "b"]))
+coordinate = st.floats(-100.0, 100.0)
+
+
+def id_order(aid):
+    return isinstance(aid, str), aid
+
+
+@PROPERTY
+@given(predictions=st.dictionaries(st.tuples(frame_value, frame_value, agent_id),
+                                   st.tuples(coordinate, coordinate), max_size=20),
+       log=st.dictionaries(st.tuples(frame_value, agent_id),
+                           st.tuples(coordinate, coordinate), max_size=20),
+       float_frames=st.booleans(), stride=st.integers(1, 3), data=st.data())
+@example(predictions={(0, 1, 0): (1.0, 2.0), (2 ** 53 + 1, 1, 0): (3.0, 4.0)},
+         log={(0, 0): (1.0, 2.0), (2 ** 53 + 1, 1): (3.0, 4.0)}, float_frames=True,
+         stride=2, data=None)
+def test_ordered_shuffled_and_repeated_rows_load_alike(predictions, log, float_frames,
+                                                       stride, data):
+    """Each version of one table loads as the sorting path and the oracle
+    load it: the rows in (frames, id) order, shuffled, and in order with
+    repeated rows."""
+    def render(rows, n_frames):
+        return "".join(",".join([f"{f}.0" if float_frames else str(f) for f in key[:n_frames]]
+                                + [str(key[n_frames]), repr(x), repr(y)]) + "\n"
+                       for key, (x, y) in rows)
+
+    def versions(table, n_frames):
+        ordered = sorted(table.items(), key=lambda kv: (*kv[0][:n_frames], id_order(kv[0][-1])))
+        yield ordered
+        if data is not None and ordered:
+            yield data.draw(st.permutations(ordered))
+            # still in order, but not strictly: a repeat right after its row
+            again = data.draw(st.sets(st.integers(0, len(ordered) - 1), min_size=1, max_size=3))
+            yield [row for i, (key, (x, y)) in enumerate(ordered)
+                   for row in [(key, (x, y))] + [(key, (x + 1.0, y))] * (i in again)]
+
+    def loaded(load, path):
+        """What ``load`` gives for ``path``, checked equal to what it gives
+        when every file takes the sorting path."""
+        got = load_outcome(load, path)
+        with mock.patch.object(trajectory, "_strictly_ascending", lambda *columns: False):
+            sorting = load_outcome(load, path)
+        if got[0] == "ok":
+            assert sorting[0] == "ok" and same_frames(got[1], sorting[1])
+        else:
+            assert got == sorting
+        return got
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        for rows in versions(predictions, 2):
+            path.write_text(render(rows, 2), encoding="utf-8")
+            got = loaded(trajectory.load_predictions, path)
+            want = oracles.replay_oracle(path)
+            assert got[0] == "ok" and list(got[1]) == sorted(want)
+            for key, (ids, positions) in want.items():
+                assert got[1][key][0] == ids
+                assert np.array_equal(got[1][key][1], positions.reshape(-1, 2))
+        for rows in versions(log, 1):
+            path.write_text(render(rows, 1), encoding="utf-8")
+            got = loaded(lambda p: trajectory.load_trajectories(p, frame_stride=stride)._frames,
+                         path)
+            try:
+                _, want = oracles.trajectories_oracle(path, frame_stride=stride)
+            except oracles.RepeatedRow as repeat:
+                aid, frame = repeat.args
+                assert got == ("NonMonotoneFrames",
+                               f"agent {aid!r} appears twice in frame {frame}", None)
+                continue
+            assert got[0] == "ok" and list(got[1]) == sorted(want)
+            for t, (ids, positions) in want.items():
+                assert got[1][t][0] == ids
+                assert np.array_equal(got[1][t][1], positions.reshape(-1, 2))

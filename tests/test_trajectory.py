@@ -381,6 +381,33 @@ def test_loaders_reject_a_non_finite_position(tmp_path, load, separator, token, 
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("separator", [",", " "])
+def test_load_predictions_rejects_a_non_integral_frame(tmp_path, separator):
+    # read as tau 1, this row would overwrite agent 0's prediction at (0, 1)
+    path = tmp_path / "preds.csv"
+    path.write_text("\n".join(separator.join(row) for row in (
+        ("0", "1", "0", "1.0", "2.0"), ("0", "1.5", "0", "9.0", "9.0"))) + "\n")
+    with pytest.raises(ParseError, match="non-integral frame field") as exc:
+        load_predictions(path)
+    assert exc.value.line == 2
+    path.write_text(f"0{separator}1e0{separator}0{separator}9.0{separator}9.0\n"
+                    f"1.0{separator}1{separator}0{separator}1.0{separator}2.0\n")
+    assert sorted(load_predictions(path)) == [(0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("separator", [",", " "])
+def test_load_trajectories_rejects_a_non_integral_frame(tmp_path, separator):
+    path = tmp_path / "walk.csv"
+    path.write_text("\n".join(separator.join(row) for row in (
+        ("0", "1", "2.0", "4.0"), ("1.5", "1", "2.5", "4.0"), ("2", "1", "3.0", "4.0"))) + "\n")
+    with pytest.raises(ParseError, match="non-integral frame field") as exc:
+        load_trajectories(path)
+    assert exc.value.line == 2
+    path.write_text(f"0{separator}1{separator}2.0{separator}4.0\n"
+                    f"1e0{separator}1{separator}2.5{separator}4.0\n")
+    assert load_trajectories(path).span() == (0, 1)
+
+
 def test_round_trip(tmp_path):
     synth = synth_trajectories("waypoint", 4, 25, np.random.default_rng(8))
     # agents that enter late, leave early and leave gaps, with int and str
