@@ -978,8 +978,8 @@ def test_model_rows_equal_reference_on_random_models(seed, shared, bad):
             row = [(i, 1.5 * p) for i, p in row]
         elif how == "zero":
             row = [(i, 0.0) for i, _ in row]
-        else:
-            row[0] = (row[0][0], -0.1 if how == "negative" else math.nan)
+        else:                 # an earlier corruption may have left the row empty
+            row[:1] = [(row[0][0] if row else 0, -0.1 if how == "negative" else math.nan)]
         rows[key] = row
     names = range(n_s), range(n_a), range(Z.shape[2])
     try:
