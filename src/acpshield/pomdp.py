@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import (
     ImpossibleObservation,
     InvalidModel,
     ParticleDeprivation,
+    is_int,
 )
 
 PROB_TOL = 1e-9
@@ -81,15 +84,32 @@ def _validated(row, table, s, a, valid, seen):
     return (idxs if kept is None else tuple([idxs[i] for i in kept])), cum
 
 
+def _all_ints(values):
+    """True when every value passes ``is_int``, checked once per distinct
+    type: one pass gathers the types."""
+    return all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
+def _non_int_index(table, keys, rows):
+    """InvalidModel naming the first row ``table``(s, a, .), in ``keys``
+    order, with an index that fails ``is_int``."""
+    for (s, a), row in zip(keys, rows):
+        bad = [idx for idx, _ in row if not is_int(idx)]
+        if bad:
+            return InvalidModel(f"{table}({s},{a},.): index {bad[0]!r} is not an int")
+
+
 class PomdpModel:
     """Immutable discrete POMDP (states, actions, observations, T, R, Z, discount).
 
     Construct from sparse rows. Validation is eager: every T(s,a,.) and
     Z(s',a,.) row must sum to 1 within 1e-9 and is then renormalized
-    exactly, and its indices must lie inside the model. The sums are
-    checked once per distinct probability vector, and the indices of each
-    row. Z rows with equal content are validated once and share one stored
-    row.
+    exactly, and its indices, like each reward key's, must be ints inside
+    the model. The sums are checked once per distinct probability vector,
+    the index range of each row, and the index types in one pass over all
+    rows. Z rows with equal content are validated once and share one
+    stored row.
 
     ``rows[s][a]`` is the one store of T and R that every sampler and the
     belief update read: (successors, cumulative, reward, observation rows),
@@ -120,8 +140,10 @@ class PomdpModel:
         states, observations = frozenset(range(n_s)), frozenset(range(n_o))
         seen = {}                 # probability vector -> its _cumulative result
         z_by_id, z_by_content = {}, {}      # Z-row object, then content -> stored row
+        z_objs = []               # each distinct Z-row object once
         trans, z_flat = [], []    # per (s, a), state-major
-        for (s, a), row, zrow in zip(keys, map(t_rows.get, keys), map(z_rows.get, keys)):
+        t_list = list(map(t_rows.get, keys))
+        for (s, a), row, zrow in zip(keys, t_list, map(z_rows.get, keys)):
             if row is None:
                 raise InvalidModel(f"missing transition row for (s={s}, a={a})")
             trans.append(_validated(row, "T", s, a, states, seen))
@@ -129,6 +151,7 @@ class PomdpModel:
             if stored is None:
                 if zrow is None:
                     raise InvalidModel(f"missing observation row for (s'={s}, a={a})")
+                z_objs.append(zrow)
                 content = tuple(map(tuple, zrow))
                 stored = z_by_content.get(content)
                 if stored is None:
@@ -136,13 +159,24 @@ class PomdpModel:
                         content, "Z", s, a, observations, seen)
                 z_by_id[id(zrow)] = stored
             z_flat.append(stored)
+        # Indices equal by value to valid ones (1.0, True) passed the range
+        # checks, and a Z row equal by value to a stored one reuses it; every
+        # index and reward key must also be an int.
+        if not _all_ints(map(itemgetter(0), itertools.chain.from_iterable(t_list))):
+            raise _non_int_index("T", keys, t_list)
+        if not _all_ints(map(itemgetter(0), itertools.chain.from_iterable(z_objs))):
+            raise _non_int_index("Z", keys, map(z_rows.get, keys))
         r = dict.fromkeys(keys, 0.0)
-        for key, reward in rewards.items():
-            if key not in r:
-                raise InvalidModel(f"reward key {key!r} is not a (state, action) of the model")
-            r[key] = float(reward)
-            if not math.isfinite(r[key]):
-                raise InvalidModel(f"R({key[0]},{key[1]}) = {reward} is not finite")
+        r.update(rewards)                     # a key outside the model adds an entry
+        if len(r) != len(keys) or not _all_ints(itertools.chain.from_iterable(rewards)):
+            inside = frozenset(keys)
+            bad = next(key for key in rewards if key not in inside or not all(map(is_int, key)))
+            raise InvalidModel(f"reward key {bad!r} is not a (state, action) of the model")
+        r_flat = list(map(float, r.values()))             # state-major
+        if not all(map(math.isfinite, r_flat)):
+            key, reward = next((key, reward) for key, reward in rewards.items()
+                               if not math.isfinite(float(reward)))
+            raise InvalidModel(f"R({key[0]},{key[1]}) = {reward} is not finite")
 
         # One pass over the states. rows[s][a] holds the stored Z rows of its
         # successors, and obs_support(s) = {o | exists a with Z(s, a, o) > 0}.
@@ -152,7 +186,7 @@ class PomdpModel:
         z_cols = [z_flat[a::n_a] for a in range(n_a)]
         rows, support, absorbing = [], [], []
         for s, t_s, r_s, z_s in zip(range(n_s), zip(*[iter(trans)] * n_a),
-                                    zip(*[iter(r.values())] * n_a), self._z):
+                                    zip(*[iter(r_flat)] * n_a), self._z):
             rows.append(tuple([(succ, cum, reward, tuple(map(z_col.__getitem__, succ)))
                                for (succ, cum), reward, z_col in zip(t_s, r_s, z_cols)]))
             support.append(frozenset(o for oidxs, _ in z_s for o in oidxs))

@@ -252,6 +252,48 @@ def make_predictor(name, predictions_path=None, scale=1.0):
 SYNTH_KINDS = ("random-walk", "constant-velocity-with-noise", "waypoint")
 
 
+def _walk(steps, vels, lo, hi, reflect):
+    """The (length, n, 2) walks whose row 0 holds the starts and row t the
+    move into row t: each coordinate clipped to [lo, hi], or reflected at
+    it with its agent's velocity in ``vels`` negated.
+
+    The free paths are one cumulative sum, a sequential accumulate, so each
+    row equals stepping ``x + dx`` bit for bit. A coordinate's free path is
+    its walk up to its first contact: a value on or outside a wall for the
+    clipped walks, strictly outside for the reflected ones. From that row
+    on, that coordinate steps with the per-step rule.
+    """
+    free = np.cumsum(steps, axis=0)
+    if reflect:
+        off = (free[1:] < lo) | (free[1:] > hi)
+    else:
+        off = (free[1:] <= lo) | (free[1:] >= hi)
+    first = off.argmax(axis=0).tolist()
+    los, his = lo.tolist(), hi.tolist()
+    for aid, k in np.argwhere(off.any(axis=0)).tolist():
+        c = first[aid][k] + 1
+        low, high = los[k], his[k]
+        x = free[c - 1, aid, k].item()
+        path = []
+        if reflect:
+            v = vels[aid, k].item()
+            for _ in range(c, len(free)):
+                x = x + (v + 0.0)         # a -0.0 step turns into 0.0
+                if x < low:
+                    x, v = 2 * low - x, -v
+                elif x > high:
+                    x, v = 2 * high - x, -v
+                path.append(x)
+        else:
+            # np.clip's order: a tie goes to the bound, so -0.0 against a
+            # bound of 0.0 gives 0.0, bit for bit as the oracle's clip
+            for dx in steps[c:, aid, k].tolist():
+                x = min(high, max(low, x + dx))
+                path.append(x)
+        free[c:, aid, k] = path
+    return free
+
+
 def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0),
                        speed=0.8, noise=0.3):
     """Generate n_agents synthetic trajectories of the given length.
@@ -261,20 +303,28 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
     'waypoint' (piecewise-constant heading through random waypoints).
     Constant-velocity agents with noise=0 reflect at the bounds box; every
     other agent is clipped to it. All kinds are deterministic given the rng.
+
+    A random-walk or constant-velocity agent draws its start, heading and
+    every step's noise up front. Each coordinate's free path, the walk as if
+    no wall were there, is one ``np.cumsum`` over all agents; it is the
+    stepped path up to the coordinate's first wall contact, from which that
+    coordinate alone steps on with the per-step rule. Waypoint agents step
+    throughout, since their draws depend on the path.
     """
     if kind not in SYNTH_KINDS:
         raise InvalidSpec(f"unknown synthesis kind {kind!r}; choices: {SYNTH_KINDS}")
-    if n_agents < 0 or length <= 0:
-        raise InvalidSpec(f"need n_agents >= 0 and length > 0, got {n_agents}, {length}")
+    require_int("n_agents", n_agents, 0)
+    require_int("length", length, 1)
     if not (0.0 <= speed < math.inf and 0.0 <= noise < math.inf):
         raise InvalidSpec(f"speed and noise must be finite and >= 0, got {speed}, {noise}")
     xmin, xmax, ymin, ymax = bounds
-    lo = np.array([xmin, ymin])
-    hi = np.array([xmax, ymax])
-    xmin, ymin = lo.tolist()
-    xmax, ymax = hi.tolist()
+    lo = np.array([xmin, ymin], dtype=float)
+    hi = np.array([xmax, ymax], dtype=float)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
+        raise InvalidSpec(f"bounds must be finite with low <= high, got {bounds}")
 
     points = np.empty((length, n_agents, 2))
+    vels = np.empty((n_agents, 2))
     for aid in range(n_agents):
         pos = rng.uniform(lo, hi)
         if kind == "random-walk":
@@ -297,33 +347,18 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
                 pos = np.clip(pos + step, lo, hi)
             continue
         # Every step's draw at once: the rng fills them in the order per-step
-        # draws would take, so the path is bit-identical to stepping one by one.
+        # draws would take. Row 0 holds the start, row t the move into row t;
+        # the last move drawn is never taken, as in stepping one by one.
+        points[0, aid] = pos
         if kind == "random-walk":
-            moves = rng.normal(0.0, speed, size=(length, 2)).tolist()
+            points[1:, aid] = rng.normal(0.0, speed, size=(length, 2))[:-1]
         elif noise > 0:
-            moves = (vel + rng.normal(0.0, noise, size=(length, 2))).tolist()
-        else:
-            moves = None                              # exact lines, reflected at the box
-        (x, y), (vx, vy) = pos.tolist(), vel.tolist()
-        path = []
-        for t in range(length):
-            path.append((x, y))
-            if moves is None:             # the step is vel + 0.0: a -0.0 turns into 0.0
-                x, y = x + (vx + 0.0), y + (vy + 0.0)
-                if x < xmin:
-                    x, vx = 2 * xmin - x, -vx
-                elif x > xmax:
-                    x, vx = 2 * xmax - x, -vx
-                if y < ymin:
-                    y, vy = 2 * ymin - y, -vy
-                elif y > ymax:
-                    y, vy = 2 * ymax - y, -vy
-            else:
-                dx, dy = moves[t]
-                # np.clip's order: a tie goes to the bound, so -0.0 against a
-                # bound of 0.0 gives 0.0, bit for bit as the oracle's clip
-                x, y = min(xmax, max(xmin, x + dx)), min(ymax, max(ymin, y + dy))
-        points[:, aid] = path
+            points[1:, aid] = (vel + rng.normal(0.0, noise, size=(length, 2)))[:-1]
+        else:                             # exact lines: a -0.0 step turns into 0.0
+            points[1:, aid] = vel + 0.0
+        vels[aid] = vel
+    if kind != "waypoint" and length > 1:
+        points = _walk(points, vels, lo, hi, reflect=kind != "random-walk" and noise == 0)
     ids = tuple(range(n_agents))
     frames = {t: (ids, points[t]) for t in range(length)} if n_agents else {}
     return TrajectorySource(frames)

@@ -144,7 +144,40 @@ def test_row_indices_outside_the_model_rejected(table, key, row, match):
         PomdpModel(["s0", "s1", "s2"], ["a0"], ["o0", "o1"], t_rows, z_rows, {})
 
 
-@pytest.mark.parametrize("key", [(-1, 0), (99, 0), (0, -1), (0, 1), (3, 0), "s0"])
+@pytest.mark.parametrize("table, key, row, match", [
+    ("Z", (1, 0), [(1.0, 1.0)], r"Z\(1,0,\.\): index 1\.0 is not an int"),
+    ("T", (0, 0), [(True, 1.0)], r"T\(0,0,\.\): index True is not an int"),
+    ("T", (0, 0), [(1.0, 1.0)], r"T\(0,0,\.\): index 1\.0 is not an int"),
+    ("T", (1, 0), [(1, 1.0), (0.0, 0.0)], r"T\(1,0,\.\): index 0\.0 is not an int"),
+], ids=["Z-float", "T-bool", "T-float", "T-float-zero-entry"])
+def test_row_indices_that_are_not_ints_rejected(table, key, row, match):
+    # each index equals a valid one by value, so only its type is wrong
+    t_rows = {(0, 0): [(0, 1.0)], (1, 0): [(1, 1.0)]}
+    z_rows = {(0, 0): [(0, 1.0)], (1, 0): [(1, 1.0)]}
+    (t_rows if table == "T" else z_rows)[key] = row
+    with pytest.raises(InvalidModel, match=match):
+        PomdpModel(["s0", "s1"], ["a0"], ["o0", "o1"], t_rows, z_rows, {})
+
+
+def test_float_z_index_rejected_behind_an_equal_int_row():
+    # the float row equals the int row by value, so its content is cached already
+    t_rows = {(0, 0): [(0, 1.0)], (1, 0): [(1, 1.0)]}
+    z_rows = {(0, 0): [(1, 1.0)], (1, 0): [(1.0, 1.0)]}
+    with pytest.raises(InvalidModel, match=r"Z\(1,0,\.\): index 1\.0 is not an int"):
+        PomdpModel(["s0", "s1"], ["a0"], ["o0", "o1"], t_rows, z_rows, {})
+
+
+def test_numpy_int_indices_accepted():
+    t_rows = {(0, 0): [(np.int64(1), 1.0)], (1, 0): [(1, 1.0)]}
+    z_rows = {(0, 0): [(0, 1.0)], (1, 0): [(np.int8(1), 1.0)]}
+    model = PomdpModel(["s0", "s1"], ["a0"], ["o0", "o1"], t_rows, z_rows,
+                       {(np.int64(1), np.int32(0)): 5.0})
+    assert model.rows[0][0][0] == (1,) and model.obs_support == (frozenset({0}), frozenset({1}))
+    assert model.reward(1, 0) == 5.0
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (99, 0), (0, -1), (0, 1), (3, 0), "s0",
+                                 (True, 0), (1, 0.0)])
 def test_reward_keys_outside_the_model_rejected(key):
     t_rows = {(s, 0): [(s, 1.0)] for s in range(3)}
     z_rows = {(s, 0): [(0, 1.0)] for s in range(3)}

@@ -685,13 +685,15 @@ def test_planner_matches_recursive_oracle(seed, horizon, extra_depth, determinis
 
 
 @PROPERTY
-@given(kind=st.sampled_from(trajectory.SYNTH_KINDS), seed=seeds, n_agents=st.integers(0, 4),
-       length=st.integers(1, 40), noise=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
-       speed=st.floats(0.0, 5.0),
+@given(kind=st.sampled_from(trajectory.SYNTH_KINDS), seed=seeds, n_agents=st.integers(0, 12),
+       length=st.integers(1, 300), noise=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       speed=st.floats(0.0, 30.0),              # up to the box size: a wall on the first move
        corner=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
        size=st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0)))
 @example(kind="constant-velocity-with-noise", seed=0, n_agents=1, length=2, noise=1.0,
          speed=0.0, corner=(0.0, -0.0), size=(0.0, 0.0))      # a -0.0 to 0.0 box
+@example(kind="random-walk", seed=0, n_agents=1, length=3, noise=0.0, speed=0.0,
+         corner=(-0.0, -0.0), size=(-0.0, -0.0))   # the free path's 0.0 ties a -0.0 wall
 def test_synth_trajectories_equal_per_step_oracle(kind, seed, n_agents, length, noise, speed,
                                                   corner, size):
     bounds = (corner[0], corner[0] + size[0], corner[1], corner[1] + size[1])

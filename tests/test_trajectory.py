@@ -30,7 +30,7 @@ from acpshield.trajectory import (
     synth_trajectories,
 )
 
-from oracles import agent_ids, source_from_tracks, track_of
+from oracles import agent_ids, source_from_tracks, synth_oracle, track_of
 
 
 def joint(ids, coords, t):
@@ -262,12 +262,44 @@ def test_synth_zero_noise_is_linear():
 @pytest.mark.parametrize("kind", SYNTH_KINDS)
 def test_synth_rejects_negative_or_non_finite_settings(kind):
     for setting in ({"speed": -0.5}, {"noise": -0.1}, {"speed": math.nan},
-                    {"noise": math.inf}):
+                    {"noise": math.inf}, {"n_agents": 2.5}, {"n_agents": True},
+                    {"length": 5.5}, {"length": 2.0}, {"bounds": (5.0, 0.0, 0.0, 5.0)},
+                    {"bounds": (0.0, 5.0, 0.0, math.nan)},
+                    {"bounds": (-math.inf, 5.0, 0.0, 5.0)}):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(InvalidSpec):
-            synth_trajectories(kind, 2, 5, rng, **setting)
+            synth_trajectories(kind, rng=rng, **{"n_agents": 2, "length": 5, **setting})
         assert rng.bit_generator.state == state             # checked before any draw
+
+
+class ScriptedRng:
+    """Serves given uniform and standard-normal values in order, in any shape,
+    so a batched draw and per-step draws read the same numbers."""
+
+    def __init__(self, uniforms, normals):
+        self.uniforms, self.normals = iter(uniforms), iter(normals)
+
+    def uniform(self, low, high, size=None):
+        return np.asarray(next(self.uniforms), dtype=float)
+
+    def normal(self, loc, scale, size):
+        values = [loc + scale * next(self.normals) for _ in range(int(np.prod(size)))]
+        return np.array(values).reshape(size)
+
+
+def test_synth_clamps_a_free_path_tie_to_a_signed_zero_wall():
+    # x: 1.0 - 1.0 reaches 0.0 on the low wall -0.0; y: -1.0 + 1.0 on the high
+    # wall -0.0. Each tie clamps to the wall's -0.0, on one side of the box only.
+    bounds = (-0.0, 5.0, -5.0, -0.0)
+    moves = [-1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    source = synth_trajectories("random-walk", 1, 3, ScriptedRng([(1.0, -1.0)], moves),
+                                bounds, speed=1.0)
+    want = synth_oracle("random-walk", 1, 3, ScriptedRng([(1.0, -1.0)], moves),
+                                bounds, speed=1.0)
+    got = np.stack([source.agents_at(t).positions for t in range(3)])
+    assert np.signbit(got[1:, 0]).all()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_synth_zero_agents():
