@@ -45,7 +45,7 @@ class HistoryTooShort(AcpShieldError):
 
 
 class OutOfRange(AcpShieldError):
-    """A timestep query outside the trajectory source's span."""
+    """A timestep, lookahead or shield depth outside its valid range."""
 
 
 class MissingExternalPrediction(AcpShieldError):

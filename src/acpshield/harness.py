@@ -8,15 +8,16 @@ Every step of an episode runs the same stages, in order:
    prediction (``_acp_step``, also run by the warm-up and by
    ``acp_coverage_run``);
 3. shield: the BSTS of the particle support (built every step on the
-   episode's one map of support edges), then the unsafe sets, a {tau:
-   F_tau} map: the states whose ``constraint_values`` margin to the
-   lookahead-tau prediction is below the radius, decided only on the
-   BSTS's ``states`` (those its levels hold below the root); then the
+   episode's one map of support edges) through its safe supports: once a
+   level is collected, one ``unsafe_sets`` call decides that level's
+   lookahead q on the states it holds (F_q, the states whose
+   ``constraint_values`` margin to the lookahead-q prediction is below
+   the radius), and only the supports clear of F_q are expanded; then the
    step's one ``Shield``, built from the winning regions and the
    depth-indexed action table of one backward sweep, and the independent
    certificate check of that shield;
 4. plan a certified action, or, when all are shielded, take the fallback,
-   ranked by margins against the lookahead-1 prediction and radius;
+   ranked by the level-1 margins of the F_1 decision;
 5. soundness: the executed action must keep every successor winning;
 6. execute the action in the simulator;
 7. advance the particle root by the action and its observation.
@@ -375,18 +376,17 @@ def run_episode(cfg, run=0, model=None, source=None, step_hook=None, predictor=N
                                                cfg.horizon)
             if estimator is not None:
                 rec.beta, rec.lam, rec.violated = zip(*estimator.last)
-            # shield
-            bsts = Bsts(model, support, cfg.horizon, expansions)
-            f_sets = unsafe_sets(positions, prediction, rec.radius, cfg.epsilon,
-                                 within=bsts.states)
-            shield = Shield(bsts, *compute_winning_regions(bsts, f_sets))
-            cert_failures += len(verify_winning_regions(shield, f_sets))
+            # shield: F_q is decided level by level, inside the BSTS build
+            bsts = Bsts(model, support, cfg.horizon, expansions,
+                        lambda q, states: unsafe_sets(positions, prediction, rec.radius,
+                                                      cfg.epsilon, within={q: states})[q])
+            shield = Shield(bsts, *compute_winning_regions(bsts))
+            cert_failures += len(verify_winning_regions(shield, bsts.f_sets))
             # plan, or fall back
             try:
                 rec.action = planner.plan(root, shield)
             except AllActionsShielded:
-                rec.action = fallback_action(model, support, positions, prediction,
-                                             rec.radius, cfg.epsilon)
+                rec.action = fallback_action(model, support, bsts.f_sets[1])
                 rec.deadlock = True
             # soundness
             if not rec.deadlock and all(math.isfinite(r) for r in rec.radius):

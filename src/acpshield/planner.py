@@ -39,7 +39,6 @@ import numpy as np
 
 from .errors import AllActionsShielded, EmptyBelief, InvalidSpec, require_int
 from .pomdp import resample_particles
-from .shield import constraint_values
 
 
 class ActionEdge:
@@ -112,25 +111,25 @@ class PlanStats:
     root_pruned: tuple
 
 
-def fallback_action(model, support, positions, predictions, radii, epsilon):
+def fallback_action(model, support, unsafe_1):
     """Least-bad action when the shield allows nothing.
 
     Maximizes the worst-case one-step margin over all successor states of
     the support: each successor's constraint value against the lookahead-1
-    prediction ``predictions.at(1)``, less its radius ``radii[0]``; ties go
-    to the lowest action index. A state without a location (c = +inf)
-    keeps +inf even against an infinite radius. Used only after
-    AllActionsShielded, so "safe" options no longer exist and the margin
-    ranking is a best effort. Only the successors' margins are computed.
+    prediction, less its radius; ties go to the lowest action index. The
+    values and the radius come from ``unsafe_1``, the ``UnsafeSet`` F_1 as
+    ``unsafe_sets`` decided it on at least those successors (the BSTS build
+    decides it on level 1, exactly the root's successors), so no margin is
+    computed twice. A state without a location (c = +inf) keeps +inf even
+    against an infinite radius. Used only after AllActionsShielded, so
+    "safe" options no longer exist and the margin ranking is a best effort.
     """
-    successors = [[s2 for s in support for s2 in model.successors(s, a)]
-                  for a in range(model.n_actions)]
-    states = sorted(set().union(*successors))
-    values = constraint_values(positions[states], predictions.at(1).positions, epsilon)
+    values = unsafe_1.values
     with np.errstate(invalid="ignore"):
-        margins = np.where(np.isinf(values), values, values - radii[0])
-    margin = dict(zip(states, margins.tolist()))
-    worst = [min(margin[s2] for s2 in succ) for succ in successors]
+        margins = np.where(np.isinf(values), values, values - unsafe_1.radius)
+    margin = dict(zip(unsafe_1.states.tolist(), margins.tolist()))
+    worst = [min(margin[s2] for s in support for s2 in model.successors(s, a))
+             for a in range(model.n_actions)]
     return worst.index(max(worst))
 
 

@@ -247,6 +247,9 @@ class BeliefState:
     probs: dict
 
     def __post_init__(self):
+        for s in self.probs:
+            if not is_int(s):
+                raise InvalidModel(f"belief state {s!r} is not an int")
         clean = {int(s): float(p) for s, p in self.probs.items() if p != 0.0}
         if not clean:
             raise EmptyBelief("belief has no mass")

@@ -7,15 +7,17 @@ from the agent predictions and their conformal radii. The pipeline per
 planning step:
 
 1. enumerate the belief supports reachable from the current support within
-   the prediction horizon (a small transition system over supports),
-2. per lookahead tau, the unsafe set F_tau: the states whose distance
-   margin to the predicted agents falls below the conformal radius,
-   decided only on the states those supports hold,
-3. sweep backward over the horizon once: per depth and support, the
+   the prediction horizon (a small transition system over supports), level
+   by level: once level q is collected, the unsafe set F_q (the states whose
+   distance margin to the predicted agents falls below the conformal
+   radius) is decided on the states that level holds alone, and only the
+   supports clear of it are expanded. A support holding a state of F_q
+   loses whatever lies below it, so it stays a leaf;
+2. sweep backward over the horizon once: per depth and support, the
    actions that keep every observation outcome winning (the shield table),
    and from those the winning supports, safe ones with at least one such
-   action,
-4. hold both in the step's one ``Shield``, which answers, for any support
+   action; a leaf certifies nothing;
+3. hold both in the step's one ``Shield``, which answers, for any support
    and depth, which actions are certified safe.
 
 Supports are canonical frozensets of state indices; all structures built
@@ -28,14 +30,18 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSpec, UnknownSupport
+from .errors import InvalidSpec, OutOfRange, UnknownSupport, is_int, require_int
 
 MARGIN_BLOCK = 16_384     # state-agent pairs per block of margins
 
 
 def validate_support(model, states):
     """Canonicalize a support and check members share a possible observation."""
-    sup = frozenset(int(s) for s in states)
+    members = tuple(states)
+    for s in members:
+        if not is_int(s):
+            raise InvalidSpec(f"support member {s!r} is not an int state")
+    sup = frozenset(map(int, members))
     if not sup:
         raise InvalidSpec("belief support must be nonempty")
     common = None
@@ -69,13 +75,24 @@ def _successor_groups(model, sup):
 
 
 class Bsts:
-    """Reachable belief supports within the horizon, layered by depth.
+    """Reachable belief supports within the horizon, layered by depth, built
+    through safe supports only.
 
-    ``levels[q]`` holds the supports reachable in exactly q steps from the
-    root; ``post_by_obs(sup, q, a)`` the observation-grouped successor
-    supports. With deterministic observations the successor supports
-    partition the one-step successor union; with noisy observations a
-    successor state can appear under every observation it may emit, so the
+    ``levels[q]`` holds the level-q nodes: the root at 0, and the supports
+    reachable in q steps through supports that are safe at their own level.
+    Once level q (1..H) is collected, ``unsafe(q, states)`` decides F_q on
+    ``states[q]``, the sorted int array of the states the level holds, and
+    returns the set of those that are unsafe, kept as ``f_sets[q]``.
+    ``safe[q]`` holds the level-q supports clear of it. Below the horizon
+    those, and the root, are the expanded nodes; a support holding a state
+    of F_q loses at its own depth whatever lies below it, so it stays an
+    unexpanded leaf. Without ``unsafe`` nothing is unsafe and every node
+    below the horizon is expanded.
+
+    ``post_by_obs(sup, q, a)`` gives an expanded node's observation-grouped
+    successor supports. With deterministic observations the successor
+    supports partition the one-step successor union; with noisy observations
+    a successor state can appear under every observation it may emit, so the
     groups form a cover. Either way each group is exactly the support the
     belief update would produce under that observation.
 
@@ -83,36 +100,45 @@ class Bsts:
     live in one map, ``expansions`` (support -> per-action groups), which
     every BSTS of one model may share: a support expanded once is read from
     it, and new ones are added to it. The map may hold supports that are
-    not nodes of this BSTS, so lookups go through ``levels`` first.
-
-    ``states`` is the sorted int array of the states the supports of levels
-    1..H hold, the only states whose unsafe-set membership the shield reads.
+    not expanded nodes of this BSTS, so lookups go through ``safe`` first.
     """
 
-    def __init__(self, model, root, horizon, expansions=None):
-        if horizon < 1:
-            raise InvalidSpec(f"horizon must be >= 1, got {horizon}")
+    def __init__(self, model, root, horizon, expansions=None, unsafe=None):
+        require_int("horizon", horizon, 1)
         self.model = model
         self.horizon = horizon
         self.root = validate_support(model, root)
         self.levels = {0: {self.root}}
+        self.states, self.f_sets, self.safe = {}, {}, {}
         self.expansions = expansions = {} if expansions is None else expansions
-        held = set()
-        for q in range(horizon):
+        frontier = (self.root,)
+        for q in range(1, horizon + 1):
             nxt = set()
-            for sup in self.levels[q]:
+            for sup in frontier:
                 groups = expansions.get(sup)
                 if groups is None:
                     groups = expansions[sup] = _successor_groups(model, sup)
                 for by_obs in groups:
                     nxt.update(by_obs.values())
-            self.levels[q + 1] = nxt
-            held.update(*nxt)
-        self.states = np.sort(np.fromiter(held, dtype=np.intp, count=len(held)))
+            self.levels[q] = nxt
+            held = set().union(*nxt)
+            states = self.states[q] = np.sort(
+                np.fromiter(held, dtype=np.intp, count=len(held)))
+            f = frozenset() if unsafe is None or not held else unsafe(q, states)
+            if not isinstance(f, (set, frozenset)):
+                raise InvalidSpec(f"unsafe decision for lookahead {q} is not a set "
+                                  f"of states: {f!r}")
+            self.f_sets[q] = f
+            frontier = self.safe[q] = frozenset(sup for sup in nxt if f.isdisjoint(sup))
+
+    def expanded(self, support, q):
+        """True when (support, q) is a node whose successors were collected."""
+        return 0 <= q < self.horizon and (
+            support in self.safe[q] if q else support == self.root)
 
     def post_by_obs(self, support, q, a):
         """dict observation -> successor support for one (node, action)."""
-        if not (0 <= q < self.horizon and support in self.levels[q]):
+        if not self.expanded(support, q):
             raise UnknownSupport(f"({sorted(support)}, {q}) is not an expanded node")
         return self.expansions[support][a]
 
@@ -151,9 +177,28 @@ def constraint_values(positions, agent_positions, epsilon):
     return np.where(np.isfinite(nearest), nearest - epsilon, math.inf)
 
 
+class UnsafeSet(frozenset):
+    """F_tau on the states it was decided on: the frozenset of those whose
+    constraint value falls below the radius.
+
+    It keeps what it was decided from: ``states``, the int array of the
+    decided states, ``values``, their ``constraint_values`` in the same
+    order, and ``radius``, so a caller that ranks states by margin,
+    such as ``planner.fallback_action``, need not compute them again.
+    """
+
+    __slots__ = ("states", "values", "radius")
+
+    def __new__(cls, states, values, radius):
+        self = super().__new__(cls, states[values < radius].tolist())
+        self.states, self.values, self.radius = states, values, radius
+        return self
+
+
 def unsafe_sets(positions, predictions, radii, epsilon, within=None):
     """The unsafe sets {tau: F_tau}, tau = 1..H, of the predictions and the
-    radii issued with them (``radii[tau - 1]`` for lookahead tau).
+    radii issued with them (``radii[tau - 1]`` for lookahead tau), each an
+    ``UnsafeSet``.
 
     F_tau holds the states whose ``constraint_values`` margin to the
     lookahead-tau prediction falls below its radius. The radius itself is
@@ -167,10 +212,11 @@ def unsafe_sets(positions, predictions, radii, epsilon, within=None):
     NaN or negative radius raises InvalidSpec, as does a radius count other
     than the prediction horizon.
 
-    ``within``, an int array of states, limits the decision to those
-    states: each set is then F_tau restricted to ``within``. The default
-    decides every state. A caller that reads the sets only on some states,
-    such as the shield on its BSTS's, passes them here.
+    ``within``, a {tau: int array of states} map, limits the decision to
+    those lookaheads and states: the result then holds, for each of its
+    keys, F_tau restricted to its states. The default decides every
+    lookahead on every state. A caller that reads a set only on some
+    states, such as the BSTS build on one level's, passes them here.
     """
     horizon = predictions.horizon
     if len(radii) != horizon:
@@ -180,41 +226,40 @@ def unsafe_sets(positions, predictions, radii, epsilon, within=None):
     if not epsilon >= 0.0:
         raise InvalidSpec(f"epsilon must be >= 0, got {epsilon}")
     pos = np.asarray(positions, dtype=float)
-    states = np.arange(pos.shape[0]) if within is None else np.asarray(within, dtype=np.intp)
-    pos = pos[states]
-    return {tau: frozenset(states[constraint_values(pos, predictions.at(tau).positions,
-                                                    epsilon) < radii[tau - 1]].tolist())
-            for tau in range(1, horizon + 1)}
+    if within is None:
+        within = dict.fromkeys(range(1, horizon + 1), np.arange(pos.shape[0]))
+    out = {}
+    for tau, states in within.items():
+        agents = predictions.at(tau).positions
+        states = np.asarray(states, dtype=np.intp)
+        out[tau] = UnsafeSet(states, constraint_values(pos[states], agents, epsilon),
+                             radii[tau - 1])
+    return out
 
 
-def compute_winning_regions(bsts, f_sets):
+def compute_winning_regions(bsts):
     """One backward sweep over the BSTS levels: ``(regions, table)``, the
     two maps a ``Shield`` holds.
 
-    Depth-H supports win by avoiding the depth-H unsafe states alone (no
-    lookahead exists beyond the prediction horizon). Below that, each
-    node's table entry is the actions sending every observation outcome
-    into the next level's winning set, and a support wins when it is safe
-    at its own depth and that tuple is nonempty.
+    It reads the BSTS's own safety decisions, ``bsts.safe``, and tests none
+    again. Depth-H supports win by being safe alone (no lookahead exists
+    beyond the prediction horizon). Below that, each expanded node's table
+    entry is the actions sending every observation outcome into the next
+    level's winning set, and it wins when that tuple is nonempty. An
+    unexpanded leaf holds an unsafe state: its entry is empty and it loses.
     """
-    if len(f_sets) != bsts.horizon:
-        raise InvalidSpec(f"{len(f_sets)} unsafe sets for bsts horizon {bsts.horizon}")
     h = bsts.horizon
     post = bsts.expansions
-    regions = {h: frozenset(sup for sup in bsts.levels[h]
-                            if f_sets[h].isdisjoint(sup))}
+    regions = {h: bsts.safe[h]}
     table = {}
     for q in range(h - 1, -1, -1):
         above = regions[q + 1]
-        won = set()
-        row = table[q] = {}
-        for sup in bsts.levels[q]:
-            acts = row[sup] = tuple(a for a, by_obs in enumerate(post[sup])
-                                    if above.issuperset(by_obs.values()))
-            if acts and (q == 0 or f_sets[q].isdisjoint(sup)):
-                won.add(sup)
+        row = table[q] = dict.fromkeys(bsts.levels[q], ())
+        for sup in bsts.safe[q] if q else bsts.levels[0]:
+            row[sup] = tuple(a for a, by_obs in enumerate(post[sup])
+                             if above.issuperset(by_obs.values()))
         if q >= 1:
-            regions[q] = frozenset(won)
+            regions[q] = frozenset(sup for sup, acts in row.items() if acts)
     return regions, table
 
 
@@ -224,15 +269,15 @@ class Shield:
     ``regions[tau]`` holds the winning supports of level tau, 1..horizon, and
     ``table[q][support]`` the certified actions of every level-q node below
     the horizon: those whose every observation outcome lands in
-    ``regions[q + 1]``. ``groups[support][action]`` is the {observation:
-    child support} dict of every expanded support; it is the BSTS's shared
-    edge map, so it may hold supports of other BSTSs. The planner's inner
-    loop reads these maps directly.
+    ``regions[q + 1]``, none for an unexpanded leaf. ``groups[support][action]``
+    is the {observation: child support} dict of every expanded support; it
+    is the BSTS's shared edge map, so it may hold supports of other BSTSs.
+    The planner's inner loop reads these maps directly.
 
     ``allowed(support, depth)`` answers which actions are certified from a
     support sitting ``depth`` steps into the future (depth 0 is now).
     Depths at or beyond the horizon are unconstrained: the prediction
-    regions say nothing about them.
+    regions say nothing about them. A negative depth raises OutOfRange.
     """
 
     def __init__(self, bsts, regions, table):
@@ -247,6 +292,8 @@ class Shield:
         """Certified actions from (support, depth); all actions past horizon."""
         if depth >= self.horizon:
             return self._unconstrained
+        if depth < 0:
+            raise OutOfRange(f"depth {depth} is negative")
         try:
             return self.table[depth][support]
         except KeyError:
@@ -265,17 +312,25 @@ def keeps_winning(shield, support, q, action):
 def verify_winning_regions(shield, f_sets):
     """Independent certificate check of a shield's winning regions and table.
 
-    Re-derives, straight from the BSTS edges and unsafe sets, that (a) every
-    claimed winning support is a level node with no unsafe state at its
-    depth, (b) below the horizon it has a nonempty table entry, (c) every
-    node below the horizon has a table entry, and (d) every tabled action
-    keeps all successors winning. (b) and (d) together give each winning
-    support an all-winning action. Returns a list of violation
-    descriptions, empty when the certificate holds.
+    Re-derives, straight from the BSTS edges and the unsafe sets ``f_sets``
+    ({tau: F_tau}, tau = 1..H, each at least on its level's states; anything
+    else raises InvalidSpec), that (a) every claimed winning support is a
+    level node with no unsafe state at its depth, (b) below the horizon it
+    has a nonempty table entry, (c) every node below the horizon has a table
+    entry, (d) every tabled action of an expanded node keeps all successors
+    winning, and (e) every unexpanded node below the horizon holds a state
+    of its F_q and certifies no action, so nothing safe was left out. (b)
+    and (d) together give each winning support an all-winning action.
+    Returns a list of violation descriptions, empty when the certificate
+    holds.
     """
     problems = []
     bsts, table = shield.bsts, shield.table
     h = bsts.horizon
+    if not (isinstance(f_sets, dict) and f_sets.keys() == set(range(1, h + 1))
+            and all(isinstance(f, (set, frozenset)) for f in f_sets.values())):
+        raise InvalidSpec(f"unsafe sets must map each lookahead 1..{h} to a "
+                          f"set of states, got {f_sets!r}")
     for tau in range(1, h + 1):
         for sup in shield.regions[tau]:
             if sup not in bsts.levels[tau]:
@@ -289,10 +344,19 @@ def verify_winning_regions(shield, f_sets):
                 problems.append(
                     f"tau={tau}: {sorted(sup)} has no all-winning action")
     for q in range(h):
+        expanded = bsts.safe[q] if q else bsts.levels[0]
         for sup in bsts.levels[q]:
             acts = table[q].get(sup)
             if acts is None:
                 problems.append(f"q={q}: {sorted(sup)} has no table entry")
+                continue
+            if sup not in expanded:
+                if f_sets[q].isdisjoint(sup):
+                    problems.append(f"q={q}: {sorted(sup)} is left unexpanded but "
+                                    "holds no unsafe state")
+                if acts:
+                    problems.append(f"q={q}: {sorted(sup)} is unexpanded but allows "
+                                    f"actions {list(acts)}")
                 continue
             for a in acts:
                 if not keeps_winning(shield, sup, q, a):

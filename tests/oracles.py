@@ -232,6 +232,47 @@ def reachable_supports(model, support, action):
     return {o: frozenset(ss) for o, ss in grouped.items()}
 
 
+def full_bsts(model, root, horizon):
+    """The BSTS with every node below the horizon expanded, unsafe or not:
+    (levels, groups), ``levels[q]`` the supports reachable from ``root`` in
+    exactly q steps and ``groups[support]`` one {observation: support} dict
+    per action, from :func:`reachable_supports`. The reference the build
+    through safe supports is checked against."""
+    levels = {0: {frozenset(root)}}
+    groups = {}
+    for q in range(horizon):
+        nxt = set()
+        for sup in levels[q]:
+            if sup not in groups:
+                groups[sup] = tuple(reachable_supports(model, sup, a)
+                                    for a in range(model.n_actions))
+            for by_obs in groups[sup]:
+                nxt.update(by_obs.values())
+        levels[q + 1] = nxt
+    return levels, groups
+
+
+def full_winning_regions(levels, groups, f_sets):
+    """One backward sweep over a :func:`full_bsts`: (regions, table).
+
+    Every node below the horizon gets the actions whose every observation
+    outcome wins one level down, unsafe nodes included; a support wins at
+    tau when it avoids ``f_sets[tau]`` and, below the horizon, has such an
+    action.
+    """
+    h = max(levels)
+    regions = {h: frozenset(sup for sup in levels[h] if f_sets[h].isdisjoint(sup))}
+    table = {}
+    for q in range(h - 1, -1, -1):
+        row = table[q] = {sup: tuple(a for a, by_obs in enumerate(groups[sup])
+                                     if regions[q + 1].issuperset(by_obs.values()))
+                          for sup in levels[q]}
+        if q >= 1:
+            regions[q] = frozenset(sup for sup, acts in row.items()
+                                   if acts and f_sets[q].isdisjoint(sup))
+    return regions, table
+
+
 def enumerate_winning_supports(model, support, horizon, unsafe_by_level, level=0):
     """Decide by explicit policy search whether ``support`` wins from ``level``.
 

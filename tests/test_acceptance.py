@@ -37,7 +37,7 @@ from acpshield.trajectory import JointAgentState, PredictionSet
 
 import oracles
 from conftest import acceptance_lines, make_random_pomdp
-from test_shield import manual_unsafe, random_support
+from test_shield import decide, manual_unsafe, random_support
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -136,8 +136,10 @@ def test_criterion_4_winning_regions_match_enumeration():
             k = int(rng.integers(0, model.n_states // 2 + 1))
             by_level[tau] = set(rng.choice(model.n_states, size=k,
                                            replace=False).tolist())
-        bsts = Bsts(model, root, horizon)
-        shield = Shield(bsts, *compute_winning_regions(bsts, manual_unsafe(horizon, by_level)))
+        # the BSTS is built through the supports safe under these sets;
+        # every node it keeps is checked against enumeration
+        bsts = Bsts(model, root, horizon, unsafe=decide(manual_unsafe(horizon, by_level)))
+        shield = Shield(bsts, *compute_winning_regions(bsts))
         levels = {tau: frozenset(by_level[tau]) for tau in range(1, horizon + 1)}
         for tau in range(1, horizon + 1):
             for sup in bsts.levels[tau]:

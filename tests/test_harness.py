@@ -393,16 +393,19 @@ def test_step_hook_sees_overlay_data(monkeypatch):
     calls = record_unsafe_calls(monkeypatch)
     seen = []
     cfg = small_config(max_steps=4)
-    run_episode(cfg, step_hook=seen.append)
+    run_episode(cfg, step_hook=lambda info: seen.append((info, len(calls))))
     assert seen
     keys = {"t", "state", "action", "deadlock", "support", "radii",
             "predicted", "unsafe"}
-    assert keys <= set(seen[0])
+    assert keys <= set(seen[0][0])
     # read after the episode: the overlay is the full-grid unsafe_sets of
-    # its step's inputs, in tau order
-    restricted = list(calls)
-    assert len(restricted) == len(seen)
-    for (args, _), info in zip(restricted, seen):
+    # its step's inputs, in tau order. Each step's BSTS build decides its
+    # levels through unsafe_sets with those inputs, before the hook runs
+    made = 0
+    for info, count in seen:
+        args, _ = calls[count - 1]
+        assert count > made and all(call[0] == args for call in calls[made:count])
+        made = count
         assert list(info["unsafe"]) == [1, 2]
         assert dict(info["unsafe"]) == {tau: sorted(f) for tau, f in
                                         shield.unsafe_sets(*args).items()}
@@ -413,24 +416,38 @@ def test_step_hook_sees_overlay_data(monkeypatch):
 
 
 def test_shield_decides_unsafe_sets_on_bsts_states_only(monkeypatch):
-    # a hook that ignores the overlay: the one unsafe_sets call of each
-    # shielded step decides exactly the states of that step's BSTS levels
-    # 1..H. Starting next to the goal brings the unlocated terminal state
-    # into the BSTS, and it is passed like any other state
+    # a hook that ignores the overlay: each shielded step makes one
+    # unsafe_sets call per nonempty BSTS level, in level order, deciding
+    # lookahead q on exactly the states of level q, and only the supports
+    # clear of F_q are expanded. Starting next to the goal, with zero radii
+    # so that the goal cell is often safe, brings the unlocated terminal
+    # state into the BSTS, and it is passed like any other state
     calls = record_unsafe_calls(monkeypatch)
     built = []
     bsts = harness.Bsts
     monkeypatch.setattr(harness, "Bsts", lambda *args: built.append(bsts(*args)) or built[-1])
     steps = []
-    cfg = small_config(grid=small_grid(start=(3, 4)), max_steps=8)
+    cfg = small_config(grid=small_grid(start=(3, 4)), max_steps=8, method="shield-no-acp")
     run_episode(cfg, step_hook=lambda info: steps.append(info["t"]))
-    assert len(calls) == len(built) == len(steps) > 0
-    terminal_seen = False
-    for (_, kwargs), tree in zip(calls, built):
-        states = {s for q in range(1, tree.horizon + 1) for sup in tree.levels[q] for s in sup}
-        assert kwargs["within"].tolist() == sorted(states)
-        terminal_seen |= cfg.grid.terminal_state in states
-    assert terminal_seen
+    assert len(built) == len(steps) > 0
+    expected = []
+    terminal_seen = pruned = False
+    for tree in built:
+        for q in range(1, tree.horizon + 1):
+            states = set().union(*tree.levels[q])
+            if states:
+                expected.append(({q}, sorted(states)))
+            terminal_seen |= cfg.grid.terminal_state in states
+            assert tree.safe[q] == {sup for sup in tree.levels[q]
+                                    if tree.f_sets[q].isdisjoint(sup)}
+            pruned |= tree.safe[q] != tree.levels[q]
+            if q < tree.horizon:
+                assert tree.levels[q + 1] == {child for sup in tree.safe[q]
+                                              for by_obs in tree.expansions[sup]
+                                              for child in by_obs.values()}
+    assert [(kwargs["within"].keys(), *(v.tolist() for v in kwargs["within"].values()))
+            for _, kwargs in calls] == expected
+    assert terminal_seen and pruned
 
 
 # -- aggregation and benchmark grids ------------------------------------------

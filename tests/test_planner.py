@@ -22,13 +22,7 @@ from acpshield.planner import (
     PlannerConfig,
     fallback_action,
 )
-from acpshield.shield import (
-    Bsts,
-    Shield,
-    compute_winning_regions,
-    constraint_values,
-    unsafe_sets,
-)
+from acpshield.shield import constraint_values, unsafe_sets
 from acpshield.trajectory import JointAgentState, PredictionSet
 
 import oracles
@@ -40,15 +34,15 @@ def fs(*states):
     return frozenset(states)
 
 
-def margin_inputs(horizon, margins, threshold):
-    """``fallback_action``'s (positions, predictions, radii, epsilon) under
-    which state s has lookahead-1 margin margins[s]: it sits margins[s] from
-    one predicted agent at the origin, with a zero buffer."""
+def margin_f1(horizon, margins, threshold):
+    """The full-grid F_1 ``fallback_action`` ranks by, under which state s
+    has lookahead-1 margin margins[s]: it sits margins[s] from one predicted
+    agent at the origin, with a zero buffer."""
     positions = np.stack([margins, np.zeros_like(margins)], axis=1)
     pred = PredictionSet(0, horizon, tuple(JointAgentState((0,), np.zeros((1, 2)), tau)
                                            for tau in range(1, horizon + 1)))
     assert np.array_equal(constraint_values(positions, pred.at(1).positions, 0.0), margins)
-    return positions, pred, (threshold,) * horizon, 0.0
+    return unsafe_sets(positions, pred, (threshold,) * horizon, 0.0)[1]
 
 
 def corridor(n=5, rewards=None, discount=0.9):
@@ -354,14 +348,15 @@ def test_tree_pruning_matches_certified_sets(rng):
         by_level = {tau: set(rng.choice(model.n_states, size=int(rng.integers(0, 3)),
                                         replace=False).tolist())
                     for tau in (1, 2)}
-        unsafe = manual_unsafe(horizon, by_level)
-        bsts = Bsts(model, fs(root_state), horizon)
-        shield = Shield(bsts, *compute_winning_regions(bsts, unsafe))
+        shield = make_shield(model, fs(root_state), horizon, manual_unsafe(horizon, by_level))
+        bsts = shield.bsts
         oracle_levels = {tau: frozenset(by_level.get(tau, ())) for tau in (1, 2)}
         for q in range(horizon):
             for sup in bsts.levels[q]:
-                assert set(shield.allowed(sup, q)) == set(
-                    oracles.shielded_actions_oracle(model, sup, q, horizon, oracle_levels))
+                # an unexpanded leaf holds an unsafe state and certifies nothing
+                expected = (oracles.shielded_actions_oracle(model, sup, q, horizon, oracle_levels)
+                            if bsts.expanded(sup, q) else [])
+                assert set(shield.allowed(sup, q)) == set(expected)
         planner = Planner(model, PlannerConfig(
             num_simulations=200, max_depth=4, ucb_constant=2.0, seed=trial))
         root = planner.make_root([root_state] * 16)
@@ -525,21 +520,21 @@ def test_advance_root_impossible_observation():
 def test_fallback_action_maximizes_worst_margin():
     model = corridor()
     margins = np.array([0.2, 3.0, 0.5, 0.1, 4.0])
-    inputs = margin_inputs(2, margins, 1.0)
-    assert fallback_action(model, fs(2), *inputs) == 0
-    assert fallback_action(model, fs(1, 3), *inputs) == 1
+    f1 = margin_f1(2, margins, 1.0)
+    assert fallback_action(model, fs(2), f1) == 0
+    assert fallback_action(model, fs(1, 3), f1) == 1
     for support in (fs(2), fs(1, 3), fs(0, 4), fs(0, 2, 4)):
         def worst(a):
             return min(margins[s2] - 1.0 for s in support
                        for s2 in model.successors(s, a))
         best = max(range(model.n_actions), key=lambda a: (worst(a), -a))
-        assert fallback_action(model, support, *inputs) == best
+        assert fallback_action(model, support, f1) == best
 
 
 def test_fallback_tie_breaks_lowest_and_handles_infinities():
     model = corridor(3)
     margins = np.array([1.0, 1.0, 1.0])
-    assert fallback_action(model, fs(1), *margin_inputs(1, margins, math.inf)) == 0
+    assert fallback_action(model, fs(1), margin_f1(1, margins, math.inf)) == 0
 
 
 # -- diagnostics --------------------------------------------------------------------------

@@ -235,6 +235,19 @@ def test_belief_state_validation():
     assert oracles.belief_support(b) == frozenset({0, 1})
 
 
+@pytest.mark.parametrize("probs", [{1.5: 1.0}, {True: 1.0}, {1.5: 0.5, 1: 0.5},
+                                   {"1": 1.0}, {0: 1.0, 2.0: 0.0}])
+def test_belief_state_rejects_non_int_states(probs):
+    # none is truncated into state 1, nor merged with it into a misleading sum
+    with pytest.raises(InvalidModel, match="is not an int"):
+        BeliefState(probs)
+
+
+def test_belief_state_takes_numpy_int_states():
+    b = BeliefState({np.int64(0): 0.25, np.intp(1): 0.75})
+    assert b.probs == {0: 0.25, 1: 0.75} and all(type(s) is int for s in b.probs)
+
+
 @pytest.mark.parametrize("probs", [{0: math.nan}, {0: math.nan, 1: 1.0},
                                    {0: 1.0, 1: math.nan}])
 def test_belief_state_rejects_nan(probs):

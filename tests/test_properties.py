@@ -47,7 +47,7 @@ from acpshield.trajectory import (
 import oracles
 from conftest import make_random_pomdp
 from test_acp import run_estimator_stream
-from test_shield import make_shield, manual_unsafe, random_support
+from test_shield import decide, make_shield, manual_unsafe, random_support
 
 PROPERTY = settings(max_examples=100, deadline=None)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -94,8 +94,53 @@ def test_shield_table_is_sound_and_matches_oracle(seed, horizon, deterministic):
             for a in acts:
                 children = oracles.reachable_supports(model, sup, a).values()
                 assert all(child in shield.regions[q + 1] for child in children)
-            assert list(acts) == oracles.shielded_actions_oracle(
-                model, sup, q, horizon, by_level)
+            # an unexpanded leaf holds an unsafe state and certifies nothing
+            assert list(acts) == (oracles.shielded_actions_oracle(
+                model, sup, q, horizon, by_level) if shield.bsts.expanded(sup, q) else [])
+
+
+@PROPERTY
+@given(seed=seeds, horizon=st.integers(1, 4), deterministic=st.booleans())
+def test_bsts_through_safe_supports_equals_the_full_build(seed, horizon, deterministic):
+    # the build that leaves unsafe supports unexpanded certifies what the
+    # full build's sweep certifies, and prunes nothing more than it must
+    rng = np.random.default_rng(seed)
+    model = make_random_pomdp(rng, n_states=int(rng.integers(3, 9)),
+                              n_actions=int(rng.integers(1, 4)), n_obs=3,
+                              deterministic_obs=deterministic)
+    root = random_support(model, rng)
+    f_sets = manual_unsafe(horizon, {
+        tau: rng.choice(model.n_states, size=int(rng.integers(0, model.n_states // 2 + 1)),
+                        replace=False).tolist() for tau in range(1, horizon + 1)})
+    calls = []
+    bsts = Bsts(model, root, horizon, unsafe=lambda q, states: calls.append(
+        (q, states.tolist())) or decide(f_sets)(q, states))
+    regions, table = compute_winning_regions(bsts)
+    levels, groups = oracles.full_bsts(model, root, horizon)
+    want_regions, want_table = oracles.full_winning_regions(levels, groups, f_sets)
+
+    # the nodes are the supports reachable through supports safe at their
+    # level; each nonempty level's states are decided once, in level order
+    kept = {0: {root}}
+    for q in range(1, horizon + 1):
+        kept[q] = {child for sup in kept[q - 1]
+                   if q == 1 or f_sets[q - 1].isdisjoint(sup)
+                   for by_obs in groups[sup] for child in by_obs.values()}
+    assert bsts.levels == kept
+    assert calls == [(q, sorted(set().union(*kept[q]))) for q in range(1, horizon + 1)
+                     if kept[q]]
+    for q in range(1, horizon + 1):
+        assert bsts.safe[q] == {sup for sup in kept[q] if f_sets[q].isdisjoint(sup)}
+    assert table[0][bsts.root] == want_table[0][bsts.root]
+    for q in range(horizon):
+        for sup in kept[q]:
+            expanded = q == 0 or f_sets[q].isdisjoint(sup)
+            assert bsts.expanded(sup, q) == expanded
+            assert table[q][sup] == (want_table[q][sup] if expanded else ())
+    for tau in range(1, horizon + 1):
+        assert regions[tau] == want_regions[tau] & kept[tau]
+    assert verify_winning_regions(Shield(bsts, regions, table), f_sets) == []
+    assert verify_winning_regions(Shield(bsts, regions, table), bsts.f_sets) == []
 
 
 @PROPERTY
@@ -251,22 +296,26 @@ def test_unsafe_sets_within_bsts_states_give_the_full_grid_shield(
             epsilon)
     full = unsafe_sets(*args)
     subset = np.flatnonzero(rng.random(model.n_states) < 0.5)
-    assert unsafe_sets(*args, within=subset) == {
-        tau: f & frozenset(subset.tolist()) for tau, f in full.items()}
+    taus = [tau for tau in range(1, horizon + 1) if rng.random() < 0.7]
+    assert unsafe_sets(*args, within=dict.fromkeys(taus, subset)) == {
+        tau: full[tau] & frozenset(subset.tolist()) for tau in taus}
 
-    bsts = Bsts(model, random_support(model, rng), horizon)
-    states = sorted(s for q in range(1, horizon + 1) for sup in bsts.levels[q]
-                    for s in sup)
-    within = unsafe_sets(*args, within=np.unique(states))
-    expected = compute_winning_regions(bsts, full)
-    assert compute_winning_regions(bsts, within) == expected
+    # each level decided on its own states gives the BSTS, regions and table
+    # of the full-grid sets, and the verifier tells neither apart
+    root = random_support(model, rng)
+    bsts = Bsts(model, root, horizon,
+                unsafe=lambda q, states: unsafe_sets(*args, within={q: states})[q])
+    on_grid = Bsts(model, root, horizon, unsafe=lambda q, states: full[q])
+    assert (bsts.levels, bsts.safe) == (on_grid.levels, on_grid.safe)
+    expected = compute_winning_regions(on_grid)
+    assert compute_winning_regions(bsts) == expected
     # an overclaiming certificate: every node wins with every action
     claim = Shield(bsts,
                    {tau: frozenset(bsts.levels[tau]) for tau in range(1, horizon + 1)},
                    {q: dict.fromkeys(bsts.levels[q], tuple(range(model.n_actions)))
                     for q in range(horizon)})
     for certificate in (Shield(bsts, *expected), claim):
-        assert (verify_winning_regions(certificate, within)
+        assert (verify_winning_regions(certificate, bsts.f_sets)
                 == verify_winning_regions(certificate, full))
 
 
@@ -290,8 +339,14 @@ def test_fallback_action_equals_full_grid_oracle(seed, grid, n_agents, n_support
     prediction = PredictionSet(0, 2, preds)
     support = frozenset(rng.choice(model.n_states, size=n_support, replace=False).tolist())
     margins = oracles.constraint_values_oracle(positions, preds[0].positions, epsilon)
-    chosen = fallback_action(model, support, positions, prediction, (radius, radius), epsilon)
-    assert chosen == oracles.fallback_oracle(model, support, margins, radius)
+    want = oracles.fallback_oracle(model, support, margins, radius)
+    args = (positions, prediction, (radius, radius), epsilon)
+    assert fallback_action(model, support, unsafe_sets(*args)[1]) == want
+    # F_1 decided on the support's successors alone, as the BSTS's level 1
+    successors = sorted({s2 for s in support for a in range(model.n_actions)
+                         for s2 in model.successors(s, a)})
+    within = {1: np.array(successors)}
+    assert fallback_action(model, support, unsafe_sets(*args, within=within)[1]) == want
 
 
 def random_joint(rng, ids, timestep=0):
@@ -439,21 +494,22 @@ def test_bsts_with_shared_expansions_equals_fresh(seed, deterministic, horizon):
                               key=sorted)
             roots.append(children[int(rng.integers(len(children)))])
     for root in roots:
-        shared = Bsts(model, root, horizon, expansions)
-        fresh = Bsts(model, root, horizon)
-        assert shared.levels == fresh.levels
-        assert shared.node_count() == fresh.node_count()
-        for q in range(horizon):
-            for sup in fresh.levels[q]:
-                for a in range(model.n_actions):
-                    assert shared.post_by_obs(sup, q, a) == fresh.post_by_obs(sup, q, a)
-        # the shield built on the shared map equals the fresh one's, and the
-        # verifier, reading the shared map through post_by_obs, accepts it
         unsafe = manual_unsafe(horizon, {
             tau: rng.choice(model.n_states, size=int(rng.integers(0, 3)),
                             replace=False).tolist() for tau in range(1, horizon + 1)})
-        winning = compute_winning_regions(shared, unsafe)
-        assert winning == compute_winning_regions(fresh, unsafe)
+        shared = Bsts(model, root, horizon, expansions, decide(unsafe))
+        fresh = Bsts(model, root, horizon, unsafe=decide(unsafe))
+        assert (shared.levels, shared.safe) == (fresh.levels, fresh.safe)
+        assert shared.node_count() == fresh.node_count()
+        for q in range(horizon):
+            for sup in fresh.levels[q]:
+                if fresh.expanded(sup, q):
+                    for a in range(model.n_actions):
+                        assert shared.post_by_obs(sup, q, a) == fresh.post_by_obs(sup, q, a)
+        # the shield built on the shared map equals the fresh one's, and the
+        # verifier, reading the shared map through post_by_obs, accepts it
+        winning = compute_winning_regions(shared)
+        assert winning == compute_winning_regions(fresh)
         assert verify_winning_regions(Shield(shared, *winning), unsafe) == []
 
 
@@ -462,8 +518,9 @@ def test_bsts_with_shared_expansions_equals_fresh(seed, deterministic, horizon):
        grid=st.sampled_from([None, *GRIDS]))
 def test_bsts_states_are_the_sorted_states_of_levels_1_to_h(seed, deterministic, horizon,
                                                             grid):
-    # on a grid the root is the goal cell, whose every successor is the
-    # unlocated terminal state: it is held like any other state
+    # states[q] is what the decision of level q sees: the sorted states its
+    # supports hold. On a grid the root is the goal cell, whose every
+    # successor is the unlocated terminal state: it is held like any other
     rng = np.random.default_rng(seed)
     if grid is None:
         model = make_random_pomdp(rng, n_states=int(rng.integers(3, 8)),
@@ -473,12 +530,25 @@ def test_bsts_states_are_the_sorted_states_of_levels_1_to_h(seed, deterministic,
     else:
         model = build_gridworld(grid)
         root = {grid.state_index(*grid.goal_cell)}
-    bsts = Bsts(model, root, horizon, {})
-    union = set().union(*(sup for q in range(1, horizon + 1) for sup in bsts.levels[q]))
-    assert bsts.states.dtype == np.intp
-    assert bsts.states.tolist() == sorted(union)
+    f_sets = manual_unsafe(horizon, {tau: rng.choice(model.n_states, size=2).tolist()
+                                     for tau in range(1, horizon + 1)})
+    seen = {}
+
+    def unsafe(q, states):
+        seen[q] = states
+        return f_sets[q]
+
+    bsts = Bsts(model, root, horizon, {}, unsafe)
+    for q in range(1, horizon + 1):
+        union = set().union(*bsts.levels[q])
+        assert bsts.states[q].dtype == np.intp
+        assert bsts.states[q].tolist() == sorted(union)
+        if union:
+            assert seen[q] is bsts.states[q]
+        else:
+            assert q not in seen
     if grid is not None:
-        assert grid.terminal_state in bsts.states
+        assert grid.terminal_state in bsts.states[1]
 
 
 TINY = (5e-324, 1e-300, 1e-17, 1e-16)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acpshield.errors import InvalidSpec, UnknownSupport
+from acpshield.errors import InvalidSpec, OutOfRange, UnknownSupport
 from acpshield.gridworld import GridSpec, build_gridworld, cell_positions
 from acpshield.shield import (
     Bsts,
@@ -33,10 +33,16 @@ def manual_unsafe(horizon, by_level):
     return {tau: frozenset(by_level.get(tau, ())) for tau in range(1, horizon + 1)}
 
 
+def decide(f_sets):
+    """A ``Bsts`` unsafe decision from a {tau: F_tau} map: F_q on the
+    states of level q, as the episode runner's decision gives it."""
+    return lambda q, states: f_sets[q] & frozenset(states.tolist())
+
+
 def make_shield(model, root, horizon, f_sets):
-    """BSTS and shield for one root support."""
-    bsts = Bsts(model, root, horizon)
-    return Shield(bsts, *compute_winning_regions(bsts, f_sets))
+    """BSTS, built through the supports safe under ``f_sets``, and its shield."""
+    bsts = Bsts(model, root, horizon, unsafe=decide(f_sets))
+    return Shield(bsts, *compute_winning_regions(bsts))
 
 
 def post(bsts, support, q, a):
@@ -69,10 +75,20 @@ def random_support(model, rng):
 
 def test_validate_support(two_state_model):
     assert validate_support(two_state_model, [1, 0]) == fs(0, 1)
+    assert validate_support(two_state_model, np.array([1, 0])) == fs(0, 1)
     with pytest.raises(InvalidSpec):
         validate_support(two_state_model, [])
     with pytest.raises(InvalidSpec):
         validate_support(two_state_model, [0, 5])
+
+
+@pytest.mark.parametrize("states", [[1.7], [1.5, 0], [True], ["1"], [1, 1.0], [np.float64(1.0)]])
+def test_validate_support_rejects_non_int_states(two_state_model, states):
+    # none of these is truncated or deduplicated into a valid state
+    with pytest.raises(InvalidSpec, match="is not an int state"):
+        validate_support(two_state_model, states)
+    with pytest.raises(InvalidSpec, match="is not an int state"):
+        Bsts(two_state_model, states, 1)
 
 
 def test_validate_support_requires_common_observation():
@@ -153,8 +169,9 @@ def test_bsts_node_count_bound(rng):
 
 
 def test_bsts_rejects_bad_horizon(two_state_model):
-    with pytest.raises(InvalidSpec):
-        Bsts(two_state_model, fs(0), 0)
+    for horizon in (0, 1.0, True):
+        with pytest.raises(InvalidSpec):
+            Bsts(two_state_model, fs(0), horizon)
     bsts = Bsts(two_state_model, fs(0), 1)
     with pytest.raises(UnknownSupport):
         bsts.post_by_obs(fs(1), 0, 0)
@@ -253,12 +270,16 @@ def test_corridor_winning_regions_hand_checked():
     model = corridor(5)
     f_sets = manual_unsafe(2, {1: {3}, 2: {3}})
     shield = make_shield(model, fs(2), 2, f_sets)
-    assert shield.regions[2] == frozenset({fs(0), fs(2), fs(4)})
+    # {3} is unsafe at level 1, so it is a leaf: its successor {4} is no node
+    assert shield.bsts.levels[1] == {fs(1), fs(3)}
+    assert shield.bsts.safe[1] == frozenset({fs(1)})
+    assert shield.bsts.levels[2] == {fs(0), fs(2)}
+    assert shield.regions[2] == frozenset({fs(0), fs(2)})
     assert shield.regions[1] == frozenset({fs(1)})
     assert shield.table[0][fs(2)] == (0,)
-    # {3} keeps both moves winning but is itself unsafe at level 1
     assert shield.table[1][fs(1)] == (0, 1)
-    assert shield.table[1][fs(3)] == (0, 1)
+    # the leaf certifies nothing, though both of its moves would land safe
+    assert shield.table[1][fs(3)] == ()
     assert verify_winning_regions(shield, f_sets) == []
 
 
@@ -311,13 +332,12 @@ def test_monotone_conservatism(rng):
         model = make_random_pomdp(rng, n_states=7, n_actions=2, n_obs=3)
         root = random_support(model, rng)
         h = 3
-        bsts = Bsts(model, root, h)
         base = {tau: set(rng.choice(model.n_states, size=2, replace=False).tolist())
                 for tau in range(1, h + 1)}
         bigger = {tau: base[tau] | {int(rng.integers(model.n_states))}
                   for tau in range(1, h + 1)}
-        w_base, _ = compute_winning_regions(bsts, manual_unsafe(h, base))
-        w_big, _ = compute_winning_regions(bsts, manual_unsafe(h, bigger))
+        w_base = make_shield(model, root, h, manual_unsafe(h, base)).regions
+        w_big = make_shield(model, root, h, manual_unsafe(h, bigger)).regions
         for tau in range(1, h + 1):
             assert w_big[tau] <= w_base[tau]
 
@@ -350,6 +370,51 @@ def test_certificate_verifier_catches_table_corruption():
     problems = verify_winning_regions(shield, f_sets)
     assert any("no table entry" in p for p in problems)
     assert any("[1] has no all-winning action" in p for p in problems)
+    # the unsafe leaf {3} claiming an action
+    shield = make_shield(model, fs(2), 2, f_sets)
+    shield.table[1][fs(3)] = (0,)
+    assert verify_winning_regions(shield, f_sets) == [
+        "q=1: [3] is unexpanded but allows actions [0]"]
+
+
+def test_certificate_verifier_catches_a_safe_support_left_unexpanded():
+    model = corridor(5)
+    f_sets = manual_unsafe(2, {1: {3}, 2: {3}})
+    bsts = make_shield(model, fs(2), 2, f_sets).bsts
+    # a build that wrongly takes the safe {1} for a leaf: the sweep then
+    # certifies nothing at the root, which only the verifier can tell apart
+    # from a true deadlock
+    bsts.safe[1] = frozenset()
+    shield = Shield(bsts, *compute_winning_regions(bsts))
+    assert shield.table[0][fs(2)] == ()
+    assert verify_winning_regions(shield, f_sets) == [
+        "q=1: [1] is left unexpanded but holds no unsafe state"]
+
+
+def test_certificate_verifier_catches_an_unsafe_support_claimed_winning():
+    model = corridor(5)
+    f_sets = manual_unsafe(2, {1: {3}, 2: {3}})
+    # a decision that misses state 3 at level 1 expands {3} and lets it win
+    bsts = Bsts(model, fs(2), 2, unsafe=decide(manual_unsafe(2, {2: {3}})))
+    shield = Shield(bsts, *compute_winning_regions(bsts))
+    assert fs(3) in shield.regions[1] and shield.table[0][fs(2)] == (0, 1)
+    assert verify_winning_regions(shield, f_sets) == [
+        "tau=1: [3] contains unsafe states [3]"]
+
+
+def test_unsafe_sets_and_decisions_must_be_sets_keyed_1_to_h():
+    model = corridor(5)
+    f_sets = manual_unsafe(2, {1: {3}})
+    shield = make_shield(model, fs(2), 2, f_sets)
+    empty = frozenset()
+    for bad in ({0: empty, 1: empty}, {1: empty}, {1: empty, 2: empty, 3: empty},
+                {1: [3], 2: empty}, {1: empty, 2: None}, [empty, empty], None):
+        with pytest.raises(InvalidSpec, match="lookahead 1..2"):
+            verify_winning_regions(shield, bad)
+    for bad in ([3], (3,), {3: True}, None, 3):
+        with pytest.raises(InvalidSpec, match="decision for lookahead 1"):
+            Bsts(model, fs(2), 2, unsafe=lambda q, states, bad=bad: bad)
+    assert verify_winning_regions(shield, {1: {3}, 2: set()}) == []
 
 
 def test_shield_actions_unknown_support():
@@ -359,6 +424,9 @@ def test_shield_actions_unknown_support():
         shield.allowed(fs(0), 0)
     with pytest.raises(UnknownSupport):
         shield.allowed(fs(2), 1)        # level 1 holds {1} and {3} only
+    for depth in (-1, -3):
+        with pytest.raises(OutOfRange):
+            shield.allowed(fs(2), depth)
 
 
 def test_shared_map_support_off_this_level_is_unknown():
@@ -368,7 +436,7 @@ def test_shared_map_support_off_this_level_is_unknown():
     expansions = {}
     Bsts(model, fs(0), 2, expansions)           # expands {0} and {1}
     bsts = Bsts(model, fs(4), 2, expansions)    # levels {4}; {3}, {5}; {2}, {4}, {5}
-    shield = Shield(bsts, *compute_winning_regions(bsts, manual_unsafe(2, {})))
+    shield = Shield(bsts, *compute_winning_regions(bsts))
     for sup, q in ((fs(0), 0), (fs(1), 1), (fs(3), 0), (fs(4), 1), (fs(5), 0)):
         assert sup in expansions
         with pytest.raises(UnknownSupport):
@@ -393,8 +461,10 @@ def test_shield_wrapper_matches_shield_actions(rng):
         oracle_levels = {tau: frozenset(by_level[tau]) for tau in range(1, h + 1)}
         for q in range(h):
             for sup in shield.bsts.levels[q]:
-                assert list(shield.allowed(sup, q)) == oracles.shielded_actions_oracle(
-                    model, sup, q, h, oracle_levels)
+                # an unexpanded leaf holds an unsafe state and certifies nothing
+                expected = (oracles.shielded_actions_oracle(model, sup, q, h, oracle_levels)
+                            if shield.bsts.expanded(sup, q) else [])
+                assert list(shield.allowed(sup, q)) == expected
         assert shield.allowed(root, h) == tuple(range(model.n_actions))
         assert shield.allowed(root, h + 5) == tuple(range(model.n_actions))
         with pytest.raises(UnknownSupport):
