@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .errors import AgentMismatch, EmptyWindow, InvalidSpec, OutOfRange
+from .errors import AgentMismatch, EmptyWindow, InvalidSpec, OutOfRange, require_int
 
 DEFAULT_ALPHA = 0.0008
 DEFAULT_DELTA = 0.05
@@ -25,15 +25,17 @@ DEFAULT_WINDOW = 30
 def nonconformity(actual, predicted):
     """Joint prediction error: Euclidean norm of the stacked difference.
 
-    Agents are matched by id; only agents present on both sides enter the
-    norm (agents enter and leave real recordings). Raises AgentMismatch
-    when the two states share no agents at all.
+    Agents are matched by id (``JointAgentState.shared_rows``); only agents
+    present on both sides enter the norm (agents enter and leave real
+    recordings). Raises AgentMismatch when the two states share no agents
+    at all.
     """
     mine, theirs = actual.shared_rows(predicted)
     if not len(mine):
         raise AgentMismatch(
             f"no common agents between actual {actual.ids} and predicted {predicted.ids}")
-    d = (actual.positions[mine] - predicted.positions[theirs]).ravel()
+    # take: the same rows as fancy indexing, gathered without its overhead
+    d = (actual.positions.take(mine, axis=0) - predicted.positions.take(theirs, axis=0)).ravel()
     return math.sqrt(d.dot(d))                  # np.linalg.norm's 1-D formula
 
 
@@ -66,23 +68,23 @@ class AcpEstimator:
     tau) to the (radius, prediction) issued for it, so each radius is tested
     exactly once, when its target arrives. ``last`` holds the latest step's
     (beta, lam, violated) per tau: beta is NaN when no score was taken,
-    violated None when no radius was tested.
+    violated None when no radius was tested. ``horizon`` and
+    ``window_size`` are ints >= 1, numpy ints included; a bool or a float
+    raises InvalidSpec.
     """
 
     def __init__(self, horizon, alpha=DEFAULT_ALPHA, delta=DEFAULT_DELTA,
                  window_size=DEFAULT_WINDOW):
-        if horizon < 1:
-            raise InvalidSpec(f"horizon must be >= 1, got {horizon}")
+        require_int("horizon", horizon, 1)
         if not (0.0 < alpha < 1.0):
             raise InvalidSpec(f"alpha {alpha} outside (0, 1)")
         if not (0.0 < delta < 1.0):
             raise InvalidSpec(f"delta {delta} outside (0, 1)")
-        if window_size < 1:
-            raise InvalidSpec(f"window_size must be >= 1, got {window_size}")
-        self.horizon, self.alpha, self.delta = horizon, alpha, delta
-        taus = range(1, horizon + 1)
+        require_int("window_size", window_size, 1)
+        self.horizon, self.alpha, self.delta = int(horizon), alpha, delta
+        taus = range(1, self.horizon + 1)
         self.lam = dict.fromkeys(taus, delta)
-        self.windows = {tau: deque(maxlen=window_size) for tau in taus}
+        self.windows = {tau: deque(maxlen=int(window_size)) for tau in taus}
         self.issued = {}
         self.tested = dict.fromkeys(taus, 0)
         self.missed = dict.fromkeys(taus, 0)

@@ -16,9 +16,11 @@ The shield from :mod:`.shield` restricts both selection and rollouts for
 the first H tree levels: an action is searchable only when every
 observation outcome keeps the belief support winning. Each tree node's
 belief support is resolved exactly from the BSTS (the root support is the
-particle support), and its searchable actions are read straight off the
-shield's depth-indexed table, ``Shield.table[depth][support]``, with the
-child support from ``Shield.groups``, without a method call per child.
+set of states the root's particle counts hold; each refresh returns the
+counts with its particles), and its searchable actions are read straight
+off the shield's depth-indexed table, ``Shield.table[depth][support]``,
+with the child support from ``Shield.groups``, without a method call per
+child.
 That table never leaves a reachable node below the horizon without an
 action, so the search has no dead ends to handle; a broken table is the
 certificate verifier's to catch.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +65,18 @@ class SearchNode:
     actions search may take: the shield table's entry for the node below
     the horizon, every action otherwise. ``edges`` is None until the node
     is expanded, then one slot per action, None until search first selects
-    that action. Only the root holds ``particles``: the tree is rebuilt
-    every step, so nothing reads particles below it.
+    that action. Only the root holds ``particles``, the particle list search
+    samples from, and ``counts``, the same particles as {state: n_s} in
+    first-occurrence order, from which the next refresh starts: the tree is
+    rebuilt every step, so nothing reads particles below it.
     """
 
-    __slots__ = ("visits", "particles", "support", "depth", "edges", "allowed")
+    __slots__ = ("visits", "particles", "counts", "support", "depth", "edges", "allowed")
 
-    def __init__(self, depth, support, allowed, particles=None):
+    def __init__(self, depth, support, allowed, particles=None, counts=None):
         self.visits = 0
         self.particles = particles
+        self.counts = counts
         self.depth = depth
         self.support = support
         self.edges = None
@@ -164,13 +170,21 @@ class Planner:
 
     # -- tree construction ---------------------------------------------------
 
-    def make_root(self, particles):
-        """Root node over a particle list; the next plan call certifies its actions."""
+    def make_root(self, particles, counts=None):
+        """Root node over a particle list, kept as given, not copied; the
+        next plan call certifies its actions.
+
+        ``counts`` are the particles as {state: n_s} in first-occurrence
+        order, as :func:`.pomdp.resample_particles` returns them; None counts
+        the list with one ``Counter``, as for an episode's first root. The
+        root's support is the set of the counted states.
+        """
         if not particles:
             raise EmptyBelief("root needs at least one particle")
-        particles = list(particles)
+        if counts is None:
+            counts = Counter(particles)
         self._node_count = 1
-        return SearchNode(0, frozenset(particles), self._all_actions, particles)
+        return SearchNode(0, frozenset(counts), self._all_actions, particles, counts)
 
     def _make_child(self, parent, action, observation, shield):
         depth = parent.depth + 1
@@ -356,11 +370,12 @@ class Planner:
         """Fresh root for the executed (action, observation).
 
         Its particles are drawn from the exact posterior of the old root's
-        (:func:`.pomdp.resample_particles`). The subtree is
+        counts (:func:`.pomdp.resample_particles`), which also counts them
+        for the new root. The subtree is
         discarded because the next step's shield invalidates every stored
         pruning decision. Raises ParticleDeprivation when no successor of
         the old particles is consistent with the observation.
         """
-        return self.make_root(resample_particles(
-            self.model, root.particles, action, observation,
+        return self.make_root(*resample_particles(
+            self.model, root.counts, action, observation,
             self.config.particle_count, self.rng))

@@ -20,7 +20,6 @@ import itertools
 import math
 import numbers
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -303,28 +302,42 @@ def _uniforms(rng, count):
 def resample_particles(model, particles, action, observation, count, rng):
     """Refresh a particle set after executing (action, observation).
 
-    Draws ``count`` states from the exact posterior of the particles'
-    empirical belief {s: n_s / n}, P(s') ∝ Σ_s n_s T(s,a,s') Z(s',a,o): the
-    law that rejection through the simulator samples from. The draw is
-    that of ``rng.choices`` over the posterior's states in ascending order,
-    made at once: ``_uniforms`` takes the ``count`` ``rng.random()`` values
-    from one ``getrandbits`` call, and ``searchsorted(side="right")`` on the
+    ``particles`` is the particle set by its counts, {state: n_s} in the
+    order the states first occur among the particles, as ``Counter`` of the
+    particle list gives it (that order fixes the float sums below). Draws
+    ``count`` states from the exact posterior of the empirical belief
+    {s: n_s / n}, P(s') ∝ Σ_s n_s T(s,a,s') Z(s',a,o): the law that
+    rejection through the simulator samples from. The draw is that of
+    ``rng.choices`` over the posterior's states in ascending order, made at
+    once: ``_uniforms`` takes the ``count`` ``rng.random()`` values from one
+    ``getrandbits`` call, and ``searchsorted(side="right")`` on the
     cumulative weights, clipped to the last state, bisects each as
-    ``choices`` does. Particles and the stream's end state both equal those
-    of ``choices``; ``test_resample_particles_equals_choices`` pins it.
-    Raises ParticleDeprivation when the particle set is empty or no
-    successor of it can emit the observation.
+    ``choices`` does; with one posterior state every draw picks it, and
+    only the stream advances, by the same ``getrandbits`` call. Particles
+    and the stream's end state both equal those of ``choices``;
+    ``test_resample_particles_equals_choices`` pins it.
+
+    Returns (the new particle list, its counts in the same form), so the
+    next refresh starts from the counts. Raises ParticleDeprivation when
+    the particle set is empty or no successor of it can emit the
+    observation.
     """
     if not particles:
         raise ParticleDeprivation("source particle set is empty")
-    n = len(particles)
-    belief = BeliefState({s: k / n for s, k in Counter(particles).items()})
+    n = sum(particles.values())
+    belief = BeliefState({s: k / n for s, k in particles.items()})
     try:
         post = belief_update(model, belief, action, observation).probs
     except ImpossibleObservation:
         raise ParticleDeprivation(
             f"no particles consistent with observation {observation}") from None
     states = sorted(post)
+    if len(states) == 1:
+        rng.getrandbits(64 * count)         # every draw picks it; advance as _uniforms does
+        return states * count, {states[0]: count} if count else {}
     cum = np.cumsum([post[s] for s in states])      # sequential, as accumulate()
-    picks = np.searchsorted(cum, _uniforms(rng, count) * cum[-1], side="right")
-    return np.take(states, np.minimum(picks, len(states) - 1)).tolist()
+    picks = np.take(states, np.minimum(
+        np.searchsorted(cum, _uniforms(rng, count) * cum[-1], side="right"), len(states) - 1))
+    drawn, first, counts = np.unique(picks, return_index=True, return_counts=True)
+    order = np.argsort(first)                       # first occurrence, as Counter
+    return picks.tolist(), dict(zip(drawn[order].tolist(), counts[order].tolist()))

@@ -216,7 +216,10 @@ def unsafe_sets(positions, predictions, radii, epsilon, within=None):
     those lookaheads and states: the result then holds, for each of its
     keys, F_tau restricted to its states. The default decides every
     lookahead on every state. A caller that reads a set only on some
-    states, such as the BSTS build on one level's, passes them here.
+    states, such as the BSTS build on one level's, passes them here. A
+    nonempty states array whose dtype is not an integer one raises
+    InvalidSpec, and one holding a state outside 0..n-1, n the number of
+    positions, raises OutOfRange naming the first such state.
     """
     horizon = predictions.horizon
     if len(radii) != horizon:
@@ -229,9 +232,17 @@ def unsafe_sets(positions, predictions, radii, epsilon, within=None):
     if within is None:
         within = dict.fromkeys(range(1, horizon + 1), np.arange(pos.shape[0]))
     out = {}
+    n = pos.shape[0]
     for tau, states in within.items():
         agents = predictions.at(tau).positions
-        states = np.asarray(states, dtype=np.intp)
+        given = np.asarray(states)
+        if given.dtype.kind not in "iu" and given.size:
+            raise InvalidSpec(f"within[{tau}] must be an int array of states, "
+                              f"got dtype {given.dtype}")
+        states = given.astype(np.intp, copy=False)
+        if states.size and states.view(np.uintp).max() >= n:   # a negative state wraps past n
+            first = given[(given < 0) | (given >= n)][0]
+            raise OutOfRange(f"within[{tau}] holds state {first}, outside 0..{n - 1}")
         out[tau] = UnsafeSet(states, constraint_values(pos[states], agents, epsilon),
                              radii[tau - 1])
     return out

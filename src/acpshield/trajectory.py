@@ -14,6 +14,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +25,12 @@ from .errors import (
     NonMonotoneFrames,
     OutOfRange,
     ParseError,
+    is_int,
     require_int,
 )
+
+_NO_KEYS = np.zeros(0, dtype=np.int64)
+_NO_KEYS.flags.writeable = False
 
 
 def _id_key(agent_id):
@@ -35,7 +40,14 @@ def _id_key(agent_id):
 
 @dataclass(frozen=True)
 class JointAgentState:
-    """Positions of all agents present at one timestep, ordered by distinct id."""
+    """Positions of all agents present at one timestep, ordered by distinct id.
+
+    ``keys`` is a read-only int64 array equal to ``ids`` when the ids are
+    all ints inside int64 in strictly ascending order, and None otherwise.
+    The states the loaders, synthesis and the predictors hand out come with
+    their keys (``_keyed``), mostly taken from arrays that already exist;
+    any other state computes them from its ids on first read, once.
+    """
 
     ids: tuple
     positions: np.ndarray        # shape (N, 2), grid units
@@ -54,18 +66,60 @@ class JointAgentState:
     def n_agents(self):
         return len(self.ids)
 
+    @cached_property
+    def keys(self):
+        return _keys_of(self.ids)
+
     def shared_rows(self, other):
         """Rows, here and in ``other``, of the agents present in both states,
-        as two intp arrays in this state's id order."""
-        theirs = dict(zip(other.ids, range(len(other.ids))))
-        rows = np.fromiter(map(theirs.get, self.ids, itertools.repeat(-1)), np.intp,
-                           len(self.ids))
-        mine = np.flatnonzero(rows >= 0)
+        as two intp arrays in this state's id order.
+
+        Two keyed states with equal ids share every row and are not
+        matched; other keyed pairs are matched by one ``np.searchsorted``
+        into ``other``'s keys. Any other pair goes through a dict of
+        ``other``'s rows, in which the last of a repeated id wins; the keyed
+        paths give exactly its rows.
+        """
+        keys, theirs = self.keys, other.keys
+        if keys is None or theirs is None:
+            lookup = dict(zip(other.ids, range(len(other.ids))))
+            rows = np.fromiter(map(lookup.get, self.ids, itertools.repeat(-1)), np.intp,
+                               len(self.ids))
+            mine = np.flatnonzero(rows >= 0)
+            return mine, rows[mine]
+        if self.ids == other.ids:
+            rows = np.arange(len(keys), dtype=np.intp)
+            return rows, rows
+        rows = theirs.searchsorted(keys)        # array methods: no Python-level dispatch
+        mine = (theirs.take(rows, mode="clip") == keys).nonzero()[0] if len(theirs) else rows[:0]
         return mine, rows[mine]
 
     @classmethod
     def empty(cls, timestep):
-        return cls((), np.zeros((0, 2)), timestep)
+        return _keyed((), np.zeros((0, 2)), _NO_KEYS, timestep)
+
+
+def _keys_of(ids):
+    """The ids as a read-only int64 array, or None unless they are all ints
+    inside int64 in strictly ascending order."""
+    if not all(map(is_int, ids)) or not all(-2 ** 63 <= int(aid) < 2 ** 63 for aid in ids):
+        return None
+    keys = np.array(ids, dtype=np.int64)
+    if not (keys[1:] > keys[:-1]).all():
+        return None
+    keys.flags.writeable = False
+    return keys
+
+
+def _keyed(ids, positions, keys, timestep):
+    """A JointAgentState with the given ``keys``: ``_keys_of(ids)`` as its
+    caller in this module already holds it (a slice of the C pass's id
+    column, the synthesized ids' ``np.arange``, a predictor's last state's,
+    or computed once per frame of the row reader), or None for a frame
+    built without keys."""
+    state = JointAgentState(ids, positions, timestep)
+    state.__dict__["keys"] = keys           # the cached_property's slot
+    return state
 
 
 @dataclass(frozen=True)
@@ -93,18 +147,20 @@ class TrajectorySource:
     """Immutable agent positions over integer timesteps.
 
     Kept as one frame per timestep: the ids present, in id order (timesteps
-    with equal id sets share one tuple), and a read-only (n, 2) array of
-    their positions.
+    with equal id sets share one tuple), a read-only (n, 2) array of their
+    positions, and their int64 keys or None (see ``JointAgentState``).
     """
 
     def __init__(self, frames):
-        """frames: time-sorted {t: (ids present, (n, 2) positions)}, the
-        ids distinct and in id order; the arrays are made read-only."""
+        """frames: time-sorted {t: (ids present, (n, 2) positions, keys)},
+        the ids distinct and in id order, the keys ``_keys_of(ids)``,
+        read-only, or None, which serves states without keys; the positions
+        are made read-only."""
         shared = {}
         self._frames = {}
-        for t, (present, positions) in frames.items():
+        for t, (present, positions, keys) in frames.items():
             positions.flags.writeable = False
-            self._frames[t] = (shared.setdefault(present, present), positions)
+            self._frames[t] = (shared.setdefault(present, present), positions, keys)
         self._span = (min(frames), max(frames)) if frames else None
 
     def span(self):
@@ -113,7 +169,7 @@ class TrajectorySource:
 
     def max_agents(self):
         """The most agents present at one timestep; 0 when empty."""
-        return max((len(present) for present, _ in self._frames.values()), default=0)
+        return max((len(frame[0]) for frame in self._frames.values()), default=0)
 
     def agents_at(self, t):
         """Joint state of the agents present at timestep t: the empty state
@@ -121,7 +177,7 @@ class TrajectorySource:
         frame = self._frames.get(t)
         if frame is None:
             return JointAgentState.empty(t)
-        return JointAgentState(*frame, t)
+        return _keyed(*frame, t)
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +199,12 @@ def _velocities(history):
 
 def _prediction_set(last, horizon, positions):
     """The PredictionSet made at ``last``'s timestep: lookahead tau holds
-    ``last``'s agents at ``positions[tau - 1]``, made read-only."""
+    ``last``'s agents, with its keys, at ``positions[tau - 1]``, made
+    read-only."""
     preds = []
     for tau, pos in enumerate(positions, 1):
         pos.flags.writeable = False
-        preds.append(JointAgentState(last.ids, pos, last.timestep + tau))
+        preds.append(_keyed(last.ids, pos, last.keys, last.timestep + tau))
     return PredictionSet(last.timestep, horizon, preds)
 
 
@@ -206,7 +263,7 @@ class ReplayPredictor:
     """
 
     def __init__(self, table):
-        """table: dict (made_at, tau) -> (ids, (n, 2) positions), as
+        """table: dict (made_at, tau) -> (ids, (n, 2) positions, keys), as
         ``load_predictions`` returns it."""
         self.table = table
 
@@ -220,7 +277,7 @@ class ReplayPredictor:
             if entry is None:
                 raise MissingExternalPrediction(
                     f"no stored prediction for time {t}, lookahead {tau}")
-            preds.append(JointAgentState(*entry, t + tau))
+            preds.append(_keyed(*entry, t + tau))
         return PredictionSet(t, horizon, preds)
 
 
@@ -294,6 +351,40 @@ def _walk(steps, vels, lo, hi, reflect):
     return free
 
 
+def _waypoint_path(length, pos, rng, lo, hi, speed, noise):
+    """The ``length`` positions of one waypoint agent from ``pos``: each
+    step heads for the waypoint at ``speed``, drawing a new waypoint first
+    when the current one is nearer than that, adds Gaussian noise, and is
+    clipped to [lo, hi].
+
+    Stepped in Python floats with the rng calls, and in the order, of the
+    per-step rule on 2-vectors, and bit for bit its values. The distance
+    alone stays a numpy call: ``np.linalg.norm``'s formula, the square root
+    of ``gap.dot(gap)``, whose BLAS kernel may fuse the two products, so no
+    float expression matches it.
+    """
+    (x, y), (xlo, ylo), (xhi, yhi) = pos.tolist(), lo.tolist(), hi.tolist()
+    wx, wy = rng.uniform(lo, hi).tolist()
+    gap = np.empty(2)
+    path = []
+    for _ in range(length):
+        path.append((x, y))
+        gap[0] = gx = wx - x
+        gap[1] = gy = wy - y
+        dist = math.sqrt(gap.dot(gap))
+        if dist < speed:
+            wx, wy = rng.uniform(lo, hi).tolist()
+            gap[0] = gx = wx - x
+            gap[1] = gy = wy - y
+            dist = math.sqrt(gap.dot(gap))
+        sx, sy = (speed * gx / dist, speed * gy / dist) if dist > 0 else (0.0, 0.0)
+        nx, ny = rng.normal(0.0, noise, size=2).tolist() if noise > 0 else (0.0, 0.0)
+        # + 0.0 turns a -0.0 step into 0.0; np.clip's order: a tie goes to the bound
+        x = min(xhi, max(xlo, x + (sx + nx)))
+        y = min(yhi, max(ylo, y + (sy + ny)))
+    return path
+
+
 def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0),
                        speed=0.8, noise=0.3):
     """Generate n_agents synthetic trajectories of the given length.
@@ -309,7 +400,8 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
     no wall were there, is one ``np.cumsum`` over all agents; it is the
     stepped path up to the coordinate's first wall contact, from which that
     coordinate alone steps on with the per-step rule. Waypoint agents step
-    throughout, since their draws depend on the path.
+    throughout, since their draws depend on the path, in Python floats
+    (``_waypoint_path``).
     """
     if kind not in SYNTH_KINDS:
         raise InvalidSpec(f"unknown synthesis kind {kind!r}; choices: {SYNTH_KINDS}")
@@ -333,18 +425,7 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
             heading = rng.uniform(0.0, 2.0 * math.pi)
             vel = speed * np.array([math.cos(heading), math.sin(heading)])
         if kind == "waypoint":            # draws one step at a time: they depend on pos
-            waypoint = rng.uniform(lo, hi)
-            for t in range(length):
-                points[t, aid] = pos
-                gap = waypoint - pos
-                dist = float(np.linalg.norm(gap))
-                if dist < speed:
-                    waypoint = rng.uniform(lo, hi)
-                    gap = waypoint - pos
-                    dist = float(np.linalg.norm(gap))
-                step = speed * gap / dist if dist > 0 else np.zeros(2)
-                step = step + (rng.normal(0.0, noise, size=2) if noise > 0 else 0.0)
-                pos = np.clip(pos + step, lo, hi)
+            points[:, aid] = _waypoint_path(length, pos, rng, lo, hi, speed, noise)
             continue
         # Every step's draw at once: the rng fills them in the order per-step
         # draws would take. Row 0 holds the start, row t the move into row t;
@@ -359,8 +440,9 @@ def synth_trajectories(kind, n_agents, length, rng, bounds=(0.0, 20.0, 0.0, 20.0
         vels[aid] = vel
     if kind != "waypoint" and length > 1:
         points = _walk(points, vels, lo, hi, reflect=kind != "random-walk" and noise == 0)
-    ids = tuple(range(n_agents))
-    frames = {t: (ids, points[t]) for t in range(length)} if n_agents else {}
+    ids, keys = tuple(range(n_agents)), np.arange(n_agents, dtype=np.int64)
+    keys.flags.writeable = False
+    frames = {t: (ids, points[t], keys) for t in range(length)} if n_agents else {}
     return TrajectorySource(frames)
 
 
@@ -487,15 +569,23 @@ def _read_table(path, n_frames):
 
 
 def _id_keys(ids):
-    """(int64 key of each row's id, in ``_id_key`` order, and the function
-    from an array of keys to the list of their ids). int64 ids are their
-    own keys: they sort as ``_id_key`` sorts ints."""
+    """(int64 key of each row's id, in ``_id_key`` order, the function from
+    an array of keys to the list of their ids, and whether the keys are the
+    ids). The C pass's int64 ids are their own keys: they sort as
+    ``_id_key`` sorts ints. The row reader's ids are keyed by rank."""
     if isinstance(ids, np.ndarray):
-        return ids, np.ndarray.tolist
+        return ids, np.ndarray.tolist, True
     ordered = sorted(set(ids), key=_id_key)
     rank = dict(zip(ordered, range(len(ordered))))
     keys = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
-    return keys, lambda k: list(map(ordered.__getitem__, k.tolist()))
+    return keys, lambda k: list(map(ordered.__getitem__, k.tolist())), False
+
+
+def _entry(ids, positions, keys, own, lo, hi):
+    """Rows lo..hi of a loaded table as (ids, positions, keys): a slice of
+    the keys when they are the ids (``own``), else computed from the ids."""
+    present = tuple(ids[lo:hi])
+    return present, positions[lo:hi], keys[lo:hi] if own else _keys_of(present)
 
 
 def _strictly_ascending(*columns):
@@ -524,7 +614,8 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     subsampled by ``frame_stride``; the retained frames become timesteps
     0, 1, 2, ... Positions are multiplied by ``scale``, which must be
     finite and > 0. Kept rows already in strictly ascending (frame, id)
-    order are not sorted.
+    order are not sorted. A frame read by the C pass keeps its slice of the
+    int64 id column as its keys; a frame of the row reader computes them.
     """
     _require_scale(scale)
     require_int("frame_stride", frame_stride, 1)
@@ -533,7 +624,7 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     rows = np.flatnonzero(np.isin(frames, kept))
     if not len(rows):
         return TrajectorySource({})
-    keys, to_ids = _id_keys(ids)
+    keys, to_ids, own = _id_keys(ids)
     keys = keys[rows]
     steps = np.searchsorted(kept, frames[rows])
     if not _strictly_ascending(steps, keys):
@@ -548,9 +639,10 @@ def load_trajectories(path, scale=1.0, frame_stride=1):
     positions = np.stack((x, y), axis=1)[rows]
     positions *= scale
     starts = [0] + (np.flatnonzero(steps[1:] != steps[:-1]) + 1).tolist()
+    keys.flags.writeable = False
     ids = to_ids(keys)
     return TrajectorySource({
-        t: (tuple(ids[lo:hi]), positions[lo:hi])
+        t: _entry(ids, positions, keys, own, lo, hi)
         for t, lo, hi in zip(steps[starts].tolist(), starts, starts[1:] + [len(ids)])})
 
 
@@ -560,7 +652,7 @@ def save_trajectories(source, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame_id", "agent_id", "x", "y"])
-        for t, (present, positions) in source._frames.items():
+        for t, (present, positions, _) in source._frames.items():
             writer.writerows([t, aid, repr(x), repr(y)]
                              for aid, (x, y) in zip(present, positions.tolist()))
 
@@ -571,15 +663,17 @@ def load_predictions(path, scale=1.0):
     The file is read by ``_read_table``: one C pass for a comma-separated
     file with integer frames and ids, line by line otherwise, with equal
     results.
-    Returns {(t, tau): (ids, positions)}: the ids in ``_id_key`` order and
-    one read-only (n, 2) array of their positions, times ``scale``, which
-    must be finite and > 0. When a (t, tau, agent_id) repeats, its last row
-    wins. Rows already in strictly ascending (t, tau, id) order are not
-    sorted.
+    Returns {(t, tau): (ids, positions, keys)}: the ids in ``_id_key``
+    order, one read-only (n, 2) array of their positions, times ``scale``,
+    which must be finite and > 0, and their int64 keys (see
+    ``JointAgentState``): a read-only slice of the C pass's id column, or
+    computed from the row reader's ids. When a (t, tau, agent_id) repeats,
+    its last row wins. Rows already in strictly ascending (t, tau, id)
+    order are not sorted.
     """
     _require_scale(scale)
     (t, tau), ids, x, y = _read_table(path, 2)
-    keys, to_ids = _id_keys(ids)
+    keys, to_ids, own = _id_keys(ids)
     positions = np.stack((x, y), axis=1)
     if not _strictly_ascending(t, tau, keys):
         order = np.lexsort((keys, tau, t))      # stable: repeats stay in file order
@@ -592,7 +686,8 @@ def load_predictions(path, scale=1.0):
     starts = np.flatnonzero(first).tolist()
     positions *= scale
     positions.flags.writeable = False
+    keys.flags.writeable = False
     made = zip(t[starts].tolist(), tau[starts].tolist())
     ids = to_ids(keys)
-    return {key: (tuple(ids[lo:hi]), positions[lo:hi])
+    return {key: _entry(ids, positions, keys, own, lo, hi)
             for key, lo, hi in zip(made, starts, starts[1:] + [len(ids)])}

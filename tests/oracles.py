@@ -451,6 +451,19 @@ def shared_rows_oracle(actual, other):
     return mine, [theirs[actual.ids[i]] for i in mine]
 
 
+def keys_oracle(ids):
+    """``JointAgentState.keys`` as a list of ints: the ids when each is an
+    int (numpy ints included, bools not) inside int64 and they strictly
+    ascend, else None."""
+    if not all(isinstance(aid, (int, np.integer)) and not isinstance(aid, bool)
+               for aid in ids):
+        return None
+    values = [int(aid) for aid in ids]
+    if not all(-2 ** 63 <= v < 2 ** 63 for v in values):
+        return None
+    return values if all(a < b for a, b in zip(values, values[1:])) else None
+
+
 def generative_step_oracle(model, s, a, rng):
     """``PomdpModel.generative_step`` by a linear scan of the cumulative rows.
 
@@ -699,7 +712,7 @@ def source_from_tracks(tracks):
             ids, points = present.setdefault(t, ([], []))
             ids.append(aid)
             points.append(p)
-    return TrajectorySource({t: (tuple(ids), np.array(points, dtype=float).reshape(-1, 2))
+    return TrajectorySource({t: (tuple(ids), np.array(points, dtype=float).reshape(-1, 2), None)
                              for t, (ids, points) in sorted(present.items())})
 
 

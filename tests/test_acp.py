@@ -271,6 +271,20 @@ def test_estimator_rejects_a_short_prediction():
         est.step(joint([0], [[0, 0]], 0), PredictionSet(0, 1, (joint([0], [[0, 0]], 1),)))
 
 
+@pytest.mark.parametrize("kw", [{"horizon": True}, {"horizon": 2.5}, {"horizon": 2.0},
+                                {"window_size": True}, {"window_size": 2.5},
+                                {"window_size": 30.0}, {"horizon": "2"}])
+def test_counts_must_be_ints(kw):
+    # a bool ran as horizon True or a window of 1; a float raised a bare TypeError
+    with pytest.raises(InvalidSpec, match="must be an int"):
+        AcpEstimator(**{"horizon": 1, **kw})
+
+
+def test_counts_accept_numpy_ints():
+    est = AcpEstimator(np.int64(2), window_size=np.int32(3))
+    assert list(est.lam) == [1, 2] and est.windows[1].maxlen == 3
+
+
 def test_type_validation(monkeypatch):
     for kw in ({"alpha": 0.0}, {"alpha": 1.0}, {"delta": 0.0}, {"delta": 1.0},
                {"window_size": 0}, {"horizon": 0}):

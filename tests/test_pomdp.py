@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def test_resample_particles_converges_to_posterior(rng, two_state_model):
     # surviving successors are distributed as the exact Bayes posterior.
     prng = random.Random(99)
     particles = [0] * 5000 + [1] * 5000
-    out = resample_particles(two_state_model, particles, 0, 0, 20000, prng)
+    out, _ = resample_particles(two_state_model, Counter(particles), 0, 0, 20000, prng)
     freq0 = out.count(0) / len(out)
     assert freq0 == pytest.approx(HAND_POSTERIOR_S0, abs=0.02)
 
@@ -277,7 +278,7 @@ def test_resample_particles_rare_observation_and_deprivation():
     z[[1, 2], 0] = [0.999, 0.001]
     z[4, 0, 1] = 1.0
     model = oracles.model_from_tables(t, np.zeros((5, 1)), z)
-    out = resample_particles(model, [0] * 5, 0, 1, 4000, random.Random(1))
+    out, _ = resample_particles(model, {0: 5}, 0, 1, 4000, random.Random(1))
     assert len(out) == 4000 and set(out) == {1, 2}
     assert out.count(1) / len(out) == pytest.approx(0.5, abs=0.03)
     # no successor of the particles can emit the observation
@@ -286,9 +287,9 @@ def test_resample_particles_rare_observation_and_deprivation():
     model = oracles.model_from_tables(t, np.zeros((2, 1)), z)
     prng = random.Random(1)
     with pytest.raises(ParticleDeprivation):
-        resample_particles(model, [0, 0, 0], 0, 1, 100, prng)
+        resample_particles(model, {0: 3}, 0, 1, 100, prng)
     with pytest.raises(ParticleDeprivation):
-        resample_particles(model, [], 0, 0, 100, prng)
+        resample_particles(model, {}, 0, 0, 100, prng)
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 800, 3000])
@@ -332,7 +333,7 @@ def test_resample_particles_bisects_as_choices_at_the_boundaries():
     t[1:, 0, 0] = 1.0
     model = oracles.model_from_tables(t, np.zeros((3, 1)), np.ones((3, 1, 1)))
     draws = [0.5, 0.0, 1.0 - 2.0 ** -53, 0.25, 0.5 - 2.0 ** -53]
-    out = resample_particles(model, [0], 0, 0, len(draws), ScriptedRandom(draws))
+    out, _ = resample_particles(model, {0: 1}, 0, 0, len(draws), ScriptedRandom(draws))
     assert out == ScriptedRandom(draws).choices([1, 2], [0.5, 0.5], k=len(draws))
     assert out == [2, 1, 2, 1, 1]
 
@@ -356,7 +357,7 @@ def test_resample_particles_chi_square_against_posterior_and_rejection():
     post, _ = exact_filter(T, Z, prior, 0, 1)
     states = np.flatnonzero(post)
 
-    out = resample_particles(model, particles, 0, 1, n, random.Random(7))
+    out, _ = resample_particles(model, Counter(particles), 0, 1, n, random.Random(7))
     counts = np.bincount(out, minlength=5)
     assert counts[post == 0.0].sum() == 0
     assert stats.chisquare(counts[states], n * post[states]).pvalue > 1e-3

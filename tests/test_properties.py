@@ -7,6 +7,7 @@ readers."""
 import math
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -374,26 +375,51 @@ def test_nonconformity_equals_position_of_oracle(seed, pool, mixed, overlap):
         assert nonconformity(actual, predicted) == expected
 
 
+# ids that keep a state keyed (ints inside int64, numpy ints too) and ids
+# that do not (ints beyond int64, strings, bools)
+keyed_id = st.one_of(st.integers(-3, 12), st.integers(-3, 12).map(np.int64),
+                     st.sampled_from([-2 ** 63, -2 ** 63 + 1, 2 ** 63 - 2, 2 ** 63 - 1]))
+other_id = st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 64, "a", "b", "7", True])
+
+
+@st.composite
+def joint_ids(draw, unkeyed):
+    """Ids of a hand-built joint state: ascending and distinct, as the
+    loaders give them, or in the order drawn, unsorted and possibly
+    repeated; with ``unkeyed``, some ids keys cannot hold."""
+    ids = draw(st.lists(st.one_of(keyed_id, other_id) if unkeyed else keyed_id, max_size=12))
+    if draw(st.booleans()):
+        ids = sorted(set(ids), key=lambda aid: (isinstance(aid, str), aid))
+    return tuple(ids)
+
+
 @PROPERTY
-@given(seed=seeds, pool=st.integers(1, 60), mixed=st.booleans(),
-       overlap=st.floats(0.0, 1.0), same=st.booleans())
-@example(seed=0, pool=1, mixed=False, overlap=0.0, same=False)     # disjoint
-def test_shared_rows_equals_dict_oracle(seed, pool, mixed, overlap, same):
+@given(seed=seeds, unkeyed=st.booleans(), data=st.data(), same=st.booleans())
+@example(seed=0, unkeyed=False, data=None, same=False)      # disjoint, then empty
+def test_shared_rows_equals_dict_oracle(seed, unkeyed, data, same):
     rng = np.random.default_rng(seed)
-    ids = list(range(pool)) + ([str(i) for i in range(pool)] if mixed else [])
-    mine_ids = [aid for aid in ids if rng.random() < 0.7]
-    shared = [aid for aid in mine_ids if rng.random() < overlap]
-    only_theirs = [aid for aid in ids if aid not in mine_ids and rng.random() < 0.5]
-    mine = random_joint(rng, mine_ids)
-    theirs = (JointAgentState(mine.ids, mine.positions + 1.0, 1) if same
-              else random_joint(rng, shared + only_theirs))
-    rows = mine.shared_rows(theirs)
-    expected = oracles.shared_rows_oracle(mine, theirs)
-    assert [r.tolist() for r in rows] == list(expected)
-    assert all(r.dtype == np.intp for r in rows)
-    if expected[0]:
-        diffs = mine.positions[expected[0]] - theirs.positions[expected[1]]
-        assert nonconformity(mine, theirs) == float(np.linalg.norm(diffs.ravel()))
+    if data is None:
+        pairs = [((1, 2), (3, 4)), ((), ()), ((1, 2), ()), ((), (1, 2))]
+    else:
+        mine_ids = data.draw(joint_ids(unkeyed))
+        pairs = [(mine_ids, mine_ids if same else data.draw(joint_ids(unkeyed)))]
+    for mine_ids, their_ids in pairs:
+        mine = JointAgentState(mine_ids, rng.normal(0.0, 5.0, size=(len(mine_ids), 2)), 0)
+        theirs = JointAgentState(their_ids, rng.normal(0.0, 5.0, size=(len(their_ids), 2)), 1)
+        for state in (mine, theirs):
+            want = oracles.keys_oracle(state.ids)
+            assert (state.keys is None if want is None
+                    else state.keys.dtype == np.int64 and state.keys.tolist() == want)
+        rows = mine.shared_rows(theirs)
+        expected = oracles.shared_rows_oracle(mine, theirs)
+        assert [r.tolist() for r in rows] == list(expected)
+        assert all(r.dtype == np.intp for r in rows)
+        if expected[0]:
+            diffs = mine.positions[expected[0]] - theirs.positions[expected[1]]
+            assert nonconformity(mine, theirs) == float(np.linalg.norm(diffs.ravel()))
+        else:
+            with pytest.raises(AgentMismatch):
+                nonconformity(mine, theirs)
 
 
 @PROPERTY
@@ -419,9 +445,39 @@ def test_resample_particles_equals_choices(seed, n_post, count, spread, others):
         particles += rng.integers(1, n, size=int(rng.integers(1, 50))).tolist()
     rng.shuffle(particles)
     prng, expected_rng = random.Random(seed), random.Random(seed)
-    out = resample_particles(model, particles, 0, 0, count, prng)
+    out, counts = resample_particles(model, Counter(particles), 0, 0, count, prng)
     assert out == oracles.resample_choices_oracle(model, particles, 0, 0, count, expected_rng)
     assert prng.getstate() == expected_rng.getstate()
+    assert list(counts.items()) == list(Counter(out).items())
+
+
+@PROPERTY
+@given(seed=seeds, refreshes=st.integers(5, 20), count=st.integers(1, 60),
+       deterministic=st.booleans())
+def test_chained_refresh_equals_counter_chain(seed, refreshes, count, deterministic):
+    # each root's counts feed the next refresh; the reference counts every
+    # particle list afresh, as Counter would, and draws with rng.choices
+    rng = np.random.default_rng(seed)
+    model = make_random_pomdp(rng, n_states=int(rng.integers(3, 9)),
+                              n_actions=int(rng.integers(1, 3)), n_obs=3,
+                              deterministic_obs=deterministic)
+    states = list(range(model.n_states))
+    weights = rng.uniform(0.0, 1.0, size=model.n_states).tolist()
+    planner = Planner(model, PlannerConfig(particle_count=count, seed=seed))
+    expected_rng, env = random.Random(seed), random.Random(seed + 1)
+    root = planner.make_root(planner.rng.choices(states, weights, k=count))
+    want = expected_rng.choices(states, weights, k=count)
+    for _ in range(refreshes):
+        assert root.particles == want
+        assert list(root.counts.items()) == list(Counter(want).items())
+        assert root.support == frozenset(want)
+        assert planner.rng.getstate() == expected_rng.getstate()
+        # an observation the true state, one of the particles, can emit
+        action = env.randrange(model.n_actions)
+        _, obs, _ = model.generative_step(env.choice(want), action, env)
+        root = planner.advance_root(root, action, obs)
+        want = oracles.resample_choices_oracle(model, want, action, obs, count, expected_rng)
+    assert root.particles == want and planner.rng.getstate() == expected_rng.getstate()
 
 
 @PROPERTY
@@ -464,9 +520,9 @@ def test_resample_particles_posterior_support_and_draw_count(seed, count, determ
     prng = random.Random(seed)
     if deprived:
         with pytest.raises(ParticleDeprivation):
-            resample_particles(model, particles, action, obs, count, prng)
+            resample_particles(model, Counter(particles), action, obs, count, prng)
         return
-    out = resample_particles(model, particles, action, obs, count, prng)
+    out, _ = resample_particles(model, Counter(particles), action, obs, count, prng)
     belief = BeliefState({s: particles.count(s) / len(particles) for s in set(particles)})
     assert len(out) == count
     assert set(out) <= oracles.belief_support(belief_update(model, belief, action, obs))

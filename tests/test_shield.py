@@ -247,6 +247,35 @@ def test_unsafe_sets_input_validation():
             unsafe_sets(pos, pred, (radius,), epsilon=0.5)
 
 
+@pytest.mark.parametrize("states, error, message", [
+    ([15, -2], OutOfRange, "holds state -2, outside 0..16"),
+    ([17], OutOfRange, "holds state 17, outside 0..16"),
+    (np.array([2 ** 64 - 1], dtype=np.uint64), OutOfRange, "holds state 18446744073709551615"),
+    ([1.5], InvalidSpec, "must be an int array"),
+    ([1.0], InvalidSpec, "must be an int array"),
+    ([True, False], InvalidSpec, "must be an int array"),
+], ids=["negative", "past-the-end", "uint64-max", "float", "integral-float", "bool"])
+def test_unsafe_sets_within_rejects_bad_states(states, error, message):
+    # a 4x4 grid has 17 states; -2 wrapped round to 15, 1.5 was truncated to
+    # 1, and 17 raised numpy's bare IndexError
+    _, pos = grid_inputs(4, 4)
+    assert len(pos) == 17
+    pred = agents_pred(0, {1: [(1.0, 1.0)]})
+    with pytest.raises(error, match=message):
+        unsafe_sets(pos, pred, (0.5,), epsilon=0.5, within={1: np.asarray(states)})
+
+
+def test_unsafe_sets_within_accepts_any_int_dtype_and_empty():
+    _, pos = grid_inputs(4, 4)
+    pred = agents_pred(0, {1: [(1.0, 1.0)]})
+    full = unsafe_sets(pos, pred, (0.5,), epsilon=0.5)[1]
+    for dtype in (np.uint8, np.int32, np.int64, np.uint64):
+        states = np.array([16, 0, 5], dtype=dtype)
+        got = unsafe_sets(pos, pred, (0.5,), epsilon=0.5, within={1: states})[1]
+        assert got == full & {16, 0, 5}
+    assert unsafe_sets(pos, pred, (0.5,), epsilon=0.5, within={1: []})[1] == frozenset()
+
+
 def test_constraint_values_allocates_only_block_temporaries():
     # numpy reports its buffers to tracemalloc; a (states, agents, 2) gap
     # array and its square would peak near 5 * states * agents * 8 bytes,

@@ -30,7 +30,7 @@ from acpshield.trajectory import (
     synth_trajectories,
 )
 
-from oracles import agent_ids, source_from_tracks, synth_oracle, track_of
+from oracles import agent_ids, keys_oracle, source_from_tracks, synth_oracle, track_of
 
 
 def joint(ids, coords, t):
@@ -489,7 +489,7 @@ def test_stepbench_format_takes_the_c_pass(tmp_path, monkeypatch):
     got_preds = load_predictions(tmp_path / "predictions.csv")
     for got, want in ((got_log, want_log), (got_preds, want_preds)):
         assert list(got) == list(want)
-        for key, (ids, positions) in want.items():
+        for key, (ids, positions, _) in want.items():
             assert got[key][0] == ids and all(type(aid) is int for aid in got[key][0])
             assert got[key][1].tobytes() == positions.tobytes()
 
@@ -500,7 +500,7 @@ def test_round_trip_takes_the_c_pass(tmp_path, monkeypatch):
     refuse_row_reader(monkeypatch)
     back = load_trajectories(tmp_path / "rt.csv")
     assert list(back._frames) == list(src._frames)
-    for t, (ids, positions) in src._frames.items():
+    for t, (ids, positions, _) in src._frames.items():
         assert back._frames[t][0] == ids
         np.testing.assert_array_equal(back._frames[t][1], positions)
 
@@ -538,5 +538,78 @@ def test_byte_order_mark_is_dropped(tmp_path, monkeypatch, header, reader):
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         want, got = load(plain), load(marked)
         assert len(want) == 2 and list(got) == list(want)
-        for key, (ids, positions) in want.items():
+        for key, (ids, positions, _) in want.items():
             assert got[key][0] == ids and got[key][1].tobytes() == positions.tobytes()
+
+
+# -- int64 id keys -------------------------------------------------------------
+
+def check_keys(state):
+    """A state came with its keys, not computed on first read: its ids as a
+    read-only int64 array, or None when its ids are not all ints inside
+    int64 in ascending order."""
+    assert "keys" in vars(state)
+    want = keys_oracle(state.ids)
+    if want is None:
+        assert state.keys is None
+    else:
+        assert state.keys.dtype == np.int64 and state.keys.tolist() == want
+        assert not state.keys.flags.writeable
+
+
+def served_states(source):
+    span = source.span() or (0, 0)
+    return [source.agents_at(t) for t in range(span[0] - 1, span[1] + 2)]
+
+
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+@pytest.mark.parametrize("n_agents", [0, 5])
+def test_synthesized_states_carry_keys(kind, n_agents):
+    source = synth_trajectories(kind, n_agents, 6, np.random.default_rng(0))
+    states = served_states(source)
+    for state in states:
+        check_keys(state)
+    if n_agents:           # one np.arange shared by every frame
+        assert len({id(state.keys) for state in states if state.n_agents}) == 1
+
+
+ID_FILES = {
+    # comma-separated ints: the C pass, in file order and shuffled
+    "c-pass": (",", [-2 ** 63, -5, 0, 7, 2 ** 63 - 1], True),
+    # whitespace, or ids the C pass rejects: the row reader
+    "rows": (" ", [-5, 0, 7], False),
+    "beyond-int64": (",", [-5, 0, 2 ** 63], False),
+    "str-ids": (",", [3, "a", "b"], False),
+}
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["ordered", "shuffled"])
+@pytest.mark.parametrize("case", sorted(ID_FILES))
+def test_loaded_states_carry_keys(tmp_path, monkeypatch, case, shuffled):
+    sep, ids, c_pass = ID_FILES[case]
+    log = [sep.join(map(str, (t, aid, t + k, k))) for t in range(4)
+           for k, aid in enumerate(ids) if (t + k) % 4]
+    preds = [sep.join(map(str, (t, tau, aid, t + k, tau))) for t in range(4)
+             for tau in (1, 2) for k, aid in enumerate(ids) if (t + k + tau) % 4]
+    if shuffled:
+        log, preds = log[::-1], preds[::-1]
+    (tmp_path / "log.csv").write_text("\n".join(log) + "\n")
+    (tmp_path / "preds.csv").write_text("\n".join(preds) + "\n")
+    if c_pass:
+        refuse_row_reader(monkeypatch)
+    for state in served_states(load_trajectories(tmp_path / "log.csv")):
+        check_keys(state)
+    predictor = make_predictor("replay", tmp_path / "preds.csv")
+    for t in range(4):
+        for state in predictor([joint([], [], t)], 2).predicted:
+            check_keys(state)
+
+
+@pytest.mark.parametrize("predict", [predict_constant, predict_constant_velocity,
+                                     predict_linear_fit])
+@pytest.mark.parametrize("ids", [(1, 4, 9), (4, 1, 9), (1, "a", "b"), ()])
+def test_model_predictions_pass_the_last_keys_on(predict, ids):
+    history = [joint(ids, np.full((len(ids), 2), float(t)), t) for t in range(3)]
+    for state in predict(history, 3).predicted:
+        check_keys(state)
+        assert state.keys is history[-1].keys
